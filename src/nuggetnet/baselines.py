@@ -16,10 +16,10 @@ import numpy as np
 
 from .corpus import AnnotatedSentence, SubtypeInventory, TriggerNugget, Vocabulary
 from .decoder import Prediction
-from .encoder import branch_backward, extract_branch, register_encoder_params
+from .encoder import register_encoder_params
 from .errors import CheckpointError, ConfigError
 from .heads import head_backward, head_scores
-from .model import CharEncoderBase, ModelConfig, SentenceEncoding, _centered_view
+from .model import CharEncoderBase, ModelConfig, _backward_rows, _branch_rows, _rows_by_sentence
 from .ndcore import ParamStore, load_checkpoint, restore_store, save_checkpoint, softmax, softmax_xent
 
 O_TAG = 0
@@ -139,30 +139,17 @@ class IOBModel(CharEncoderBase):
         return _sample_instances(positives, pool, neg_ratio, rng_seed), []
 
     def loss_and_grads(self, batch: Sequence[IOBInstance], _unused: Sequence = (), drop_rng=None) -> float:
-        encodings: dict[int, SentenceEncoding] = {}
-        total = 0.0
-        zeros = np.zeros(self.config.extractor.fused_dim)
-        for inst in batch:
-            key = id(inst.sentence)
-            if key not in encodings:
-                encodings[key] = self.encode_sentence(inst.sentence)
-            fwd = self._forward(encodings[key], inst.char_index, drop_rng)
-            _, loss, dscores = softmax_xent(head_scores(self.store, "tag", fwd.f_nugget), inst.tag)
-            total += loss
-            df = head_backward(self.store, "tag", fwd.f_nugget, dscores)
-            self._backward(fwd, df, zeros)
-        return total
+        fwd = self._forward(self._rows_of(batch), drop_rng)
+        _, loss, dscores = softmax_xent(head_scores(self.store, "tag", fwd.f_nugget), [inst.tag for inst in batch])
+        df = head_backward(self.store, "tag", fwd.f_nugget, dscores)
+        self._backward(fwd, df, np.zeros_like(fwd.f_type))
+        return loss
 
     def tag_sentence(self, sentence: AnnotatedSentence) -> tuple[list[int], list[float]]:
-        enc = self.encode_sentence(sentence)
-        tags, logps = [], []
-        for ci in range(len(sentence.text)):
-            fwd = self._forward(enc, ci)
-            probs = softmax(head_scores(self.store, "tag", fwd.f_nugget))
-            tag = int(np.argmax(probs))
-            tags.append(tag)
-            logps.append(math.log(float(probs[tag])))
-        return tags, logps
+        fwd = self._sentence_forward(self.encode_sentence(sentence))
+        probs = softmax(head_scores(self.store, "tag", fwd.f_nugget))
+        tags = [int(t) for t in probs.argmax(axis=1)]
+        return tags, [math.log(float(probs[ci, tag])) for ci, tag in enumerate(tags)]
 
     def predict_sentence(self, sentence: AnnotatedSentence) -> list[Prediction]:
         tags, logps = self.tag_sentence(sentence)
@@ -206,9 +193,13 @@ class WordwiseModel:
     def _word_ids(self, sentence: AnnotatedSentence) -> np.ndarray:
         return np.array([self.vocab.word_id(w) for w in sentence.words], dtype=np.int64)
 
-    def _word_feature(self, word_ids: np.ndarray, wi: int):
-        ids, c = _centered_view(word_ids, wi, self.config.max_tokens)
-        return extract_branch(self.store, "word", ids, c, self.config.extractor)
+    def _word_features(self, sentences: Sequence[AnnotatedSentence], word_indices: Sequence[int]):
+        """The word branch for (sentence, word index) rows, one extract_branch call in all."""
+        groups = [
+            (self._word_ids(sentence), np.array([word_indices[r] for r in rows], dtype=np.int64), rows)
+            for sentence, rows in _rows_by_sentence(sentences)
+        ]
+        return _branch_rows(self.store, self.config, "word", groups)
 
     @staticmethod
     def word_labels(sentence: AnnotatedSentence, inventory: SubtypeInventory) -> list[int]:
@@ -232,30 +223,23 @@ class WordwiseModel:
         return _sample_instances(positives, pool, neg_ratio, rng_seed), []
 
     def loss_and_grads(self, batch: Sequence[WordInstance], _unused: Sequence = (), drop_rng=None) -> float:
-        word_ids_cache: dict[int, np.ndarray] = {}
-        total = 0.0
-        for inst in batch:
-            key = id(inst.sentence)
-            if key not in word_ids_cache:
-                word_ids_cache[key] = self._word_ids(inst.sentence)
-            cache = self._word_feature(word_ids_cache[key], inst.word_index)
-            _, loss, dscores = softmax_xent(head_scores(self.store, "wordtype", cache.fp), inst.label)
-            total += loss
-            dfp = head_backward(self.store, "wordtype", cache.fp, dscores)
-            branch_backward(self.store, "word", cache, dfp, self.config.extractor)
-        return total
+        branch = self._word_features([inst.sentence for inst in batch], [inst.word_index for inst in batch])
+        fp = branch.fp
+        _, loss, dscores = softmax_xent(head_scores(self.store, "wordtype", fp), [inst.label for inst in batch])
+        _backward_rows(self.store, self.config, branch, head_backward(self.store, "wordtype", fp, dscores))
+        return loss
 
     def predict_sentence(self, sentence: AnnotatedSentence) -> list[Prediction]:
-        word_ids = self._word_ids(sentence)
+        n_words = len(sentence.word_spans)
+        fp = self._word_features([sentence] * n_words, range(n_words)).fp
+        probs = softmax(head_scores(self.store, "wordtype", fp))
         preds = []
         for wi, (s, e) in enumerate(sentence.word_spans):
-            cache = self._word_feature(word_ids, wi)
-            probs = softmax(head_scores(self.store, "wordtype", cache.fp))
-            label = int(np.argmax(probs))
+            label = int(np.argmax(probs[wi]))
             if label == 0:
                 continue
             preds.append(
-                Prediction(s, e - s + 1, self.subtypes.name_of(label - 1), math.log(float(probs[label])))
+                Prediction(s, e - s + 1, self.subtypes.name_of(label - 1), math.log(float(probs[wi, label])))
             )
         return preds
 

@@ -332,9 +332,9 @@ class Vocabulary:
         )
 
 
-def relative_position_index(rel: int, max_rel_dist: int) -> int:
-    """Clip a signed relative offset to [-max_rel_dist, max_rel_dist] and shift to >= 0."""
-    return max(-max_rel_dist, min(max_rel_dist, rel)) + max_rel_dist
+def relative_position_index(rel, max_rel_dist: int):
+    """Clip signed relative offsets (an int or an array) to [-max_rel_dist, max_rel_dist] and shift to >= 0."""
+    return np.clip(rel, -max_rel_dist, max_rel_dist) + max_rel_dist
 
 
 def build_vocab(

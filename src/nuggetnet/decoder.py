@@ -172,7 +172,7 @@ def load_predictions(path) -> dict[tuple[str, str], list[Prediction]]:
                 rec = json.loads(line)
                 key = (str(rec["doc_id"]), str(rec["sent_id"]))
                 preds = [Prediction.from_record(p) for p in rec["predictions"]]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, CorpusFormatError) as exc:
                 raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
             if key in out:
                 raise CorpusFormatError(f"{path}: line {lineno}: duplicate sentence {key}")

@@ -1,23 +1,52 @@
 """Character-centered feature extraction and char/word fusion.
 
 Each character under consideration gets one feature vector per enabled
-branch (characters, words), built from embeddings, a 1-d convolution with
-tanh, and max pooling split at the character's own token.  The two branch
-features are projected to a common width and fused either by concatenation
-or by learned sigmoid gates.  Backward passes are written out by hand; the
-gradient checker in ndcore is the authority on their correctness.
+branch (characters, words): token embeddings joined with embeddings of each
+token's offset from the center, a 1-d convolution with tanh, max pooling
+split at the center token, the center's lexical window, and a tanh
+projection.  The two branch features are projected to a common width and
+fused either by concatenation or by learned sigmoid gates.
+
+`extract_branch` computes these features for every center of one or more
+token sequences in one pass.  Splitting each filter into its token columns
+and its position columns splits the convolution exactly:
+
+    pre[c, j] = T[j] + P[j - c]
+
+T (n x filters) convolves the token embeddings once.  P ((2n-1) x filters)
+convolves the position embeddings once over the offsets -(n-1) .. n-1,
+each window slot clipped to max_rel_dist.  A center's map is T plus a
+slice of P.  Pooling takes the max of the pre-activations and applies tanh
+to the 2 x filters pooled values only, which is exact because tanh is
+monotone.  Only one (n x filters) map exists at a time, so the working
+memory is O(n * filters): no (centers x n x filters) tensor is built.  One
+matmul projects all centers.  The backward pass scatters each pooled
+gradient to its argmax column only, into an (n x filters) token map and a
+((2n-1) x filters) offset map, and turns each map into weight and
+embedding gradients with one matmul.
+
+A model reads a sequence longer than its max_tokens through a
+max_tokens-long view centered on each character, clamped at the edges
+(model.py).  The centers that share a view share one segment.  One
+extract_branch call takes as many segments as fit in max_tokens tokens: one
+view of a long sentence, or several short sentences of a training batch.
+The convolutions read the segments' padded tokens back to back, one window
+slot at a time, so no (columns x window*dim) matrix of windows is built.
+Backward passes are written out by hand; the gradient checker in ndcore is
+the authority on their correctness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import PAD_ID, Vocabulary, relative_position_index
 from .errors import ConfigError, ShapeError
-from .ndcore import ParamStore, conv_windows, sigmoid
+from .ndcore import ParamStore, conv1d, sigmoid, split_max_pool
 
 
 class HybridMode(str, Enum):
@@ -132,113 +161,145 @@ def register_encoder_params(store: ParamStore, config: ExtractorConfig, vocab: V
 
 
 # ---------------------------------------------------------------------------
-# Branch: embed -> conv -> split pooling -> lexical concat -> projection
+# Branch: embed -> split conv -> split pooling -> lexical concat -> projection
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class BranchCache:
-    """Everything the branch backward pass needs."""
+    """What branch_backward needs from one extract_branch call over k centers.
 
-    padded_ids: np.ndarray  # (n_pad,) token ids including virtual pads
-    padded_pos: np.ndarray  # (n_pad,) position-embedding row per padded slot
-    windows: np.ndarray  # (n, window*input_dim)
-    amap: np.ndarray  # (n_filters, n) tanh activation map
-    left_argmax: np.ndarray | None  # per-filter argmax column, None when c == 0
-    right_argmax: np.ndarray
-    c: int
-    lex_ids: np.ndarray  # (2*lex_window+1,)
-    feature: np.ndarray  # (feature_dim,)
-    fp: np.ndarray  # (proj_dim,) tanh-projected feature
+    The token convolution runs once over all segments' padded tokens back
+    to back; conv column j of a segment starting at padded slot s is its
+    position s + j.  Offset rows number the offsets -(N-1) .. N-1, N being
+    the longest segment's length.
+    """
+
+    padded_ids: np.ndarray  # every segment's token ids with its conv pads, back to back
+    pos_rows: np.ndarray  # (2N-1 + window-1,) position rows the offset convolution reads
+    has_left: np.ndarray  # (k,) False where the center is its segment's first token
+    cols: np.ndarray  # (k, 2*n_filters) token-conv position of each pooled value, left pool then right
+    offset_rows: np.ndarray  # (k, 2*n_filters) offset row of each pooled value
+    lex_ids: np.ndarray  # (k, 2*lex_window+1)
+    feature: np.ndarray  # (k, feature_dim): tanh of both pools, lexical embeddings
+    fp: np.ndarray  # (k, proj_dim) tanh-projected features
+
+
+def _filters(conv_w: np.ndarray, config: ExtractorConfig) -> np.ndarray:
+    """The flat filters as (n_filters, window, input_dim): token columns first, then position columns."""
+    return conv_w.reshape(config.n_filters, config.window, config.input_dim)
 
 
 def extract_branch(
-    store: ParamStore, prefix: str, token_ids: np.ndarray, c: int, config: ExtractorConfig
+    store: ParamStore, prefix: str, segments: Sequence[tuple[np.ndarray, np.ndarray]], config: ExtractorConfig
 ) -> BranchCache:
-    """Feature vector for the token at index c of one branch's token sequence."""
-    ids = np.asarray(token_ids, dtype=np.int64)
-    n = ids.shape[0]
-    if n == 0:
+    """Feature vectors of one branch for the centers of one or more token sequences.
+
+    `segments` holds (token ids, center indices into them) per sequence;
+    the result has one row per center, segment after segment.
+    """
+    segments = [(np.asarray(ids, dtype=np.int64), np.asarray(c, dtype=np.int64)) for ids, c in segments]
+    if not segments or any(ids.ndim != 1 or ids.shape[0] == 0 for ids, _ in segments):
         raise ShapeError("cannot extract features from an empty token sequence")
-    if not 0 <= c < n:
-        raise ShapeError(f"center index {c} out of range [0, {n})")
-
     tok_emb = store[f"{prefix}.tok_emb"].value
-    pos_emb = store[f"{prefix}.pos_emb"].value
     h = config.window
-    pad_left = (h - 1) // 2
-    pad_right = h - 1 - pad_left
+    e = config.token_emb_dim
+    lead = (h - 1) // 2
+    lengths = [ids.shape[0] for ids, _ in segments]
+    longest = max(lengths)
 
-    # virtual indices -pad_left .. n+pad_right-1 keep conv column j on token j
-    virtual = np.arange(-pad_left, n + pad_right)
-    padded_ids = np.where((virtual >= 0) & (virtual < n), ids[np.clip(virtual, 0, n - 1)], PAD_ID)
-    padded_pos = np.array(
-        [relative_position_index(int(v) - c, config.max_rel_dist) for v in virtual], dtype=np.int64
+    # conv column j of a segment reads its padded slots j .. j+h-1, i.e. tokens j-lead .. j-lead+h-1
+    pad_starts = np.cumsum([0] + [n + h - 1 for n in lengths])
+    padded_ids = np.full(pad_starts[-1], PAD_ID, dtype=np.int64)
+    for (ids, _), start in zip(segments, pad_starts):
+        padded_ids[start + lead : start + lead + ids.shape[0]] = ids
+    # offset row r (j - c = r - (N-1)) reads the positions of tokens j-lead .. j-lead+h-1 relative to c
+    pos_rows = relative_position_index(np.arange(h + 2 * longest - 2) - (longest - 1) - lead, config.max_rel_dist)
+
+    w = _filters(store[f"{prefix}.conv_w"].value, config)
+    token_term = conv1d(tok_emb[padded_ids], w[:, :, :e].reshape(config.n_filters, -1), store[f"{prefix}.conv_b"].value)
+    offset_term = conv1d(store[f"{prefix}.pos_emb"].value[pos_rows], w[:, :, e:].reshape(config.n_filters, -1))
+
+    pools, cols, offset_rows, lex_ids, has_left = [], [], [], [], []
+    lex_span = np.arange(-config.lex_window, config.lex_window + 1)
+    for (ids, centers), n, start in zip(segments, lengths, pad_starts):
+        # this segment's offsets -(n-1) .. n-1 sit in the middle of the shared table
+        left, right, left_arg, right_arg = split_max_pool(
+            token_term[start : start + n], offset_term[longest - n : longest + n - 1], centers
+        )
+        args = np.concatenate([left_arg, right_arg], axis=1)
+        pools.append(np.concatenate([left, right], axis=1))
+        cols.append(start + args)
+        offset_rows.append(args - centers[:, None] + longest - 1)
+        lex_slots = centers[:, None] + lex_span
+        lex_ids.append(np.where((lex_slots >= 0) & (lex_slots < n), ids[np.clip(lex_slots, 0, n - 1)], PAD_ID))
+        has_left.append(centers > 0)
+    lex_ids = np.concatenate(lex_ids)
+    feature = np.concatenate(
+        [np.tanh(np.concatenate(pools)), tok_emb[lex_ids].reshape(lex_ids.shape[0], -1)], axis=1
     )
-    x = np.concatenate([tok_emb[padded_ids], pos_emb[padded_pos]], axis=1)
+    fp = np.tanh(feature @ store[f"{prefix}.proj_w"].value.T + store[f"{prefix}.proj_b"].value)
+    return BranchCache(
+        padded_ids,
+        pos_rows,
+        np.concatenate(has_left),
+        np.concatenate(cols),
+        np.concatenate(offset_rows),
+        lex_ids,
+        feature,
+        fp,
+    )
 
-    windows = conv_windows(x, h)
-    amap = np.tanh(windows @ store[f"{prefix}.conv_w"].value.T + store[f"{prefix}.conv_b"].value).T
 
-    if c > 0:
-        left_argmax = amap[:, :c].argmax(axis=1)
-        left = amap[np.arange(amap.shape[0]), left_argmax]
-    else:
-        left_argmax = None
-        left = np.zeros(amap.shape[0])
-    right_argmax = amap[:, c:].argmax(axis=1)
-    right = amap[np.arange(amap.shape[0]), c + right_argmax]
-
-    lex_slots = np.arange(c - config.lex_window, c + config.lex_window + 1)
-    lex_ids = np.where((lex_slots >= 0) & (lex_slots < n), ids[np.clip(lex_slots, 0, n - 1)], PAD_ID)
-    feature = np.concatenate([left, right, tok_emb[lex_ids].reshape(-1)])
-
-    fp = np.tanh(store[f"{prefix}.proj_w"].value @ feature + store[f"{prefix}.proj_b"].value)
-    return BranchCache(padded_ids, padded_pos, windows, amap, left_argmax, right_argmax, c, lex_ids, feature, fp)
+def _conv1d_backward(dmap: np.ndarray, x: np.ndarray, w: np.ndarray, grad_w: np.ndarray) -> np.ndarray:
+    """Backward of conv1d for filters w as (filters, window, d): adds dL/dw into grad_w, returns dL/dx."""
+    n_out = dmap.shape[0]
+    dx = np.zeros_like(x)
+    for k in range(w.shape[1]):
+        grad_w[:, k] += dmap.T @ x[k : k + n_out]
+        dx[k : k + n_out] += dmap @ w[:, k]
+    return dx
 
 
 def branch_backward(store: ParamStore, prefix: str, cache: BranchCache, dfp: np.ndarray, config: ExtractorConfig) -> None:
-    """Accumulate gradients for one branch given dL/d(projected feature)."""
+    """Accumulate gradients for one branch given dL/d(projected features), one row per center."""
     proj_w = store[f"{prefix}.proj_w"]
     dz = dfp * (1.0 - cache.fp * cache.fp)
-    proj_w.grad += np.outer(dz, cache.feature)
-    store[f"{prefix}.proj_b"].grad += dz
-    dfeature = proj_w.value.T @ dz
+    proj_w.grad += dz.T @ cache.feature
+    store[f"{prefix}.proj_b"].grad += dz.sum(axis=0)
+    dfeature = dz @ proj_w.value
 
     m = config.n_filters
-    dleft = dfeature[:m]
-    dright = dfeature[m : 2 * m]
-    dlex = dfeature[2 * m :].reshape(-1, config.token_emb_dim)
-
-    tok_emb = store[f"{prefix}.tok_emb"]
-    np.add.at(tok_emb.grad, cache.lex_ids, dlex)
-
-    damap = np.zeros_like(cache.amap)
-    rows = np.arange(m)
-    if cache.left_argmax is not None:
-        damap[rows, cache.left_argmax] += dleft
-    damap[rows, cache.c + cache.right_argmax] += dright
-
-    dpre = damap * (1.0 - cache.amap * cache.amap)  # (m, n)
-    conv_w = store[f"{prefix}.conv_w"]
-    conv_w.grad += dpre @ cache.windows
-    store[f"{prefix}.conv_b"].grad += dpre.sum(axis=1)
-
-    dwindows = dpre.T @ conv_w.value  # (n, h*input_dim)
+    e = config.token_emb_dim
     h = config.window
-    d_in = config.input_dim
-    n_pad = cache.padded_ids.shape[0]
-    dx = np.zeros((n_pad, d_in))
-    per_row = dwindows.reshape(-1, h, d_in)
-    for offset in range(h):
-        dx[offset : offset + per_row.shape[0]] += per_row[:, offset, :]
+    tok_emb = store[f"{prefix}.tok_emb"]
+    pos_emb = store[f"{prefix}.pos_emb"]
+    np.add.at(tok_emb.grad, cache.lex_ids.reshape(-1), dfeature[:, 2 * m :].reshape(-1, e))
 
-    np.add.at(tok_emb.grad, cache.padded_ids, dx[:, : config.token_emb_dim])
-    np.add.at(store[f"{prefix}.pos_emb"].grad, cache.padded_pos, dx[:, config.token_emb_dim :])
+    pooled = cache.feature[:, : 2 * m]
+    dpre = dfeature[:, : 2 * m] * (1.0 - pooled * pooled)
+    dpre[~cache.has_left, :m] = 0.0  # an empty left pool is a constant
+
+    # each pooled value came from one conv column and one offset: scatter it into both maps
+    filters = np.tile(np.arange(m), 2)
+    weights = dpre.reshape(-1)
+    n_cols = cache.padded_ids.shape[0] - h + 1
+    n_offsets = cache.pos_rows.shape[0] - h + 1
+    token_map = np.bincount((cache.cols * m + filters).reshape(-1), weights, n_cols * m).reshape(n_cols, m)
+    offset_map = np.bincount((cache.offset_rows * m + filters).reshape(-1), weights, n_offsets * m).reshape(-1, m)
+
+    conv_w = store[f"{prefix}.conv_w"]
+    store[f"{prefix}.conv_b"].grad += token_map.sum(axis=0)
+    w = _filters(conv_w.value, config)
+    grad = _filters(conv_w.grad, config)
+    dtok = _conv1d_backward(token_map, tok_emb.value[cache.padded_ids], w[:, :, :e], grad[:, :, :e])
+    np.add.at(tok_emb.grad, cache.padded_ids, dtok)
+    dpos = _conv1d_backward(offset_map, pos_emb.value[cache.pos_rows], w[:, :, e:], grad[:, :, e:])
+    np.add.at(pos_emb.grad, cache.pos_rows, dpos)
 
 
 # ---------------------------------------------------------------------------
-# Fusion
+# Fusion: rows of (m, proj_dim) branch features; fuse also takes single vectors
 # ---------------------------------------------------------------------------
 
 
@@ -246,15 +307,15 @@ def branch_backward(store: ParamStore, prefix: str, cache: BranchCache, dfp: np.
 class FusionCache:
     fp_char: np.ndarray | None
     fp_word: np.ndarray | None
-    gates: dict[str, np.ndarray]  # task -> sigmoid gate vector
+    gates: dict[str, np.ndarray]  # task -> sigmoid gate rows
     f_nugget: np.ndarray
     f_type: np.ndarray
 
 
 def _gate(store: ParamStore, scope: str, fp_char: np.ndarray, fp_word: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = sigmoid(
-        store[f"{scope}.gate_w_char"].value @ fp_char
-        + store[f"{scope}.gate_w_word"].value @ fp_word
+        fp_char @ store[f"{scope}.gate_w_char"].value.T
+        + fp_word @ store[f"{scope}.gate_w_word"].value.T
         + store[f"{scope}.gate_b"].value
     )
     return z, z * fp_char + (1.0 - z) * fp_word
@@ -265,11 +326,11 @@ def _gate_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     dz = df * (fp_char - fp_word)
     dpre = dz * z * (1.0 - z)
-    store[f"{scope}.gate_w_char"].grad += np.outer(dpre, fp_char)
-    store[f"{scope}.gate_w_word"].grad += np.outer(dpre, fp_word)
-    store[f"{scope}.gate_b"].grad += dpre
-    dfp_char = df * z + store[f"{scope}.gate_w_char"].value.T @ dpre
-    dfp_word = df * (1.0 - z) + store[f"{scope}.gate_w_word"].value.T @ dpre
+    store[f"{scope}.gate_w_char"].grad += dpre.T @ fp_char
+    store[f"{scope}.gate_w_word"].grad += dpre.T @ fp_word
+    store[f"{scope}.gate_b"].grad += dpre.sum(axis=0)
+    dfp_char = df * z + dpre @ store[f"{scope}.gate_w_char"].value
+    dfp_word = df * (1.0 - z) + dpre @ store[f"{scope}.gate_w_word"].value
     return dfp_char, dfp_word
 
 
@@ -279,7 +340,7 @@ def fuse(
     fp_char: np.ndarray | None,
     fp_word: np.ndarray | None,
 ) -> FusionCache:
-    """Combine branch features into the nugget-head and type-head inputs."""
+    """Combine branch features, (m, proj_dim) rows or single vectors, into the head inputs."""
     if not config.both_branches:
         single = fp_char if fp_char is not None else fp_word
         if single is None:
@@ -287,7 +348,7 @@ def fuse(
         return FusionCache(fp_char, fp_word, {}, single, single)
     assert fp_char is not None and fp_word is not None
     if config.hybrid_mode is HybridMode.CONCAT:
-        f = np.concatenate([fp_char, fp_word])
+        f = np.concatenate([fp_char, fp_word], axis=-1)
         return FusionCache(fp_char, fp_word, {}, f, f)
     if config.hybrid_mode is HybridMode.GENERAL:
         z, f = _gate(store, "fuse", fp_char, fp_word)
@@ -304,7 +365,7 @@ def fuse_backward(
     df_nugget: np.ndarray,
     df_type: np.ndarray,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Route head-input gradients back to the branch features."""
+    """Route (m, fused_dim) head-input gradients back to the (m, proj_dim) branch features."""
     if not config.both_branches:
         d = df_nugget + df_type
         return (d, None) if cache.fp_char is not None else (None, d)
@@ -312,7 +373,7 @@ def fuse_backward(
     if config.hybrid_mode is HybridMode.CONCAT:
         d = df_nugget + df_type
         k = config.proj_dim
-        return d[:k].copy(), d[k:].copy()
+        return d[:, :k], d[:, k:]
     if config.hybrid_mode is HybridMode.GENERAL:
         return _gate_backward(store, "fuse", cache.gates["shared"], fp_char, fp_word, df_nugget + df_type)
     dc_n, dw_n = _gate_backward(store, "fuse.nugget", cache.gates["nugget"], fp_char, fp_word, df_nugget)
@@ -329,7 +390,8 @@ def load_embeddings_file(path, store: ParamStore, prefix: str, token_to_id: dict
     """Overwrite embedding rows from a text file of "token v1 v2 ..." lines.
 
     Tokens absent from the vocabulary are skipped.  Returns the number of
-    rows loaded.  Dimension mismatches raise ConfigError.
+    rows loaded.  Dimension mismatches and non-numeric values raise
+    ConfigError naming the file and line.
     """
     emb = store[f"{prefix}.tok_emb"].value
     loaded = 0
@@ -345,6 +407,9 @@ def load_embeddings_file(path, store: ParamStore, prefix: str, token_to_id: dict
                 raise ConfigError(
                     f"{path}: line {lineno}: embedding has {len(values)} dims, expected {emb.shape[1]}"
                 )
-            emb[token_to_id[token]] = np.array([float(v) for v in values])
+            try:
+                emb[token_to_id[token]] = np.array([float(v) for v in values])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
             loaded += 1
     return loaded

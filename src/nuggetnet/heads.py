@@ -43,14 +43,15 @@ def register_head_params(store: ParamStore, fused_dim: int, n_nugget_classes: in
 
 
 def head_scores(store: ParamStore, head: str, features: np.ndarray) -> np.ndarray:
-    return store[f"head.{head}_w"].value @ features + store[f"head.{head}_b"].value
+    """Scores for (m, fused_dim) feature rows, or for one feature vector."""
+    return features @ store[f"head.{head}_w"].value.T + store[f"head.{head}_b"].value
 
 
 def head_backward(store: ParamStore, head: str, features: np.ndarray, dscores: np.ndarray) -> np.ndarray:
-    """Accumulate head gradients; returns dL/dfeatures."""
-    store[f"head.{head}_w"].grad += np.outer(dscores, features)
-    store[f"head.{head}_b"].grad += dscores
-    return store[f"head.{head}_w"].value.T @ dscores
+    """Accumulate head gradients over (m, fused_dim) rows; returns dL/dfeatures."""
+    store[f"head.{head}_w"].grad += dscores.T @ features
+    store[f"head.{head}_b"].grad += dscores.sum(axis=0)
+    return dscores @ store[f"head.{head}_w"].value
 
 
 def nugget_distribution(store: ParamStore, features: np.ndarray) -> np.ndarray:

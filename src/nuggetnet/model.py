@@ -69,38 +69,107 @@ class ModelConfig:
 
 @dataclass
 class SentenceEncoding:
-    """Id arrays for one sentence, reused across its characters."""
+    """Id arrays for one sentence, and its per-character distributions once queried.
+
+    `rows` holds every character's distributions from the first
+    char_distributions call on: a snapshot of the weights at that moment.
+    Encode the sentence again after changing them.
+    """
 
     char_ids: np.ndarray
     word_ids: np.ndarray
     char_to_word: np.ndarray
+    rows: tuple[np.ndarray, ...] | None = None
+
+
+def _view_starts(n: int, centers: np.ndarray, max_tokens: int) -> np.ndarray:
+    """First token of the max_tokens-long view each center reads: centered on it, clamped at the edges."""
+    if n <= max_tokens:
+        return np.zeros_like(centers)
+    return np.clip(centers - max_tokens // 2, 0, n - max_tokens)
 
 
 @dataclass
-class _CharForward:
-    char_cache: BranchCache | None
-    word_cache: BranchCache | None
+class _BranchRows:
+    """One branch's features for a batch of rows, from one or more extract_branch calls."""
+
+    prefix: str
+    caches: list[BranchCache]
+    cache_row: np.ndarray  # batch row -> its center's row among the caches' rows, in order
+
+    @property
+    def fp(self) -> np.ndarray:
+        return np.concatenate([cache.fp for cache in self.caches])[self.cache_row]
+
+
+def _branch_rows(
+    store: ParamStore, config: ModelConfig, prefix: str, groups: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> _BranchRows:
+    """Features of one branch for (token ids, centers, batch rows) per sentence.
+
+    Each distinct center of a sentence is computed once.  Each
+    max_tokens-long view a sentence needs is one segment, and one
+    extract_branch call takes as many consecutive segments as fit in
+    max_tokens tokens: a view of a long sentence, or several short
+    sentences.  That bounds the kernel's working memory by max_tokens,
+    whatever the batch size.
+    """
+    calls: list[list] = [[]]
+    tokens = 0
+    cache_row = np.empty(sum(len(rows) for _, _, rows in groups), dtype=np.int64)
+    k = 0
+    for ids, centers, rows in groups:
+        centers = centers.tolist()
+        distinct = np.array(sorted(set(centers)), dtype=np.int64)
+        starts = _view_starts(ids.shape[0], distinct, config.max_tokens)
+        position = {}
+        for start in sorted(set(starts.tolist())):
+            view_centers = distinct[starts == start]
+            view = ids[start : start + config.max_tokens]
+            if calls[-1] and tokens + view.shape[0] > config.max_tokens:
+                calls.append([])
+                tokens = 0
+            calls[-1].append((view, view_centers - start))
+            tokens += view.shape[0]
+            position.update(zip(view_centers.tolist(), range(k, k + view_centers.shape[0])))
+            k += view_centers.shape[0]
+        cache_row[rows] = [position[c] for c in centers]
+    caches = [extract_branch(store, prefix, segments, config.extractor) for segments in calls]
+    return _BranchRows(prefix, caches, cache_row)
+
+
+def _backward_rows(store: ParamStore, config: ModelConfig, branch: _BranchRows, dfp: np.ndarray) -> None:
+    """Backpropagate dL/d(features) of every batch row; rows sharing a center add up."""
+    sizes = [cache.fp.shape[0] for cache in branch.caches]
+    per_center = np.zeros((sum(sizes), dfp.shape[1]))
+    np.add.at(per_center, branch.cache_row, dfp)
+    for cache, dfp_call in zip(branch.caches, np.split(per_center, np.cumsum(sizes)[:-1])):
+        branch_backward(store, branch.prefix, cache, dfp_call, config.extractor)
+
+
+def _rows_by_sentence(sentences: Sequence) -> list[tuple[object, np.ndarray]]:
+    """(sentence, the batch rows it holds) per distinct object, in order of first appearance."""
+    groups: dict[int, tuple[object, list[int]]] = {}
+    for row, sentence in enumerate(sentences):
+        groups.setdefault(id(sentence), (sentence, []))[1].append(row)
+    return [(sentence, np.array(rows)) for sentence, rows in groups.values()]
+
+
+@dataclass
+class _Forward:
+    branches: list[_BranchRows]
     fusion: FusionCache
-    f_nugget: np.ndarray  # head inputs, after dropout when training
+    f_nugget: np.ndarray  # (m, fused_dim) head inputs, after dropout when training
     f_type: np.ndarray
-    mask_nugget: np.ndarray | None
-    mask_type: np.ndarray | None
-
-
-def _centered_view(ids: np.ndarray, c: int, max_tokens: int) -> tuple[np.ndarray, int]:
-    n = ids.shape[0]
-    if n <= max_tokens:
-        return ids, c
-    start = min(max(c - max_tokens // 2, 0), n - max_tokens)
-    return ids[start : start + max_tokens], c - start
+    masks: tuple[np.ndarray, np.ndarray] | None  # (nugget, type) dropout masks
 
 
 class CharEncoderBase:
-    """Shared sentence encoding and per-character forward/backward plumbing.
+    """Shared sentence encoding and batched forward/backward plumbing.
 
     Subclasses own the store, config, vocab and their heads; this base turns
-    (sentence, char index) into fused head inputs and routes head gradients
-    back down.
+    (sentence encoding, char index) rows into fused head inputs and routes
+    head gradients back down.
     """
 
     config: ModelConfig
@@ -116,44 +185,52 @@ class CharEncoderBase:
         return SentenceEncoding(char_ids, word_ids, char_to_word)
 
     def _forward(
-        self, enc: SentenceEncoding, ci: int, drop_rng: np.random.Generator | None = None
-    ) -> _CharForward:
+        self, items: Sequence[tuple[SentenceEncoding, int]], drop_rng: np.random.Generator | None = None
+    ) -> _Forward:
+        """Head inputs for (encoding, char index) rows, all sentences' kernel calls shared."""
         cfg = self.config.extractor
-        char_cache = word_cache = None
-        if cfg.use_chars:
-            ids, c = _centered_view(enc.char_ids, ci, self.config.max_tokens)
-            char_cache = extract_branch(self.store, "char", ids, c, cfg)
-        if cfg.use_words:
-            wi = int(enc.char_to_word[ci])
-            ids, c = _centered_view(enc.word_ids, wi, self.config.max_tokens)
-            word_cache = extract_branch(self.store, "word", ids, c, cfg)
-        fusion = fuse(
-            self.store,
-            cfg,
-            char_cache.fp if char_cache else None,
-            word_cache.fp if word_cache else None,
-        )
+        groups = {"char": [], "word": []}
+        for enc, rows in _rows_by_sentence([enc for enc, _ in items]):
+            chars = np.array([items[r][1] for r in rows], dtype=np.int64)
+            groups["char"].append((enc.char_ids, chars, rows))
+            groups["word"].append((enc.word_ids, enc.char_to_word[chars], rows))
+        enabled = [p for p, on in (("char", cfg.use_chars), ("word", cfg.use_words)) if on]
+        branches = [_branch_rows(self.store, self.config, p, groups[p]) for p in enabled]
+        fp = {b.prefix: b.fp for b in branches}
+        fusion = fuse(self.store, cfg, fp.get("char"), fp.get("word"))
         f_nugget, f_type = fusion.f_nugget, fusion.f_type
-        mask_nugget = mask_type = None
+        masks = None
         if drop_rng is not None and cfg.dropout > 0.0:
             keep = 1.0 - cfg.dropout
-            mask_nugget = (drop_rng.random(f_nugget.shape[0]) < keep) / keep
-            mask_type = (drop_rng.random(f_type.shape[0]) < keep) / keep
-            f_nugget = f_nugget * mask_nugget
-            f_type = f_type * mask_type
-        return _CharForward(char_cache, word_cache, fusion, f_nugget, f_type, mask_nugget, mask_type)
+            # row by row, the nugget mask's draws and then the type mask's
+            draws = drop_rng.random((len(items), 2, cfg.fused_dim))
+            masks = ((draws[:, 0] < keep) / keep, (draws[:, 1] < keep) / keep)
+            f_nugget = f_nugget * masks[0]
+            f_type = f_type * masks[1]
+        return _Forward(branches, fusion, f_nugget, f_type, masks)
 
-    def _backward(self, fwd: _CharForward, df_nugget: np.ndarray, df_type: np.ndarray) -> None:
-        if fwd.mask_nugget is not None:
-            df_nugget = df_nugget * fwd.mask_nugget
-        if fwd.mask_type is not None:
-            df_type = df_type * fwd.mask_type
-        cfg = self.config.extractor
-        dfp_char, dfp_word = fuse_backward(self.store, cfg, fwd.fusion, df_nugget, df_type)
-        if fwd.char_cache is not None and dfp_char is not None:
-            branch_backward(self.store, "char", fwd.char_cache, dfp_char, cfg)
-        if fwd.word_cache is not None and dfp_word is not None:
-            branch_backward(self.store, "word", fwd.word_cache, dfp_word, cfg)
+    def _backward(self, fwd: _Forward, df_nugget: np.ndarray, df_type: np.ndarray) -> None:
+        if fwd.masks is not None:
+            df_nugget = df_nugget * fwd.masks[0]
+            df_type = df_type * fwd.masks[1]
+        dfp_char, dfp_word = fuse_backward(self.store, self.config.extractor, fwd.fusion, df_nugget, df_type)
+        dfp = {"char": dfp_char, "word": dfp_word}
+        for branch in fwd.branches:
+            _backward_rows(self.store, self.config, branch, dfp[branch.prefix])
+
+    def _rows_of(self, instances: Sequence) -> list[tuple[SentenceEncoding, int]]:
+        """(encoding, char index) per training instance; each distinct sentence is encoded once."""
+        encodings: dict[int, SentenceEncoding] = {}
+        rows = []
+        for inst in instances:
+            key = id(inst.sentence)
+            if key not in encodings:
+                encodings[key] = self.encode_sentence(inst.sentence)
+            rows.append((encodings[key], inst.char_index))
+        return rows
+
+    def _sentence_forward(self, enc: SentenceEncoding) -> _Forward:
+        return self._forward([(enc, ci) for ci in range(enc.char_ids.shape[0])])
 
 
 class CharSpanModel(CharEncoderBase):
@@ -182,11 +259,19 @@ class CharSpanModel(CharEncoderBase):
     # -- inference ---------------------------------------------------------
 
     def char_distributions(self, enc: SentenceEncoding, ci: int) -> tuple[np.ndarray, np.ndarray]:
-        """(span-class probabilities, subtype probabilities) for one character."""
-        fwd = self._forward(enc, ci)
-        pn = softmax(head_scores(self.store, "nugget", fwd.f_nugget))
-        pt = softmax(head_scores(self.store, "type", fwd.f_type))
-        return pn, pt
+        """(span-class probabilities, subtype probabilities) for one character.
+
+        The first call on an encoding computes every character's rows at
+        once and keeps them on it; later calls index into them.
+        """
+        if enc.rows is None:
+            fwd = self._sentence_forward(enc)
+            enc.rows = (
+                softmax(head_scores(self.store, "nugget", fwd.f_nugget)),
+                softmax(head_scores(self.store, "type", fwd.f_type)),
+            )
+        pn, pt = enc.rows
+        return pn[ci], pt[ci]
 
     def predict_sentence(self, sentence: AnnotatedSentence):
         from .decoder import decode_sentence
@@ -209,33 +294,22 @@ class CharSpanModel(CharEncoderBase):
         drop_rng: np.random.Generator | None = None,
     ) -> float:
         """Summed cross-entropy over both instance streams; grads accumulate."""
-        encodings: dict[int, SentenceEncoding] = {}
-
-        def enc_of(sentence: AnnotatedSentence) -> SentenceEncoding:
-            key = id(sentence)
-            if key not in encodings:
-                encodings[key] = self.encode_sentence(sentence)
-            return encodings[key]
-
-        total = 0.0
-        zeros = np.zeros(self.config.extractor.fused_dim)
-        for inst in gen_batch:
-            fwd = self._forward(enc_of(inst.sentence), inst.char_index, drop_rng)
-            gold = label_to_class(inst.nugget_label, self.config.max_nugget_len)
-            _, loss, dscores = softmax_xent(head_scores(self.store, "nugget", fwd.f_nugget), gold)
-            total += loss
-            df = head_backward(self.store, "nugget", fwd.f_nugget, dscores)
-            self._backward(fwd, df, zeros)
         for inst in cls_batch:
             if inst.type_label is None:
                 raise ConfigError("classifier stream instance is missing its subtype label")
-            fwd = self._forward(enc_of(inst.sentence), inst.char_index, drop_rng)
-            gold = self.subtypes.id_of(inst.type_label)
-            _, loss, dscores = softmax_xent(head_scores(self.store, "type", fwd.f_type), gold)
-            total += loss
-            df = head_backward(self.store, "type", fwd.f_type, dscores)
-            self._backward(fwd, zeros, df)
-        return total
+        batch = [*gen_batch, *cls_batch]
+        fwd = self._forward(self._rows_of(batch), drop_rng)
+        g = len(gen_batch)
+        gold_nugget = [label_to_class(inst.nugget_label, self.config.max_nugget_len) for inst in gen_batch]
+        gold_type = [self.subtypes.id_of(inst.type_label) for inst in cls_batch]
+        _, loss_nugget, ds_nugget = softmax_xent(head_scores(self.store, "nugget", fwd.f_nugget[:g]), gold_nugget)
+        _, loss_type, ds_type = softmax_xent(head_scores(self.store, "type", fwd.f_type[g:]), gold_type)
+        df_nugget = np.zeros_like(fwd.f_nugget)
+        df_type = np.zeros_like(fwd.f_type)
+        df_nugget[:g] = head_backward(self.store, "nugget", fwd.f_nugget[:g], ds_nugget)
+        df_type[g:] = head_backward(self.store, "type", fwd.f_type[g:], ds_type)
+        self._backward(fwd, df_nugget, df_type)
+        return loss_nugget + loss_type
 
     # -- persistence -------------------------------------------------------
 

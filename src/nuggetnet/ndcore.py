@@ -9,9 +9,11 @@ passes in the modules that compose them.
 from __future__ import annotations
 
 import json
+import math
 import struct
+import zlib
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -90,79 +92,72 @@ class ParamStore:
 # ---------------------------------------------------------------------------
 
 
-def conv1d_tanh(inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """1-d convolution with tanh nonlinearity.
+def conv1d(inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """Valid 1-d convolution, without a nonlinearity.
 
     inputs:  (n, d) sequence of n input vectors
     weights: (m, h*d) flat filters, one row per filter, window h
-    bias:    (m,)
-    returns: (m, n-h+1) activation map where
-             map[i, j] = tanh(w_i . concat(x_j .. x_{j+h-1}) + b_i)
+    bias:    (m,) or None
+    returns: (n-h+1, m) map where
+             map[j, i] = w_i . concat(x_j .. x_{j+h-1}) + b_i
+
+    The map is summed one window slot at a time, so no (n, h*d) matrix of
+    windows is ever built.
     """
     x = np.asarray(inputs, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    b = np.asarray(bias, dtype=np.float64)
-    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
-        raise ShapeError(
-            f"conv1d_tanh expects inputs (n,d), weights (m,h*d), bias (m,); "
-            f"got {x.shape}, {w.shape}, {b.shape}"
-        )
+    if x.ndim != 2 or w.ndim != 2:
+        raise ShapeError(f"conv1d expects inputs (n,d) and weights (m,h*d); got {x.shape} and {w.shape}")
     n, d = x.shape
     m, hd = w.shape
-    if b.shape[0] != m:
-        raise ShapeError(f"bias dimension {b.shape[0]} does not match {m} filters")
+    if bias is not None and np.shape(bias) != (m,):
+        raise ShapeError(f"bias shape {np.shape(bias)} does not match {m} filters")
     if d == 0 or hd % d != 0:
         raise ShapeError(f"filter width {hd} is not a multiple of input dimension {d}")
     h = hd // d
     if n < h:
         raise ShapeError(f"sequence length {n} shorter than window {h}")
-    windows = conv_windows(x, h)
-    return np.tanh(windows @ w.T + b).T
+    out = x[: n - h + 1] @ w[:, :d].T
+    for k in range(1, h):
+        out += x[k : k + n - h + 1] @ w[:, k * d : (k + 1) * d].T
+    if bias is not None:
+        out += bias
+    return out
 
 
-def conv_windows(x: np.ndarray, h: int) -> np.ndarray:
-    """(n-h+1, h*d) matrix of flattened length-h windows of x."""
-    n, d = x.shape
-    view = np.lib.stride_tricks.sliding_window_view(x, (h, d))
-    return view.reshape(n - h + 1, h * d)
+def split_max_pool(
+    token_term: np.ndarray, offset_term: np.ndarray, centers
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Max pooling split at each center, over maps with a relative-position term.
 
-
-def dynamic_multi_pool(activation_map: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-filter max over columns left of c and from c onward.
-
-    The empty left segment at c == 0 pools to 0: tanh activations are
-    symmetric about 0, so 0 is the neutral value.
+    Center c's map is token_term[j] + offset_term[j - c + n - 1] over the
+    columns j; token_term is (n, filters) and offset_term (2n-1, filters).
+    Per filter, the left pool covers j < c and the right pool j >= c; each
+    keeps the first maximum.  An empty left segment (c == 0) pools to 0,
+    the neutral value of tanh, with argmax 0.  Only one (n, filters) map
+    exists at a time.  Returns (left, right, left_arg, right_arg), each
+    (k, filters).
     """
-    amap = np.asarray(activation_map, dtype=np.float64)
-    if amap.ndim != 2 or amap.shape[1] < 1:
-        raise ShapeError(f"activation map must be 2-d with >= 1 column, got shape {amap.shape}")
-    cols = amap.shape[1]
-    if not 0 <= c < cols:
-        raise ShapeError(f"concerning index {c} out of range [0, {cols})")
-    left = amap[:, :c].max(axis=1) if c > 0 else np.zeros(amap.shape[0])
-    right = amap[:, c:].max(axis=1)
-    return left, right
+    n, m = token_term.shape
+    if offset_term.shape != (2 * n - 1, m):
+        raise ShapeError(f"offset term must be {(2 * n - 1, m)} for {n} columns, got {offset_term.shape}")
+    centers = np.asarray(centers, dtype=np.int64)
+    if centers.ndim != 1 or np.any((centers < 0) | (centers >= n)):
+        raise ShapeError(f"center indices {centers.tolist()} must be a 1-d list in [0, {n})")
+    left_arg = np.zeros((len(centers), m), dtype=np.int64)
+    right_arg = np.zeros((len(centers), m), dtype=np.int64)
+    for i, c in enumerate(centers.tolist()):
+        pre = token_term + offset_term[n - 1 - c : 2 * n - 1 - c]
+        if c > 0:
+            left_arg[i] = pre[:c].argmax(axis=0)
+        right_arg[i] = c + pre[c:].argmax(axis=0)
+    filters = np.arange(m)
 
+    def pooled(arg: np.ndarray) -> np.ndarray:
+        return token_term[arg, filters] + offset_term[arg - centers[:, None] + n - 1, filters]
 
-def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray, activation: str | None = None) -> np.ndarray:
-    """activation(W @ x + b) with activation in {None, "tanh", "sigmoid"}."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    b = np.asarray(bias, dtype=np.float64)
-    if w.ndim != 2 or x.ndim != 1 or w.shape[1] != x.shape[0]:
-        raise ShapeError(
-            f"dense expects weights (out,in) with in == len(x); got {w.shape} and {x.shape}"
-        )
-    if b.shape != (w.shape[0],):
-        raise ShapeError(f"bias shape {b.shape} does not match output dimension {w.shape[0]}")
-    z = w @ x + b
-    if activation is None or activation == "none":
-        return z
-    if activation == "tanh":
-        return np.tanh(z)
-    if activation == "sigmoid":
-        return sigmoid(z)
-    raise ValueError(f"unknown activation {activation!r}")
+    left = np.where(centers[:, None] > 0, pooled(left_arg), 0.0)
+    return left, pooled(right_arg), left_arg, right_arg
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -177,35 +172,38 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over a 1-d score vector."""
+    """Max-shifted softmax over the last axis: one score vector or (m, classes) rows."""
     s = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(s)):
         raise NumericError("softmax received non-finite scores")
-    shifted = s - s.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_xent(scores: np.ndarray, gold: int) -> tuple[np.ndarray, float, np.ndarray]:
+def softmax_xent(scores: np.ndarray, gold: int | Sequence[int]) -> tuple[np.ndarray, float, np.ndarray]:
     """Softmax probabilities, cross-entropy loss -log P[gold], and dL/dscores.
 
-    The loss is computed in log-sum-exp form so it stays exact when the gold
-    probability underflows; the gradient is P - onehot(gold).
+    Takes one score vector with an int gold, or (m, classes) rows with m
+    gold indices; the loss is then summed over the rows.  It is computed in
+    log-sum-exp form so it stays exact when the gold probability
+    underflows; the gradient is P - onehot(gold).
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise ShapeError(f"scores must be 1-d, got shape {s.shape}")
-    if not 0 <= gold < s.shape[0]:
-        raise ShapeError(f"gold index {gold} out of range [0, {s.shape[0]})")
+    g = np.asarray(gold, dtype=np.int64)
+    if s.ndim not in (1, 2) or g.shape != s.shape[:-1]:
+        raise ShapeError(f"scores must be (classes,) or (m, classes) with one gold each, got {s.shape} and {g.shape}")
+    if np.any((g < 0) | (g >= s.shape[-1])):
+        raise ShapeError(f"gold index {g.tolist()} out of range [0, {s.shape[-1]})")
     if not np.all(np.isfinite(s)):
         raise NumericError("softmax_xent received non-finite scores")
-    m = s.max()
+    m = s.max(axis=-1, keepdims=True)
     e = np.exp(s - m)
-    z = e.sum()
+    z = e.sum(axis=-1, keepdims=True)
     probs = e / z
-    loss = float(np.log(z) + m - s[gold])
+    gold_scores = np.take_along_axis(s, g[..., None], axis=-1)
+    loss = float(np.sum(np.log(z) + m - gold_scores))
     grad = probs.copy()
-    grad[gold] -= 1.0
+    np.put_along_axis(grad, g[..., None], np.take_along_axis(probs, g[..., None], axis=-1) - 1.0, axis=-1)
     return probs, loss, grad
 
 
@@ -329,15 +327,22 @@ def grad_check(
 # Record:
 #   u16 name_len | name utf-8 | u8 kind (0 value, 1 E[g^2], 2 E[dx^2])
 #   | u8 ndim | u32 dims... | float64 LE payload
-# Round-trips are bit-exact.
+# Version 2 adds a "crc32" entry to the metadata: the CRC-32 of the
+# metadata JSON without that entry followed by everything after the
+# metadata.  Version 1 files, which have none, still load.  Round-trips
+# are bit-exact.
 
 CHECKPOINT_MAGIC = b"NGCKPT01"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _KINDS = ("value", "eg2", "edx2")
+_CRC_KEY = "crc32"
 
 
-def save_checkpoint(path, store: ParamStore, meta: dict | None = None, include_optimizer: bool = True) -> None:
-    meta_bytes = json.dumps(meta or {}, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def _meta_json(meta: dict) -> bytes:
+    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _record_chunks(store: ParamStore, include_optimizer: bool) -> Iterable[bytes]:
     records = []
     for name, p in store.items():
         tensors = [("value", p.value)]
@@ -345,56 +350,83 @@ def save_checkpoint(path, store: ParamStore, meta: dict | None = None, include_o
             tensors += [("eg2", p.eg2), ("edx2", p.edx2)]
         for kind, arr in tensors:
             records.append((name, kind, arr))
+    yield struct.pack("<I", len(records))
+    for name, kind, arr in records:
+        name_b = name.encode("utf-8")
+        yield struct.pack("<H", len(name_b)) + name_b
+        yield struct.pack(f"<BB{arr.ndim}I", _KINDS.index(kind), arr.ndim, *arr.shape)
+        yield np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+
+def save_checkpoint(path, store: ParamStore, meta: dict | None = None, include_optimizer: bool = True) -> None:
+    meta = dict(meta or {})
+    if _CRC_KEY in meta:
+        raise ValueError(f"checkpoint metadata key {_CRC_KEY!r} is reserved")
+    crc = zlib.crc32(_meta_json(meta))
+    for chunk in _record_chunks(store, include_optimizer):
+        crc = zlib.crc32(chunk, crc)
+    meta_bytes = _meta_json({**meta, _CRC_KEY: crc})
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
         fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(records)))
-        for name, kind, arr in records:
-            name_b = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<BB", _KINDS.index(kind), arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for chunk in _record_chunks(store, include_optimizer):
+            fh.write(chunk)
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
-    """Returns (meta, {param_name: {kind: array}})."""
+    """Returns (meta, {param_name: {kind: array}}); any malformed file raises CheckpointError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     off = len(CHECKPOINT_MAGIC)
+    view = memoryview(blob)  # slices of it share the file's bytes instead of copying them
 
-    def take(fmt):
+    def take_bytes(size: int) -> memoryview:
         nonlocal off
-        size = struct.calcsize(fmt)
         if off + size > len(blob):
             raise CheckpointError(f"{path}: truncated checkpoint")
-        vals = struct.unpack_from(fmt, blob, off)
         off += size
-        return vals
+        return view[off - size : off]
+
+    def take(fmt):
+        return struct.unpack(fmt, take_bytes(struct.calcsize(fmt)))
 
     version, meta_len = take("<II")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    meta = json.loads(blob[off : off + meta_len].decode("utf-8"))
-    off += meta_len
+    try:
+        meta = json.loads(str(take_bytes(meta_len), "utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointError(f"{path}: unreadable metadata: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
+    crc = meta.pop(_CRC_KEY, None)
+    if version >= 2 and crc != zlib.crc32(view[off:], zlib.crc32(_meta_json(meta))):
+        raise CheckpointError(f"{path}: checksum mismatch, the file is corrupt")
     (n_records,) = take("<I")
     tensors: dict[str, dict[str, np.ndarray]] = {}
     for _ in range(n_records):
         (name_len,) = take("<H")
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
+        try:
+            name = str(take_bytes(name_len), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: undecodable tensor name: {exc}") from exc
         kind_idx, ndim = take("<BB")
-        shape = take(f"<{ndim}I") if ndim else ()
-        count = int(np.prod(shape)) if shape else 1
-        if off + count * 8 > len(blob):
-            raise CheckpointError(f"{path}: truncated checkpoint")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += count * 8
-        tensors.setdefault(name, {})[_KINDS[kind_idx]] = arr.astype(np.float64)
+        if kind_idx >= len(_KINDS):
+            raise CheckpointError(f"{path}: tensor {name!r} has unknown kind byte {kind_idx}")
+        kind = _KINDS[kind_idx]
+        shape = take(f"<{ndim}I")
+        payload = take_bytes(8 * math.prod(shape))
+        if kind in tensors.get(name, {}):
+            raise CheckpointError(f"{path}: tensor {name!r} has two {kind} records")
+        tensors.setdefault(name, {})[kind] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+    if off != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes after the last record")
+    for name, rec in tensors.items():
+        if "value" not in rec:
+            raise CheckpointError(f"{path}: tensor {name!r} has no value record")
     return meta, tensors
 
 

@@ -184,6 +184,14 @@ class TestPredictionFiles:
         with pytest.raises(CorpusFormatError, match="line 1"):
             load_predictions(path)
 
+    def test_bad_prediction_field_reports_path_and_line(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        good = {"doc_id": "d", "sent_id": "s0", "predictions": []}
+        bad = {"doc_id": "d", "sent_id": "s1", "predictions": [{"start": "x", "length": 1, "subtype": "a", "score": 0}]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(CorpusFormatError, match=r"preds\.jsonl: line 2: bad prediction record"):
+            load_predictions(path)
+
     def test_decode_corpus_keys(self):
         corpus = toy_corpus()
         model = small_model(corpus)

@@ -16,8 +16,10 @@ from nuggetnet.encoder import (
     register_encoder_params,
 )
 from nuggetnet.errors import ConfigError, ShapeError
+from nuggetnet.model import ModelConfig, _backward_rows, _branch_rows, _view_starts
 from nuggetnet.ndcore import ParamStore, grad_check, sigmoid
 
+from branch_reference import reference_branch, reference_view
 from util import small_extractor, small_model, toy_corpus, widen_params
 
 
@@ -88,68 +90,157 @@ class TestRegistration:
             register_encoder_params(ParamStore(0), small_extractor(max_rel_dist=10), vocab)
 
 
+def one_sequence(store, ids, centers, cfg):
+    return extract_branch(store, "char", [(np.array(ids), np.array(centers))], cfg)
+
+
 class TestExtractBranch:
     def test_feature_shape_and_projection(self):
         cfg = small_extractor()
         store = branch_store(cfg)
-        ids = np.array([2, 3, 4, 5, 6])
-        cache = extract_branch(store, "char", ids, 2, cfg)
-        assert cache.feature.shape == (cfg.feature_dim,)
-        assert cache.fp.shape == (cfg.proj_dim,)
-        assert cache.amap.shape == (cfg.n_filters, 5)  # one column per token
+        cache = one_sequence(store, [2, 3, 4, 5, 6], [2], cfg)
+        assert cache.feature.shape == (1, cfg.feature_dim)
+        assert cache.fp.shape == (1, cfg.proj_dim)
+        assert cache.padded_ids.shape == (5 + cfg.window - 1,)  # one conv column per token
 
     def test_padding_keeps_columns_aligned(self):
-        # identity-like check: column j of the map must depend on token j
+        # the filter reads only the center slot's token dim 0, so column j holds token j's value
         cfg = small_extractor(n_filters=1, token_emb_dim=2, pos_emb_dim=1, proj_dim=2)
         store = branch_store(cfg, widen=False)
         w = store["char.conv_w"]
-        # filter reads only the center slot of the window
         w.value[...] = 0.0
-        w.value[0, cfg.input_dim] = 1.0  # center token embedding, dim 0
+        w.value[0, cfg.input_dim] = 1.0  # center slot, token embedding dim 0
         emb = store["char.tok_emb"]
         emb.value[...] = 0.0
         emb.value[5, 0] = 0.7
-        ids = np.array([2, 5, 3])
-        cache = extract_branch(store, "char", ids, 0, cfg)
-        npt.assert_allclose(cache.amap[0], np.tanh([0.0, 0.7, 0.0]), atol=1e-15)
+        cache = one_sequence(store, [2, 5, 3], [0, 1, 2], cfg)
+        t = np.tanh(0.7)
+        # (left, right) pools: center 0 has no left side, center 2 sees 0.7 on its left only
+        npt.assert_allclose(cache.feature[:, :2], [[0.0, t], [0.0, t], [t, 0.0]], atol=1e-15)
+        npt.assert_array_equal(cache.cols[:, 1], [1, 1, 2])  # right argmax columns
+        assert cache.cols[2, 0] == 1  # left argmax column of center 2
 
     def test_lexical_window_pads_out_of_range(self):
         cfg = small_extractor()
         store = branch_store(cfg)
-        ids = np.array([2, 3, 4])
-        cache = extract_branch(store, "char", ids, 0, cfg)
-        npt.assert_array_equal(cache.lex_ids, [PAD_ID, 2, 3])
-        cache = extract_branch(store, "char", ids, 2, cfg)
-        npt.assert_array_equal(cache.lex_ids, [3, 4, PAD_ID])
+        cache = one_sequence(store, [2, 3, 4], [0, 2], cfg)
+        npt.assert_array_equal(cache.lex_ids, [[PAD_ID, 2, 3], [3, 4, PAD_ID]])
 
     def test_single_token_sequence(self):
         cfg = small_extractor()
         store = branch_store(cfg)
-        cache = extract_branch(store, "char", np.array([2]), 0, cfg)
-        assert cache.amap.shape[1] == 1
-        assert cache.left_argmax is None  # no left context to pool
+        cache = one_sequence(store, [2], [0], cfg)
+        assert cache.padded_ids.shape == (cfg.window,)
+        assert not cache.has_left[0]  # no left context to pool
+        npt.assert_array_equal(cache.feature[0, : cfg.n_filters], np.zeros(cfg.n_filters))
 
     def test_center_out_of_range(self):
         cfg = small_extractor()
         store = branch_store(cfg)
         with pytest.raises(ShapeError):
-            extract_branch(store, "char", np.array([2, 3]), 2, cfg)
+            one_sequence(store, [2, 3], [2], cfg)
         with pytest.raises(ShapeError):
-            extract_branch(store, "char", np.array([], dtype=np.int64), 0, cfg)
+            one_sequence(store, np.array([], dtype=np.int64), [0], cfg)
+        with pytest.raises(ShapeError):
+            extract_branch(store, "char", [], cfg)
+
+    def test_segments_match_separate_calls(self):
+        cfg = small_extractor()
+        store = branch_store(cfg)
+        a = ([2, 3, 4, 5, 6, 7, 8], [0, 3, 6])
+        b = ([9, 10, 11], [2, 1])
+        both = extract_branch(store, "char", [a, b], cfg)
+        alone = np.concatenate([one_sequence(store, *seg, cfg).fp for seg in (a, b)])
+        npt.assert_allclose(both.fp, alone, rtol=0, atol=1e-14)
 
     def test_branch_backward_matches_finite_differences(self):
         cfg = small_extractor()
         store = branch_store(cfg)
-        ids = np.array([2, 3, 4, 5, 6, 7])
-        target = np.arange(cfg.proj_dim, dtype=np.float64)
+        segments = [(np.array([2, 3, 4, 5, 6, 7]), np.array([3, 0, 5])), (np.array([8, 9]), np.array([1]))]
+        target = np.arange(4 * cfg.proj_dim, dtype=np.float64).reshape(4, -1) / 10
 
         def closure():
-            cache = extract_branch(store, "char", ids, 3, cfg)
+            cache = extract_branch(store, "char", segments, cfg)
             loss = 0.5 * float(np.sum((cache.fp - target) ** 2))
             branch_backward(store, "char", cache, cache.fp - target, cfg)
             return loss
 
         report = grad_check(closure, store, step=1e-5, tolerance=1e-5, coords_per_param=6, rng_seed=2)
+        assert report.passed, report.summary()
+
+
+@st.composite
+def kernel_cases(draw, max_len=130):
+    """A small extractor, a sequence of distinct tokens (no exact pooling ties) and some centers."""
+    cfg = small_extractor(
+        token_emb_dim=3,
+        pos_emb_dim=2,
+        n_filters=4,
+        proj_dim=5,
+        window=draw(st.integers(1, 5)),
+        lex_window=draw(st.integers(0, 2)),
+        max_rel_dist=draw(st.integers(1, 8)),
+    )
+    n = draw(st.integers(1, max_len))
+    seed = draw(st.integers(0, 2**16))
+    ids = np.random.default_rng(seed).permutation(np.arange(2, 140))[:n]
+    centers = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    return cfg, ids, centers, seed
+
+
+class TestKernelMatchesReference:
+    """The split kernel against the per-center formula it replaced (tests/branch_reference.py)."""
+
+    @given(kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_pooled_values_argmax_and_features(self, case):
+        cfg, ids, centers, seed = case
+        centers = list(dict.fromkeys(centers))  # the kernel takes distinct centers, in any order
+        store = branch_store(cfg, n_tokens=140, seed=seed)
+        cache = one_sequence(store, ids, centers, cfg)
+        m = cfg.n_filters
+        for i, c in enumerate(centers):
+            ref = reference_branch(store, "char", ids, c, cfg)
+            npt.assert_array_equal(cache.cols[i, m:], ref.right_arg)
+            if c > 0:
+                npt.assert_array_equal(cache.cols[i, :m], ref.left_arg)
+            npt.assert_allclose(cache.feature[i], ref.feature, rtol=0, atol=1e-12)
+            npt.assert_allclose(cache.fp[i], ref.fp, rtol=0, atol=1e-12)
+
+    @given(kernel_cases(), st.sampled_from([5, 16, 120]))
+    @settings(max_examples=40, deadline=None)
+    def test_views_of_long_sequences(self, case, max_tokens):
+        cfg, ids, centers, seed = case
+        store = branch_store(cfg, n_tokens=140, seed=seed)
+        config = ModelConfig(extractor=cfg, max_tokens=max_tokens)
+        rows = np.arange(len(centers))
+        branch = _branch_rows(store, config, "char", [(ids, np.array(centers), rows)])
+        for row, c in enumerate(centers):
+            ref = reference_view(store, "char", ids, c, cfg, max_tokens)
+            npt.assert_allclose(branch.fp[row], ref.fp, rtol=0, atol=1e-12)
+
+    def test_grad_check_over_sentences_and_views(self):
+        cfg = small_extractor(window=3, lex_window=1, max_rel_dist=4)
+        store = branch_store(cfg, n_tokens=20, seed=5)
+        config = ModelConfig(extractor=cfg, max_tokens=6)
+        long_ids = np.arange(2, 13)  # 11 tokens: centers 0, 5, 7 and 10 read four different views
+        groups = [
+            (long_ids, np.array([0, 5, 5, 7, 10]), np.array([0, 2, 3, 5, 6])),
+            (np.array([14, 15, 16, 17]), np.array([1, 2]), np.array([1, 4])),
+        ]
+        target = np.linspace(-0.5, 0.5, 7 * cfg.proj_dim).reshape(7, -1)
+
+        def closure():
+            branch = _branch_rows(store, config, "char", groups)
+            loss = 0.5 * float(np.sum((branch.fp - target) ** 2))
+            _backward_rows(store, config, branch, branch.fp - target)
+            return loss
+
+        branch = _branch_rows(store, config, "char", groups)
+        npt.assert_array_equal(_view_starts(11, np.array([0, 5, 7, 10]), 6), [0, 2, 4, 5])
+        assert len(branch.caches) == 5  # one call per view of the long sentence, one for the short one
+        assert sum(cache.fp.shape[0] for cache in branch.caches) == 6  # the repeated center is computed once
+        report = grad_check(closure, store, step=1e-5, tolerance=1e-5, coords_per_param=6, rng_seed=3)
         assert report.passed, report.summary()
 
 
@@ -225,8 +316,8 @@ class TestFusion:
         a = np.random.default_rng(6).normal(size=10)
         cache = fuse(ParamStore(0), cfg, a, None)
         npt.assert_array_equal(cache.f_nugget, a)
-        da, db = fuse_backward(ParamStore(0), cfg, cache, np.ones(10), 2 * np.ones(10))
-        npt.assert_array_equal(da, 3 * np.ones(10))
+        da, db = fuse_backward(ParamStore(0), cfg, cache, np.ones((1, 10)), 2 * np.ones((1, 10)))
+        npt.assert_array_equal(da, 3 * np.ones((1, 10)))
         assert db is None
 
     @pytest.mark.parametrize("mode", list(HybridMode))
@@ -235,13 +326,12 @@ class TestFusion:
         store = self.gate_store(10)
         widen_params(store)
         rng = np.random.default_rng(7)
-        a, b = rng.normal(size=10), rng.normal(size=10)
-        pa = store.add("inputs.a", (10,))
-        pb = store.add("inputs.b", (10,))
-        pa.value[...] = a
-        pb.value[...] = b
-        t_n = rng.normal(size=cfg.fused_dim)
-        t_t = rng.normal(size=cfg.fused_dim)
+        pa = store.add("inputs.a", (3, 10))
+        pb = store.add("inputs.b", (3, 10))
+        pa.value[...] = rng.normal(size=(3, 10))
+        pb.value[...] = rng.normal(size=(3, 10))
+        t_n = rng.normal(size=(3, cfg.fused_dim))
+        t_t = rng.normal(size=(3, cfg.fused_dim))
 
         def closure():
             cache = fuse(store, cfg, pa.value, pb.value)
@@ -254,30 +344,53 @@ class TestFusion:
         report = grad_check(closure, store, step=1e-4, tolerance=1e-4, coords_per_param=8, rng_seed=8)
         assert report.passed, report.summary()
 
+    def test_rows_equal_single_vectors(self):
+        cfg = small_extractor(hybrid_mode=HybridMode.TASK_SPECIFIC)
+        store = self.gate_store(10)
+        widen_params(store)
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(4, 10)), rng.normal(size=(4, 10))
+        rows = fuse(store, cfg, a, b)
+        for i in range(4):
+            single = fuse(store, cfg, a[i], b[i])
+            npt.assert_allclose(rows.f_nugget[i], single.f_nugget, rtol=0, atol=1e-15)
+            npt.assert_allclose(rows.f_type[i], single.f_type, rtol=0, atol=1e-15)
+
 
 class TestDropout:
     def test_off_by_default_and_deterministic_inference(self, corpus3):
         model = small_model(corpus3)
-        enc = model.encode_sentence(corpus3[0])
-        p1 = model.char_distributions(enc, 2)
-        p2 = model.char_distributions(enc, 2)
+        p1 = model.char_distributions(model.encode_sentence(corpus3[0]), 2)
+        p2 = model.char_distributions(model.encode_sentence(corpus3[0]), 2)
         npt.assert_array_equal(p1[0], p2[0])
+        npt.assert_array_equal(p1[1], p2[1])
 
     def test_training_masks_are_seeded(self, corpus3):
         model = small_model(corpus3, dropout=0.5)
         enc = model.encode_sentence(corpus3[0])
-        f1 = model._forward(enc, 1, np.random.default_rng(9))
-        f2 = model._forward(enc, 1, np.random.default_rng(9))
+        f1 = model._forward([(enc, 1)], np.random.default_rng(9))
+        f2 = model._forward([(enc, 1)], np.random.default_rng(9))
         npt.assert_array_equal(f1.f_nugget, f2.f_nugget)
-        assert f1.mask_nugget is not None
-        f3 = model._forward(enc, 1, np.random.default_rng(10))
-        assert not np.array_equal(f1.mask_nugget, f3.mask_nugget)
+        assert f1.masks is not None
+        f3 = model._forward([(enc, 1)], np.random.default_rng(10))
+        assert not np.array_equal(f1.masks[0], f3.masks[0])
+
+    def test_masks_drawn_row_by_row(self, corpus3):
+        # each row draws its nugget mask, then its type mask, as one instance at a time would
+        model = small_model(corpus3, dropout=0.5)
+        enc_a, enc_b = (model.encode_sentence(s) for s in corpus3[:2])
+        fwd = model._forward([(enc_a, 1), (enc_b, 0), (enc_a, 3)], np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        d = model.config.extractor.fused_dim
+        for row in range(3):
+            npt.assert_array_equal(fwd.masks[0][row], (rng.random(d) < 0.5) / 0.5)
+            npt.assert_array_equal(fwd.masks[1][row], (rng.random(d) < 0.5) / 0.5)
 
     def test_inference_applies_no_mask(self, corpus3):
         model = small_model(corpus3, dropout=0.5)
         enc = model.encode_sentence(corpus3[0])
-        fwd = model._forward(enc, 1)
-        assert fwd.mask_nugget is None
+        fwd = model._forward([(enc, 1)])
+        assert fwd.masks is None
 
 
 class TestEmbeddingFile:
@@ -291,6 +404,13 @@ class TestEmbeddingFile:
         assert n == 1  # the unseen token is skipped
         row = model.store["char.tok_emb"].value[model.vocab.char_id(ch)]
         npt.assert_allclose(row, 0.125 * np.arange(1, 9), atol=1e-15)
+
+    def test_non_numeric_value_names_file_and_line(self, tmp_path, corpus3):
+        model = small_model(corpus3)
+        path = tmp_path / "emb.txt"
+        path.write_text(f"8 8\n{corpus3[0].text[0]} 1 2 3 x 5 6 7 8\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="emb.txt: line 2"):
+            load_embeddings_file(path, model.store, "char", model.vocab.char_to_id)
 
     def test_dimension_mismatch_raises(self, tmp_path, corpus3):
         model = small_model(corpus3)

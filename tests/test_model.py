@@ -2,11 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import nuggetnet.model as nmodel
 from nuggetnet.corpus import SubtypeInventory, build_vocab
+from nuggetnet.decoder import decode_sentence
 from nuggetnet.errors import CheckpointError, ConfigError
-from nuggetnet.heads import num_nugget_classes
-from nuggetnet.model import CharSpanModel, ModelConfig, _centered_view, load_model
-from nuggetnet.ndcore import grad_check, save_checkpoint
+from nuggetnet.heads import head_scores, num_nugget_classes
+from nuggetnet.model import CharSpanModel, ModelConfig, _view_starts, load_model
+from nuggetnet.ndcore import grad_check, save_checkpoint, softmax
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
 
 from util import small_extractor, small_model, toy_corpus, widen_params
@@ -26,25 +28,28 @@ class TestModelConfig:
 
 class TestCenteredView:
     def test_short_sequence_is_untouched(self):
-        ids = np.arange(5)
-        view, c = _centered_view(ids, 3, 10)
-        assert view is ids and c == 3
+        npt.assert_array_equal(_view_starts(5, np.array([0, 3, 4]), 10), [0, 0, 0])
 
     def test_window_centers_on_char(self):
-        ids = np.arange(100)
-        view, c = _centered_view(ids, 50, 11)
-        assert view[c] == 50
-        assert len(view) == 11
-        npt.assert_array_equal(view, np.arange(45, 56))
+        (start,) = _view_starts(100, np.array([50]), 11)
+        assert start == 45  # the view 45 .. 55 holds 50 at its middle
 
     def test_window_clamps_at_edges(self):
-        ids = np.arange(100)
-        view, c = _centered_view(ids, 1, 11)
-        npt.assert_array_equal(view, np.arange(11))
-        assert view[c] == 1
-        view, c = _centered_view(ids, 98, 11)
-        npt.assert_array_equal(view, np.arange(89, 100))
-        assert view[c] == 98
+        npt.assert_array_equal(_view_starts(100, np.array([1, 98]), 11), [0, 89])
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(branch, number of segments) of every extract_branch call the model makes."""
+    calls = []
+    original = nmodel.extract_branch
+
+    def counting(store, prefix, segments, config):
+        calls.append((prefix, len(segments)))
+        return original(store, prefix, segments, config)
+
+    monkeypatch.setattr(nmodel, "extract_branch", counting)
+    return calls
 
 
 class TestCharSpanModel:
@@ -114,6 +119,49 @@ class TestCharSpanModel:
             preds = model.predict_sentence(s)
             for p in preds:
                 assert 0 <= p.start and p.start + p.length <= len(s.text)
+
+    def test_distributions_computed_once_per_encoding(self, corpus3):
+        model = small_model(corpus3)
+        widen_params(model.store)
+        enc = model.encode_sentence(corpus3[2])
+        rows = [model.char_distributions(enc, ci) for ci in range(len(corpus3[2].text))]
+        assert enc.rows is not None
+        for ci, (pn, pt) in enumerate(rows):
+            fwd = model._forward([(model.encode_sentence(corpus3[2]), ci)])
+            npt.assert_allclose(pn, softmax(head_scores(model.store, "nugget", fwd.f_nugget))[0], atol=1e-15)
+            npt.assert_allclose(pt, softmax(head_scores(model.store, "type", fwd.f_type))[0], atol=1e-15)
+
+    def test_encoding_is_a_snapshot_of_the_weights(self, corpus3):
+        model = small_model(corpus3)
+        enc = model.encode_sentence(corpus3[0])
+        before = model.char_distributions(enc, 1)[0].copy()
+        widen_params(model.store)
+        npt.assert_array_equal(model.char_distributions(enc, 1)[0], before)
+        fresh = model.char_distributions(model.encode_sentence(corpus3[0]), 1)[0]
+        assert not np.allclose(fresh, before)
+
+    def test_decode_makes_one_kernel_call_per_branch_and_view(self, kernel_calls):
+        # a long sentence read through 8-token views: the count grows with the views, not the
+        # characters, so the per-character path cannot come back unnoticed
+        spec = GenSpec(n_sentences=3, subtypes=default_subtype_names(2), min_context_words=12, max_context_words=14)
+        corpus = generate_synthetic_corpus(spec, rng_seed=4)
+        model = small_model(corpus, max_rel_dist=8)
+        model.config = ModelConfig(extractor=model.config.extractor, max_tokens=8)
+        sentence = max(corpus, key=lambda s: len(s.text))
+
+        def n_views(n):
+            return len(set(_view_starts(n, np.arange(n), 8).tolist()))
+
+        decode_sentence(model, sentence)
+        char_views, word_views = n_views(len(sentence.text)), n_views(len(sentence.words))
+        assert char_views > 1 and word_views > 1
+        assert kernel_calls == [("char", 1)] * char_views + [("word", 1)] * word_views
+
+    def test_short_sentences_share_kernel_calls(self, corpus3, kernel_calls):
+        model = small_model(corpus3)  # max_tokens 40 holds the whole toy corpus
+        gen, cls = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
+        model.loss_and_grads(gen, cls)
+        assert kernel_calls == [("char", 3), ("word", 3)]
 
     def test_save_load_round_trip(self, tmp_path, corpus3):
         model = small_model(corpus3)

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -10,10 +12,7 @@ from nuggetnet.ndcore import (
     Param,
     ParamStore,
     adadelta_step,
-    conv1d_tanh,
-    conv_windows,
-    dense,
-    dynamic_multi_pool,
+    conv1d,
     grad_check,
     load_checkpoint,
     restore_store,
@@ -21,6 +20,7 @@ from nuggetnet.ndcore import (
     sigmoid,
     softmax,
     softmax_xent,
+    split_max_pool,
 )
 
 # frozen reference values, computed once by hand / high-precision evaluation
@@ -41,52 +41,79 @@ class TestConv:
         x = np.array([[1.0, 0.0], [0.0, -2.0], [0.25, 0.0]])
         w = np.array([[1.0, 0.0, 0.0, 1.0]])
         b = np.array([0.5])
-        amap = conv1d_tanh(x, w, b)
+        amap = np.tanh(conv1d(x, w, b))
         # window 0: 1*1 + 1*(-2) + 0.5 = -0.5 ... window 1: 0 + 0 + 0.5
-        npt.assert_allclose(amap, [[math.tanh(-0.5), math.tanh(0.5)]], rtol=0, atol=1e-15)
-        npt.assert_allclose(amap[0, 1], TANH_05, rtol=0, atol=1e-15)
+        npt.assert_allclose(amap, [[math.tanh(-0.5)], [math.tanh(0.5)]], rtol=0, atol=1e-15)
+        npt.assert_allclose(amap[1, 0], TANH_05, rtol=0, atol=1e-15)
+        npt.assert_allclose(conv1d(x, w), conv1d(x, w, b) - 0.5, rtol=0, atol=1e-15)  # no bias
 
     def test_output_length(self):
         x = np.zeros((7, 3))
         w = np.zeros((4, 9))
-        amap = conv1d_tanh(x, w, np.zeros(4))
-        assert amap.shape == (4, 5)  # n - h + 1
+        amap = conv1d(x, w, np.zeros(4))
+        assert amap.shape == (5, 4)  # n - h + 1 columns, one per filter
 
     def test_windows_layout(self):
+        # filter i picks entry i of the flat window, so the map shows each window's layout
         x = np.arange(12.0).reshape(4, 3)
-        win = conv_windows(x, 2)
+        win = conv1d(x, np.eye(6))
         npt.assert_array_equal(win[0], [0, 1, 2, 3, 4, 5])
         npt.assert_array_equal(win[2], [6, 7, 8, 9, 10, 11])
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            conv1d_tanh(np.zeros((2, 3)), np.zeros((1, 7)), np.zeros(1))  # 7 % 3 != 0
+            conv1d(np.zeros((2, 3)), np.zeros((1, 7)), np.zeros(1))  # 7 % 3 != 0
         with pytest.raises(ShapeError):
-            conv1d_tanh(np.zeros((1, 3)), np.zeros((1, 6)), np.zeros(1))  # n < h
+            conv1d(np.zeros((1, 3)), np.zeros((1, 6)), np.zeros(1))  # n < h
+        with pytest.raises(ShapeError):
+            conv1d(np.zeros((2, 3)), np.zeros((1, 6)), np.zeros(2))  # bias per filter
+        with pytest.raises(ShapeError):
+            split_max_pool(np.zeros((3, 2)), np.zeros((4, 2)), [0])  # offsets must be 2n-1
+
+
+def pool_map(amap, c):
+    """split_max_pool on a plain (filters, columns) map: a zero offset term."""
+    amap = np.asarray(amap, dtype=np.float64)
+    left, right, left_arg, right_arg = split_max_pool(amap.T, np.zeros((2 * amap.shape[1] - 1, amap.shape[0])), [c])
+    return left[0], right[0], left_arg[0], right_arg[0]
 
 
 class TestDynamicMultiPool:
+    """split_max_pool, the dynamic multi-pooling of DMCNN taken at every center."""
+
     def test_split_at_center(self):
         amap = np.array([[1.0, 5.0, 2.0, 4.0], [-1.0, -5.0, -2.0, -4.0]])
-        left, right = dynamic_multi_pool(amap, 2)
+        left, right, left_arg, right_arg = pool_map(amap, 2)
         npt.assert_array_equal(left, [5.0, -1.0])
         npt.assert_array_equal(right, [4.0, -2.0])
+        npt.assert_array_equal(left_arg, [1, 0])
+        npt.assert_array_equal(right_arg, [3, 2])
 
     def test_center_column_belongs_to_right(self):
         amap = np.array([[1.0, 9.0, 2.0]])
-        left, right = dynamic_multi_pool(amap, 1)
+        left, right, _, right_arg = pool_map(amap, 1)
         npt.assert_array_equal(left, [1.0])
         npt.assert_array_equal(right, [9.0])
+        npt.assert_array_equal(right_arg, [1])
 
     def test_empty_left_pools_to_zero(self):
         amap = np.array([[-3.0, -1.0]])
-        left, right = dynamic_multi_pool(amap, 0)
+        left, right, _, _ = pool_map(amap, 0)
         npt.assert_array_equal(left, [0.0])
         npt.assert_array_equal(right, [-1.0])
 
     def test_center_out_of_range(self):
         with pytest.raises(ShapeError):
-            dynamic_multi_pool(np.zeros((1, 3)), 3)
+            pool_map(np.zeros((1, 3)), 3)
+
+    def test_offset_term_follows_the_center(self):
+        # one filter, 3 columns; the offset term favours the column just right of each center
+        token = np.zeros((3, 1))
+        offset = np.array([[0.0], [0.0], [0.0], [1.0], [0.0]])  # offsets -2 .. 2, +1 peaks
+        left, right, _, right_arg = split_max_pool(token, offset, [0, 1, 2])
+        npt.assert_array_equal(right_arg[:, 0], [1, 2, 2])
+        npt.assert_array_equal(right[:, 0], [1.0, 1.0, 0.0])
+        npt.assert_array_equal(left[:, 0], [0.0, 0.0, 0.0])
 
 
 class TestScalarFunctions:
@@ -100,14 +127,6 @@ class TestScalarFunctions:
 
     def test_tanh_frozen_values(self):
         npt.assert_allclose(np.tanh([-1.0, 2.0]), [TANH_M1, TANH_2], atol=1e-15)
-
-    def test_dense_activations(self):
-        w = np.array([[2.0, 0.0], [0.0, 1.0]])
-        x = np.array([0.25, -1.0])
-        npt.assert_allclose(dense(x, w, np.zeros(2)), [0.5, -1.0], atol=1e-15)
-        npt.assert_allclose(dense(x, w, np.zeros(2), "tanh"), [TANH_05, TANH_M1], atol=1e-15)
-        npt.assert_allclose(dense(x, w, np.zeros(2), "sigmoid")[1], SIGMOID_M1, atol=1e-15)
-
 
 class TestSoftmaxXent:
     def test_uniform_scores(self):
@@ -150,6 +169,25 @@ class TestSoftmaxXent:
             sm[i] -= eps
             fd = (softmax_xent(sp, 4)[1] - softmax_xent(sm, 4)[1]) / (2 * eps)
             npt.assert_allclose(grad[i], fd, atol=1e-8)
+
+    def test_rows_match_single_vectors(self):
+        rng = np.random.default_rng(1)
+        s = rng.normal(size=(4, 6))
+        gold = [0, 5, 2, 2]
+        probs, loss, grad = softmax_xent(s, gold)
+        singles = [softmax_xent(s[i], g) for i, g in enumerate(gold)]
+        npt.assert_allclose(probs, [p for p, _, _ in singles], rtol=0, atol=1e-15)
+        npt.assert_allclose(loss, sum(l for _, l, _ in singles), rtol=1e-14)
+        npt.assert_allclose(grad, [g for _, _, g in singles], rtol=0, atol=1e-15)
+        npt.assert_allclose(softmax(s), probs, rtol=0, atol=1e-15)
+
+    def test_gold_shape_and_range_checked(self):
+        with pytest.raises(ShapeError):
+            softmax_xent(np.zeros((2, 3)), [0])
+        with pytest.raises(ShapeError):
+            softmax_xent(np.zeros((2, 3)), [0, 3])
+        with pytest.raises(ShapeError):
+            softmax_xent(np.zeros(3), -1)
 
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=12))
     def test_softmax_is_a_distribution(self, scores):
@@ -268,6 +306,17 @@ class TestGradCheck:
         npt.assert_array_equal(p.grad, np.zeros(4))
 
 
+def record(name: bytes, kind: int, values) -> bytes:
+    values = np.asarray(values, dtype="<f8")
+    return struct.pack("<H", len(name)) + name + struct.pack("<BBI", kind, 1, values.size) + values.tobytes()
+
+
+def v1_checkpoint(meta: dict, records: list[bytes]) -> bytes:
+    """A version-1 file (no checksum), written by hand."""
+    meta_b = json.dumps(meta).encode("utf-8")
+    return b"NGCKPT01" + struct.pack("<II", 1, len(meta_b)) + meta_b + struct.pack("<I", len(records)) + b"".join(records)
+
+
 class TestCheckpoint:
     def build_store(self):
         s = ParamStore(11)
@@ -315,6 +364,93 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_meta_len_past_end(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self.build_store(), {"k": 1})
+        blob = bytearray(path.read_bytes())
+        blob[12:16] = struct.pack("<I", 10**6)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="m.ckpt: truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("first_meta_byte", [b"\xff", b"x"])
+    def test_metadata_not_utf8_or_not_json(self, tmp_path, first_meta_byte):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self.build_store(), {"k": 1})
+        blob = path.read_bytes()
+        path.write_bytes(blob[:16] + first_meta_byte + blob[17:])
+        with pytest.raises(CheckpointError, match="m.ckpt: unreadable metadata"):
+            load_checkpoint(path)
+
+    def test_corrupt_payload_fails_the_checksum(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self.build_store(), {"k": 1})
+        blob = bytearray(path.read_bytes())
+        blob[-3] ^= 0x10
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(path)
+
+    def test_checksum_key_is_reserved(self, tmp_path):
+        with pytest.raises(ValueError, match="crc32"):
+            save_checkpoint(tmp_path / "m.ckpt", self.build_store(), {"crc32": 1})
+
+    def test_version_1_files_load(self, tmp_path):
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(v1_checkpoint({"k": 1}, [record(b"w", 0, [1.5, -2.0])]))
+        meta, tensors = load_checkpoint(path)
+        assert meta == {"k": 1}
+        npt.assert_array_equal(tensors["w"]["value"], [1.5, -2.0])
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ([record(b"\xffw", 0, [1.0])], "undecodable tensor name"),
+            ([record(b"w", 7, [1.0])], "unknown kind byte 7"),
+            ([record(b"w", 0, [1.0]), record(b"w", 0, [2.0])], "two value records"),
+            ([record(b"w", 1, [1.0])], "no value record"),
+        ],
+    )
+    def test_malformed_records(self, tmp_path, records, message):
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(v1_checkpoint({}, records))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self.build_store(), {})
+        path.write_bytes(path.read_bytes() + b"\x00\x00")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        path.write_bytes(v1_checkpoint({}, [record(b"w", 0, [1.0])]) + b"\x00\x00")
+        with pytest.raises(CheckpointError, match="2 trailing bytes"):
+            load_checkpoint(path)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_truncation_or_byte_flip_loads_identically_or_raises(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+        save_checkpoint(path, self.build_store(), {"kind": "test", "note": "\u00e9t\u00e9"})
+        blob = path.read_bytes()
+        expected = load_checkpoint(path)
+        if data.draw(st.booleans(), label="truncate"):
+            corrupt = blob[: data.draw(st.integers(0, len(blob) - 1), label="keep")]
+        else:
+            at = data.draw(st.integers(0, len(blob) - 1), label="at")
+            corrupt = blob[:at] + bytes([blob[at] ^ data.draw(st.integers(1, 255), label="xor")]) + blob[at + 1 :]
+        path.write_bytes(corrupt)
+        try:
+            meta, tensors = load_checkpoint(path)
+        except CheckpointError:
+            return
+        assert meta == expected[0]
+        assert tensors.keys() == expected[1].keys()
+        for name, rec in tensors.items():
+            assert rec.keys() == expected[1][name].keys()
+            for kind, arr in rec.items():
+                assert arr.tobytes() == expected[1][name][kind].tobytes()
 
     def test_shape_mismatch_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"
