@@ -38,10 +38,14 @@ class Prediction:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Prediction":
+        """Parse one record; a NaN or infinite score is rejected, as the scorer orders predictions by score."""
         try:
-            return cls(int(rec["start"]), int(rec["length"]), str(rec["subtype"]), float(rec["score"]))
+            pred = cls(int(rec["start"]), int(rec["length"]), str(rec["subtype"]), float(rec["score"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(f"bad prediction record {rec!r}: {exc}") from exc
+        if not math.isfinite(pred.score):
+            raise CorpusFormatError(f"bad prediction record {rec!r}: score {pred.score} is not finite")
+        return pred
 
 
 @dataclass

@@ -32,6 +32,9 @@ extract_branch call takes as many segments as fit in max_tokens tokens: one
 view of a long sentence, or several short sentences of a training batch.
 The convolutions read the segments' padded tokens back to back, one window
 slot at a time, so no (columns x window*dim) matrix of windows is built.
+All segments share the offset table of the longest one, so one pooling
+pass (ndcore.split_max_pool) serves every center of the call: each center
+pools over its own segment's rows of the packed token term only.
 Backward passes are written out by hand; the gradient checker in ndcore is
 the authority on their correctness.
 """
@@ -201,17 +204,19 @@ def extract_branch(
     segments = [(np.asarray(ids, dtype=np.int64), np.asarray(c, dtype=np.int64)) for ids, c in segments]
     if not segments or any(ids.ndim != 1 or ids.shape[0] == 0 for ids, _ in segments):
         raise ShapeError("cannot extract features from an empty token sequence")
+    if any(c.ndim != 1 for _, c in segments):
+        raise ShapeError("center indices must be a 1-d list per segment")
     tok_emb = store[f"{prefix}.tok_emb"].value
     h = config.window
     e = config.token_emb_dim
     lead = (h - 1) // 2
-    lengths = [ids.shape[0] for ids, _ in segments]
-    longest = max(lengths)
+    lengths = np.array([ids.shape[0] for ids, _ in segments])
+    longest = int(lengths.max())
 
     # conv column j of a segment reads its padded slots j .. j+h-1, i.e. tokens j-lead .. j-lead+h-1
-    pad_starts = np.cumsum([0] + [n + h - 1 for n in lengths])
+    pad_starts = np.concatenate([[0], np.cumsum(lengths + h - 1)])
     padded_ids = np.full(pad_starts[-1], PAD_ID, dtype=np.int64)
-    for (ids, _), start in zip(segments, pad_starts):
+    for (ids, _), start in zip(segments, pad_starts.tolist()):
         padded_ids[start + lead : start + lead + ids.shape[0]] = ids
     # offset row r (j - c = r - (N-1)) reads the positions of tokens j-lead .. j-lead+h-1 relative to c
     pos_rows = relative_position_index(np.arange(h + 2 * longest - 2) - (longest - 1) - lead, config.max_rel_dist)
@@ -220,35 +225,22 @@ def extract_branch(
     token_term = conv1d(tok_emb[padded_ids], w[:, :, :e].reshape(config.n_filters, -1), store[f"{prefix}.conv_b"].value)
     offset_term = conv1d(store[f"{prefix}.pos_emb"].value[pos_rows], w[:, :, e:].reshape(config.n_filters, -1))
 
-    pools, cols, offset_rows, lex_ids, has_left = [], [], [], [], []
-    lex_span = np.arange(-config.lex_window, config.lex_window + 1)
-    for (ids, centers), n, start in zip(segments, lengths, pad_starts):
-        # this segment's offsets -(n-1) .. n-1 sit in the middle of the shared table
-        left, right, left_arg, right_arg = split_max_pool(
-            token_term[start : start + n], offset_term[longest - n : longest + n - 1], centers
-        )
-        args = np.concatenate([left_arg, right_arg], axis=1)
-        pools.append(np.concatenate([left, right], axis=1))
-        cols.append(start + args)
-        offset_rows.append(args - centers[:, None] + longest - 1)
-        lex_slots = centers[:, None] + lex_span
-        lex_ids.append(np.where((lex_slots >= 0) & (lex_slots < n), ids[np.clip(lex_slots, 0, n - 1)], PAD_ID))
-        has_left.append(centers > 0)
-    lex_ids = np.concatenate(lex_ids)
+    # every center as a token-term row inside its segment's rows [lo, hi); row a is padded slot a + lead
+    counts = [c.shape[0] for _, c in segments]
+    lo = np.repeat(pad_starts[:-1], counts)
+    hi = lo + np.repeat(lengths, counts)
+    centers = lo + np.concatenate([c for _, c in segments])
+    left, right, left_arg, right_arg = split_max_pool(token_term, offset_term, centers, lo, hi)
+    cols = np.concatenate([left_arg, right_arg], axis=1)
+    lex_slots = centers[:, None] + np.arange(-config.lex_window, config.lex_window + 1)
+    inside = (lex_slots >= lo[:, None]) & (lex_slots < hi[:, None])
+    lex_ids = np.where(inside, padded_ids[np.clip(lex_slots, lo[:, None], hi[:, None] - 1) + lead], PAD_ID)
     feature = np.concatenate(
-        [np.tanh(np.concatenate(pools)), tok_emb[lex_ids].reshape(lex_ids.shape[0], -1)], axis=1
+        [np.tanh(np.concatenate([left, right], axis=1)), tok_emb[lex_ids].reshape(lex_ids.shape[0], -1)], axis=1
     )
     fp = np.tanh(feature @ store[f"{prefix}.proj_w"].value.T + store[f"{prefix}.proj_b"].value)
-    return BranchCache(
-        padded_ids,
-        pos_rows,
-        np.concatenate(has_left),
-        np.concatenate(cols),
-        np.concatenate(offset_rows),
-        lex_ids,
-        feature,
-        fp,
-    )
+    offset_rows = cols - centers[:, None] + longest - 1
+    return BranchCache(padded_ids, pos_rows, centers > lo, cols, offset_rows, lex_ids, feature, fp)
 
 
 def _conv1d_backward(dmap: np.ndarray, x: np.ndarray, w: np.ndarray, grad_w: np.ndarray) -> np.ndarray:

@@ -8,8 +8,10 @@ passes in the modules that compose them.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -126,49 +128,53 @@ def conv1d(inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = No
 
 
 def split_max_pool(
-    token_term: np.ndarray, offset_term: np.ndarray, centers
+    token_term: np.ndarray, offset_term: np.ndarray, cols, lo, hi
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Max pooling split at each center, over maps with a relative-position term.
 
-    Center c's map is token_term[j] + offset_term[j - c + n - 1] over the
-    columns j; token_term is (n, filters) and offset_term (2n-1, filters).
-    Per filter, the left pool covers j < c and the right pool j >= c; each
-    keeps the first maximum.  An empty left segment (c == 0) pools to 0,
-    the neutral value of tanh, with argmax 0.  Only one (n, filters) map
-    exists at a time.  Returns (left, right, left_arg, right_arg), each
-    (k, filters).
+    token_term (rows, filters) holds one or more segments back to back;
+    center i sits at row cols[i] of the segment spanning rows
+    [lo[i], hi[i]).  Its map is token_term[j] + offset_term[j - cols[i] + N - 1]
+    over the segment's rows j, offset_term being the (2N-1, filters) table
+    of the offsets -(N-1) .. N-1 of the longest segment.  Per filter, the
+    left pool covers lo <= j < cols[i] and the right pool cols[i] <= j < hi;
+    each keeps the first maximum.  An empty left pool (cols[i] == lo) pools
+    to 0, the neutral value of tanh, with argmax lo.  Only one segment's
+    map exists at a time.  Returns (left, right, left_arg, right_arg), each
+    (k, filters); the argmax rows index token_term.
     """
-    n, m = token_term.shape
-    if offset_term.shape != (2 * n - 1, m):
-        raise ShapeError(f"offset term must be {(2 * n - 1, m)} for {n} columns, got {offset_term.shape}")
-    centers = np.asarray(centers, dtype=np.int64)
-    if centers.ndim != 1 or np.any((centers < 0) | (centers >= n)):
-        raise ShapeError(f"center indices {centers.tolist()} must be a 1-d list in [0, {n})")
-    left_arg = np.zeros((len(centers), m), dtype=np.int64)
-    right_arg = np.zeros((len(centers), m), dtype=np.int64)
-    for i, c in enumerate(centers.tolist()):
-        pre = token_term + offset_term[n - 1 - c : 2 * n - 1 - c]
-        if c > 0:
-            left_arg[i] = pre[:c].argmax(axis=0)
-        right_arg[i] = c + pre[c:].argmax(axis=0)
+    rows, m = token_term.shape
+    if offset_term.shape[0] % 2 != 1 or offset_term.shape[1:] != (m,):
+        raise ShapeError(f"offset term must be (2N-1, {m}), got {offset_term.shape}")
+    n_max = (offset_term.shape[0] + 1) // 2
+    cols, lo, hi = (np.asarray(a, dtype=np.int64) for a in (cols, lo, hi))
+    if cols.ndim != 1 or lo.shape != cols.shape or hi.shape != cols.shape:
+        raise ShapeError(f"cols, lo and hi must be 1-d and of one length, got {cols.shape}, {lo.shape}, {hi.shape}")
+    if np.any((lo < 0) | (lo > cols) | (cols >= hi) | (hi > rows) | (hi - lo > n_max)):
+        raise ShapeError(
+            f"centers {cols.tolist()} must lie in segments [lo, hi) of at most {n_max} of the {rows} rows"
+        )
+    left_arg = np.repeat(lo[:, None], m, axis=1)
+    right_arg = np.empty((cols.shape[0], m), dtype=np.int64)
+    for i, (c, a, b) in enumerate(zip(cols.tolist(), lo.tolist(), hi.tolist())):
+        pre = token_term[a:b] + offset_term[a - c + n_max - 1 : b - c + n_max - 1]
+        if c > a:
+            left_arg[i] = a + pre[: c - a].argmax(axis=0)
+        right_arg[i] = c + pre[c - a :].argmax(axis=0)
     filters = np.arange(m)
 
     def pooled(arg: np.ndarray) -> np.ndarray:
-        return token_term[arg, filters] + offset_term[arg - centers[:, None] + n - 1, filters]
+        return token_term[arg, filters] + offset_term[arg - cols[:, None] + n_max - 1, filters]
 
-    left = np.where(centers[:, None] > 0, pooled(left_arg), 0.0)
+    left = np.where((cols > lo)[:, None], pooled(left_arg), 0.0)
     return left, pooled(right_arg), left_arg, right_arg
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # exp(-x) for x >= 0, exp(x) below: never overflows
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -213,6 +219,7 @@ def softmax_xent(scores: np.ndarray, gold: int | Sequence[int]) -> tuple[np.ndar
 
 ADADELTA_RHO = 0.95
 ADADELTA_EPS = 1e-6
+_ADADELTA_BLOCK = 1 << 14  # elements per block: the block and its buffers stay in cache
 
 
 def adadelta_step(store: ParamStore, rho: float = ADADELTA_RHO, eps: float = ADADELTA_EPS) -> None:
@@ -222,17 +229,36 @@ def adadelta_step(store: ParamStore, rho: float = ADADELTA_RHO, eps: float = ADA
                   dx     <- -sqrt(E[dx^2]+eps) / sqrt(E[g^2]+eps) * g
                   E[dx^2]<- rho E[dx^2] + (1-rho) dx^2
                   x      <- x + dx
-    Gradients are zeroed afterwards.
+    Gradients are zeroed afterwards.  Each tensor is updated in place, one
+    flat block at a time, through two block-sized buffers; every
+    product is taken in the order written above, so the result does not
+    depend on the block size.
     """
+    buffers = np.empty((2, _ADADELTA_BLOCK))
     for _, p in store.items():
-        g = p.grad
-        p.eg2 *= rho
-        p.eg2 += (1.0 - rho) * g * g
-        dx = -np.sqrt(p.edx2 + eps) / np.sqrt(p.eg2 + eps) * g
-        p.edx2 *= rho
-        p.edx2 += (1.0 - rho) * dx * dx
-        p.value += dx
-        p.grad[...] = 0.0
+        # ParamStore.add makes every tensor C-contiguous, so these are views
+        value, grad, eg2, edx2 = (a.reshape(-1) for a in (p.value, p.grad, p.eg2, p.edx2))
+        for lo in range(0, value.shape[0], _ADADELTA_BLOCK):
+            hi = min(lo + _ADADELTA_BLOCK, value.shape[0])
+            g, e, d = grad[lo:hi], eg2[lo:hi], edx2[lo:hi]
+            dx, t = buffers[:, : hi - lo]
+            e *= rho
+            np.multiply(1.0 - rho, g, out=t)
+            t *= g
+            e += t
+            np.add(d, eps, out=dx)
+            np.sqrt(dx, out=dx)
+            np.negative(dx, out=dx)
+            np.add(e, eps, out=t)
+            np.sqrt(t, out=t)
+            dx /= t
+            dx *= g
+            d *= rho
+            np.multiply(1.0 - rho, dx, out=t)
+            t *= dx
+            d += t
+            value[lo:hi] += dx
+            g[...] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +384,26 @@ def _record_chunks(store: ParamStore, include_optimizer: bool) -> Iterable[bytes
         yield np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
+def write_atomically(path, chunks: Iterable[bytes]) -> None:
+    """Replace the file at path with the chunks, so that a crash at any point leaves the old file or the new one.
+
+    The chunks go to a temporary file beside it, which is flushed, synced
+    to disk and then renamed over path; on an exception it is removed.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, store: ParamStore, meta: dict | None = None, include_optimizer: bool = True) -> None:
     meta = dict(meta or {})
     if _CRC_KEY in meta:
@@ -366,12 +412,8 @@ def save_checkpoint(path, store: ParamStore, meta: dict | None = None, include_o
     for chunk in _record_chunks(store, include_optimizer):
         crc = zlib.crc32(chunk, crc)
     meta_bytes = _meta_json({**meta, _CRC_KEY: crc})
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
-        fh.write(meta_bytes)
-        for chunk in _record_chunks(store, include_optimizer):
-            fh.write(chunk)
+    header = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)) + meta_bytes
+    write_atomically(path, itertools.chain([header], _record_chunks(store, include_optimizer)))
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:

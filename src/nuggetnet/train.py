@@ -20,7 +20,7 @@ import numpy as np
 from .corpus import AnnotatedSentence
 from .errors import ConfigError, NumericError
 from .evaluate import ScoreMode, score
-from .ndcore import adadelta_step
+from .ndcore import adadelta_step, write_atomically
 
 BEST_CHECKPOINT = "best.ckpt"
 LAST_CHECKPOINT = "last.ckpt"
@@ -83,6 +83,15 @@ def evaluate_model(model, corpus: Sequence[AnnotatedSentence]) -> dict:
     return {"identification_f1": ident.f1, "classification_f1": cls.f1}
 
 
+def _truncate_log(log_path: str, last_epoch: int) -> None:
+    """Drop what a crash after last_epoch's checkpoint left in the log: later epochs' lines and a torn last line."""
+    with open(log_path, "rb") as fh:
+        lines = fh.readlines()
+    kept = [line for line in lines if line.endswith(b"\n") and json.loads(line)["epoch"] <= last_epoch]
+    if len(kept) < len(lines):
+        write_atomically(log_path, kept)
+
+
 def train(
     model,
     train_corpus: Sequence[AnnotatedSentence],
@@ -119,6 +128,8 @@ def train(
         os.makedirs(out_dir, exist_ok=True)
         if not resume and os.path.exists(log_path):
             os.remove(log_path)
+        elif resume and os.path.exists(log_path):
+            _truncate_log(log_path, resume_state["epoch"])
 
     def trainer_state(epoch: int) -> dict:
         return {
@@ -181,9 +192,10 @@ def train(
             rec["best_dev_f1"] = best_f1
             if config.stop_at_dev_f1 is not None and f1 >= config.stop_at_dev_f1:
                 reached_target = True
+        # the log line goes first: a crash before the save leaves a line that resume drops
+        log_line(rec)
         if out_dir is not None:
             model.save(os.path.join(out_dir, LAST_CHECKPOINT), trainer_state(epoch))
-        log_line(rec)
         if reached_target:
             break
         if since_improve >= config.patience:

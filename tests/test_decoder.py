@@ -192,6 +192,15 @@ class TestPredictionFiles:
         with pytest.raises(CorpusFormatError, match=r"preds\.jsonl: line 2: bad prediction record"):
             load_predictions(path)
 
+    @pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity", '"nan"'])
+    def test_non_finite_score_reports_path_and_line(self, tmp_path, score):
+        path = tmp_path / "preds.jsonl"
+        good = '{"doc_id": "d", "sent_id": "s0", "predictions": []}'
+        bad = '{"doc_id": "d", "sent_id": "s1", "predictions": [{"start": 0, "length": 1, "subtype": "a", "score": %s}]}'
+        path.write_text(good + "\n" + bad % score + "\n")
+        with pytest.raises(CorpusFormatError, match=r"preds\.jsonl: line 2: bad prediction record .* not finite"):
+            load_predictions(path)
+
     def test_decode_corpus_keys(self):
         corpus = toy_corpus()
         model = small_model(corpus)

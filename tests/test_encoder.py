@@ -188,6 +188,29 @@ def kernel_cases(draw, max_len=130):
     return cfg, ids, centers, seed
 
 
+@st.composite
+def segment_cases(draw):
+    """A small extractor whose lexical window reaches past the conv padding, and mixed-length segments."""
+    window = draw(st.integers(1, 5))
+    cfg = small_extractor(
+        token_emb_dim=3,
+        pos_emb_dim=2,
+        n_filters=4,
+        proj_dim=5,
+        window=window,
+        lex_window=(window - 1) // 2 + draw(st.integers(1, 2)),
+        max_rel_dist=draw(st.integers(1, 8)),
+    )
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    segments = []
+    for i, n in enumerate(draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))):
+        # later segments may have no centers: their tokens still sit between the others'
+        centers = draw(st.lists(st.integers(0, n - 1), min_size=int(i == 0), max_size=4, unique=True))
+        segments.append((rng.permutation(np.arange(2, 140))[:n], np.array(centers, dtype=np.int64)))
+    return cfg, segments, seed
+
+
 class TestKernelMatchesReference:
     """The split kernel against the per-center formula it replaced (tests/branch_reference.py)."""
 
@@ -206,6 +229,27 @@ class TestKernelMatchesReference:
                 npt.assert_array_equal(cache.cols[i, :m], ref.left_arg)
             npt.assert_allclose(cache.feature[i], ref.feature, rtol=0, atol=1e-12)
             npt.assert_allclose(cache.fp[i], ref.fp, rtol=0, atol=1e-12)
+
+    @given(segment_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_over_segments(self, case):
+        # one call pools every segment's centers; each must see only its own segment
+        cfg, segments, seed = case
+        store = branch_store(cfg, n_tokens=140, seed=seed)
+        cache = extract_branch(store, "char", segments, cfg)
+        m = cfg.n_filters
+        starts = np.cumsum([0] + [ids.shape[0] + cfg.window - 1 for ids, _ in segments])
+        row = 0
+        for (ids, centers), start in zip(segments, starts):
+            for c in centers.tolist():
+                ref = reference_branch(store, "char", ids, c, cfg)
+                npt.assert_array_equal(cache.cols[row, m:] - start, ref.right_arg)
+                if c > 0:
+                    npt.assert_array_equal(cache.cols[row, :m] - start, ref.left_arg)
+                npt.assert_allclose(cache.feature[row], ref.feature, rtol=0, atol=1e-12)
+                npt.assert_allclose(cache.fp[row], ref.fp, rtol=0, atol=1e-12)
+                row += 1
+        assert row == cache.fp.shape[0]
 
     @given(kernel_cases(), st.sampled_from([5, 16, 120]))
     @settings(max_examples=40, deadline=None)

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import nuggetnet.encoder as nencoder
 import nuggetnet.model as nmodel
 from nuggetnet.corpus import SubtypeInventory, build_vocab
 from nuggetnet.decoder import decode_sentence
@@ -162,6 +163,21 @@ class TestCharSpanModel:
         gen, cls = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
         model.loss_and_grads(gen, cls)
         assert kernel_calls == [("char", 3), ("word", 3)]
+
+    def test_one_pooling_pass_per_kernel_call(self, corpus3, kernel_calls, monkeypatch):
+        pools = []
+        original = nencoder.split_max_pool
+
+        def counting(*args):
+            pools.append(args[2])  # the call's centers
+            return original(*args)
+
+        monkeypatch.setattr(nencoder, "split_max_pool", counting)
+        model = small_model(corpus3)
+        gen, cls = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
+        model.loss_and_grads(gen, cls)
+        assert kernel_calls == [("char", 3), ("word", 3)]
+        assert len(pools) == len(kernel_calls)  # every segment's centers in one pass
 
     def test_save_load_round_trip(self, tmp_path, corpus3):
         model = small_model(corpus3)

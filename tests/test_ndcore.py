@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nuggetnet.ndcore as ndcore
 from nuggetnet.errors import CheckpointError, NumericError, ShapeError
 from nuggetnet.ndcore import (
     Param,
@@ -68,13 +69,14 @@ class TestConv:
         with pytest.raises(ShapeError):
             conv1d(np.zeros((2, 3)), np.zeros((1, 6)), np.zeros(2))  # bias per filter
         with pytest.raises(ShapeError):
-            split_max_pool(np.zeros((3, 2)), np.zeros((4, 2)), [0])  # offsets must be 2n-1
+            split_max_pool(np.zeros((3, 2)), np.zeros((4, 2)), [0], [0], [3])  # offsets must be 2N-1
 
 
 def pool_map(amap, c):
-    """split_max_pool on a plain (filters, columns) map: a zero offset term."""
+    """split_max_pool on a plain (filters, columns) map, one segment: a zero offset term."""
     amap = np.asarray(amap, dtype=np.float64)
-    left, right, left_arg, right_arg = split_max_pool(amap.T, np.zeros((2 * amap.shape[1] - 1, amap.shape[0])), [c])
+    n = amap.shape[1]
+    left, right, left_arg, right_arg = split_max_pool(amap.T, np.zeros((2 * n - 1, amap.shape[0])), [c], [0], [n])
     return left[0], right[0], left_arg[0], right_arg[0]
 
 
@@ -110,13 +112,44 @@ class TestDynamicMultiPool:
         # one filter, 3 columns; the offset term favours the column just right of each center
         token = np.zeros((3, 1))
         offset = np.array([[0.0], [0.0], [0.0], [1.0], [0.0]])  # offsets -2 .. 2, +1 peaks
-        left, right, _, right_arg = split_max_pool(token, offset, [0, 1, 2])
+        left, right, _, right_arg = split_max_pool(token, offset, [0, 1, 2], [0, 0, 0], [3, 3, 3])
         npt.assert_array_equal(right_arg[:, 0], [1, 2, 2])
         npt.assert_array_equal(right[:, 0], [1.0, 1.0, 0.0])
         npt.assert_array_equal(left[:, 0], [0.0, 0.0, 0.0])
 
+    def test_segments_pool_apart(self):
+        # rows 0-1 are one segment and rows 4-6 another; the rows between them belong to neither
+        token = np.array([[5.0], [1.0], [9.0], [9.0], [2.0], [7.0], [3.0]])
+        offset = np.zeros((5, 1))  # offsets -2 .. 2: segments of up to 3 rows
+        left, right, left_arg, right_arg = split_max_pool(token, offset, [1, 4, 6], [0, 4, 4], [2, 7, 7])
+        npt.assert_array_equal(left_arg[:, 0], [0, 4, 5])  # an empty left pool points at its segment's first row
+        npt.assert_array_equal(right_arg[:, 0], [1, 5, 6])
+        npt.assert_array_equal(left[:, 0], [5.0, 0.0, 7.0])
+        npt.assert_array_equal(right[:, 0], [1.0, 7.0, 3.0])
+        with pytest.raises(ShapeError):
+            split_max_pool(token, offset, [4], [3], [7])  # a 4-row segment needs offsets -3 .. 3
+        with pytest.raises(ShapeError):
+            split_max_pool(token, offset, [3], [4], [7])  # center left of its segment
+
+
+def masked_sigmoid(x):
+    """The logistic function as sigmoid computed it before: each sign branch through a boolean mask."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
 
 class TestScalarFunctions:
+    @given(st.lists(st.floats(allow_nan=False), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_sigmoid_matches_masked_formula(self, values):
+        edges = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf]
+        x = np.array(values + edges)
+        assert sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+
     def test_sigmoid_frozen_values(self):
         npt.assert_allclose(sigmoid(np.array([1.0, -1.0, 0.0])), [SIGMOID_1, SIGMOID_M1, 0.5], atol=1e-15)
 
@@ -230,7 +263,44 @@ class TestParamStore:
         npt.assert_array_equal(p.grad, np.zeros((2, 2)))
 
 
+def textbook_adadelta(p: Param, rho: float = 0.95, eps: float = 1e-6) -> None:
+    """One Adadelta step on one parameter, element by element in Python floats."""
+    value, eg2, edx2 = [], [], []
+    for x, e, d, g in zip(*(a.reshape(-1).tolist() for a in (p.value, p.eg2, p.edx2, p.grad))):
+        e = rho * e + (1.0 - rho) * g * g
+        dx = -math.sqrt(d + eps) / math.sqrt(e + eps) * g
+        d = rho * d + (1.0 - rho) * dx * dx
+        value.append(x + dx)
+        eg2.append(e)
+        edx2.append(d)
+    for arr, new in ((p.value, value), (p.eg2, eg2), (p.edx2, edx2)):
+        arr[...] = np.reshape(new, arr.shape)
+    p.grad[...] = 0.0
+
+
 class TestAdadelta:
+    @given(st.sampled_from([(83, 200), (16385,), (2, 8192), (3, 5)]), st.integers(0, 2**16))
+    @settings(max_examples=12, deadline=None)
+    def test_matches_textbook_elementwise(self, shape, seed):
+        # tensors larger than, equal to and smaller than one block, with rows that get no gradient
+        rng = np.random.default_rng(seed)
+        stores = [ParamStore(0), ParamStore(0)]
+        for s in stores:
+            s.add("big", shape)
+            s.add("small", (3,))
+        for _ in range(4):
+            grads = {name: rng.normal(size=p.value.shape) for name, p in stores[0].items()}
+            grads["big"][rng.random(shape[0]) < 0.5] = 0.0
+            for s in stores:
+                for name, p in s.items():
+                    p.grad[...] = grads[name]
+            adadelta_step(stores[0])
+            for _, p in stores[1].items():
+                textbook_adadelta(p)
+        for (name, got), (_, want) in zip(*(s.items() for s in stores)):
+            for field in ("value", "eg2", "edx2", "grad"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (name, field)
+
     def test_first_step_magnitude(self):
         s = ParamStore(0)
         p = s.add("w", (3,))
@@ -344,6 +414,27 @@ class TestCheckpoint:
             npt.assert_array_equal(fresh[name].value, p.value)
             npt.assert_array_equal(fresh[name].eg2, p.eg2)
             npt.assert_array_equal(fresh[name].edx2, p.edx2)
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "last.ckpt"
+        save_checkpoint(path, self.build_store(), {"epoch": 1})
+        before = path.read_bytes()
+        real_chunks = ndcore._record_chunks
+        passes = []
+
+        def chunks(store, include_optimizer):
+            passes.append(1)
+            for i, chunk in enumerate(real_chunks(store, include_optimizer)):
+                if len(passes) == 2 and i == 3:  # the checksum pass ran; fail part way through writing
+                    raise OSError("disk full")
+                yield chunk
+
+        monkeypatch.setattr(ndcore, "_record_chunks", chunks)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, self.build_store(), {"epoch": 2})
+        assert path.read_bytes() == before
+        assert load_checkpoint(path)[0] == {"epoch": 1}
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
 
     def test_same_store_same_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -105,6 +105,31 @@ class TestDeterminism:
         part_log = (tmp_path / "part" / TRAIN_LOG).read_bytes()
         assert full_log == part_log
 
+    def test_resume_after_crash_between_log_and_checkpoint(self, tmp_path):
+        # epoch 2's log line was written (the second line torn) and then the run died before its
+        # last.ckpt replaced epoch 1's: resume drops both lines and redoes the epoch
+        corpus = tiny_corpus()
+        straight = tiny_model(corpus, rng_seed=5)
+        train(straight, corpus, corpus, quick_config(epochs=4), out_dir=tmp_path / "full")
+
+        crashed = tiny_model(corpus, rng_seed=5)
+        train(crashed, corpus, corpus, quick_config(epochs=2), out_dir=tmp_path / "part")
+        full_lines = (tmp_path / "full" / TRAIN_LOG).read_bytes().splitlines(keepends=True)
+        with open(tmp_path / "part" / TRAIN_LOG, "ab") as fh:
+            fh.write(full_lines[2] + full_lines[3][:10])
+        resumed, meta = CharSpanModel.load(tmp_path / "part" / LAST_CHECKPOINT)
+        assert meta["trainer_state"]["epoch"] == 1
+        train(
+            resumed,
+            corpus,
+            corpus,
+            quick_config(epochs=4),
+            out_dir=tmp_path / "part",
+            resume_state=meta["trainer_state"],
+        )
+        for fname in (LAST_CHECKPOINT, TRAIN_LOG):
+            assert (tmp_path / "full" / fname).read_bytes() == (tmp_path / "part" / fname).read_bytes(), fname
+
 
 class TestLoopBehavior:
     def test_loss_decreases_overall(self, tmp_path):
