@@ -12,7 +12,7 @@ from .corpus import (
     make_instances,
     save_corpus,
 )
-from .decoder import Prediction, decode_corpus, decode_oracle, decode_sentence
+from .decoder import Prediction, decode_corpus, decode_sentence
 from .encoder import ExtractorConfig, HybridMode
 from .errors import (
     CheckpointError,
@@ -25,7 +25,7 @@ from .errors import (
     ShapeError,
 )
 from .evaluate import ScoreMode, ScoreReport, corpus_match_stats, recall_by_match_type, score
-from .heads import NuggetLabel, decode_label, encode_label, label_to_class, num_nugget_classes
+from .labels import NuggetLabel, decode_label, encode_label, label_to_class, num_nugget_classes
 from .model import CharSpanModel, ModelConfig, load_model
 from .baselines import IOBModel, WordwiseModel, iob_decode, iob_encode
 from .synthgen import GenSpec, generate_synthetic_corpus
@@ -65,7 +65,6 @@ __all__ = [
     "corpus_match_stats",
     "decode_corpus",
     "decode_label",
-    "decode_oracle",
     "decode_sentence",
     "encode_label",
     "generate_synthetic_corpus",

@@ -16,11 +16,17 @@ import numpy as np
 
 from .corpus import AnnotatedSentence, SubtypeInventory, TriggerNugget, Vocabulary
 from .decoder import Prediction
-from .encoder import register_encoder_params
-from .errors import CheckpointError, ConfigError
-from .heads import head_backward, head_scores
-from .model import CharEncoderBase, ModelConfig, _backward_rows, _branch_rows, _rows_by_sentence
-from .ndcore import ParamStore, load_checkpoint, restore_store, save_checkpoint, softmax, softmax_xent
+from .errors import ConfigError
+from .model import (
+    CharEncoderBase,
+    ModelConfig,
+    _backward_rows,
+    _branch_rows,
+    _rows_by_sentence,
+    head_backward,
+    head_scores,
+)
+from .ndcore import softmax, softmax_xent
 
 O_TAG = 0
 
@@ -120,13 +126,8 @@ class IOBModel(CharEncoderBase):
     kind = "iob"
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary, subtypes: SubtypeInventory, rng_seed: int = 0):
-        self.config = config
-        self.vocab = vocab
-        self.subtypes = subtypes
-        self.rng_seed = rng_seed
+        super().__init__(config, vocab, subtypes, rng_seed)
         self.n_tags = n_iob_tags(len(subtypes))
-        self.store = ParamStore(rng_seed)
-        register_encoder_params(self.store, config.extractor, vocab)
         self.store.add("head.tag_w", (self.n_tags, config.extractor.fused_dim), init="glorot")
         self.store.add("head.tag_b", (self.n_tags,), init="zeros")
 
@@ -160,19 +161,8 @@ class IOBModel(CharEncoderBase):
         preds.sort(key=lambda p: (p.start, p.length, self.subtypes.id_of(p.subtype)))
         return preds
 
-    def save(self, path, trainer_state: dict | None = None) -> None:
-        _save_baseline(self, path, trainer_state)
 
-    @classmethod
-    def from_meta(cls, meta: dict) -> "IOBModel":
-        return _baseline_from_meta(cls, meta)
-
-    @classmethod
-    def load(cls, path) -> tuple["IOBModel", dict]:
-        return _load_baseline(cls, path)
-
-
-class WordwiseModel:
+class WordwiseModel(CharEncoderBase):
     """Whole-word subtype classifier on the word branch alone."""
 
     kind = "wordwise"
@@ -180,23 +170,15 @@ class WordwiseModel:
     def __init__(self, config: ModelConfig, vocab: Vocabulary, subtypes: SubtypeInventory, rng_seed: int = 0):
         if config.extractor.use_chars or not config.extractor.use_words:
             raise ConfigError("the wordwise baseline runs on the word branch only")
-        self.config = config
-        self.vocab = vocab
-        self.subtypes = subtypes
-        self.rng_seed = rng_seed
+        super().__init__(config, vocab, subtypes, rng_seed)
         self.n_classes = len(subtypes) + 1
-        self.store = ParamStore(rng_seed)
-        register_encoder_params(self.store, config.extractor, vocab)
         self.store.add("head.wordtype_w", (self.n_classes, config.extractor.fused_dim), init="glorot")
         self.store.add("head.wordtype_b", (self.n_classes,), init="zeros")
-
-    def _word_ids(self, sentence: AnnotatedSentence) -> np.ndarray:
-        return np.array([self.vocab.word_id(w) for w in sentence.words], dtype=np.int64)
 
     def _word_features(self, sentences: Sequence[AnnotatedSentence], word_indices: Sequence[int]):
         """The word branch for (sentence, word index) rows, one extract_branch call in all."""
         groups = [
-            (self._word_ids(sentence), np.array([word_indices[r] for r in rows], dtype=np.int64), rows)
+            (self.vocab.word_ids(sentence.words), np.array([word_indices[r] for r in rows], dtype=np.int64), rows)
             for sentence, rows in _rows_by_sentence(sentences)
         ]
         return _branch_rows(self.store, self.config, "word", groups)
@@ -242,45 +224,3 @@ class WordwiseModel:
                 Prediction(s, e - s + 1, self.subtypes.name_of(label - 1), math.log(float(probs[wi, label])))
             )
         return preds
-
-    def save(self, path, trainer_state: dict | None = None) -> None:
-        _save_baseline(self, path, trainer_state)
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "WordwiseModel":
-        return _baseline_from_meta(cls, meta)
-
-    @classmethod
-    def load(cls, path) -> tuple["WordwiseModel", dict]:
-        return _load_baseline(cls, path)
-
-
-def _save_baseline(model, path, trainer_state):
-    meta = {
-        "kind": model.kind,
-        "config": model.config.to_json(),
-        "vocab": model.vocab.to_json(),
-        "subtypes": model.subtypes.names,
-        "rng_seed": model.rng_seed,
-    }
-    if trainer_state is not None:
-        meta["trainer_state"] = trainer_state
-    save_checkpoint(path, model.store, meta)
-
-
-def _baseline_from_meta(cls, meta: dict):
-    return cls(
-        config=ModelConfig.from_json(meta["config"]),
-        vocab=Vocabulary.from_json(meta["vocab"]),
-        subtypes=SubtypeInventory(meta["subtypes"]),
-        rng_seed=int(meta.get("rng_seed", 0)),
-    )
-
-
-def _load_baseline(cls, path):
-    meta, tensors = load_checkpoint(path)
-    if meta.get("kind") != cls.kind:
-        raise CheckpointError(f"{path}: checkpoint kind {meta.get('kind')!r} is not {cls.kind!r}")
-    model = cls.from_meta(meta)
-    restore_store(model.store, tensors)
-    return model, meta

@@ -15,14 +15,13 @@ import logging
 import os
 import sys
 
-from .baselines import IOBModel, WordwiseModel
 from .config import RunConfig, dump_resolved_config, load_run_config
 from .corpus import SubtypeInventory, build_vocab, load_corpus, save_corpus
 from .decoder import load_predictions, save_predictions
 from .encoder import load_embeddings_file
 from .errors import ConfigError, NuggetError
 from .evaluate import ScoreMode, corpus_match_stats, recall_by_match_type, score
-from .model import CharSpanModel, load_model
+from .model import MODEL_CLASSES, load_model
 from .synthgen import GenSpec, allocate_quotas, default_subtype_names, generate_synthetic_corpus
 from .train import LAST_CHECKPOINT, train
 
@@ -81,8 +80,7 @@ def _build_model(run: RunConfig, train_sentences):
         train_sentences, min_count=run.vocab_min_count, max_rel_dist=run.model.extractor.max_rel_dist
     )
     subtypes = SubtypeInventory.from_corpus(train_sentences)
-    cls = {"proposal": CharSpanModel, "iob": IOBModel, "wordwise": WordwiseModel}[run.model_kind]
-    model = cls(run.model, vocab, subtypes, rng_seed=run.training.rng_seed)
+    model = MODEL_CLASSES[run.model_kind](run.model, vocab, subtypes, rng_seed=run.training.rng_seed)
     if run.char_embeddings:
         n = load_embeddings_file(run.char_embeddings, model.store, "char", vocab.char_to_id)
         logger.info("loaded %d pretrained character embeddings", n)

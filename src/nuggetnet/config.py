@@ -8,17 +8,26 @@ with every default filled in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
 from .encoder import ExtractorConfig
 from .errors import ConfigError
-from .model import ModelConfig
+from .model import MODEL_CLASSES, ModelConfig
 from .synthgen import GenSpec
 from .train import TrainConfig
 
-MODEL_KINDS = ("proposal", "iob", "wordwise")
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def _int(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be an integer, got {value!r}") from exc
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
@@ -52,16 +61,7 @@ class RunConfig:
     def to_json(self) -> dict:
         gen = None
         if self.generator is not None:
-            gen = {
-                "n_sentences": self.generator.n_sentences,
-                "subtypes": list(self.generator.subtypes),
-                "proportions": list(self.generator.proportions),
-                "min_context_words": self.generator.min_context_words,
-                "max_context_words": self.generator.max_context_words,
-                "n_distractor_words": self.generator.n_distractor_words,
-                "doc_prefix": self.generator.doc_prefix,
-                "seed": self.generator_seed,
-            }
+            gen = {**asdict(self.generator), "seed": self.generator_seed}
         return {
             "model_kind": self.model_kind,
             "model": self.model.to_json(),
@@ -84,12 +84,13 @@ def parse_run_config(data: dict) -> RunConfig:
     )
 
     model_section = dict(_section(data, "model"))
-    _check_keys(model_section, {"kind", "max_nugget_len", "max_tokens", "extractor"}, "model")
-    kind = model_section.pop("kind", "proposal")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {kind!r}")
+    _check_keys(model_section, {"kind"} | _field_names(ModelConfig), "model")
+    kind = model_section.pop("kind", RunConfig.model_kind)
+    kinds = tuple(MODEL_CLASSES)
+    if kind not in kinds:
+        raise ConfigError(f"model.kind must be one of {kinds}, got {kind!r}")
     extractor_section = model_section.pop("extractor", {}) or {}
-    _check_keys(extractor_section, set(ExtractorConfig().to_json()), "model.extractor")
+    _check_keys(extractor_section, _field_names(ExtractorConfig), "model.extractor")
     try:
         extractor = ExtractorConfig(**extractor_section)
         model = ModelConfig(extractor=extractor, **model_section)
@@ -97,7 +98,7 @@ def parse_run_config(data: dict) -> RunConfig:
         raise ConfigError(f"bad model section: {exc}") from exc
 
     training_section = _section(data, "training")
-    _check_keys(training_section, set(TrainConfig().to_json()), "training")
+    _check_keys(training_section, _field_names(TrainConfig), "training")
     try:
         training = TrainConfig(**training_section)
     except TypeError as exc:
@@ -107,17 +108,8 @@ def parse_run_config(data: dict) -> RunConfig:
     gen_seed = 0
     if data.get("generator") is not None:
         gen_section = dict(_section(data, "generator"))
-        gen_seed = int(gen_section.pop("seed", 0))
-        allowed = {
-            "n_sentences",
-            "subtypes",
-            "proportions",
-            "min_context_words",
-            "max_context_words",
-            "n_distractor_words",
-            "doc_prefix",
-        }
-        _check_keys(gen_section, allowed, "generator")
+        gen_seed = _int(gen_section.pop("seed", 0), "generator.seed")
+        _check_keys(gen_section, _field_names(GenSpec), "generator")
         if "subtypes" in gen_section:
             gen_section["subtypes"] = tuple(gen_section["subtypes"])
         if "proportions" in gen_section:
@@ -143,7 +135,7 @@ def parse_run_config(data: dict) -> RunConfig:
         test_path=data_section.get("test"),
         char_embeddings=emb_section.get("chars"),
         word_embeddings=emb_section.get("words"),
-        vocab_min_count=int(data.get("vocab_min_count", 1)),
+        vocab_min_count=_int(data.get("vocab_min_count", RunConfig.vocab_min_count), "vocab_min_count"),
         out_dir=data.get("out_dir"),
     )
 

@@ -49,14 +49,6 @@ class TriggerNugget:
     def end_inclusive(self) -> int:
         return self.start + self.length - 1
 
-    @property
-    def span(self) -> tuple[int, int]:
-        """Half-open (start, end) character span."""
-        return (self.start, self.start + self.length)
-
-    def covers(self, char_index: int) -> bool:
-        return self.start <= char_index < self.start + self.length
-
 
 @dataclass(frozen=True)
 class EventSubtype:
@@ -164,10 +156,6 @@ class AnnotatedSentence:
 
     def __len__(self) -> int:
         return len(self.text)
-
-    @property
-    def chars(self) -> str:
-        return self.text
 
     @property
     def words(self) -> list[str]:
@@ -312,9 +300,6 @@ class Vocabulary:
     @property
     def n_positions(self) -> int:
         return 2 * self.max_rel_dist + 1
-
-    def position_index(self, rel: int) -> int:
-        return relative_position_index(rel, self.max_rel_dist)
 
     def to_json(self) -> dict:
         return {

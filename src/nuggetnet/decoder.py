@@ -4,23 +4,22 @@ Every character proposes at most one nugget: the argmax span class, placed
 so the character sits at its claimed position, typed by the argmax subtype
 and scored by the sum of both log probabilities.  Proposals that would
 stick out of the sentence are discarded; duplicate spans keep the best
-score.  `decode_oracle` re-derives the same result with plain Python loops
-and is kept deliberately free of numpy reductions so the two routes stay
-independent.
+score, ties going to the lower subtype id.  The test suite re-derives the
+same result with plain Python loops (tests/decode_reference.py).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import AnnotatedSentence, TriggerNugget
 from .errors import CorpusFormatError
-from .heads import decode_label
+from .labels import decode_label
 
 
 @dataclass(frozen=True, order=True)
@@ -87,60 +86,17 @@ def decode_sentence(model, sentence: AnnotatedSentence, stats: DecodeStats | Non
             continue
         start, length, t, score = candidate
         span = (start, length)
-        if span in best and (-best[span][0], best[span][1]) <= (-score, t):
-            if stats is not None:
-                stats.merged += 1
-            continue
-        if span in best and stats is not None:
+        kept = best.get(span)
+        if kept is not None and stats is not None:
             stats.merged += 1
-        best[span] = (score, t)
+        if kept is None or (-score, t) < (-kept[0], kept[1]):
+            best[span] = (score, t)
     preds = [
         Prediction(start, length, model.subtypes.name_of(t), score)
         for (start, length), (score, t) in best.items()
     ]
     preds.sort(key=lambda p: (p.start, p.length, model.subtypes.id_of(p.subtype)))
     return preds
-
-
-def decode_oracle(model, sentence: AnnotatedSentence) -> list[Prediction]:
-    """Brute-force reference decoder; must agree with decode_sentence exactly."""
-    enc = model.encode_sentence(sentence)
-    n = len(sentence.text)
-    candidates = []
-    for ci in range(n):
-        pn, pt = model.char_distributions(enc, ci)
-        k_best, p_best = 0, pn[0]
-        for k in range(1, len(pn)):
-            if pn[k] > p_best:
-                k_best, p_best = k, pn[k]
-        if k_best == 0:
-            continue
-        label = decode_label(k_best, model.config.max_nugget_len)
-        length, position = label.length, label.position
-        start = ci - (position - 1)
-        if start < 0 or start + length > n:
-            continue
-        t_best, q_best = 0, pt[0]
-        for t in range(1, len(pt)):
-            if pt[t] > q_best:
-                t_best, q_best = t, pt[t]
-        candidates.append((start, length, t_best, math.log(float(p_best)) + math.log(float(q_best))))
-
-    kept: dict[tuple[int, int], tuple[float, int]] = {}
-    for start, length, t, score in candidates:
-        span = (start, length)
-        if span not in kept:
-            kept[span] = (score, t)
-            continue
-        old_score, old_t = kept[span]
-        if score > old_score or (score == old_score and t < old_t):
-            kept[span] = (score, t)
-
-    out = []
-    for (start, length), (score, t) in kept.items():
-        out.append(Prediction(start, length, model.subtypes.name_of(t), score))
-    out.sort(key=lambda p: (p.start, p.length, model.subtypes.id_of(p.subtype)))
-    return out
 
 
 def decode_corpus(

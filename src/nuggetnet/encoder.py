@@ -41,7 +41,7 @@ the authority on their correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -111,19 +111,7 @@ class ExtractorConfig:
         return self.proj_dim
 
     def to_json(self) -> dict:
-        return {
-            "token_emb_dim": self.token_emb_dim,
-            "pos_emb_dim": self.pos_emb_dim,
-            "n_filters": self.n_filters,
-            "window": self.window,
-            "lex_window": self.lex_window,
-            "proj_dim": self.proj_dim,
-            "max_rel_dist": self.max_rel_dist,
-            "use_chars": self.use_chars,
-            "use_words": self.use_words,
-            "hybrid_mode": self.hybrid_mode.value,
-            "dropout": self.dropout,
-        }
+        return {**asdict(self), "hybrid_mode": self.hybrid_mode.value}
 
     @classmethod
     def from_json(cls, data: dict) -> "ExtractorConfig":
@@ -206,6 +194,8 @@ def extract_branch(
         raise ShapeError("cannot extract features from an empty token sequence")
     if any(c.ndim != 1 for _, c in segments):
         raise ShapeError("center indices must be a 1-d list per segment")
+    if not any(c.shape[0] for _, c in segments):
+        raise ShapeError("no centers to extract features for")
     tok_emb = store[f"{prefix}.tok_emb"].value
     h = config.window
     e = config.token_emb_dim

@@ -6,11 +6,15 @@ branch, an optional word branch aligned through the segmentation, gated or
 concatenated fusion, and the two softmax heads.  Losses are summed
 cross-entropies over two instance streams: every sampled character for the
 span head, gold in-nugget characters for the subtype head.
+
+Every model kind (this one and the baselines in baselines.py) derives from
+CharEncoderBase, which builds the encoder tensors and owns the one
+checkpoint layout; `load_model` opens any of them through MODEL_CLASSES.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -27,13 +31,7 @@ from .encoder import (
     register_encoder_params,
 )
 from .errors import CheckpointError, ConfigError
-from .heads import (
-    head_backward,
-    head_scores,
-    label_to_class,
-    num_nugget_classes,
-    register_head_params,
-)
+from .labels import label_to_class, num_nugget_classes
 from .ndcore import ParamStore, load_checkpoint, restore_store, save_checkpoint, softmax, softmax_xent
 
 
@@ -52,19 +50,31 @@ class ModelConfig:
             )
 
     def to_json(self) -> dict:
-        return {
-            "extractor": self.extractor.to_json(),
-            "max_nugget_len": self.max_nugget_len,
-            "max_tokens": self.max_tokens,
-        }
+        return {**asdict(self), "extractor": self.extractor.to_json()}
 
     @classmethod
     def from_json(cls, data: dict) -> "ModelConfig":
-        return cls(
-            extractor=ExtractorConfig.from_json(data["extractor"]),
-            max_nugget_len=int(data["max_nugget_len"]),
-            max_tokens=int(data["max_tokens"]),
-        )
+        return cls(**{**data, "extractor": ExtractorConfig.from_json(data["extractor"])})
+
+
+def register_head_params(store: ParamStore, fused_dim: int, n_nugget_classes: int, n_subtypes: int) -> None:
+    """The span-class head (NIL plus every (length, position) pair) and the subtype head, which has no NIL."""
+    store.add("head.nugget_w", (n_nugget_classes, fused_dim), init="glorot")
+    store.add("head.nugget_b", (n_nugget_classes,), init="zeros")
+    store.add("head.type_w", (n_subtypes, fused_dim), init="glorot")
+    store.add("head.type_b", (n_subtypes,), init="zeros")
+
+
+def head_scores(store: ParamStore, head: str, features: np.ndarray) -> np.ndarray:
+    """Scores for (m, fused_dim) feature rows, or for one feature vector."""
+    return features @ store[f"head.{head}_w"].value.T + store[f"head.{head}_b"].value
+
+
+def head_backward(store: ParamStore, head: str, features: np.ndarray, dscores: np.ndarray) -> np.ndarray:
+    """Accumulate head gradients over (m, fused_dim) rows; returns dL/dfeatures."""
+    store[f"head.{head}_w"].grad += dscores.T @ features
+    store[f"head.{head}_b"].grad += dscores.sum(axis=0)
+    return dscores @ store[f"head.{head}_w"].value
 
 
 @dataclass
@@ -164,25 +174,40 @@ class _Forward:
     masks: tuple[np.ndarray, np.ndarray] | None  # (nugget, type) dropout masks
 
 
-class CharEncoderBase:
-    """Shared sentence encoding and batched forward/backward plumbing.
+# kind -> class.  Each subclass adds itself when it is defined; the package
+# imports every model module, so the table is complete once nuggetnet is.
+MODEL_CLASSES: dict[str, type["CharEncoderBase"]] = {}
 
-    Subclasses own the store, config, vocab and their heads; this base turns
-    (sentence encoding, char index) rows into fused head inputs and routes
-    head gradients back down.
+
+class CharEncoderBase:
+    """What every model kind shares: its state, the encoder, batched plumbing and the checkpoint.
+
+    The store holds the encoder tensors, then the subclass's head tensors,
+    which its __init__ adds after calling this one.  This base turns
+    (sentence encoding, char index) rows into fused head inputs, routes head
+    gradients back down, and saves and loads any kind in one layout.  A
+    subclass's `kind` names it in checkpoints and in the run config.
     """
 
-    config: ModelConfig
-    vocab: Vocabulary
-    store: ParamStore
+    kind: str
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        MODEL_CLASSES[cls.kind] = cls
+
+    def __init__(self, config: ModelConfig, vocab: Vocabulary, subtypes: SubtypeInventory, rng_seed: int = 0):
+        self.config = config
+        self.vocab = vocab
+        self.subtypes = subtypes
+        self.rng_seed = rng_seed
+        self.store = ParamStore(rng_seed)
+        register_encoder_params(self.store, config.extractor, vocab)
 
     def encode_sentence(self, sentence: AnnotatedSentence) -> SentenceEncoding:
-        char_ids = np.array([self.vocab.char_id(ch) for ch in sentence.text], dtype=np.int64)
-        word_ids = np.array([self.vocab.word_id(w) for w in sentence.words], dtype=np.int64)
         char_to_word = np.array(
             [sentence.word_index_of(i) for i in range(len(sentence.text))], dtype=np.int64
         )
-        return SentenceEncoding(char_ids, word_ids, char_to_word)
+        return SentenceEncoding(self.vocab.char_ids(sentence.text), self.vocab.word_ids(sentence.words), char_to_word)
 
     def _forward(
         self, items: Sequence[tuple[SentenceEncoding, int]], drop_rng: np.random.Generator | None = None
@@ -232,28 +257,51 @@ class CharEncoderBase:
     def _sentence_forward(self, enc: SentenceEncoding) -> _Forward:
         return self._forward([(enc, ci) for ci in range(enc.char_ids.shape[0])])
 
+    # -- persistence -------------------------------------------------------
+
+    def save(self, path, trainer_state: dict | None = None) -> None:
+        meta = {
+            "kind": self.kind,
+            "config": self.config.to_json(),
+            "vocab": self.vocab.to_json(),
+            "subtypes": self.subtypes.names,
+            "rng_seed": self.rng_seed,
+        }
+        if trainer_state is not None:
+            meta["trainer_state"] = trainer_state
+        save_checkpoint(path, self.store, meta)
+
+    @classmethod
+    def from_meta(cls, meta: dict) -> "CharEncoderBase":
+        """A freshly initialised model of this kind with the checkpoint's config, vocab and subtypes."""
+        return cls(
+            config=ModelConfig.from_json(meta["config"]),
+            vocab=Vocabulary.from_json(meta["vocab"]),
+            subtypes=SubtypeInventory(meta["subtypes"]),
+            rng_seed=int(meta.get("rng_seed", 0)),
+        )
+
+    @classmethod
+    def load(cls, path) -> tuple["CharEncoderBase", dict]:
+        """(model, metadata) from a checkpoint of this kind; any other kind raises CheckpointError."""
+        meta, tensors = load_checkpoint(path)
+        if meta.get("kind") != cls.kind:
+            raise CheckpointError(f"{path}: checkpoint kind {meta.get('kind')!r} is not {cls.kind!r}")
+        model = cls.from_meta(meta)
+        restore_store(model.store, tensors)
+        return model, meta
+
 
 class CharSpanModel(CharEncoderBase):
     """Joint nugget-proposal and subtype classifier over characters."""
 
     kind = "proposal"
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        vocab: Vocabulary,
-        subtypes: SubtypeInventory,
-        rng_seed: int = 0,
-    ):
+    def __init__(self, config: ModelConfig, vocab: Vocabulary, subtypes: SubtypeInventory, rng_seed: int = 0):
         if len(subtypes) < 1:
             raise ConfigError("model needs at least one event subtype")
-        self.config = config
-        self.vocab = vocab
-        self.subtypes = subtypes
-        self.rng_seed = rng_seed
+        super().__init__(config, vocab, subtypes, rng_seed)
         self.n_nugget_classes = num_nugget_classes(config.max_nugget_len)
-        self.store = ParamStore(rng_seed)
-        register_encoder_params(self.store, config.extractor, vocab)
         register_head_params(self.store, config.extractor.fused_dim, self.n_nugget_classes, len(subtypes))
 
     # -- inference ---------------------------------------------------------
@@ -311,53 +359,14 @@ class CharSpanModel(CharEncoderBase):
         self._backward(fwd, df_nugget, df_type)
         return loss_nugget + loss_type
 
-    # -- persistence -------------------------------------------------------
 
-    def save(self, path, trainer_state: dict | None = None) -> None:
-        meta = {
-            "kind": self.kind,
-            "config": self.config.to_json(),
-            "vocab": self.vocab.to_json(),
-            "subtypes": self.subtypes.names,
-            "rng_seed": self.rng_seed,
-        }
-        if trainer_state is not None:
-            meta["trainer_state"] = trainer_state
-        save_checkpoint(path, self.store, meta)
-
-    @classmethod
-    def from_meta(cls, meta: dict) -> "CharSpanModel":
-        return cls(
-            config=ModelConfig.from_json(meta["config"]),
-            vocab=Vocabulary.from_json(meta["vocab"]),
-            subtypes=SubtypeInventory(meta["subtypes"]),
-            rng_seed=int(meta.get("rng_seed", 0)),
-        )
-
-    @classmethod
-    def load(cls, path) -> tuple["CharSpanModel", dict]:
-        meta, tensors = load_checkpoint(path)
-        if meta.get("kind") != cls.kind:
-            raise CheckpointError(f"{path}: checkpoint kind {meta.get('kind')!r} is not {cls.kind!r}")
-        model = cls.from_meta(meta)
-        restore_store(model.store, tensors)
-        return model, meta
-
-
-def load_model(path):
+def load_model(path) -> tuple[CharEncoderBase, dict]:
     """Open any checkpoint, dispatching on its recorded model kind."""
     meta, tensors = load_checkpoint(path)
     kind = meta.get("kind")
-    if kind == CharSpanModel.kind:
-        model = CharSpanModel.from_meta(meta)
-    else:
-        from .baselines import IOBModel, WordwiseModel
-
-        if kind == IOBModel.kind:
-            model = IOBModel.from_meta(meta)
-        elif kind == WordwiseModel.kind:
-            model = WordwiseModel.from_meta(meta)
-        else:
-            raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+    cls = MODEL_CLASSES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+    model = cls.from_meta(meta)
     restore_store(model.store, tensors)
     return model, meta

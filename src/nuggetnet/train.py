@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -53,17 +53,7 @@ class TrainConfig:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
 
     def to_json(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "neg_ratio": self.neg_ratio,
-            "patience": self.patience,
-            "rng_seed": self.rng_seed,
-            "rho": self.rho,
-            "eps": self.eps,
-            "eval_every": self.eval_every,
-            "stop_at_dev_f1": self.stop_at_dev_f1,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -14,15 +14,16 @@ import numpy as np
 import pytest
 
 from nuggetnet.corpus import AnnotatedSentence, MatchType, SubtypeInventory, TriggerNugget, build_vocab
-from nuggetnet.decoder import Prediction, decode_oracle, decode_sentence
+from nuggetnet.decoder import Prediction, decode_sentence
 from nuggetnet.encoder import ExtractorConfig, HybridMode, fuse
 from nuggetnet.evaluate import ScoreMode, recall_by_match_type, score
-from nuggetnet.heads import decode_label, label_for, label_to_class, num_nugget_classes
+from nuggetnet.labels import decode_label, label_for, label_to_class, num_nugget_classes
 from nuggetnet.model import CharSpanModel, ModelConfig
 from nuggetnet.ndcore import ParamStore, grad_check
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
 from nuggetnet.train import TRAIN_LOG, BEST_CHECKPOINT, LAST_CHECKPOINT, TrainConfig, evaluate_model, train
 
+from decode_reference import decode_oracle
 from util import small_model, toy_corpus, widen_params
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -19,12 +19,12 @@ from nuggetnet.corpus import (
     TriggerNugget,
     build_vocab,
 )
-from nuggetnet.errors import ConfigError
-from nuggetnet.model import ModelConfig, load_model
+from nuggetnet.errors import CheckpointError, ConfigError
+from nuggetnet.model import MODEL_CLASSES, ModelConfig, load_model
 from nuggetnet.ndcore import grad_check
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
 
-from util import small_extractor, toy_corpus, widen_params
+from util import KINDS, small_extractor, small_model, toy_corpus, widen_params
 
 INV = SubtypeInventory(("att", "inj"))
 
@@ -259,11 +259,13 @@ class TestWordwiseModel:
             np.testing.assert_array_equal(loaded.store[name].value, model.store[name].value)
         assert isinstance(load_model(path)[0], WordwiseModel)
 
-    def test_wrong_kind_rejected(self, tmp_path, corpus3):
-        model = word_model(corpus3)
-        path = tmp_path / "ww.ckpt"
-        model.save(path)
-        from nuggetnet.errors import CheckpointError
 
-        with pytest.raises(CheckpointError, match="kind"):
-            IOBModel.load(path)
+@pytest.mark.parametrize("kind", KINDS)
+def test_wrong_kind_rejected(tmp_path, corpus3, kind):
+    path = tmp_path / f"{kind}.ckpt"
+    small_model(corpus3, kind=kind).save(path)
+    assert type(load_model(path)[0]) is MODEL_CLASSES[kind]
+    for other in MODEL_CLASSES.values():
+        if other.kind != kind:
+            with pytest.raises(CheckpointError, match=f"checkpoint kind '{kind}' is not '{other.kind}'"):
+                other.load(path)

@@ -243,6 +243,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="bad.yaml"):
             load_run_config(path)
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [("vocab_min_count: lots\n", "vocab_min_count"), ("generator: {n_sentences: 4, seed: x7}\n", "generator.seed")],
+    )
+    def test_non_integer_value_names_file(self, tmp_path, capsys, text, where):
+        path = tmp_path / "run.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"run.yaml: {where} must be an integer"):
+            load_run_config(path)
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "data")]) == 1
+        assert f"{where} must be an integer" in capsys.readouterr().err
+
     def test_round_trip_through_yaml(self, tmp_path):
         path = tmp_path / "run.yaml"
         write_config(path, tmp_path / "out", tmp_path / "data", epochs=7)

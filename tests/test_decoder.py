@@ -11,7 +11,6 @@ from nuggetnet.decoder import (
     DecodeStats,
     Prediction,
     decode_corpus,
-    decode_oracle,
     decode_sentence,
     load_predictions,
     save_predictions,
@@ -19,6 +18,7 @@ from nuggetnet.decoder import (
 from nuggetnet.errors import CorpusFormatError
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
 
+from decode_reference import decode_oracle
 from util import SCHEMA_DIR, small_model, toy_corpus, widen_params
 
 

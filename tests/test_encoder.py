@@ -144,6 +144,12 @@ class TestExtractBranch:
         with pytest.raises(ShapeError):
             extract_branch(store, "char", [], cfg)
 
+    def test_no_centers_rejected(self):
+        cfg = small_extractor()
+        store = branch_store(cfg)
+        with pytest.raises(ShapeError, match="no centers"):
+            extract_branch(store, "char", [([2, 3, 4], []), ([5, 6], [])], cfg)
+
     def test_segments_match_separate_calls(self):
         cfg = small_extractor()
         store = branch_store(cfg)

@@ -7,8 +7,8 @@ import nuggetnet.model as nmodel
 from nuggetnet.corpus import SubtypeInventory, build_vocab
 from nuggetnet.decoder import decode_sentence
 from nuggetnet.errors import CheckpointError, ConfigError
-from nuggetnet.heads import head_scores, num_nugget_classes
-from nuggetnet.model import CharSpanModel, ModelConfig, _view_starts, load_model
+from nuggetnet.labels import num_nugget_classes
+from nuggetnet.model import CharSpanModel, ModelConfig, _view_starts, head_scores, load_model
 from nuggetnet.ndcore import grad_check, save_checkpoint, softmax
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
 
@@ -75,7 +75,7 @@ class TestCharSpanModel:
         assert np.all(pn > 0) and np.all(pt > 0)
 
     def test_training_streams_split(self, corpus3):
-        from nuggetnet.heads import NuggetLabel
+        from nuggetnet.labels import NuggetLabel
 
         model = small_model(corpus3)
         gen, cls = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)

@@ -16,7 +16,7 @@ from nuggetnet.train import (
     train,
 )
 
-from util import small_model
+from util import KINDS, small_model
 
 
 def tiny_corpus(n=8, seed=1):
@@ -80,15 +80,18 @@ class TestDeterminism:
         b = (tmp_path / "b" / LAST_CHECKPOINT).read_bytes()
         assert a != b
 
-    def test_resume_matches_straight_run(self, tmp_path):
+    @pytest.mark.parametrize("stop", [1, 2, 3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_resume_matches_straight_run(self, tmp_path, kind, stop):
         corpus = tiny_corpus()
 
-        straight = tiny_model(corpus, rng_seed=5)
+        straight = tiny_model(corpus, rng_seed=5, kind=kind)
         train(straight, corpus, corpus, quick_config(epochs=4), out_dir=tmp_path / "full")
 
-        split = tiny_model(corpus, rng_seed=5)
-        train(split, corpus, corpus, quick_config(epochs=2), out_dir=tmp_path / "part")
-        resumed, meta = CharSpanModel.load(tmp_path / "part" / LAST_CHECKPOINT)
+        split = tiny_model(corpus, rng_seed=5, kind=kind)
+        train(split, corpus, corpus, quick_config(epochs=stop), out_dir=tmp_path / "part")
+        resumed, meta = load_model(tmp_path / "part" / LAST_CHECKPOINT)
+        assert meta["kind"] == kind and meta["trainer_state"]["epoch"] == stop - 1
         train(
             resumed,
             corpus,

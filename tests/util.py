@@ -8,9 +8,11 @@ import numpy as np
 
 from nuggetnet.corpus import AnnotatedSentence, SubtypeInventory, TriggerNugget, build_vocab
 from nuggetnet.encoder import ExtractorConfig, HybridMode
-from nuggetnet.model import CharSpanModel, ModelConfig
+from nuggetnet.model import MODEL_CLASSES, CharEncoderBase, ModelConfig
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
+
+KINDS = ("proposal", "iob", "wordwise")
 
 # every character distinct within a sentence and max_rel_dist chosen to cover
 # whole sentences: no duplicate conv inputs, hence no exact pooling ties
@@ -44,8 +46,11 @@ def small_model(
     mode: HybridMode = HybridMode.GENERAL,
     rng_seed: int = 1,
     max_nugget_len: int = 3,
+    kind: str = "proposal",
     **extractor_overrides,
-) -> CharSpanModel:
+) -> CharEncoderBase:
+    if kind == "wordwise":  # the word classifier runs on the word branch alone
+        extractor_overrides.setdefault("use_chars", False)
     vocab = build_vocab(corpus, max_rel_dist=extractor_overrides.get("max_rel_dist", 10))
     inventory = SubtypeInventory.from_corpus(corpus)
     config = ModelConfig(
@@ -53,7 +58,7 @@ def small_model(
         max_nugget_len=max_nugget_len,
         max_tokens=40,
     )
-    return CharSpanModel(config, vocab, inventory, rng_seed=rng_seed)
+    return MODEL_CLASSES[kind](config, vocab, inventory, rng_seed=rng_seed)
 
 
 def widen_params(store, scale: float = 0.4, rng_seed: int = 99) -> None:
