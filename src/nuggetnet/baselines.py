@@ -175,13 +175,15 @@ class WordwiseModel(CharEncoderBase):
         self.store.add("head.wordtype_w", (self.n_classes, config.extractor.fused_dim), init="glorot")
         self.store.add("head.wordtype_b", (self.n_classes,), init="zeros")
 
-    def _word_features(self, sentences: Sequence[AnnotatedSentence], word_indices: Sequence[int]):
+    def _word_features(
+        self, sentences: Sequence[AnnotatedSentence], word_indices: Sequence[int], for_backward: bool = True
+    ):
         """The word branch for (sentence, word index) rows, one extract_branch call in all."""
         groups = [
             (self.vocab.word_ids(sentence.words), np.array([word_indices[r] for r in rows], dtype=np.int64), rows)
             for sentence, rows in _rows_by_sentence(sentences)
         ]
-        return _branch_rows(self.store, self.config, "word", groups)
+        return _branch_rows(self.store, self.config, "word", groups, for_backward)
 
     @staticmethod
     def word_labels(sentence: AnnotatedSentence, inventory: SubtypeInventory) -> list[int]:
@@ -213,7 +215,7 @@ class WordwiseModel(CharEncoderBase):
 
     def predict_sentence(self, sentence: AnnotatedSentence) -> list[Prediction]:
         n_words = len(sentence.word_spans)
-        fp = self._word_features([sentence] * n_words, range(n_words)).fp
+        fp = self._word_features([sentence] * n_words, range(n_words), for_backward=False).fp
         probs = softmax(head_scores(self.store, "wordtype", fp))
         preds = []
         for wi, (s, e) in enumerate(sentence.word_spans):

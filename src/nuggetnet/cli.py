@@ -17,11 +17,11 @@ import sys
 
 from .config import RunConfig, dump_resolved_config, load_run_config
 from .corpus import SubtypeInventory, build_vocab, load_corpus, save_corpus
-from .decoder import load_predictions, save_predictions
+from .decoder import decode_corpus, load_predictions, save_predictions
 from .encoder import load_embeddings_file
 from .errors import ConfigError, NuggetError
 from .evaluate import ScoreMode, corpus_match_stats, recall_by_match_type, score
-from .model import MODEL_CLASSES, load_model
+from .model import MODEL_CLASSES, CharSpanModel, load_model
 from .synthgen import GenSpec, allocate_quotas, default_subtype_names, generate_synthetic_corpus
 from .train import LAST_CHECKPOINT, train
 
@@ -124,10 +124,16 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model, _ = load_model(args.model)
     corpus = load_corpus(args.input)
-    predictions = {s.key: model.predict_sentence(s) for s in corpus}
+    stats = None
+    if isinstance(model, CharSpanModel):
+        predictions, stats = decode_corpus(model, corpus)
+    else:
+        predictions = {s.key: model.predict_sentence(s) for s in corpus}
     save_predictions(args.out, predictions)
     n = sum(len(p) for p in predictions.values())
     print(f"wrote {n} predictions for {len(corpus)} sentences to {args.out}")
+    if stats is not None:
+        print(f"decoder: {stats.proposed} proposed, {stats.out_of_bounds} out of bounds, {stats.merged} merged")
     return 0
 
 

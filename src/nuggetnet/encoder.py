@@ -20,8 +20,12 @@ slice of P.  Pooling takes the max of the pre-activations and applies tanh
 to the 2 x filters pooled values only, which is exact because tanh is
 monotone.  Only one (n x filters) map exists at a time, so the working
 memory is O(n * filters): no (centers x n x filters) tensor is built.  One
-matmul projects all centers.  The backward pass scatters each pooled
-gradient to its argmax column only, into an (n x filters) token map and a
+matmul projects all centers.  The forward pass takes the pooled values
+only (ndcore.split_max_pool), so inference never pays for an argmax, and
+its cache keeps T and P for a backward pass (inference drops them, see
+model._branch_rows).  The backward pass finds each pooled value's argmax
+column over the same maps (ndcore.split_argmax), scatters each pooled
+gradient to that column only, into an (n x filters) token map and a
 ((2n-1) x filters) offset map, and turns each map into weight and
 embedding gradients with one matmul.
 
@@ -33,8 +37,8 @@ view of a long sentence, or several short sentences of a training batch.
 The convolutions read the segments' padded tokens back to back, one window
 slot at a time, so no (columns x window*dim) matrix of windows is built.
 All segments share the offset table of the longest one, so one pooling
-pass (ndcore.split_max_pool) serves every center of the call: each center
-pools over its own segment's rows of the packed token term only.
+pass serves every center of the call: each center pools over its own
+segment's rows of the packed token term only.
 Backward passes are written out by hand; the gradient checker in ndcore is
 the authority on their correctness.
 """
@@ -49,7 +53,7 @@ import numpy as np
 
 from .corpus import PAD_ID, Vocabulary, relative_position_index
 from .errors import ConfigError, ShapeError
-from .ndcore import ParamStore, conv1d, sigmoid, split_max_pool
+from .ndcore import ParamStore, conv1d, sigmoid, split_argmax, split_max_pool
 
 
 class HybridMode(str, Enum):
@@ -168,9 +172,11 @@ class BranchCache:
 
     padded_ids: np.ndarray  # every segment's token ids with its conv pads, back to back
     pos_rows: np.ndarray  # (2N-1 + window-1,) position rows the offset convolution reads
-    has_left: np.ndarray  # (k,) False where the center is its segment's first token
-    cols: np.ndarray  # (k, 2*n_filters) token-conv position of each pooled value, left pool then right
-    offset_rows: np.ndarray  # (k, 2*n_filters) offset row of each pooled value
+    token_term: np.ndarray | None  # (columns, n_filters) token convolution, bias included
+    offset_term: np.ndarray | None  # (2N-1, n_filters) offset convolution; both None once no backward follows
+    centers: np.ndarray  # (k,) token-term row of each center
+    lo: np.ndarray  # (k,) first token-term row of each center's segment
+    hi: np.ndarray  # (k,) one past its last
     lex_ids: np.ndarray  # (k, 2*lex_window+1)
     feature: np.ndarray  # (k, feature_dim): tanh of both pools, lexical embeddings
     fp: np.ndarray  # (k, proj_dim) tanh-projected features
@@ -220,8 +226,7 @@ def extract_branch(
     lo = np.repeat(pad_starts[:-1], counts)
     hi = lo + np.repeat(lengths, counts)
     centers = lo + np.concatenate([c for _, c in segments])
-    left, right, left_arg, right_arg = split_max_pool(token_term, offset_term, centers, lo, hi)
-    cols = np.concatenate([left_arg, right_arg], axis=1)
+    left, right = split_max_pool(token_term, offset_term, centers, lo, hi)
     lex_slots = centers[:, None] + np.arange(-config.lex_window, config.lex_window + 1)
     inside = (lex_slots >= lo[:, None]) & (lex_slots < hi[:, None])
     lex_ids = np.where(inside, padded_ids[np.clip(lex_slots, lo[:, None], hi[:, None] - 1) + lead], PAD_ID)
@@ -229,8 +234,7 @@ def extract_branch(
         [np.tanh(np.concatenate([left, right], axis=1)), tok_emb[lex_ids].reshape(lex_ids.shape[0], -1)], axis=1
     )
     fp = np.tanh(feature @ store[f"{prefix}.proj_w"].value.T + store[f"{prefix}.proj_b"].value)
-    offset_rows = cols - centers[:, None] + longest - 1
-    return BranchCache(padded_ids, pos_rows, centers > lo, cols, offset_rows, lex_ids, feature, fp)
+    return BranchCache(padded_ids, pos_rows, token_term, offset_term, centers, lo, hi, lex_ids, feature, fp)
 
 
 def _conv1d_backward(dmap: np.ndarray, x: np.ndarray, w: np.ndarray, grad_w: np.ndarray) -> np.ndarray:
@@ -253,22 +257,23 @@ def branch_backward(store: ParamStore, prefix: str, cache: BranchCache, dfp: np.
 
     m = config.n_filters
     e = config.token_emb_dim
-    h = config.window
     tok_emb = store[f"{prefix}.tok_emb"]
     pos_emb = store[f"{prefix}.pos_emb"]
     np.add.at(tok_emb.grad, cache.lex_ids.reshape(-1), dfeature[:, 2 * m :].reshape(-1, e))
 
     pooled = cache.feature[:, : 2 * m]
     dpre = dfeature[:, : 2 * m] * (1.0 - pooled * pooled)
-    dpre[~cache.has_left, :m] = 0.0  # an empty left pool is a constant
+    dpre[cache.centers == cache.lo, :m] = 0.0  # an empty left pool is a constant
 
-    # each pooled value came from one conv column and one offset: scatter it into both maps
+    # each pooled value came from one conv column, its argmax (the forward pass took values only),
+    # and one offset row, N-1 + column - center: scatter it into both maps
+    cols = np.concatenate(split_argmax(cache.token_term, cache.offset_term, cache.centers, cache.lo, cache.hi), axis=1)
+    n_cols, n_offsets = cache.token_term.shape[0], cache.offset_term.shape[0]
+    offset_rows = cols - cache.centers[:, None] + (n_offsets - 1) // 2
     filters = np.tile(np.arange(m), 2)
     weights = dpre.reshape(-1)
-    n_cols = cache.padded_ids.shape[0] - h + 1
-    n_offsets = cache.pos_rows.shape[0] - h + 1
-    token_map = np.bincount((cache.cols * m + filters).reshape(-1), weights, n_cols * m).reshape(n_cols, m)
-    offset_map = np.bincount((cache.offset_rows * m + filters).reshape(-1), weights, n_offsets * m).reshape(-1, m)
+    token_map = np.bincount((cols * m + filters).reshape(-1), weights, n_cols * m).reshape(n_cols, m)
+    offset_map = np.bincount((offset_rows * m + filters).reshape(-1), weights, n_offsets * m).reshape(-1, m)
 
     conv_w = store[f"{prefix}.conv_w"]
     store[f"{prefix}.conv_b"].grad += token_map.sum(axis=0)

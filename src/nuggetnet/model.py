@@ -113,7 +113,11 @@ class _BranchRows:
 
 
 def _branch_rows(
-    store: ParamStore, config: ModelConfig, prefix: str, groups: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    store: ParamStore,
+    config: ModelConfig,
+    prefix: str,
+    groups: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    for_backward: bool = True,
 ) -> _BranchRows:
     """Features of one branch for (token ids, centers, batch rows) per sentence.
 
@@ -122,7 +126,11 @@ def _branch_rows(
     extract_branch call takes as many consecutive segments as fit in
     max_tokens tokens: a view of a long sentence, or several short
     sentences.  That bounds the kernel's working memory by max_tokens,
-    whatever the batch size.
+    whatever the batch size.  A cache keeps its call's token and offset
+    terms for branch_backward; with for_backward=False (no backward pass
+    follows) each call's terms are dropped as soon as its features are
+    out, so a sentence read through one view per center holds one pair of
+    terms at a time instead of one per view.
     """
     calls: list[list] = [[]]
     tokens = 0
@@ -144,7 +152,12 @@ def _branch_rows(
             position.update(zip(view_centers.tolist(), range(k, k + view_centers.shape[0])))
             k += view_centers.shape[0]
         cache_row[rows] = [position[c] for c in centers]
-    caches = [extract_branch(store, prefix, segments, config.extractor) for segments in calls]
+    caches = []
+    for segments in calls:
+        cache = extract_branch(store, prefix, segments, config.extractor)
+        if not for_backward:  # only branch_backward reads the terms
+            cache.token_term = cache.offset_term = None
+        caches.append(cache)
     return _BranchRows(prefix, caches, cache_row)
 
 
@@ -210,9 +223,15 @@ class CharEncoderBase:
         return SentenceEncoding(self.vocab.char_ids(sentence.text), self.vocab.word_ids(sentence.words), char_to_word)
 
     def _forward(
-        self, items: Sequence[tuple[SentenceEncoding, int]], drop_rng: np.random.Generator | None = None
+        self,
+        items: Sequence[tuple[SentenceEncoding, int]],
+        drop_rng: np.random.Generator | None = None,
+        for_backward: bool = True,
     ) -> _Forward:
-        """Head inputs for (encoding, char index) rows, all sentences' kernel calls shared."""
+        """Head inputs for (encoding, char index) rows, all sentences' kernel calls shared.
+
+        Inference passes for_backward=False: no branch keeps its terms.
+        """
         cfg = self.config.extractor
         groups = {"char": [], "word": []}
         for enc, rows in _rows_by_sentence([enc for enc, _ in items]):
@@ -220,7 +239,7 @@ class CharEncoderBase:
             groups["char"].append((enc.char_ids, chars, rows))
             groups["word"].append((enc.word_ids, enc.char_to_word[chars], rows))
         enabled = [p for p, on in (("char", cfg.use_chars), ("word", cfg.use_words)) if on]
-        branches = [_branch_rows(self.store, self.config, p, groups[p]) for p in enabled]
+        branches = [_branch_rows(self.store, self.config, p, groups[p], for_backward) for p in enabled]
         fp = {b.prefix: b.fp for b in branches}
         fusion = fuse(self.store, cfg, fp.get("char"), fp.get("word"))
         f_nugget, f_type = fusion.f_nugget, fusion.f_type
@@ -255,7 +274,7 @@ class CharEncoderBase:
         return rows
 
     def _sentence_forward(self, enc: SentenceEncoding) -> _Forward:
-        return self._forward([(enc, ci) for ci in range(enc.char_ids.shape[0])])
+        return self._forward([(enc, ci) for ci in range(enc.char_ids.shape[0])], for_backward=False)
 
     # -- persistence -------------------------------------------------------
 
@@ -273,13 +292,32 @@ class CharEncoderBase:
 
     @classmethod
     def from_meta(cls, meta: dict) -> "CharEncoderBase":
-        """A freshly initialised model of this kind with the checkpoint's config, vocab and subtypes."""
-        return cls(
-            config=ModelConfig.from_json(meta["config"]),
-            vocab=Vocabulary.from_json(meta["vocab"]),
-            subtypes=SubtypeInventory(meta["subtypes"]),
-            rng_seed=int(meta.get("rng_seed", 0)),
-        )
+        """A freshly initialised model of this kind with the checkpoint's config, vocab and subtypes.
+
+        Metadata that does not describe a model raises CheckpointError.
+        """
+        config, vocab, names = meta.get("config"), meta.get("vocab"), meta.get("subtypes")
+        if not (isinstance(config, dict) and isinstance(vocab, dict)):
+            raise CheckpointError("bad model metadata: config and vocab must be JSON objects")
+        if not all(isinstance(vocab.get(table), dict) for table in ("chars", "words")):
+            raise CheckpointError("bad model metadata: vocab must map chars and words to ids")
+        if not (isinstance(names, list) and names and all(isinstance(name, str) for name in names)):
+            raise CheckpointError(f"bad model metadata: subtypes must be a non-empty list of names, got {names!r}")
+        try:
+            config, vocab = ModelConfig.from_json(config), Vocabulary.from_json(vocab)
+        except (ConfigError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"bad model metadata: {type(exc).__name__}: {exc}") from exc
+        return cls(config=config, vocab=vocab, subtypes=SubtypeInventory(names), rng_seed=int(meta.get("rng_seed", 0)))
+
+    @classmethod
+    def _restore(cls, path, meta: dict, tensors: dict) -> "CharEncoderBase":
+        """from_meta filled with the checkpoint's tensors; a CheckpointError names the file."""
+        try:
+            model = cls.from_meta(meta)
+            restore_store(model.store, tensors)
+        except CheckpointError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
+        return model
 
     @classmethod
     def load(cls, path) -> tuple["CharEncoderBase", dict]:
@@ -287,9 +325,7 @@ class CharEncoderBase:
         meta, tensors = load_checkpoint(path)
         if meta.get("kind") != cls.kind:
             raise CheckpointError(f"{path}: checkpoint kind {meta.get('kind')!r} is not {cls.kind!r}")
-        model = cls.from_meta(meta)
-        restore_store(model.store, tensors)
-        return model, meta
+        return cls._restore(path, meta, tensors), meta
 
 
 class CharSpanModel(CharEncoderBase):
@@ -367,6 +403,4 @@ def load_model(path) -> tuple[CharEncoderBase, dict]:
     cls = MODEL_CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
-    model = cls.from_meta(meta)
-    restore_store(model.store, tensors)
-    return model, meta
+    return cls._restore(path, meta, tensors), meta

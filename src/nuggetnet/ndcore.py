@@ -127,21 +127,12 @@ def conv1d(inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = No
     return out
 
 
-def split_max_pool(
-    token_term: np.ndarray, offset_term: np.ndarray, cols, lo, hi
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Max pooling split at each center, over maps with a relative-position term.
+def _center_maps(token_term: np.ndarray, offset_term: np.ndarray, cols, lo, hi):
+    """Check a split pooling call and yield (i, lo[i], cols[i], center i's map), center by center.
 
-    token_term (rows, filters) holds one or more segments back to back;
-    center i sits at row cols[i] of the segment spanning rows
-    [lo[i], hi[i]).  Its map is token_term[j] + offset_term[j - cols[i] + N - 1]
-    over the segment's rows j, offset_term being the (2N-1, filters) table
-    of the offsets -(N-1) .. N-1 of the longest segment.  Per filter, the
-    left pool covers lo <= j < cols[i] and the right pool cols[i] <= j < hi;
-    each keeps the first maximum.  An empty left pool (cols[i] == lo) pools
-    to 0, the neutral value of tanh, with argmax lo.  Only one segment's
-    map exists at a time.  Returns (left, right, left_arg, right_arg), each
-    (k, filters); the argmax rows index token_term.
+    The map is token_term[j] + offset_term[j - cols[i] + N - 1] over the
+    segment's rows lo[i] <= j < hi[i], as a view of one reused buffer that
+    the next center's map overwrites.
     """
     rows, m = token_term.shape
     if offset_term.shape[0] % 2 != 1 or offset_term.shape[1:] != (m,):
@@ -154,20 +145,47 @@ def split_max_pool(
         raise ShapeError(
             f"centers {cols.tolist()} must lie in segments [lo, hi) of at most {n_max} of the {rows} rows"
         )
-    left_arg = np.repeat(lo[:, None], m, axis=1)
-    right_arg = np.empty((cols.shape[0], m), dtype=np.int64)
+    buf = np.empty((n_max, m))
     for i, (c, a, b) in enumerate(zip(cols.tolist(), lo.tolist(), hi.tolist())):
-        pre = token_term[a:b] + offset_term[a - c + n_max - 1 : b - c + n_max - 1]
+        yield i, a, c, np.add(token_term[a:b], offset_term[a - c + n_max - 1 : b - c + n_max - 1], out=buf[: b - a])
+
+
+def split_max_pool(token_term: np.ndarray, offset_term: np.ndarray, cols, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Max pooling split at each center, over maps with a relative-position term.
+
+    token_term (rows, filters) holds one or more segments back to back;
+    center i sits at row cols[i] of the segment spanning rows
+    [lo[i], hi[i]).  Its map is token_term[j] + offset_term[j - cols[i] + N - 1]
+    over the segment's rows j, offset_term being the (2N-1, filters) table
+    of the offsets -(N-1) .. N-1 of the longest segment.  Per filter, the
+    left pool covers lo <= j < cols[i] and the right pool cols[i] <= j < hi.
+    An empty left pool (cols[i] == lo) pools to 0, the neutral value of
+    tanh.  Only one center's map exists at a time.  Returns the pooled
+    values (left, right), each (k, filters); split_argmax, with the same
+    arguments, finds the rows they came from.
+    """
+    left = np.zeros((len(cols), token_term.shape[1]))
+    right = np.empty_like(left)
+    for i, a, c, pre in _center_maps(token_term, offset_term, cols, lo, hi):
         if c > a:
-            left_arg[i] = a + pre[: c - a].argmax(axis=0)
+            pre[: c - a].max(axis=0, out=left[i])
+        pre[c - a :].max(axis=0, out=right[i])
+    return left, right
+
+
+def split_argmax(token_term: np.ndarray, offset_term: np.ndarray, cols, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The token_term rows (left_arg, right_arg) of split_max_pool's pooled values, each (k, filters).
+
+    Each pool keeps the first maximum; an empty left pool points at lo.
+    The pooled values are token_term[arg] + offset_term[arg - cols[i] + N - 1]
+    exactly, as max returns one of the elements it compares.
+    """
+    left_arg = np.empty((len(cols), token_term.shape[1]), dtype=np.int64)
+    right_arg = np.empty_like(left_arg)
+    for i, a, c, pre in _center_maps(token_term, offset_term, cols, lo, hi):
+        left_arg[i] = a + pre[: c - a].argmax(axis=0) if c > a else a
         right_arg[i] = c + pre[c - a :].argmax(axis=0)
-    filters = np.arange(m)
-
-    def pooled(arg: np.ndarray) -> np.ndarray:
-        return token_term[arg, filters] + offset_term[arg - cols[:, None] + n_max - 1, filters]
-
-    left = np.where((cols > lo)[:, None], pooled(left_arg), 0.0)
-    return left, pooled(right_arg), left_arg, right_arg
+    return left_arg, right_arg
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from nuggetnet.decoder import Prediction, decode_sentence
 from nuggetnet.encoder import ExtractorConfig, HybridMode, fuse
 from nuggetnet.evaluate import ScoreMode, recall_by_match_type, score
 from nuggetnet.labels import decode_label, label_for, label_to_class, num_nugget_classes
-from nuggetnet.model import CharSpanModel, ModelConfig
+from nuggetnet.model import MODEL_CLASSES, ModelConfig
 from nuggetnet.ndcore import ParamStore, grad_check
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
 from nuggetnet.train import TRAIN_LOG, BEST_CHECKPOINT, LAST_CHECKPOINT, TrainConfig, evaluate_model, train
@@ -53,13 +53,10 @@ def wide_extractor(**overrides):
 
 
 def build_model(corpus, kind="proposal", rng_seed=1, **extractor_overrides):
-    from nuggetnet.baselines import IOBModel, WordwiseModel
-
     vocab = build_vocab(corpus, max_rel_dist=extractor_overrides.get("max_rel_dist", 12))
     subtypes = SubtypeInventory.from_corpus(corpus)
     config = ModelConfig(extractor=wide_extractor(**extractor_overrides), max_tokens=60)
-    cls = {"proposal": CharSpanModel, "iob": IOBModel, "wordwise": WordwiseModel}[kind]
-    return cls(config, vocab, subtypes, rng_seed=rng_seed)
+    return MODEL_CLASSES[kind](config, vocab, subtypes, rng_seed=rng_seed)
 
 
 def test_published_results_documented_as_out_of_scope(capsys):

@@ -6,8 +6,10 @@ import yaml
 from nuggetnet.cli import main
 from nuggetnet.config import load_run_config, parse_run_config
 from nuggetnet.corpus import load_corpus
-from nuggetnet.decoder import load_predictions
+from nuggetnet.decoder import decode_corpus, load_predictions, save_predictions
 from nuggetnet.errors import ConfigError
+from nuggetnet.model import load_model
+from nuggetnet.ndcore import ParamStore, load_checkpoint, save_checkpoint
 from nuggetnet.train import BEST_CHECKPOINT, LAST_CHECKPOINT, TRAIN_LOG
 
 SMALL_EXTRACTOR = {
@@ -177,6 +179,37 @@ class TestTrainPredictEval:
         assert info["parameters"] > 0
         assert info["subtypes"] == ["ev00", "ev01"]
 
+    def test_predict_reports_decode_stats(self, pipeline, capsys):
+        tmp_path, data_dir, out_dir, _ = pipeline
+        preds_path = tmp_path / "preds-stats.jsonl"
+        args = ["--model", str(out_dir / BEST_CHECKPOINT), "--input", str(data_dir / "test.jsonl")]
+        capsys.readouterr()
+        assert main(["predict", *args, "--out", str(preds_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        model, _ = load_model(out_dir / BEST_CHECKPOINT)
+        corpus = load_corpus(data_dir / "test.jsonl")
+        _, stats = decode_corpus(model, corpus)
+        assert lines[0].startswith("wrote ")
+        assert lines[1] == (
+            f"decoder: {stats.proposed} proposed, {stats.out_of_bounds} out of bounds, {stats.merged} merged"
+        )
+        # the file is what decoding sentence by sentence writes
+        per_sentence = tmp_path / "per-sentence.jsonl"
+        save_predictions(per_sentence, {s.key: model.predict_sentence(s) for s in corpus})
+        assert preds_path.read_bytes() == per_sentence.read_bytes()
+
+    def test_inspect_bad_metadata(self, pipeline, tmp_path, capsys):
+        _, _, out_dir, _ = pipeline
+        meta, _ = load_checkpoint(out_dir / BEST_CHECKPOINT)
+        del meta["config"]
+        path = tmp_path / "no-config.ckpt"
+        save_checkpoint(path, ParamStore(0), meta)
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: bad model metadata")
+        assert "Traceback" not in err
+
     def test_resume_after_completion_is_noop(self, pipeline, capsys):
         _, _, out_dir, cfg = pipeline
         before = (out_dir / LAST_CHECKPOINT).read_bytes()
@@ -210,6 +243,7 @@ class TestBaselineTraining:
         )
         assert rc == 0
         assert preds_path.exists()
+        assert "decoder:" not in capsys.readouterr().out  # decode statistics belong to the proposal decoder
 
 
 class TestRunConfig:

@@ -17,7 +17,7 @@ from nuggetnet.encoder import (
 )
 from nuggetnet.errors import ConfigError, ShapeError
 from nuggetnet.model import ModelConfig, _backward_rows, _branch_rows, _view_starts
-from nuggetnet.ndcore import ParamStore, grad_check, sigmoid
+from nuggetnet.ndcore import ParamStore, grad_check, sigmoid, split_argmax, split_max_pool
 
 from branch_reference import reference_branch, reference_view
 from util import small_extractor, small_model, toy_corpus, widen_params
@@ -94,6 +94,16 @@ def one_sequence(store, ids, centers, cfg):
     return extract_branch(store, "char", [(np.array(ids), np.array(centers))], cfg)
 
 
+def pool_args(cache):
+    """The split pooling arguments a cache keeps: token term, offset term, centers' rows and segment rows."""
+    return cache.token_term, cache.offset_term, cache.centers, cache.lo, cache.hi
+
+
+def argmax_cols(cache):
+    """(k, 2*n_filters) token-conv column of each pooled value, left pool then right, from split_argmax."""
+    return np.concatenate(split_argmax(*pool_args(cache)), axis=1)
+
+
 class TestExtractBranch:
     def test_feature_shape_and_projection(self):
         cfg = small_extractor()
@@ -117,8 +127,9 @@ class TestExtractBranch:
         t = np.tanh(0.7)
         # (left, right) pools: center 0 has no left side, center 2 sees 0.7 on its left only
         npt.assert_allclose(cache.feature[:, :2], [[0.0, t], [0.0, t], [t, 0.0]], atol=1e-15)
-        npt.assert_array_equal(cache.cols[:, 1], [1, 1, 2])  # right argmax columns
-        assert cache.cols[2, 0] == 1  # left argmax column of center 2
+        cols = argmax_cols(cache)
+        npt.assert_array_equal(cols[:, 1], [1, 1, 2])  # right argmax columns
+        assert cols[2, 0] == 1  # left argmax column of center 2
 
     def test_lexical_window_pads_out_of_range(self):
         cfg = small_extractor()
@@ -131,8 +142,25 @@ class TestExtractBranch:
         store = branch_store(cfg)
         cache = one_sequence(store, [2], [0], cfg)
         assert cache.padded_ids.shape == (cfg.window,)
-        assert not cache.has_left[0]  # no left context to pool
+        assert cache.centers[0] == cache.lo[0]  # no left context to pool
+        npt.assert_array_equal(argmax_cols(cache)[0, : cfg.n_filters], 0)  # the empty pool points at row lo
         npt.assert_array_equal(cache.feature[0, : cfg.n_filters], np.zeros(cfg.n_filters))
+
+    def test_decode_keeps_no_filter_map(self):
+        # past max_tokens every center reads its own view, one call each: without a backward pass a cache
+        # keeps per-center rows and the convolutions' input rows, but no (rows x filters) map
+        cfg = small_extractor()
+        store = branch_store(cfg, n_tokens=140)
+        config = ModelConfig(extractor=cfg, max_tokens=16)
+        n = 80
+        groups = [(np.arange(2, 2 + n), np.arange(n), np.arange(n))]
+        branch = _branch_rows(store, config, "char", groups, for_backward=False)
+        assert len(branch.caches) > n // 2
+        for cache in branch.caches:
+            k = cache.fp.shape[0]
+            for name, value in vars(cache).items():
+                assert value is None or value.ndim == 1 or value.shape[0] == k, name
+        npt.assert_array_equal(branch.fp, _branch_rows(store, config, "char", groups).fp)
 
     def test_center_out_of_range(self):
         cfg = small_extractor()
@@ -227,12 +255,13 @@ class TestKernelMatchesReference:
         centers = list(dict.fromkeys(centers))  # the kernel takes distinct centers, in any order
         store = branch_store(cfg, n_tokens=140, seed=seed)
         cache = one_sequence(store, ids, centers, cfg)
+        cols = argmax_cols(cache)
         m = cfg.n_filters
         for i, c in enumerate(centers):
             ref = reference_branch(store, "char", ids, c, cfg)
-            npt.assert_array_equal(cache.cols[i, m:], ref.right_arg)
+            npt.assert_array_equal(cols[i, m:], ref.right_arg)
             if c > 0:
-                npt.assert_array_equal(cache.cols[i, :m], ref.left_arg)
+                npt.assert_array_equal(cols[i, :m], ref.left_arg)
             npt.assert_allclose(cache.feature[i], ref.feature, rtol=0, atol=1e-12)
             npt.assert_allclose(cache.fp[i], ref.fp, rtol=0, atol=1e-12)
 
@@ -243,15 +272,27 @@ class TestKernelMatchesReference:
         cfg, segments, seed = case
         store = branch_store(cfg, n_tokens=140, seed=seed)
         cache = extract_branch(store, "char", segments, cfg)
+        left, right = split_max_pool(*pool_args(cache))
+        left_arg, right_arg = split_argmax(*pool_args(cache))
+        cols = np.concatenate([left_arg, right_arg], axis=1)
         m = cfg.n_filters
+
+        # the pooled values are the maps' elements at the argmax rows, bit for bit; an empty left pool is 0 at lo
+        filters = np.tile(np.arange(m), 2)
+        offsets = cols - cache.centers[:, None] + (cache.offset_term.shape[0] - 1) // 2
+        gathered = cache.token_term[cols, filters] + cache.offset_term[offsets, filters]
+        empty_left = cache.centers == cache.lo
+        gathered[empty_left, :m] = 0.0
+        npt.assert_array_equal(np.concatenate([left, right], axis=1).view(np.int64), gathered.view(np.int64))
+        assert np.all(left_arg[empty_left] == cache.lo[empty_left, None])
         starts = np.cumsum([0] + [ids.shape[0] + cfg.window - 1 for ids, _ in segments])
         row = 0
         for (ids, centers), start in zip(segments, starts):
             for c in centers.tolist():
                 ref = reference_branch(store, "char", ids, c, cfg)
-                npt.assert_array_equal(cache.cols[row, m:] - start, ref.right_arg)
+                npt.assert_array_equal(cols[row, m:] - start, ref.right_arg)
                 if c > 0:
-                    npt.assert_array_equal(cache.cols[row, :m] - start, ref.left_arg)
+                    npt.assert_array_equal(cols[row, :m] - start, ref.left_arg)
                 npt.assert_allclose(cache.feature[row], ref.feature, rtol=0, atol=1e-12)
                 npt.assert_allclose(cache.fp[row], ref.fp, rtol=0, atol=1e-12)
                 row += 1

@@ -8,11 +8,11 @@ from nuggetnet.corpus import SubtypeInventory, build_vocab
 from nuggetnet.decoder import decode_sentence
 from nuggetnet.errors import CheckpointError, ConfigError
 from nuggetnet.labels import num_nugget_classes
-from nuggetnet.model import CharSpanModel, ModelConfig, _view_starts, head_scores, load_model
-from nuggetnet.ndcore import grad_check, save_checkpoint, softmax
+from nuggetnet.model import MODEL_CLASSES, CharSpanModel, ModelConfig, _view_starts, head_scores, load_model
+from nuggetnet.ndcore import ParamStore, grad_check, load_checkpoint, save_checkpoint, softmax
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
 
-from util import small_extractor, small_model, toy_corpus, widen_params
+from util import KINDS, small_extractor, small_model, toy_corpus, widen_params
 
 
 class TestModelConfig:
@@ -203,9 +203,71 @@ class TestCharSpanModel:
         loaded, _ = load_model(path)
         assert isinstance(loaded, CharSpanModel)
 
-        from nuggetnet.ndcore import ParamStore
-
         bogus = tmp_path / "bogus.ckpt"
         save_checkpoint(bogus, ParamStore(0), {"kind": "mystery"})
         with pytest.raises(CheckpointError, match="mystery"):
             load_model(bogus)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_argmax_only_when_training(corpus3, monkeypatch, kind):
+    # prediction needs the pooled values only; a training step finds each argmax once, for its backward pass
+    calls = []
+    for module, name in ((nencoder, "split_argmax"), (nmodel, "branch_backward")):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    model = small_model(corpus3, kind=kind)
+    model.predict_sentence(corpus3[2])  # the proposal kind decodes through char_distributions
+    assert calls == []
+    stream_a, stream_b = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
+    model.loss_and_grads(stream_a, stream_b)
+    assert calls.count("split_argmax") == calls.count("branch_backward") > 0
+
+
+def saved_meta(model, path) -> dict:
+    model.save(path)
+    return load_checkpoint(path)[0]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("config", None),
+        ("vocab", None),
+        ("subtypes", None),
+        ("config", 3),
+        ("vocab", [1]),
+        ("vocab", {"chars": [1], "words": {}, "max_rel_dist": 12}),
+        ("subtypes", 3),
+        ("subtypes", "xy"),  # as many characters as the model has subtypes
+        ("subtypes", ["x", 7]),
+    ],
+)
+def test_bad_metadata_names_file(tmp_path, corpus3, kind, field, value):
+    # a checkpoint whose CRC holds but whose metadata does not describe a model: no bare KeyError or TypeError
+    model = small_model(corpus3, kind=kind)
+    path = tmp_path / "bad.ckpt"
+    meta = saved_meta(model, path)
+    if value is None:
+        del meta[field]
+    else:
+        meta[field] = value
+    save_checkpoint(path, model.store, meta)
+    for load in (load_model, MODEL_CLASSES[kind].load):
+        with pytest.raises(CheckpointError, match="bad model metadata") as info:
+            load(path)
+        assert str(path) in str(info.value)
+
+
+def test_tensor_mismatch_names_file(tmp_path, corpus3):
+    path = tmp_path / "headless.ckpt"
+    save_checkpoint(path, ParamStore(0), saved_meta(small_model(corpus3), path))
+    with pytest.raises(CheckpointError, match="missing parameter") as info:
+        load_model(path)
+    assert str(path) in str(info.value)

@@ -21,6 +21,7 @@ from nuggetnet.ndcore import (
     sigmoid,
     softmax,
     softmax_xent,
+    split_argmax,
     split_max_pool,
 )
 
@@ -68,20 +69,26 @@ class TestConv:
             conv1d(np.zeros((1, 3)), np.zeros((1, 6)), np.zeros(1))  # n < h
         with pytest.raises(ShapeError):
             conv1d(np.zeros((2, 3)), np.zeros((1, 6)), np.zeros(2))  # bias per filter
-        with pytest.raises(ShapeError):
-            split_max_pool(np.zeros((3, 2)), np.zeros((4, 2)), [0], [0], [3])  # offsets must be 2N-1
+        for pool in (split_max_pool, split_argmax):
+            with pytest.raises(ShapeError):
+                pool(np.zeros((3, 2)), np.zeros((4, 2)), [0], [0], [3])  # offsets must be 2N-1
+
+
+def split_pool(*args):
+    """(left, right, left_arg, right_arg): split_max_pool's values and split_argmax's rows for one call."""
+    return (*split_max_pool(*args), *split_argmax(*args))
 
 
 def pool_map(amap, c):
-    """split_max_pool on a plain (filters, columns) map, one segment: a zero offset term."""
+    """split_pool on a plain (filters, columns) map, one segment: a zero offset term."""
     amap = np.asarray(amap, dtype=np.float64)
     n = amap.shape[1]
-    left, right, left_arg, right_arg = split_max_pool(amap.T, np.zeros((2 * n - 1, amap.shape[0])), [c], [0], [n])
+    left, right, left_arg, right_arg = split_pool(amap.T, np.zeros((2 * n - 1, amap.shape[0])), [c], [0], [n])
     return left[0], right[0], left_arg[0], right_arg[0]
 
 
 class TestDynamicMultiPool:
-    """split_max_pool, the dynamic multi-pooling of DMCNN taken at every center."""
+    """split_max_pool and split_argmax, the dynamic multi-pooling of DMCNN taken at every center."""
 
     def test_split_at_center(self):
         amap = np.array([[1.0, 5.0, 2.0, 4.0], [-1.0, -5.0, -2.0, -4.0]])
@@ -112,7 +119,7 @@ class TestDynamicMultiPool:
         # one filter, 3 columns; the offset term favours the column just right of each center
         token = np.zeros((3, 1))
         offset = np.array([[0.0], [0.0], [0.0], [1.0], [0.0]])  # offsets -2 .. 2, +1 peaks
-        left, right, _, right_arg = split_max_pool(token, offset, [0, 1, 2], [0, 0, 0], [3, 3, 3])
+        left, right, _, right_arg = split_pool(token, offset, [0, 1, 2], [0, 0, 0], [3, 3, 3])
         npt.assert_array_equal(right_arg[:, 0], [1, 2, 2])
         npt.assert_array_equal(right[:, 0], [1.0, 1.0, 0.0])
         npt.assert_array_equal(left[:, 0], [0.0, 0.0, 0.0])
@@ -121,15 +128,16 @@ class TestDynamicMultiPool:
         # rows 0-1 are one segment and rows 4-6 another; the rows between them belong to neither
         token = np.array([[5.0], [1.0], [9.0], [9.0], [2.0], [7.0], [3.0]])
         offset = np.zeros((5, 1))  # offsets -2 .. 2: segments of up to 3 rows
-        left, right, left_arg, right_arg = split_max_pool(token, offset, [1, 4, 6], [0, 4, 4], [2, 7, 7])
+        left, right, left_arg, right_arg = split_pool(token, offset, [1, 4, 6], [0, 4, 4], [2, 7, 7])
         npt.assert_array_equal(left_arg[:, 0], [0, 4, 5])  # an empty left pool points at its segment's first row
         npt.assert_array_equal(right_arg[:, 0], [1, 5, 6])
         npt.assert_array_equal(left[:, 0], [5.0, 0.0, 7.0])
         npt.assert_array_equal(right[:, 0], [1.0, 7.0, 3.0])
-        with pytest.raises(ShapeError):
-            split_max_pool(token, offset, [4], [3], [7])  # a 4-row segment needs offsets -3 .. 3
-        with pytest.raises(ShapeError):
-            split_max_pool(token, offset, [3], [4], [7])  # center left of its segment
+        for pool in (split_max_pool, split_argmax):
+            with pytest.raises(ShapeError):
+                pool(token, offset, [4], [3], [7])  # a 4-row segment needs offsets -3 .. 3
+            with pytest.raises(ShapeError):
+                pool(token, offset, [3], [4], [7])  # center left of its segment
 
 
 def masked_sigmoid(x):
