@@ -178,7 +178,7 @@ class WordwiseModel(CharEncoderBase):
     def _word_features(
         self, sentences: Sequence[AnnotatedSentence], word_indices: Sequence[int], for_backward: bool = True
     ):
-        """The word branch for (sentence, word index) rows, one extract_branch call in all."""
+        """The word branch for (sentence, word index) rows, the kernel calls shared by all sentences."""
         groups = [
             (self.vocab.word_ids(sentence.words), np.array([word_indices[r] for r in rows], dtype=np.int64), rows)
             for sentence, rows in _rows_by_sentence(sentences)

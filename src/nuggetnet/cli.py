@@ -15,6 +15,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from .config import RunConfig, dump_resolved_config, load_run_config
 from .corpus import SubtypeInventory, build_vocab, load_corpus, save_corpus
 from .decoder import decode_corpus, load_predictions, save_predictions
@@ -165,7 +167,10 @@ def cmd_inspect(args) -> int:
     info = {
         "kind": meta.get("kind"),
         "parameters": model.store.n_parameters(),
-        "tensors": len(model.store.names()),
+        "tensors": [
+            {"name": name, "shape": list(p.value.shape), "l2": float(np.linalg.norm(p.value))}
+            for name, p in model.store.items()
+        ],
         "subtypes": model.subtypes.names,
         "vocab_chars": model.vocab.n_chars,
         "vocab_words": model.vocab.n_words,

@@ -24,10 +24,16 @@ def _field_names(cls) -> set[str]:
 
 
 def _int(value, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be an integer, got {value!r}") from exc
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _check_ints(section: dict, cls, where: str) -> None:
+    """Reject a float, bool or string given for one of cls's int fields."""
+    for f in fields(cls):
+        if f.type in ("int", int) and f.name in section:
+            _int(section[f.name], f"{where}.{f.name}")
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
@@ -91,6 +97,8 @@ def parse_run_config(data: dict) -> RunConfig:
         raise ConfigError(f"model.kind must be one of {kinds}, got {kind!r}")
     extractor_section = model_section.pop("extractor", {}) or {}
     _check_keys(extractor_section, _field_names(ExtractorConfig), "model.extractor")
+    _check_ints(extractor_section, ExtractorConfig, "model.extractor")
+    _check_ints(model_section, ModelConfig, "model")
     try:
         extractor = ExtractorConfig(**extractor_section)
         model = ModelConfig(extractor=extractor, **model_section)
@@ -99,6 +107,7 @@ def parse_run_config(data: dict) -> RunConfig:
 
     training_section = _section(data, "training")
     _check_keys(training_section, _field_names(TrainConfig), "training")
+    _check_ints(training_section, TrainConfig, "training")
     try:
         training = TrainConfig(**training_section)
     except TypeError as exc:
@@ -110,6 +119,7 @@ def parse_run_config(data: dict) -> RunConfig:
         gen_section = dict(_section(data, "generator"))
         gen_seed = _int(gen_section.pop("seed", 0), "generator.seed")
         _check_keys(gen_section, _field_names(GenSpec), "generator")
+        _check_ints(gen_section, GenSpec, "generator")
         if "subtypes" in gen_section:
             gen_section["subtypes"] = tuple(gen_section["subtypes"])
         if "proportions" in gen_section:

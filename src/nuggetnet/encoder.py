@@ -20,25 +20,29 @@ slice of P.  Pooling takes the max of the pre-activations and applies tanh
 to the 2 x filters pooled values only, which is exact because tanh is
 monotone.  Only one (n x filters) map exists at a time, so the working
 memory is O(n * filters): no (centers x n x filters) tensor is built.  One
-matmul projects all centers.  The forward pass takes the pooled values
-only (ndcore.split_max_pool), so inference never pays for an argmax, and
-its cache keeps T and P for a backward pass (inference drops them, see
-model._branch_rows).  The backward pass finds each pooled value's argmax
-column over the same maps (ndcore.split_argmax), scatters each pooled
-gradient to that column only, into an (n x filters) token map and a
-((2n-1) x filters) offset map, and turns each map into weight and
-embedding gradients with one matmul.
+matmul projects all centers.  Each center's map is built and reduced once
+per forward pass.  Without a backward pass the pooling takes the values
+only (ndcore.split_max_pool), so inference never pays for an argmax.
+With one (extract_branch's for_backward) it finds each pooled value's
+argmax row instead (ndcore.split_argmax) and reads the value back at that
+row, T[arg] + P[arg - c], which is exact because max returns one of the
+elements it compares.  The cache keeps those rows, and T and P die with
+the forward pass.  The backward pass scatters each pooled gradient to its
+row only, into an (n x filters) token map and a ((2n-1) x filters) offset
+map, and turns each map into weight and embedding gradients with one
+matmul.
 
 A model reads a sequence longer than its max_tokens through a
 max_tokens-long view centered on each character, clamped at the edges
 (model.py).  The centers that share a view share one segment.  One
-extract_branch call takes as many segments as fit in max_tokens tokens: one
-view of a long sentence, or several short sentences of a training batch.
-The convolutions read the segments' padded tokens back to back, one window
-slot at a time, so no (columns x window*dim) matrix of windows is built.
-All segments share the offset table of the longest one, so one pooling
-pass serves every center of the call: each center pools over its own
-segment's rows of the packed token term only.
+extract_branch call takes segments until its token term would pass a
+fixed element budget (model._CALL_ELEMENTS), and at least one: one view
+of a long sentence at many filters, a whole batch of short sentences at
+few.  The convolutions read the segments' padded tokens back to back, one
+window slot at a time, so no (columns x window*dim) matrix of windows is
+built.  All segments share the offset table of the longest one, so one
+pooling pass serves every center of the call: each center pools over its
+own segment's rows of the packed token term only.
 Backward passes are written out by hand; the gradient checker in ndcore is
 the authority on their correctness.
 """
@@ -87,7 +91,11 @@ class ExtractorConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         # tolerate the plain string form from config files
-        object.__setattr__(self, "hybrid_mode", HybridMode(self.hybrid_mode))
+        try:
+            object.__setattr__(self, "hybrid_mode", HybridMode(self.hybrid_mode))
+        except ValueError:
+            modes = tuple(mode.value for mode in HybridMode)
+            raise ConfigError(f"hybrid_mode must be one of {modes}, got {self.hybrid_mode!r}") from None
 
     @property
     def input_dim(self) -> int:
@@ -167,16 +175,15 @@ class BranchCache:
     The token convolution runs once over all segments' padded tokens back
     to back; conv column j of a segment starting at padded slot s is its
     position s + j.  Offset rows number the offsets -(N-1) .. N-1, N being
-    the longest segment's length.
+    the longest segment's length.  Every array is per center or a row of
+    convolution inputs: neither (rows x filters) term outlives the forward.
     """
 
     padded_ids: np.ndarray  # every segment's token ids with its conv pads, back to back
     pos_rows: np.ndarray  # (2N-1 + window-1,) position rows the offset convolution reads
-    token_term: np.ndarray | None  # (columns, n_filters) token convolution, bias included
-    offset_term: np.ndarray | None  # (2N-1, n_filters) offset convolution; both None once no backward follows
     centers: np.ndarray  # (k,) token-term row of each center
     lo: np.ndarray  # (k,) first token-term row of each center's segment
-    hi: np.ndarray  # (k,) one past its last
+    arg_rows: np.ndarray | None  # (k, 2*n_filters) token-term row of each pooled value; None without backward
     lex_ids: np.ndarray  # (k, 2*lex_window+1)
     feature: np.ndarray  # (k, feature_dim): tanh of both pools, lexical embeddings
     fp: np.ndarray  # (k, proj_dim) tanh-projected features
@@ -187,13 +194,42 @@ def _filters(conv_w: np.ndarray, config: ExtractorConfig) -> np.ndarray:
     return conv_w.reshape(config.n_filters, config.window, config.input_dim)
 
 
+def _offset_rows(arg_rows: np.ndarray, centers: np.ndarray, n_offsets: int) -> np.ndarray:
+    """Offset-term row of each pooled value at token-term row arg_rows[i, f]: N-1 + that row - center i's row."""
+    return arg_rows - centers[:, None] + (n_offsets - 1) // 2
+
+
+def _pooled_at(
+    token_term: np.ndarray, offset_term: np.ndarray, centers: np.ndarray, lo: np.ndarray, arg_rows: np.ndarray
+) -> np.ndarray:
+    """split_max_pool's values (left, right side by side) gathered at split_argmax's rows.
+
+    They equal split_max_pool's bit for bit: max returns one of the map
+    elements it compares, token_term[arg] + offset_term[offset row].  An
+    empty left pool is 0.
+    """
+    m = token_term.shape[1]
+    filters = np.tile(np.arange(m), 2)
+    offsets = _offset_rows(arg_rows, centers, offset_term.shape[0])
+    pooled = token_term[arg_rows, filters] + offset_term[offsets, filters]
+    pooled[centers == lo, :m] = 0.0
+    return pooled
+
+
 def extract_branch(
-    store: ParamStore, prefix: str, segments: Sequence[tuple[np.ndarray, np.ndarray]], config: ExtractorConfig
+    store: ParamStore,
+    prefix: str,
+    segments: Sequence[tuple[np.ndarray, np.ndarray]],
+    config: ExtractorConfig,
+    for_backward: bool = True,
 ) -> BranchCache:
     """Feature vectors of one branch for the centers of one or more token sequences.
 
     `segments` holds (token ids, center indices into them) per sequence;
-    the result has one row per center, segment after segment.
+    the result has one row per center, segment after segment.  With
+    for_backward the pooling finds each pooled value's row once
+    (split_argmax) and the cache keeps those rows for branch_backward;
+    without it the pooling takes the values only (split_max_pool).
     """
     segments = [(np.asarray(ids, dtype=np.int64), np.asarray(c, dtype=np.int64)) for ids, c in segments]
     if not segments or any(ids.ndim != 1 or ids.shape[0] == 0 for ids, _ in segments):
@@ -226,15 +262,18 @@ def extract_branch(
     lo = np.repeat(pad_starts[:-1], counts)
     hi = lo + np.repeat(lengths, counts)
     centers = lo + np.concatenate([c for _, c in segments])
-    left, right = split_max_pool(token_term, offset_term, centers, lo, hi)
+    if for_backward:
+        arg_rows = np.concatenate(split_argmax(token_term, offset_term, centers, lo, hi), axis=1)
+        pooled = _pooled_at(token_term, offset_term, centers, lo, arg_rows)
+    else:
+        arg_rows = None
+        pooled = np.concatenate(split_max_pool(token_term, offset_term, centers, lo, hi), axis=1)
     lex_slots = centers[:, None] + np.arange(-config.lex_window, config.lex_window + 1)
     inside = (lex_slots >= lo[:, None]) & (lex_slots < hi[:, None])
     lex_ids = np.where(inside, padded_ids[np.clip(lex_slots, lo[:, None], hi[:, None] - 1) + lead], PAD_ID)
-    feature = np.concatenate(
-        [np.tanh(np.concatenate([left, right], axis=1)), tok_emb[lex_ids].reshape(lex_ids.shape[0], -1)], axis=1
-    )
+    feature = np.concatenate([np.tanh(pooled), tok_emb[lex_ids].reshape(lex_ids.shape[0], -1)], axis=1)
     fp = np.tanh(feature @ store[f"{prefix}.proj_w"].value.T + store[f"{prefix}.proj_b"].value)
-    return BranchCache(padded_ids, pos_rows, token_term, offset_term, centers, lo, hi, lex_ids, feature, fp)
+    return BranchCache(padded_ids, pos_rows, centers, lo, arg_rows, lex_ids, feature, fp)
 
 
 def _conv1d_backward(dmap: np.ndarray, x: np.ndarray, w: np.ndarray, grad_w: np.ndarray) -> np.ndarray:
@@ -265,11 +304,12 @@ def branch_backward(store: ParamStore, prefix: str, cache: BranchCache, dfp: np.
     dpre = dfeature[:, : 2 * m] * (1.0 - pooled * pooled)
     dpre[cache.centers == cache.lo, :m] = 0.0  # an empty left pool is a constant
 
-    # each pooled value came from one conv column, its argmax (the forward pass took values only),
-    # and one offset row, N-1 + column - center: scatter it into both maps
-    cols = np.concatenate(split_argmax(cache.token_term, cache.offset_term, cache.centers, cache.lo, cache.hi), axis=1)
-    n_cols, n_offsets = cache.token_term.shape[0], cache.offset_term.shape[0]
-    offset_rows = cols - cache.centers[:, None] + (n_offsets - 1) // 2
+    # each pooled value came from one conv column, its argmax row, and one offset row: scatter it into
+    # both maps, whose row counts are the convolutions' output lengths
+    cols = cache.arg_rows
+    n_cols = cache.padded_ids.shape[0] - config.window + 1
+    n_offsets = cache.pos_rows.shape[0] - config.window + 1
+    offset_rows = _offset_rows(cols, cache.centers, n_offsets)
     filters = np.tile(np.arange(m), 2)
     weights = dpre.reshape(-1)
     token_map = np.bincount((cols * m + filters).reshape(-1), weights, n_cols * m).reshape(n_cols, m)
@@ -373,18 +413,24 @@ def fuse_backward(
 # ---------------------------------------------------------------------------
 
 
+# trailing whitespace an embeddings line may end in (word2vec writes " \n"); a token may be any other
+# space character, such as U+3000, so lines are split on " " alone
+_ASCII_SPACE = " \t\n\r\f\v"
+
+
 def load_embeddings_file(path, store: ParamStore, prefix: str, token_to_id: dict[str, int]) -> int:
     """Overwrite embedding rows from a text file of "token v1 v2 ..." lines.
 
-    Tokens absent from the vocabulary are skipped.  Returns the number of
-    rows loaded.  Dimension mismatches and non-numeric values raise
-    ConfigError naming the file and line.
+    Trailing ASCII whitespace is ignored.  Tokens absent from the
+    vocabulary are skipped.  Returns the number of rows loaded.  Dimension
+    mismatches and non-numeric values raise ConfigError naming the file
+    and line.
     """
     emb = store[f"{prefix}.tok_emb"].value
     loaded = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip(_ASCII_SPACE).split(" ")
             if len(parts) == 2 and lineno == 1 and all(p.isdigit() for p in parts):
                 continue  # optional "count dim" header
             token, values = parts[0], parts[1:]

@@ -112,6 +112,10 @@ class _BranchRows:
         return np.concatenate([cache.fp for cache in self.caches])[self.cache_row]
 
 
+# token-term elements (rows x filters) per extract_branch call: its terms and pooling buffers stay small
+_CALL_ELEMENTS = 1 << 15
+
+
 def _branch_rows(
     store: ParamStore,
     config: ModelConfig,
@@ -123,14 +127,15 @@ def _branch_rows(
 
     Each distinct center of a sentence is computed once.  Each
     max_tokens-long view a sentence needs is one segment, and one
-    extract_branch call takes as many consecutive segments as fit in
-    max_tokens tokens: a view of a long sentence, or several short
-    sentences.  That bounds the kernel's working memory by max_tokens,
-    whatever the batch size.  A cache keeps its call's token and offset
-    terms for branch_backward; with for_backward=False (no backward pass
-    follows) each call's terms are dropped as soon as its features are
-    out, so a sentence read through one view per center holds one pair of
-    terms at a time instead of one per view.
+    extract_branch call takes consecutive segments until its token term,
+    counted as tokens x n_filters, would pass _CALL_ELEMENTS; every call
+    takes at least one segment.  At few filters that packs a whole batch of
+    short sentences into one call, at many it leaves one view of a long
+    sentence per call, so a call's working memory is bounded by the larger
+    of the budget and one view, whatever the batch size.  for_backward
+    tells extract_branch whether branch_backward follows: only then does a
+    cache keep each pooled value's argmax row.  No cache keeps a token or
+    offset term.
     """
     calls: list[list] = [[]]
     tokens = 0
@@ -144,7 +149,7 @@ def _branch_rows(
         for start in sorted(set(starts.tolist())):
             view_centers = distinct[starts == start]
             view = ids[start : start + config.max_tokens]
-            if calls[-1] and tokens + view.shape[0] > config.max_tokens:
+            if calls[-1] and (tokens + view.shape[0]) * config.extractor.n_filters > _CALL_ELEMENTS:
                 calls.append([])
                 tokens = 0
             calls[-1].append((view, view_centers - start))
@@ -152,12 +157,7 @@ def _branch_rows(
             position.update(zip(view_centers.tolist(), range(k, k + view_centers.shape[0])))
             k += view_centers.shape[0]
         cache_row[rows] = [position[c] for c in centers]
-    caches = []
-    for segments in calls:
-        cache = extract_branch(store, prefix, segments, config.extractor)
-        if not for_backward:  # only branch_backward reads the terms
-            cache.token_term = cache.offset_term = None
-        caches.append(cache)
+    caches = [extract_branch(store, prefix, segments, config.extractor, for_backward) for segments in calls]
     return _BranchRows(prefix, caches, cache_row)
 
 
@@ -230,7 +230,7 @@ class CharEncoderBase:
     ) -> _Forward:
         """Head inputs for (encoding, char index) rows, all sentences' kernel calls shared.
 
-        Inference passes for_backward=False: no branch keeps its terms.
+        Inference passes for_backward=False: no branch finds an argmax.
         """
         cfg = self.config.extractor
         groups = {"char": [], "word": []}

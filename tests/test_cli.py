@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 
@@ -179,6 +180,19 @@ class TestTrainPredictEval:
         assert info["parameters"] > 0
         assert info["subtypes"] == ["ev00", "ev01"]
 
+    def test_inspect_lists_tensors(self, pipeline, capsys):
+        _, _, out_dir, _ = pipeline
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(out_dir / BEST_CHECKPOINT)]) == 0
+        tensors = json.loads(capsys.readouterr().out)["tensors"]
+        model, _ = load_model(out_dir / BEST_CHECKPOINT)
+        assert [t["name"] for t in tensors] == model.store.names()  # store order
+        for t in tensors:
+            value = model.store[t["name"]].value
+            assert t["shape"] == list(value.shape)
+            assert t["l2"] == pytest.approx(float(np.sqrt(np.sum(value * value))), rel=1e-12)
+        assert sum(np.prod(t["shape"]) for t in tensors) == model.store.n_parameters()
+
     def test_predict_reports_decode_stats(self, pipeline, capsys):
         tmp_path, data_dir, out_dir, _ = pipeline
         preds_path = tmp_path / "preds-stats.jsonl"
@@ -288,6 +302,30 @@ class TestRunConfig:
             load_run_config(path)
         assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "data")]) == 1
         assert f"{where} must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("model: {extractor: {n_filters: 2.5}}\n", "model.extractor.n_filters must be an integer, got 2.5"),
+            ("model: {extractor: {window: true}}\n", "model.extractor.window must be an integer, got True"),
+            ("model: {max_tokens: 50.5}\n", "model.max_tokens must be an integer, got 50.5"),
+            ("training: {batch_size: 2.5}\n", "training.batch_size must be an integer, got 2.5"),
+            ("training: {epochs: '3'}\n", "training.epochs must be an integer, got '3'"),
+            ("generator: {n_sentences: 4.0}\n", "generator.n_sentences must be an integer, got 4.0"),
+            ("model: {extractor: {hybrid_mode: bogus}}\n", "hybrid_mode must be one of"),
+        ],
+    )
+    def test_badly_typed_field_names_file(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_run_config(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+        capsys.readouterr()
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert "Traceback" not in err
 
     def test_round_trip_through_yaml(self, tmp_path):
         path = tmp_path / "run.yaml"

@@ -1,13 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nuggetnet.encoder as nencoder
+import nuggetnet.model as nmodel
 from nuggetnet.corpus import PAD_ID, build_vocab
 from nuggetnet.encoder import (
     BRANCH_PREFIXES,
     ExtractorConfig,
     HybridMode,
+    _pooled_at,
     branch_backward,
     extract_branch,
     fuse,
@@ -16,7 +21,7 @@ from nuggetnet.encoder import (
     register_encoder_params,
 )
 from nuggetnet.errors import ConfigError, ShapeError
-from nuggetnet.model import ModelConfig, _backward_rows, _branch_rows, _view_starts
+from nuggetnet.model import _CALL_ELEMENTS, ModelConfig, _backward_rows, _branch_rows, _view_starts
 from nuggetnet.ndcore import ParamStore, grad_check, sigmoid, split_argmax, split_max_pool
 
 from branch_reference import reference_branch, reference_view
@@ -59,7 +64,7 @@ class TestExtractorConfig:
             small_extractor(use_chars=False, use_words=False)
         with pytest.raises(ConfigError):
             small_extractor(dropout=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="hybrid_mode must be one of"):
             small_extractor(hybrid_mode="nonsense")
 
     def test_json_round_trip(self):
@@ -94,14 +99,27 @@ def one_sequence(store, ids, centers, cfg):
     return extract_branch(store, "char", [(np.array(ids), np.array(centers))], cfg)
 
 
-def pool_args(cache):
-    """The split pooling arguments a cache keeps: token term, offset term, centers' rows and segment rows."""
-    return cache.token_term, cache.offset_term, cache.centers, cache.lo, cache.hi
+def extract_with_terms(store, segments, cfg):
+    """A training extract_branch call's cache and the arguments it pooled with.
+
+    Those are (token term, offset term, centers' rows, segment starts, segment ends), as the call's one
+    split_argmax call received them; the cache keeps neither term.
+    """
+    with mock.patch.object(nencoder, "split_argmax", wraps=split_argmax) as spy:
+        cache = extract_branch(store, "char", segments, cfg)
+    (args, _), = spy.call_args_list
+    return cache, args
 
 
-def argmax_cols(cache):
-    """(k, 2*n_filters) token-conv column of each pooled value, left pool then right, from split_argmax."""
-    return np.concatenate(split_argmax(*pool_args(cache)), axis=1)
+def n_segments(branch):
+    """Segments over all of a branch's kernel calls: each has at least one center, each center one segment start."""
+    return sum(len(set(cache.lo.tolist())) for cache in branch.caches)
+
+
+def per_center_only(cache):
+    """Whether every array a cache keeps is 1-d or one row per center: no (rows x filters) map."""
+    k = cache.fp.shape[0]
+    return all(value is None or value.ndim == 1 or value.shape[0] == k for value in vars(cache).values())
 
 
 class TestExtractBranch:
@@ -127,7 +145,7 @@ class TestExtractBranch:
         t = np.tanh(0.7)
         # (left, right) pools: center 0 has no left side, center 2 sees 0.7 on its left only
         npt.assert_allclose(cache.feature[:, :2], [[0.0, t], [0.0, t], [t, 0.0]], atol=1e-15)
-        cols = argmax_cols(cache)
+        cols = cache.arg_rows
         npt.assert_array_equal(cols[:, 1], [1, 1, 2])  # right argmax columns
         assert cols[2, 0] == 1  # left argmax column of center 2
 
@@ -143,24 +161,33 @@ class TestExtractBranch:
         cache = one_sequence(store, [2], [0], cfg)
         assert cache.padded_ids.shape == (cfg.window,)
         assert cache.centers[0] == cache.lo[0]  # no left context to pool
-        npt.assert_array_equal(argmax_cols(cache)[0, : cfg.n_filters], 0)  # the empty pool points at row lo
+        npt.assert_array_equal(cache.arg_rows[0, : cfg.n_filters], 0)  # the empty pool points at row lo
         npt.assert_array_equal(cache.feature[0, : cfg.n_filters], np.zeros(cfg.n_filters))
 
     def test_decode_keeps_no_filter_map(self):
-        # past max_tokens every center reads its own view, one call each: without a backward pass a cache
-        # keeps per-center rows and the convolutions' input rows, but no (rows x filters) map
+        # past max_tokens most centers read a view of their own: without a backward pass a cache keeps
+        # per-center rows and the convolutions' input rows, but no (rows x filters) map of its views
         cfg = small_extractor()
         store = branch_store(cfg, n_tokens=140)
         config = ModelConfig(extractor=cfg, max_tokens=16)
         n = 80
         groups = [(np.arange(2, 2 + n), np.arange(n), np.arange(n))]
         branch = _branch_rows(store, config, "char", groups, for_backward=False)
-        assert len(branch.caches) > n // 2
-        for cache in branch.caches:
-            k = cache.fp.shape[0]
-            for name, value in vars(cache).items():
-                assert value is None or value.ndim == 1 or value.shape[0] == k, name
+        assert n_segments(branch) == len(set(_view_starts(n, np.arange(n), 16).tolist())) > n // 2
+        assert all(per_center_only(cache) and cache.arg_rows is None for cache in branch.caches)
         npt.assert_array_equal(branch.fp, _branch_rows(store, config, "char", groups).fp)
+
+    def test_training_keeps_no_filter_map(self):
+        # a training cache keeps each pooled value's argmax row, but neither term past the forward pass
+        cfg = small_extractor()
+        store = branch_store(cfg, n_tokens=140)
+        config = ModelConfig(extractor=cfg, max_tokens=16)
+        groups = [(np.arange(2, 82), np.arange(80), np.arange(80)), (np.arange(2, 12), np.arange(10), np.arange(80, 90))]
+        branch = _branch_rows(store, config, "char", groups)
+        assert n_segments(branch) > 10
+        for cache in branch.caches:
+            assert per_center_only(cache)
+            assert cache.arg_rows.shape == (cache.fp.shape[0], 2 * cfg.n_filters)
 
     def test_center_out_of_range(self):
         cfg = small_extractor()
@@ -255,7 +282,7 @@ class TestKernelMatchesReference:
         centers = list(dict.fromkeys(centers))  # the kernel takes distinct centers, in any order
         store = branch_store(cfg, n_tokens=140, seed=seed)
         cache = one_sequence(store, ids, centers, cfg)
-        cols = argmax_cols(cache)
+        cols = cache.arg_rows
         m = cfg.n_filters
         for i, c in enumerate(centers):
             ref = reference_branch(store, "char", ids, c, cfg)
@@ -271,16 +298,17 @@ class TestKernelMatchesReference:
         # one call pools every segment's centers; each must see only its own segment
         cfg, segments, seed = case
         store = branch_store(cfg, n_tokens=140, seed=seed)
-        cache = extract_branch(store, "char", segments, cfg)
-        left, right = split_max_pool(*pool_args(cache))
-        left_arg, right_arg = split_argmax(*pool_args(cache))
+        cache, (token_term, offset_term, *rows) = extract_with_terms(store, segments, cfg)
+        left, right = split_max_pool(token_term, offset_term, *rows)
+        left_arg, right_arg = split_argmax(token_term, offset_term, *rows)
         cols = np.concatenate([left_arg, right_arg], axis=1)
+        npt.assert_array_equal(cache.arg_rows, cols)
         m = cfg.n_filters
 
         # the pooled values are the maps' elements at the argmax rows, bit for bit; an empty left pool is 0 at lo
         filters = np.tile(np.arange(m), 2)
-        offsets = cols - cache.centers[:, None] + (cache.offset_term.shape[0] - 1) // 2
-        gathered = cache.token_term[cols, filters] + cache.offset_term[offsets, filters]
+        offsets = cols - cache.centers[:, None] + (offset_term.shape[0] - 1) // 2
+        gathered = token_term[cols, filters] + offset_term[offsets, filters]
         empty_left = cache.centers == cache.lo
         gathered[empty_left, :m] = 0.0
         npt.assert_array_equal(np.concatenate([left, right], axis=1).view(np.int64), gathered.view(np.int64))
@@ -297,6 +325,21 @@ class TestKernelMatchesReference:
                 npt.assert_allclose(cache.fp[row], ref.fp, rtol=0, atol=1e-12)
                 row += 1
         assert row == cache.fp.shape[0]
+
+    @given(segment_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_training_gathers_the_pooled_values(self, case):
+        # training takes the values at split_argmax's rows instead of calling split_max_pool: the same bits
+        cfg, segments, seed = case
+        store = branch_store(cfg, n_tokens=140, seed=seed)
+        cache, (token_term, offset_term, centers, lo, hi) = extract_with_terms(store, segments, cfg)
+        pooled = _pooled_at(token_term, offset_term, centers, lo, cache.arg_rows)
+        expected = np.concatenate(split_max_pool(token_term, offset_term, centers, lo, hi), axis=1)
+        npt.assert_array_equal(pooled.view(np.int64), expected.view(np.int64))
+        assert np.all(pooled[centers == lo, : cfg.n_filters] == 0.0)
+        decoded = extract_branch(store, "char", segments, cfg, for_backward=False)
+        npt.assert_array_equal(cache.feature.view(np.int64), decoded.feature.view(np.int64))
+        npt.assert_array_equal(cache.fp.view(np.int64), decoded.fp.view(np.int64))
 
     @given(kernel_cases(), st.sampled_from([5, 16, 120]))
     @settings(max_examples=40, deadline=None)
@@ -329,10 +372,38 @@ class TestKernelMatchesReference:
 
         branch = _branch_rows(store, config, "char", groups)
         npt.assert_array_equal(_view_starts(11, np.array([0, 5, 7, 10]), 6), [0, 2, 4, 5])
-        assert len(branch.caches) == 5  # one call per view of the long sentence, one for the short one
+        # one segment per view of the long sentence, one for the short one; at 6 filters all share one call
+        assert [len(set(cache.lo.tolist())) for cache in branch.caches] == [5]
         assert sum(cache.fp.shape[0] for cache in branch.caches) == 6  # the repeated center is computed once
         report = grad_check(closure, store, step=1e-5, tolerance=1e-5, coords_per_param=6, rng_seed=3)
         assert report.passed, report.summary()
+
+
+@given(
+    st.sampled_from([6, 40, 300]),
+    st.lists(st.integers(1, 250), min_size=1, max_size=6),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=25, deadline=None)
+def test_call_passes_the_element_budget_only_with_one_view(n_filters, lengths, seed):
+    # segments join a call until its token term would pass _CALL_ELEMENTS; only a lone view may pass it
+    cfg = small_extractor(token_emb_dim=3, pos_emb_dim=2, n_filters=n_filters, proj_dim=5)
+    store = branch_store(cfg, n_tokens=140, seed=seed, widen=False)
+    config = ModelConfig(extractor=cfg, max_tokens=120)
+    rng = np.random.default_rng(seed)
+    groups, row = [], 0
+    for n in lengths:
+        centers = rng.choice(n, size=min(n, 6), replace=False)
+        groups.append((rng.integers(2, 140, size=n), centers, np.arange(row, row + centers.shape[0])))
+        row += centers.shape[0]
+    with mock.patch.object(nmodel, "extract_branch", wraps=extract_branch) as spy:
+        _branch_rows(store, config, "char", groups)
+    sizes = [[ids.shape[0] for ids, _ in call.args[2]] for call in spy.call_args_list]
+    assert sum(map(len, sizes)) == sum(len(set(_view_starts(len(g[0]), g[1], 120).tolist())) for g in groups)
+    for call in sizes:
+        assert sum(call) * n_filters <= _CALL_ELEMENTS or len(call) == 1, call
+    for call, following in zip(sizes, sizes[1:]):  # no call closes before the budget makes it
+        assert (sum(call) + following[0]) * n_filters > _CALL_ELEMENTS
 
 
 class TestFusion:
@@ -502,6 +573,16 @@ class TestEmbeddingFile:
         path.write_text(f"8 8\n{corpus3[0].text[0]} 1 2 3 x 5 6 7 8\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="emb.txt: line 2"):
             load_embeddings_file(path, model.store, "char", model.vocab.char_to_id)
+
+    def test_trailing_spaces_and_header(self, tmp_path, corpus3):
+        # word2vec text files end every line, the "count dim" header too, in " \n"
+        model = small_model(corpus3, token_emb_dim=2)
+        a, b = corpus3[0].text[:2]
+        path = tmp_path / "emb.txt"
+        path.write_text(f"2 2 \n{a} 0.5 -0.25 \n{b} 1.5 2 \t\r\n", encoding="utf-8")
+        assert load_embeddings_file(path, model.store, "char", model.vocab.char_to_id) == 2
+        emb = model.store["char.tok_emb"].value
+        npt.assert_array_equal(emb[[model.vocab.char_id(a), model.vocab.char_id(b)]], [[0.5, -0.25], [1.5, 2.0]])
 
     def test_dimension_mismatch_raises(self, tmp_path, corpus3):
         model = small_model(corpus3)

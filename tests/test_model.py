@@ -45,9 +45,9 @@ def kernel_calls(monkeypatch):
     calls = []
     original = nmodel.extract_branch
 
-    def counting(store, prefix, segments, config):
+    def counting(store, prefix, segments, config, for_backward):
         calls.append((prefix, len(segments)))
-        return original(store, prefix, segments, config)
+        return original(store, prefix, segments, config, for_backward)
 
     monkeypatch.setattr(nmodel, "extract_branch", counting)
     return calls
@@ -142,8 +142,9 @@ class TestCharSpanModel:
         assert not np.allclose(fresh, before)
 
     def test_decode_makes_one_kernel_call_per_branch_and_view(self, kernel_calls):
-        # a long sentence read through 8-token views: the count grows with the views, not the
-        # characters, so the per-character path cannot come back unnoticed
+        # a long sentence read through 8-token views: the segment count grows with the views, not the
+        # characters, so the per-character path cannot come back unnoticed; at 6 filters every view of
+        # a branch fits one call's element budget
         spec = GenSpec(n_sentences=3, subtypes=default_subtype_names(2), min_context_words=12, max_context_words=14)
         corpus = generate_synthetic_corpus(spec, rng_seed=4)
         model = small_model(corpus, max_rel_dist=8)
@@ -156,7 +157,7 @@ class TestCharSpanModel:
         decode_sentence(model, sentence)
         char_views, word_views = n_views(len(sentence.text)), n_views(len(sentence.words))
         assert char_views > 1 and word_views > 1
-        assert kernel_calls == [("char", 1)] * char_views + [("word", 1)] * word_views
+        assert kernel_calls == [("char", char_views), ("word", word_views)]
 
     def test_short_sentences_share_kernel_calls(self, corpus3, kernel_calls):
         model = small_model(corpus3)  # max_tokens 40 holds the whole toy corpus
@@ -165,19 +166,26 @@ class TestCharSpanModel:
         assert kernel_calls == [("char", 3), ("word", 3)]
 
     def test_one_pooling_pass_per_kernel_call(self, corpus3, kernel_calls, monkeypatch):
+        # every segment's centers in one pass: the argmax when training, the values alone when decoding
         pools = []
-        original = nencoder.split_max_pool
+        for name in ("split_max_pool", "split_argmax"):
+            original = getattr(nencoder, name)
 
-        def counting(*args):
-            pools.append(args[2])  # the call's centers
-            return original(*args)
+            def counting(*args, _name=name, _original=original):
+                pools.append(_name)
+                return _original(*args)
 
-        monkeypatch.setattr(nencoder, "split_max_pool", counting)
+            monkeypatch.setattr(nencoder, name, counting)
         model = small_model(corpus3)
         gen, cls = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
         model.loss_and_grads(gen, cls)
         assert kernel_calls == [("char", 3), ("word", 3)]
-        assert len(pools) == len(kernel_calls)  # every segment's centers in one pass
+        assert pools == ["split_argmax"] * len(kernel_calls)
+        kernel_calls.clear()
+        pools.clear()
+        model.predict_sentence(corpus3[2])
+        assert kernel_calls == [("char", 1), ("word", 1)]
+        assert pools == ["split_max_pool"] * len(kernel_calls)
 
     def test_save_load_round_trip(self, tmp_path, corpus3):
         model = small_model(corpus3)
