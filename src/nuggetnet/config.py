@@ -23,17 +23,36 @@ def _field_names(cls) -> set[str]:
     return {f.name for f in fields(cls)}
 
 
-def _int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# declared field type -> (what a value must be, the check); a YAML list stands for a tuple
+_TYPE_CHECKS = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "float": ("a number", _is_number),
+    "float | None": ("a number or null", lambda v: v is None or _is_number(v)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "tuple[str, ...]": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "tuple[float, float, float]": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+}
+
+
+def _typed(value, type_name: str, where: str):
+    """value, if it has the declared type type_name; otherwise ConfigError naming where."""
+    what, ok = _TYPE_CHECKS[type_name]
+    if not ok(value):
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
     return value
 
 
-def _check_ints(section: dict, cls, where: str) -> None:
-    """Reject a float, bool or string given for one of cls's int fields."""
+def _check_types(section: dict, cls, where: str) -> None:
+    """Reject a value of the wrong type for any of cls's plainly typed fields, naming section.field."""
     for f in fields(cls):
-        if f.type in ("int", int) and f.name in section:
-            _int(section[f.name], f"{where}.{f.name}")
+        if f.name in section and f.type in _TYPE_CHECKS:
+            _typed(section[f.name], f.type, f"{where}.{f.name}")
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
@@ -97,8 +116,8 @@ def parse_run_config(data: dict) -> RunConfig:
         raise ConfigError(f"model.kind must be one of {kinds}, got {kind!r}")
     extractor_section = model_section.pop("extractor", {}) or {}
     _check_keys(extractor_section, _field_names(ExtractorConfig), "model.extractor")
-    _check_ints(extractor_section, ExtractorConfig, "model.extractor")
-    _check_ints(model_section, ModelConfig, "model")
+    _check_types(extractor_section, ExtractorConfig, "model.extractor")
+    _check_types(model_section, ModelConfig, "model")
     try:
         extractor = ExtractorConfig(**extractor_section)
         model = ModelConfig(extractor=extractor, **model_section)
@@ -107,7 +126,7 @@ def parse_run_config(data: dict) -> RunConfig:
 
     training_section = _section(data, "training")
     _check_keys(training_section, _field_names(TrainConfig), "training")
-    _check_ints(training_section, TrainConfig, "training")
+    _check_types(training_section, TrainConfig, "training")
     try:
         training = TrainConfig(**training_section)
     except TypeError as exc:
@@ -117,9 +136,9 @@ def parse_run_config(data: dict) -> RunConfig:
     gen_seed = 0
     if data.get("generator") is not None:
         gen_section = dict(_section(data, "generator"))
-        gen_seed = _int(gen_section.pop("seed", 0), "generator.seed")
+        gen_seed = _typed(gen_section.pop("seed", 0), "int", "generator.seed")
         _check_keys(gen_section, _field_names(GenSpec), "generator")
-        _check_ints(gen_section, GenSpec, "generator")
+        _check_types(gen_section, GenSpec, "generator")
         if "subtypes" in gen_section:
             gen_section["subtypes"] = tuple(gen_section["subtypes"])
         if "proportions" in gen_section:
@@ -133,6 +152,9 @@ def parse_run_config(data: dict) -> RunConfig:
     _check_keys(data_section, {"train", "dev", "test"}, "data")
     emb_section = _section(data, "embeddings")
     _check_keys(emb_section, {"chars", "words"}, "embeddings")
+    for name, section in (("data", data_section), ("embeddings", emb_section)):
+        for key, value in section.items():
+            _typed(value, "str | None", f"{name}.{key}")
 
     return RunConfig(
         model_kind=kind,
@@ -145,8 +167,8 @@ def parse_run_config(data: dict) -> RunConfig:
         test_path=data_section.get("test"),
         char_embeddings=emb_section.get("chars"),
         word_embeddings=emb_section.get("words"),
-        vocab_min_count=_int(data.get("vocab_min_count", RunConfig.vocab_min_count), "vocab_min_count"),
-        out_dir=data.get("out_dir"),
+        vocab_min_count=_typed(data.get("vocab_min_count", RunConfig.vocab_min_count), "int", "vocab_min_count"),
+        out_dir=_typed(data.get("out_dir"), "str | None", "out_dir"),
     )
 
 

@@ -162,7 +162,8 @@ class AnnotatedSentence:
         return [self.text[s : e + 1] for s, e in self.word_spans]
 
     @cached_property
-    def _char_to_word(self) -> tuple[int, ...]:
+    def char_to_word(self) -> tuple[int, ...]:
+        """Index of the word that holds each character, computed once per sentence."""
         out = [0] * len(self.text)
         for wi, (s, e) in enumerate(self.word_spans):
             for i in range(s, e + 1):
@@ -173,7 +174,7 @@ class AnnotatedSentence:
         """Index of the word whose span contains `char_index`."""
         if not 0 <= char_index < len(self.text):
             raise IndexError(f"char index {char_index} out of range for sentence {self.sent_id}")
-        return self._char_to_word[char_index]
+        return self.char_to_word[char_index]
 
     @property
     def key(self) -> tuple[str, str]:
@@ -284,10 +285,12 @@ class Vocabulary:
         return self.word_to_id.get(word, UNK_ID)
 
     def char_ids(self, chars: Iterable[str]) -> np.ndarray:
-        return np.array([self.char_id(c) for c in chars], dtype=np.int64)
+        get = self.char_to_id.get
+        return np.array([get(c, UNK_ID) for c in chars], dtype=np.int64)
 
     def word_ids(self, words: Iterable[str]) -> np.ndarray:
-        return np.array([self.word_id(w) for w in words], dtype=np.int64)
+        get = self.word_to_id.get
+        return np.array([get(w, UNK_ID) for w in words], dtype=np.int64)
 
     @property
     def n_chars(self) -> int:

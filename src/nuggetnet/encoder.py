@@ -34,15 +34,23 @@ matmul.
 
 A model reads a sequence longer than its max_tokens through a
 max_tokens-long view centered on each character, clamped at the edges
-(model.py).  The centers that share a view share one segment.  One
-extract_branch call takes segments until its token term would pass a
-fixed element budget (model._CALL_ELEMENTS), and at least one: one view
-of a long sentence at many filters, a whole batch of short sentences at
-few.  The convolutions read the segments' padded tokens back to back, one
-window slot at a time, so no (columns x window*dim) matrix of windows is
-built.  All segments share the offset table of the longest one, so one
-pooling pass serves every center of the call: each center pools over its
-own segment's rows of the packed token term only.
+(model.py).  The centers that share a view share one segment, and one
+extract_branch call takes every segment of one branch of a batch.  The
+call cuts its segments into chunks for the token convolution and the
+pooling only: a chunk takes segments until its token term would pass a
+fixed element budget (_CALL_ELEMENTS), and at least one, so it holds one
+view of a long sentence at many filters and a whole batch of short
+sentences at few.  Each chunk's token term dies before the next chunk
+starts.  The convolutions read the segments' padded tokens back to back,
+one window slot at a time, so no (columns x window*dim) matrix of windows
+is built.  All segments share the offset table of the longest one, so it
+is computed once per call, and one pooling pass per chunk serves every
+center in it: each center pools over its own segment's rows only.  The
+lexical window, tanh and the projection then run once over all centers,
+and branch_backward mirrors this: the projection backward, the lexical
+gradient and the offset-convolution backward run once per call, and each
+chunk adds only its token map's convolution backward.  Gradients reach the
+embedding tables through ndcore.scatter_rows.
 Backward passes are written out by hand; the gradient checker in ndcore is
 the authority on their correctness.
 """
@@ -57,7 +65,7 @@ import numpy as np
 
 from .corpus import PAD_ID, Vocabulary, relative_position_index
 from .errors import ConfigError, ShapeError
-from .ndcore import ParamStore, conv1d, sigmoid, split_argmax, split_max_pool
+from .ndcore import ParamStore, conv1d, scatter_rows, sigmoid, split_argmax, split_max_pool
 
 
 class HybridMode(str, Enum):
@@ -172,21 +180,54 @@ def register_encoder_params(store: ParamStore, config: ExtractorConfig, vocab: V
 class BranchCache:
     """What branch_backward needs from one extract_branch call over k centers.
 
-    The token convolution runs once over all segments' padded tokens back
-    to back; conv column j of a segment starting at padded slot s is its
-    position s + j.  Offset rows number the offsets -(N-1) .. N-1, N being
-    the longest segment's length.  Every array is per center or a row of
-    convolution inputs: neither (rows x filters) term outlives the forward.
+    Token-term row a is padded slot a + lead of every segment's padded
+    tokens back to back; conv column j of a segment starting at padded
+    slot s is its row s + j.  Offset rows number the offsets -(N-1) .. N-1,
+    N being the longest segment's length.  Every array is per center, per
+    chunk or a row of convolution inputs: no (rows x filters) term outlives
+    the forward pass.
     """
 
     padded_ids: np.ndarray  # every segment's token ids with its conv pads, back to back
     pos_rows: np.ndarray  # (2N-1 + window-1,) position rows the offset convolution reads
+    chunk_slots: np.ndarray  # (chunks+1,) first padded slot of each chunk, then the end
     centers: np.ndarray  # (k,) token-term row of each center
     lo: np.ndarray  # (k,) first token-term row of each center's segment
     arg_rows: np.ndarray | None  # (k, 2*n_filters) token-term row of each pooled value; None without backward
     lex_ids: np.ndarray  # (k, 2*lex_window+1)
     feature: np.ndarray  # (k, feature_dim): tanh of both pools, lexical embeddings
     fp: np.ndarray  # (k, proj_dim) tanh-projected features
+
+
+# Token-term elements (rows x filters) per chunk of an extract_branch call.  A chunk takes consecutive
+# segments until its token term would pass this, and at least one, so its token term and pooling
+# buffers stay near 256 KiB: one 120-token view per chunk at 200 filters, a whole 32+32 batch of
+# short sentences at 32.
+_CALL_ELEMENTS = 1 << 15
+
+
+def _chunks(lengths: Sequence[int], n_filters: int) -> list[int]:
+    """Segment bounds of the chunks: chunk i holds segments bounds[i] .. bounds[i+1]-1."""
+    bounds = [0]
+    tokens = 0
+    for i, n in enumerate(lengths):
+        if tokens and (tokens + n) * n_filters > _CALL_ELEMENTS:
+            bounds.append(i)
+            tokens = 0
+        tokens += n
+    bounds.append(len(lengths))
+    return bounds
+
+
+def _chunk_ranges(lo: np.ndarray, chunk_slots: np.ndarray):
+    """(first padded slot, end slot, first center row, end center row) of each chunk.
+
+    A chunk's centers are consecutive rows, because segments keep their
+    order and lo does not decrease from one center to the next.
+    """
+    center_bounds = np.searchsorted(lo, chunk_slots).tolist()
+    slots = chunk_slots.tolist()
+    return zip(slots[:-1], slots[1:], center_bounds[:-1], center_bounds[1:])
 
 
 def _filters(conv_w: np.ndarray, config: ExtractorConfig) -> np.ndarray:
@@ -226,10 +267,13 @@ def extract_branch(
     """Feature vectors of one branch for the centers of one or more token sequences.
 
     `segments` holds (token ids, center indices into them) per sequence;
-    the result has one row per center, segment after segment.  With
-    for_backward the pooling finds each pooled value's row once
-    (split_argmax) and the cache keeps those rows for branch_backward;
-    without it the pooling takes the values only (split_max_pool).
+    the result has one row per center, segment after segment.  The token
+    convolution and the pooling run chunk by chunk (_CALL_ELEMENTS); the
+    offset convolution, the lexical window, tanh and the projection run
+    once over all centers.  With for_backward the pooling finds each
+    pooled value's row once (split_argmax) and the cache keeps those rows
+    for branch_backward; without it the pooling takes the values only
+    (split_max_pool).
     """
     segments = [(np.asarray(ids, dtype=np.int64), np.asarray(c, dtype=np.int64)) for ids, c in segments]
     if not segments or any(ids.ndim != 1 or ids.shape[0] == 0 for ids, _ in segments):
@@ -241,6 +285,7 @@ def extract_branch(
     tok_emb = store[f"{prefix}.tok_emb"].value
     h = config.window
     e = config.token_emb_dim
+    m = config.n_filters
     lead = (h - 1) // 2
     lengths = np.array([ids.shape[0] for ids, _ in segments])
     longest = int(lengths.max())
@@ -254,26 +299,37 @@ def extract_branch(
     pos_rows = relative_position_index(np.arange(h + 2 * longest - 2) - (longest - 1) - lead, config.max_rel_dist)
 
     w = _filters(store[f"{prefix}.conv_w"].value, config)
-    token_term = conv1d(tok_emb[padded_ids], w[:, :, :e].reshape(config.n_filters, -1), store[f"{prefix}.conv_b"].value)
-    offset_term = conv1d(store[f"{prefix}.pos_emb"].value[pos_rows], w[:, :, e:].reshape(config.n_filters, -1))
+    token_w, conv_b = w[:, :, :e].reshape(m, -1), store[f"{prefix}.conv_b"].value
+    offset_term = conv1d(store[f"{prefix}.pos_emb"].value[pos_rows], w[:, :, e:].reshape(m, -1))
 
     # every center as a token-term row inside its segment's rows [lo, hi); row a is padded slot a + lead
     counts = [c.shape[0] for _, c in segments]
     lo = np.repeat(pad_starts[:-1], counts)
     hi = lo + np.repeat(lengths, counts)
     centers = lo + np.concatenate([c for _, c in segments])
-    if for_backward:
-        arg_rows = np.concatenate(split_argmax(token_term, offset_term, centers, lo, hi), axis=1)
-        pooled = _pooled_at(token_term, offset_term, centers, lo, arg_rows)
-    else:
-        arg_rows = None
-        pooled = np.concatenate(split_max_pool(token_term, offset_term, centers, lo, hi), axis=1)
+    chunk_slots = pad_starts[_chunks(lengths.tolist(), m)]
+    # the chunks write their pooled values straight into the features, and nothing is concatenated
+    feature = np.empty((centers.shape[0], config.feature_dim))
+    pooled = feature[:, : 2 * m]
+    arg_rows = np.empty(pooled.shape, dtype=np.int64) if for_backward else None
+    for start, end, r0, r1 in _chunk_ranges(lo, chunk_slots):
+        # the chunk's token term is rows start .. end-h of the whole one; it dies with the chunk
+        token_term = conv1d(tok_emb[padded_ids[start:end]], token_w, conv_b)
+        rows = (centers[r0:r1] - start, lo[r0:r1] - start, hi[r0:r1] - start)
+        if for_backward:
+            arg = np.concatenate(split_argmax(token_term, offset_term, *rows), axis=1)
+            pooled[r0:r1] = _pooled_at(token_term, offset_term, rows[0], rows[1], arg)
+            arg_rows[r0:r1] = arg + start
+        else:
+            pooled[r0:r1, :m], pooled[r0:r1, m:] = split_max_pool(token_term, offset_term, *rows)
     lex_slots = centers[:, None] + np.arange(-config.lex_window, config.lex_window + 1)
     inside = (lex_slots >= lo[:, None]) & (lex_slots < hi[:, None])
     lex_ids = np.where(inside, padded_ids[np.clip(lex_slots, lo[:, None], hi[:, None] - 1) + lead], PAD_ID)
-    feature = np.concatenate([np.tanh(pooled), tok_emb[lex_ids].reshape(lex_ids.shape[0], -1)], axis=1)
+    np.tanh(pooled, out=pooled)
+    # the ids are in range by construction; "clip" lets take write into the strided columns unbuffered
+    np.take(tok_emb, lex_ids, axis=0, out=feature[:, 2 * m :].reshape(lex_ids.shape + (e,)), mode="clip")
     fp = np.tanh(feature @ store[f"{prefix}.proj_w"].value.T + store[f"{prefix}.proj_b"].value)
-    return BranchCache(padded_ids, pos_rows, centers, lo, arg_rows, lex_ids, feature, fp)
+    return BranchCache(padded_ids, pos_rows, chunk_slots, centers, lo, arg_rows, lex_ids, feature, fp)
 
 
 def _conv1d_backward(dmap: np.ndarray, x: np.ndarray, w: np.ndarray, grad_w: np.ndarray) -> np.ndarray:
@@ -286,43 +342,60 @@ def _conv1d_backward(dmap: np.ndarray, x: np.ndarray, w: np.ndarray, grad_w: np.
     return dx
 
 
-def branch_backward(store: ParamStore, prefix: str, cache: BranchCache, dfp: np.ndarray, config: ExtractorConfig) -> None:
-    """Accumulate gradients for one branch given dL/d(projected features), one row per center."""
+def _projection_backward(store: ParamStore, prefix: str, cache: BranchCache, dfp: np.ndarray, m: int) -> np.ndarray:
+    """Add the projection's and the lexical window's gradients; returns dL/d(pooled pre-activations), (k, 2m).
+
+    A function of its own so that its temporaries are freed before
+    branch_backward's chunks allocate theirs.
+    """
     proj_w = store[f"{prefix}.proj_w"]
     dz = dfp * (1.0 - cache.fp * cache.fp)
     proj_w.grad += dz.T @ cache.feature
     store[f"{prefix}.proj_b"].grad += dz.sum(axis=0)
-    dfeature = dz @ proj_w.value
+    # one product per column block of proj_w, so no (k x feature_dim) gradient is built
+    scatter_rows(store[f"{prefix}.tok_emb"].grad, cache.lex_ids, dz @ proj_w.value[:, 2 * m :])
+    dpre = dz @ proj_w.value[:, : 2 * m]
+    pooled = cache.feature[:, : 2 * m]
+    dpre *= 1.0 - pooled * pooled
+    dpre[cache.centers == cache.lo, :m] = 0.0  # an empty left pool is a constant
+    return dpre
 
+
+def branch_backward(store: ParamStore, prefix: str, cache: BranchCache, dfp: np.ndarray, config: ExtractorConfig) -> None:
+    """Accumulate gradients for one branch given dL/d(projected features), one row per center.
+
+    The projection, the lexical window and the offset convolution are
+    differentiated once; each chunk adds only its token convolution's part.
+    """
     m = config.n_filters
     e = config.token_emb_dim
+    h = config.window
     tok_emb = store[f"{prefix}.tok_emb"]
     pos_emb = store[f"{prefix}.pos_emb"]
-    np.add.at(tok_emb.grad, cache.lex_ids.reshape(-1), dfeature[:, 2 * m :].reshape(-1, e))
-
-    pooled = cache.feature[:, : 2 * m]
-    dpre = dfeature[:, : 2 * m] * (1.0 - pooled * pooled)
-    dpre[cache.centers == cache.lo, :m] = 0.0  # an empty left pool is a constant
+    dpre = _projection_backward(store, prefix, cache, dfp, m)
 
     # each pooled value came from one conv column, its argmax row, and one offset row: scatter it into
-    # both maps, whose row counts are the convolutions' output lengths
-    cols = cache.arg_rows
-    n_cols = cache.padded_ids.shape[0] - config.window + 1
-    n_offsets = cache.pos_rows.shape[0] - config.window + 1
-    offset_rows = _offset_rows(cols, cache.centers, n_offsets)
+    # both maps, whose row counts are the convolutions' output lengths.  The offset map is one for
+    # all chunks; each chunk scatters into a token map of its own and turns it into gradients at once.
     filters = np.tile(np.arange(m), 2)
     weights = dpre.reshape(-1)
-    token_map = np.bincount((cols * m + filters).reshape(-1), weights, n_cols * m).reshape(n_cols, m)
-    offset_map = np.bincount((offset_rows * m + filters).reshape(-1), weights, n_offsets * m).reshape(-1, m)
+    n_offsets = cache.pos_rows.shape[0] - h + 1
+    offset_map = np.bincount(
+        (_offset_rows(cache.arg_rows, cache.centers, n_offsets) * m + filters).reshape(-1), weights, n_offsets * m
+    ).reshape(-1, m)
+    store[f"{prefix}.conv_b"].grad += offset_map.sum(axis=0)
 
     conv_w = store[f"{prefix}.conv_w"]
-    store[f"{prefix}.conv_b"].grad += token_map.sum(axis=0)
     w = _filters(conv_w.value, config)
     grad = _filters(conv_w.grad, config)
-    dtok = _conv1d_backward(token_map, tok_emb.value[cache.padded_ids], w[:, :, :e], grad[:, :, :e])
-    np.add.at(tok_emb.grad, cache.padded_ids, dtok)
+    for start, end, r0, r1 in _chunk_ranges(cache.lo, cache.chunk_slots):
+        n_cols = end - start - h + 1
+        bins = ((cache.arg_rows[r0:r1] - start) * m + filters).reshape(-1)
+        token_map = np.bincount(bins, weights[r0 * 2 * m : r1 * 2 * m], n_cols * m).reshape(n_cols, m)
+        ids = cache.padded_ids[start:end]
+        scatter_rows(tok_emb.grad, ids, _conv1d_backward(token_map, tok_emb.value[ids], w[:, :, :e], grad[:, :, :e]))
     dpos = _conv1d_backward(offset_map, pos_emb.value[cache.pos_rows], w[:, :, e:], grad[:, :, e:])
-    np.add.at(pos_emb.grad, cache.pos_rows, dpos)
+    scatter_rows(pos_emb.grad, cache.pos_rows, dpos)
 
 
 # ---------------------------------------------------------------------------

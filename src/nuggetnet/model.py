@@ -32,7 +32,7 @@ from .encoder import (
 )
 from .errors import CheckpointError, ConfigError
 from .labels import label_to_class, num_nugget_classes
-from .ndcore import ParamStore, load_checkpoint, restore_store, save_checkpoint, softmax, softmax_xent
+from .ndcore import ParamStore, load_checkpoint, restore_store, save_checkpoint, scatter_rows, softmax, softmax_xent
 
 
 @dataclass(frozen=True)
@@ -101,19 +101,15 @@ def _view_starts(n: int, centers: np.ndarray, max_tokens: int) -> np.ndarray:
 
 @dataclass
 class _BranchRows:
-    """One branch's features for a batch of rows, from one or more extract_branch calls."""
+    """One branch's features for a batch of rows, from one extract_branch call."""
 
     prefix: str
-    caches: list[BranchCache]
-    cache_row: np.ndarray  # batch row -> its center's row among the caches' rows, in order
+    cache: BranchCache
+    cache_row: np.ndarray  # batch row -> its center's row in the cache
 
     @property
     def fp(self) -> np.ndarray:
-        return np.concatenate([cache.fp for cache in self.caches])[self.cache_row]
-
-
-# token-term elements (rows x filters) per extract_branch call: its terms and pooling buffers stay small
-_CALL_ELEMENTS = 1 << 15
+        return self.cache.fp[self.cache_row]
 
 
 def _branch_rows(
@@ -123,22 +119,17 @@ def _branch_rows(
     groups: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
     for_backward: bool = True,
 ) -> _BranchRows:
-    """Features of one branch for (token ids, centers, batch rows) per sentence.
+    """Features of one branch for (token ids, centers, batch rows) per sentence, in one extract_branch call.
 
     Each distinct center of a sentence is computed once.  Each
-    max_tokens-long view a sentence needs is one segment, and one
-    extract_branch call takes consecutive segments until its token term,
-    counted as tokens x n_filters, would pass _CALL_ELEMENTS; every call
-    takes at least one segment.  At few filters that packs a whole batch of
-    short sentences into one call, at many it leaves one view of a long
-    sentence per call, so a call's working memory is bounded by the larger
-    of the budget and one view, whatever the batch size.  for_backward
-    tells extract_branch whether branch_backward follows: only then does a
-    cache keep each pooled value's argmax row.  No cache keeps a token or
+    max_tokens-long view a sentence needs is one segment; extract_branch
+    bounds its working memory itself, by running the token convolution and
+    the pooling over chunks of consecutive segments.  for_backward tells
+    extract_branch whether branch_backward follows: only then does the
+    cache keep each pooled value's argmax row.  The cache keeps no token or
     offset term.
     """
-    calls: list[list] = [[]]
-    tokens = 0
+    segments = []
     cache_row = np.empty(sum(len(rows) for _, _, rows in groups), dtype=np.int64)
     k = 0
     for ids, centers, rows in groups:
@@ -148,26 +139,19 @@ def _branch_rows(
         position = {}
         for start in sorted(set(starts.tolist())):
             view_centers = distinct[starts == start]
-            view = ids[start : start + config.max_tokens]
-            if calls[-1] and (tokens + view.shape[0]) * config.extractor.n_filters > _CALL_ELEMENTS:
-                calls.append([])
-                tokens = 0
-            calls[-1].append((view, view_centers - start))
-            tokens += view.shape[0]
+            segments.append((ids[start : start + config.max_tokens], view_centers - start))
             position.update(zip(view_centers.tolist(), range(k, k + view_centers.shape[0])))
             k += view_centers.shape[0]
         cache_row[rows] = [position[c] for c in centers]
-    caches = [extract_branch(store, prefix, segments, config.extractor, for_backward) for segments in calls]
-    return _BranchRows(prefix, caches, cache_row)
+    cache = extract_branch(store, prefix, segments, config.extractor, for_backward)
+    return _BranchRows(prefix, cache, cache_row)
 
 
 def _backward_rows(store: ParamStore, config: ModelConfig, branch: _BranchRows, dfp: np.ndarray) -> None:
     """Backpropagate dL/d(features) of every batch row; rows sharing a center add up."""
-    sizes = [cache.fp.shape[0] for cache in branch.caches]
-    per_center = np.zeros((sum(sizes), dfp.shape[1]))
-    np.add.at(per_center, branch.cache_row, dfp)
-    for cache, dfp_call in zip(branch.caches, np.split(per_center, np.cumsum(sizes)[:-1])):
-        branch_backward(store, branch.prefix, cache, dfp_call, config.extractor)
+    per_center = np.zeros((branch.cache.fp.shape[0], dfp.shape[1]))
+    scatter_rows(per_center, branch.cache_row, dfp)
+    branch_backward(store, branch.prefix, branch.cache, per_center, config.extractor)
 
 
 def _rows_by_sentence(sentences: Sequence) -> list[tuple[object, np.ndarray]]:
@@ -217,9 +201,7 @@ class CharEncoderBase:
         register_encoder_params(self.store, config.extractor, vocab)
 
     def encode_sentence(self, sentence: AnnotatedSentence) -> SentenceEncoding:
-        char_to_word = np.array(
-            [sentence.word_index_of(i) for i in range(len(sentence.text))], dtype=np.int64
-        )
+        char_to_word = np.array(sentence.char_to_word, dtype=np.int64)
         return SentenceEncoding(self.vocab.char_ids(sentence.text), self.vocab.word_ids(sentence.words), char_to_word)
 
     def _forward(

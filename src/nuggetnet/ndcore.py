@@ -188,11 +188,41 @@ def split_argmax(token_term: np.ndarray, offset_term: np.ndarray, cols, lo, hi) 
     return left_arg, right_arg
 
 
+def scatter_rows(table: np.ndarray, ids, rows: np.ndarray) -> None:
+    """table[ids[i]] += rows[i] for every i, repeated ids adding up: np.add.at(table, ids, rows) for a 2-d table.
+
+    rows holds one table row per id, in the order of the ids flattened,
+    so ids of shape (k, n) may come with rows of shape (k, n * width).
+
+    One np.unique finds the distinct ids and one np.bincount sums each
+    one's rows in order of appearance, so each distinct row of the table
+    is added to once.  On a table of zeros the result equals np.add.at's
+    bit for bit; otherwise each row's sum is added in one step instead of
+    one row at a time, which can differ in the last bits.
+    """
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    width = table.shape[1]
+    distinct, slot = np.unique(ids, return_inverse=True)
+    bins = (slot[:, None] * width + np.arange(width)).reshape(-1)
+    table[distinct] += np.bincount(bins, rows.reshape(-1), distinct.shape[0] * width).reshape(-1, width)
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    With e = exp(-|x|), d = 1 + e and the exact 0/1 mask m = (x >= 0), it
+    is m/d + (1-m) * e/d: both terms are always finite, so a zero factor
+    selects the other term bit for bit, without a select pass.
+    """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))  # exp(-x) for x >= 0, exp(x) below: never overflows
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    m = (x >= 0).astype(np.float64)
+    out = m / d
+    e /= d
+    e *= 1.0 - m
+    out += e
+    return out
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -244,13 +274,15 @@ def adadelta_step(store: ParamStore, rho: float = ADADELTA_RHO, eps: float = ADA
     """One Adadelta update over all parameters, consuming accumulated gradients.
 
     Per element:  E[g^2] <- rho E[g^2] + (1-rho) g^2
-                  dx     <- -sqrt(E[dx^2]+eps) / sqrt(E[g^2]+eps) * g
-                  E[dx^2]<- rho E[dx^2] + (1-rho) dx^2
-                  x      <- x + dx
+                  step   <- sqrt(E[dx^2]+eps) / sqrt(E[g^2]+eps) * g
+                  E[dx^2]<- rho E[dx^2] + (1-rho) step^2
+                  x      <- x - step
     Gradients are zeroed afterwards.  Each tensor is updated in place, one
     flat block at a time, through two block-sized buffers; every
     product is taken in the order written above, so the result does not
-    depend on the block size.
+    depend on the block size.  The step is the negated update dx = -step:
+    every product above is sign-symmetric and x - step is x + dx, so the
+    result is bit for bit that of the update written with dx.
     """
     buffers = np.empty((2, _ADADELTA_BLOCK))
     for _, p in store.items():
@@ -259,23 +291,22 @@ def adadelta_step(store: ParamStore, rho: float = ADADELTA_RHO, eps: float = ADA
         for lo in range(0, value.shape[0], _ADADELTA_BLOCK):
             hi = min(lo + _ADADELTA_BLOCK, value.shape[0])
             g, e, d = grad[lo:hi], eg2[lo:hi], edx2[lo:hi]
-            dx, t = buffers[:, : hi - lo]
+            step, t = buffers[:, : hi - lo]
             e *= rho
             np.multiply(1.0 - rho, g, out=t)
             t *= g
             e += t
-            np.add(d, eps, out=dx)
-            np.sqrt(dx, out=dx)
-            np.negative(dx, out=dx)
+            np.add(d, eps, out=step)
+            np.sqrt(step, out=step)
             np.add(e, eps, out=t)
             np.sqrt(t, out=t)
-            dx /= t
-            dx *= g
+            step /= t
+            step *= g
             d *= rho
-            np.multiply(1.0 - rho, dx, out=t)
-            t *= dx
+            np.multiply(1.0 - rho, step, out=t)
+            t *= step
             d += t
-            value[lo:hi] += dx
+            value[lo:hi] -= step
             g[...] = 0.0
 
 

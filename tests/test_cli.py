@@ -313,6 +313,14 @@ class TestRunConfig:
             ("training: {epochs: '3'}\n", "training.epochs must be an integer, got '3'"),
             ("generator: {n_sentences: 4.0}\n", "generator.n_sentences must be an integer, got 4.0"),
             ("model: {extractor: {hybrid_mode: bogus}}\n", "hybrid_mode must be one of"),
+            ("model: {extractor: {use_chars: 'no'}}\n", "model.extractor.use_chars must be a boolean, got 'no'"),
+            ("generator: {n_sentences: 4, subtypes: abc}\n", "generator.subtypes must be a list of strings, got 'abc'"),
+            ("training: {stop_at_dev_f1: high}\n", "training.stop_at_dev_f1 must be a number or null, got 'high'"),
+            ("out_dir: 5\n", "out_dir must be a string or null, got 5"),
+            ("data: {train: 7}\n", "data.train must be a string or null, got 7"),
+            ("training: {rho: x}\n", "training.rho must be a number, got 'x'"),
+            ("model: {extractor: {dropout: true}}\n", "model.extractor.dropout must be a number, got True"),
+            ("generator: {n_sentences: 4, proportions: [1, a]}\n", "generator.proportions must be a list of numbers"),
         ],
     )
     def test_badly_typed_field_names_file(self, tmp_path, capsys, text, message):

@@ -9,6 +9,7 @@ import nuggetnet.encoder as nencoder
 import nuggetnet.model as nmodel
 from nuggetnet.corpus import PAD_ID, build_vocab
 from nuggetnet.encoder import (
+    _CALL_ELEMENTS,
     BRANCH_PREFIXES,
     ExtractorConfig,
     HybridMode,
@@ -21,8 +22,8 @@ from nuggetnet.encoder import (
     register_encoder_params,
 )
 from nuggetnet.errors import ConfigError, ShapeError
-from nuggetnet.model import _CALL_ELEMENTS, ModelConfig, _backward_rows, _branch_rows, _view_starts
-from nuggetnet.ndcore import ParamStore, grad_check, sigmoid, split_argmax, split_max_pool
+from nuggetnet.model import ModelConfig, _backward_rows, _branch_rows, _view_starts
+from nuggetnet.ndcore import ParamStore, conv1d, grad_check, sigmoid, split_argmax, split_max_pool
 
 from branch_reference import reference_branch, reference_view
 from util import small_extractor, small_model, toy_corpus, widen_params
@@ -112,8 +113,8 @@ def extract_with_terms(store, segments, cfg):
 
 
 def n_segments(branch):
-    """Segments over all of a branch's kernel calls: each has at least one center, each center one segment start."""
-    return sum(len(set(cache.lo.tolist())) for cache in branch.caches)
+    """Segments of a branch's kernel call: each has at least one center, each center one segment start."""
+    return len(set(branch.cache.lo.tolist()))
 
 
 def per_center_only(cache):
@@ -174,7 +175,7 @@ class TestExtractBranch:
         groups = [(np.arange(2, 2 + n), np.arange(n), np.arange(n))]
         branch = _branch_rows(store, config, "char", groups, for_backward=False)
         assert n_segments(branch) == len(set(_view_starts(n, np.arange(n), 16).tolist())) > n // 2
-        assert all(per_center_only(cache) and cache.arg_rows is None for cache in branch.caches)
+        assert per_center_only(branch.cache) and branch.cache.arg_rows is None
         npt.assert_array_equal(branch.fp, _branch_rows(store, config, "char", groups).fp)
 
     def test_training_keeps_no_filter_map(self):
@@ -185,9 +186,8 @@ class TestExtractBranch:
         groups = [(np.arange(2, 82), np.arange(80), np.arange(80)), (np.arange(2, 12), np.arange(10), np.arange(80, 90))]
         branch = _branch_rows(store, config, "char", groups)
         assert n_segments(branch) > 10
-        for cache in branch.caches:
-            assert per_center_only(cache)
-            assert cache.arg_rows.shape == (cache.fp.shape[0], 2 * cfg.n_filters)
+        assert per_center_only(branch.cache)
+        assert branch.cache.arg_rows.shape == (branch.cache.fp.shape[0], 2 * cfg.n_filters)
 
     def test_center_out_of_range(self):
         cfg = small_extractor()
@@ -372,11 +372,25 @@ class TestKernelMatchesReference:
 
         branch = _branch_rows(store, config, "char", groups)
         npt.assert_array_equal(_view_starts(11, np.array([0, 5, 7, 10]), 6), [0, 2, 4, 5])
-        # one segment per view of the long sentence, one for the short one; at 6 filters all share one call
-        assert [len(set(cache.lo.tolist())) for cache in branch.caches] == [5]
-        assert sum(cache.fp.shape[0] for cache in branch.caches) == 6  # the repeated center is computed once
+        # one segment per view of the long sentence, one for the short one, all in the branch's one call
+        assert n_segments(branch) == 5
+        assert branch.cache.fp.shape[0] == 6  # the repeated center is computed once
         report = grad_check(closure, store, step=1e-5, tolerance=1e-5, coords_per_param=6, rng_seed=3)
         assert report.passed, report.summary()
+
+
+def chunk_views(views, token_convs, window):
+    """The views of each chunk, read off the rows of each chunk's token convolution (views plus their pads)."""
+    chunks, i = [], 0
+    for rows in token_convs:
+        chunk = []
+        while sum(chunk) + (window - 1) * len(chunk) < rows:
+            chunk.append(views[i])
+            i += 1
+        assert sum(chunk) + (window - 1) * len(chunk) == rows
+        chunks.append(chunk)
+    assert i == len(views)
+    return chunks
 
 
 @given(
@@ -386,7 +400,8 @@ class TestKernelMatchesReference:
 )
 @settings(max_examples=25, deadline=None)
 def test_call_passes_the_element_budget_only_with_one_view(n_filters, lengths, seed):
-    # segments join a call until its token term would pass _CALL_ELEMENTS; only a lone view may pass it
+    # a branch is one kernel call; its chunks take segments until their token term would pass
+    # _CALL_ELEMENTS, and only a lone view may pass it
     cfg = small_extractor(token_emb_dim=3, pos_emb_dim=2, n_filters=n_filters, proj_dim=5)
     store = branch_store(cfg, n_tokens=140, seed=seed, widen=False)
     config = ModelConfig(extractor=cfg, max_tokens=120)
@@ -396,14 +411,80 @@ def test_call_passes_the_element_budget_only_with_one_view(n_filters, lengths, s
         centers = rng.choice(n, size=min(n, 6), replace=False)
         groups.append((rng.integers(2, 140, size=n), centers, np.arange(row, row + centers.shape[0])))
         row += centers.shape[0]
-    with mock.patch.object(nmodel, "extract_branch", wraps=extract_branch) as spy:
+    with (
+        mock.patch.object(nmodel, "extract_branch", wraps=extract_branch) as spy,
+        mock.patch.object(nencoder, "conv1d", wraps=conv1d) as convs,
+    ):
         _branch_rows(store, config, "char", groups)
-    sizes = [[ids.shape[0] for ids, _ in call.args[2]] for call in spy.call_args_list]
-    assert sum(map(len, sizes)) == sum(len(set(_view_starts(len(g[0]), g[1], 120).tolist())) for g in groups)
-    for call in sizes:
-        assert sum(call) * n_filters <= _CALL_ELEMENTS or len(call) == 1, call
-    for call, following in zip(sizes, sizes[1:]):  # no call closes before the budget makes it
-        assert (sum(call) + following[0]) * n_filters > _CALL_ELEMENTS
+    (call,) = spy.call_args_list
+    views = [ids.shape[0] for ids, _ in call.args[2]]
+    assert len(views) == sum(len(set(_view_starts(len(g[0]), g[1], 120).tolist())) for g in groups)
+    # the first convolution is the offset term's, once per call; every later one is a chunk's token term
+    sizes = chunk_views(views, [c.args[0].shape[0] for c in convs.call_args_list[1:]], cfg.window)
+    for chunk in sizes:
+        assert sum(chunk) * n_filters <= _CALL_ELEMENTS or len(chunk) == 1, chunk
+    for chunk, following in zip(sizes, sizes[1:]):  # no chunk closes before the budget makes it
+        assert (sum(chunk) + following[0]) * n_filters > _CALL_ELEMENTS
+
+
+class TestChunks:
+    """A branch cut into chunks computes what one chunk computes, with one projection."""
+
+    def sentences(self):
+        cfg = small_extractor(window=3, lex_window=1, max_rel_dist=4)
+        store = branch_store(cfg, n_tokens=20, seed=5)
+        config = ModelConfig(extractor=cfg, max_tokens=6)
+        groups = [
+            (np.arange(2, 13), np.array([0, 5, 5, 7, 10]), np.array([0, 2, 3, 5, 6])),
+            (np.array([14, 15, 16, 17]), np.array([1, 2]), np.array([1, 4])),
+        ]
+        return store, config, groups
+
+    def test_one_projection_matmul_per_branch(self, monkeypatch):
+        # the forward multiplies by proj_w once and the backward by each of its two column blocks once
+        # (pooled and lexical features), whatever the chunk count
+        monkeypatch.setattr(nencoder, "_CALL_ELEMENTS", 1)  # every segment a chunk of its own
+        store, config, groups = self.sentences()
+        matmuls = []
+
+        class Counting(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                matmuls.append(ufunc.__name__)
+                return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+        proj_w = store["char.proj_w"]
+        proj_w.value = proj_w.value.view(Counting)
+        with mock.patch.object(nencoder, "conv1d", wraps=conv1d) as convs:
+            branch = _branch_rows(store, config, "char", groups)
+        assert convs.call_count - 1 == n_segments(branch) == 5  # one token convolution per chunk
+        assert matmuls == ["matmul"]
+        matmuls.clear()
+        _backward_rows(store, config, branch, np.ones_like(branch.fp))
+        assert matmuls == ["matmul", "matmul"]
+
+    def test_grad_check_over_chunks(self, monkeypatch):
+        store, config, groups = self.sentences()
+        target = np.linspace(-0.5, 0.5, 7 * config.extractor.proj_dim).reshape(7, -1)
+
+        def closure():
+            branch = _branch_rows(store, config, "char", groups)
+            loss = 0.5 * float(np.sum((branch.fp - target) ** 2))
+            _backward_rows(store, config, branch, branch.fp - target)
+            return loss
+
+        closure()
+        whole = {name: p.grad.copy() for name, p in store.items()}
+        fp = _branch_rows(store, config, "char", groups).fp
+        store.zero_grads()
+        monkeypatch.setattr(nencoder, "_CALL_ELEMENTS", 1)  # five chunks, one per segment
+        with mock.patch.object(nencoder, "conv1d", wraps=conv1d) as convs:
+            closure()
+        assert convs.call_count - 1 == 5
+        for name, p in store.items():
+            npt.assert_allclose(p.grad, whole[name], rtol=1e-12, atol=1e-15, err_msg=name)
+        npt.assert_allclose(_branch_rows(store, config, "char", groups).fp, fp, rtol=0, atol=1e-14)
+        report = grad_check(closure, store, step=1e-5, tolerance=1e-5, coords_per_param=6, rng_seed=3)
+        assert report.passed, report.summary()
 
 
 class TestFusion:

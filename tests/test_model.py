@@ -4,7 +4,7 @@ import pytest
 
 import nuggetnet.encoder as nencoder
 import nuggetnet.model as nmodel
-from nuggetnet.corpus import SubtypeInventory, build_vocab
+from nuggetnet.corpus import UNK_ID, AnnotatedSentence, SubtypeInventory, build_vocab
 from nuggetnet.decoder import decode_sentence
 from nuggetnet.errors import CheckpointError, ConfigError
 from nuggetnet.labels import num_nugget_classes
@@ -41,15 +41,21 @@ class TestCenteredView:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """(branch, number of segments) of every extract_branch call the model makes."""
+    """(branch, the number of segments in each chunk) of every extract_branch call the model makes."""
     calls = []
-    original = nmodel.extract_branch
+    extract, chunks = nmodel.extract_branch, nencoder._chunks
 
     def counting(store, prefix, segments, config, for_backward):
-        calls.append((prefix, len(segments)))
-        return original(store, prefix, segments, config, for_backward)
+        calls.append((prefix, []))
+        return extract(store, prefix, segments, config, for_backward)
+
+    def chunking(lengths, n_filters):
+        bounds = chunks(lengths, n_filters)
+        calls[-1][1].extend(np.diff(bounds).tolist())
+        return bounds
 
     monkeypatch.setattr(nmodel, "extract_branch", counting)
+    monkeypatch.setattr(nencoder, "_chunks", chunking)
     return calls
 
 
@@ -132,6 +138,24 @@ class TestCharSpanModel:
             npt.assert_allclose(pn, softmax(head_scores(model.store, "nugget", fwd.f_nugget))[0], atol=1e-15)
             npt.assert_allclose(pt, softmax(head_scores(model.store, "type", fwd.f_type))[0], atol=1e-15)
 
+    def test_encoding_matches_lookups_one_at_a_time(self, corpus3):
+        # the map and id arrays equal the per-character formula byte for byte, unknown tokens included
+        model = small_model(corpus3)
+        unknown = AnnotatedSentence("d", "u", "甲乙龘鱻丙", ((0, 1), (2, 3), (4, 4)), ())
+        for sentence in [*corpus3, unknown]:
+            enc = model.encode_sentence(sentence)
+            n = len(sentence.text)
+            expected = (
+                [model.vocab.char_id(c) for c in sentence.text],
+                [model.vocab.word_id(w) for w in sentence.words],
+                [sentence.word_index_of(i) for i in range(n)],
+            )
+            for got, want in zip((enc.char_ids, enc.word_ids, enc.char_to_word), expected):
+                assert got.dtype == np.int64 and got.tobytes() == np.array(want, dtype=np.int64).tobytes()
+        assert enc.char_ids.tolist().count(UNK_ID) == 2 and enc.word_ids[1] == UNK_ID
+        with pytest.raises(IndexError):
+            unknown.word_index_of(5)
+
     def test_encoding_is_a_snapshot_of_the_weights(self, corpus3):
         model = small_model(corpus3)
         enc = model.encode_sentence(corpus3[0])
@@ -143,8 +167,8 @@ class TestCharSpanModel:
 
     def test_decode_makes_one_kernel_call_per_branch_and_view(self, kernel_calls):
         # a long sentence read through 8-token views: the segment count grows with the views, not the
-        # characters, so the per-character path cannot come back unnoticed; at 6 filters every view of
-        # a branch fits one call's element budget
+        # characters, so the per-character path cannot come back unnoticed; each branch is one call,
+        # and at 6 filters all its views fit one chunk's element budget
         spec = GenSpec(n_sentences=3, subtypes=default_subtype_names(2), min_context_words=12, max_context_words=14)
         corpus = generate_synthetic_corpus(spec, rng_seed=4)
         model = small_model(corpus, max_rel_dist=8)
@@ -157,16 +181,18 @@ class TestCharSpanModel:
         decode_sentence(model, sentence)
         char_views, word_views = n_views(len(sentence.text)), n_views(len(sentence.words))
         assert char_views > 1 and word_views > 1
-        assert kernel_calls == [("char", char_views), ("word", word_views)]
+        assert kernel_calls == [("char", [char_views]), ("word", [word_views])]
 
     def test_short_sentences_share_kernel_calls(self, corpus3, kernel_calls):
         model = small_model(corpus3)  # max_tokens 40 holds the whole toy corpus
         gen, cls = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
         model.loss_and_grads(gen, cls)
-        assert kernel_calls == [("char", 3), ("word", 3)]
+        assert kernel_calls == [("char", [3]), ("word", [3])]
 
     def test_one_pooling_pass_per_kernel_call(self, corpus3, kernel_calls, monkeypatch):
-        # every segment's centers in one pass: the argmax when training, the values alone when decoding
+        # every chunk's centers in one pass: the argmax when training, the values alone when decoding;
+        # a budget of one element puts each sentence in a chunk of its own
+        monkeypatch.setattr(nencoder, "_CALL_ELEMENTS", 1)
         pools = []
         for name in ("split_max_pool", "split_argmax"):
             original = getattr(nencoder, name)
@@ -179,13 +205,13 @@ class TestCharSpanModel:
         model = small_model(corpus3)
         gen, cls = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
         model.loss_and_grads(gen, cls)
-        assert kernel_calls == [("char", 3), ("word", 3)]
-        assert pools == ["split_argmax"] * len(kernel_calls)
+        assert kernel_calls == [("char", [1, 1, 1]), ("word", [1, 1, 1])]
+        assert pools == ["split_argmax"] * 6
         kernel_calls.clear()
         pools.clear()
         model.predict_sentence(corpus3[2])
-        assert kernel_calls == [("char", 1), ("word", 1)]
-        assert pools == ["split_max_pool"] * len(kernel_calls)
+        assert kernel_calls == [("char", [1]), ("word", [1])]
+        assert pools == ["split_max_pool"] * 2
 
     def test_save_load_round_trip(self, tmp_path, corpus3):
         model = small_model(corpus3)

@@ -18,6 +18,7 @@ from nuggetnet.ndcore import (
     load_checkpoint,
     restore_store,
     save_checkpoint,
+    scatter_rows,
     sigmoid,
     softmax,
     softmax_xent,
@@ -138,6 +139,38 @@ class TestDynamicMultiPool:
                 pool(token, offset, [4], [3], [7])  # a 4-row segment needs offsets -3 .. 3
             with pytest.raises(ShapeError):
                 pool(token, offset, [3], [4], [7])  # center left of its segment
+
+
+class TestScatterRows:
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 7),
+        st.lists(st.integers(0, 11), max_size=60),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_add_at(self, n_rows, width, ids, seed):
+        # repeated and unsorted ids; bit-equal to np.add.at on zeros, within rounding on any table
+        ids = np.array([i % n_rows for i in ids], dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(ids.shape[0], width)) * rng.choice([1e-3, 1.0, 1e3], size=(ids.shape[0], 1))
+        zeros, expected = np.zeros((n_rows, width)), np.zeros((n_rows, width))
+        scatter_rows(zeros, ids, rows)
+        np.add.at(expected, ids, rows)
+        assert zeros.tobytes() == expected.tobytes()
+
+        table = rng.normal(size=(n_rows, width))
+        got, expected = table.copy(), table.copy()
+        scatter_rows(got, ids, rows)
+        np.add.at(expected, ids, rows)
+        scale = np.abs(table).copy()
+        np.add.at(scale, ids, np.abs(rows))
+        assert np.all(np.abs(got - expected) <= 1e-15 * scale)
+
+    def test_by_hand(self):
+        table = np.ones((3, 2))
+        scatter_rows(table, [2, 0, 2], np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        npt.assert_array_equal(table, [[4.0, 5.0], [1.0, 1.0], [7.0, 9.0]])
 
 
 def masked_sigmoid(x):
