@@ -278,12 +278,6 @@ class Vocabulary:
     word_to_id: dict[str, int] = field(default_factory=dict)
     max_rel_dist: int = 40
 
-    def char_id(self, ch: str) -> int:
-        return self.char_to_id.get(ch, UNK_ID)
-
-    def word_id(self, word: str) -> int:
-        return self.word_to_id.get(word, UNK_ID)
-
     def char_ids(self, chars: Iterable[str]) -> np.ndarray:
         get = self.char_to_id.get
         return np.array([get(c, UNK_ID) for c in chars], dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Turning per-character distributions into trigger predictions.
+"""Turning a sentence's distributions into trigger predictions.
 
 Every character proposes at most one nugget: the argmax span class, placed
 so the character sits at its claimed position, typed by the argmax subtype
@@ -6,6 +6,11 @@ and scored by the sum of both log probabilities.  Proposals that would
 stick out of the sentence are discarded; duplicate spans keep the best
 score, ties going to the lower subtype id.  The test suite re-derives the
 same result with plain Python loops (tests/decode_reference.py).
+
+`decode_sentence` makes one pass over a sentence's (n, classes) rows: a
+row argmax, `labels.class_table`, a bounds mask and one lexsort that puts
+each span's winner first.  Scores use `math.log`, not `np.log`, whose SIMD
+loop can differ in the last bit, so they equal the loop-written oracle's.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import AnnotatedSentence, TriggerNugget
+from .corpus import AnnotatedSentence
 from .errors import CorpusFormatError
-from .labels import decode_label
+from .labels import class_table
 
 
 @dataclass(frozen=True, order=True)
@@ -28,9 +33,6 @@ class Prediction:
     length: int
     subtype: str
     score: float
-
-    def as_trigger(self) -> TriggerNugget:
-        return TriggerNugget(self.start, self.length, self.subtype)
 
     def to_record(self) -> dict:
         return {"start": self.start, "length": self.length, "subtype": self.subtype, "score": self.score}
@@ -54,49 +56,30 @@ class DecodeStats:
     merged: int = 0  # duplicate-span proposals folded into a better one
 
 
-def propose_at(model, enc, ci: int, n_chars: int) -> tuple[tuple[int, int, int, float] | None, bool]:
-    """Proposal from one character, or None.
-
-    Returns ((start, length, subtype_id, score), discarded_out_of_bounds).
-    """
-    pn, pt = model.char_distributions(enc, ci)
-    k = int(np.argmax(pn))
-    if k == 0:
-        return None, False
-    label = decode_label(k, model.config.max_nugget_len)
-    length, position = label.length, label.position
-    start = ci - (position - 1)
-    if start < 0 or start + length > n_chars:
-        return None, True
-    t = int(np.argmax(pt))
-    score = math.log(float(pn[k])) + math.log(float(pt[t]))
-    return (start, length, t, score), False
-
-
 def decode_sentence(model, sentence: AnnotatedSentence, stats: DecodeStats | None = None) -> list[Prediction]:
-    enc = model.encode_sentence(sentence)
+    """Predictions in (start, length) order; `stats`, if given, adds this sentence's counts."""
+    pn, pt = model.distributions(model.encode_sentence(sentence))
     n = len(sentence.text)
-    best: dict[tuple[int, int], tuple[float, int]] = {}  # span -> (score, subtype_id)
-    for ci in range(n):
-        candidate, oob = propose_at(model, enc, ci, n)
-        if stats is not None:
-            stats.out_of_bounds += oob
-            stats.proposed += candidate is not None
-        if candidate is None:
-            continue
-        start, length, t, score = candidate
-        span = (start, length)
-        kept = best.get(span)
-        if kept is not None and stats is not None:
-            stats.merged += 1
-        if kept is None or (-score, t) < (-kept[0], kept[1]):
-            best[span] = (score, t)
-    preds = [
-        Prediction(start, length, model.subtypes.name_of(t), score)
-        for (start, length), (score, t) in best.items()
-    ]
-    preds.sort(key=lambda p: (p.start, p.length, model.subtypes.id_of(p.subtype)))
-    return preds
+    k = pn.argmax(axis=1)
+    length, position = class_table(model.config.max_nugget_len)[k].T
+    start = np.arange(n) - position + 1
+    claims = k != 0
+    inside = claims & (start >= 0) & (start + length <= n)
+    rows = np.flatnonzero(inside)
+    k, start, length = k[rows], start[rows], length[rows]
+    t = pt[rows].argmax(axis=1)
+    score = np.array([math.log(a) + math.log(b) for a, b in zip(pn[rows, k].tolist(), pt[rows, t].tolist())])
+    # each span's best proposal first: higher score, then lower subtype id; lexsort is stable
+    order = np.lexsort((t, -score, length, start))
+    start, length, t, score = start[order], length[order], t[order], score[order]
+    first = np.ones(rows.shape[0], dtype=bool)
+    first[1:] = (start[1:] != start[:-1]) | (length[1:] != length[:-1])
+    if stats is not None:
+        stats.proposed += rows.shape[0]
+        stats.out_of_bounds += int(np.count_nonzero(claims & ~inside))
+        stats.merged += rows.shape[0] - int(np.count_nonzero(first))
+    kept = zip(start[first].tolist(), length[first].tolist(), t[first].tolist(), score[first].tolist())
+    return [Prediction(s, ln, model.subtypes.name_of(ti), sc) for s, ln, ti, sc in kept]
 
 
 def decode_corpus(

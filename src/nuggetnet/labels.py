@@ -13,7 +13,10 @@ entries with index 0 reserved for NIL.  Non-NIL classes are ordered by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import ClassVar
+
+import numpy as np
 
 from .errors import ShapeError
 
@@ -63,18 +66,24 @@ def label_to_class(label: NuggetLabel, max_len: int) -> int:
     return encode_label(label.length, label.position, max_len)
 
 
+@cache
+def class_table(max_len: int) -> np.ndarray:
+    """(length, position) of every class index, the inverse of `encode_label`, read-only; NIL's row is (0, 0)."""
+    table = np.zeros((num_nugget_classes(max_len), 2), dtype=np.int64)
+    for length in range(1, max_len + 1):
+        for position in range(1, length + 1):
+            table[encode_label(length, position, max_len)] = (length, position)
+    table.flags.writeable = False
+    return table
+
+
 def decode_label(class_index: int, max_len: int) -> NuggetLabel:
     """Inverse of `encode_label`; index 0 decodes to NIL."""
-    n = num_nugget_classes(max_len)
-    if not 0 <= class_index < n:
-        raise ShapeError(f"class index {class_index} out of range [0, {n})")
-    if class_index == 0:
-        return NuggetLabel.NIL
-    for length in range(1, max_len + 1):
-        base = length * (length - 1) // 2
-        if base < class_index <= base + length:
-            return NuggetLabel(length, class_index - base)
-    raise AssertionError("unreachable: class index within range must decode")
+    table = class_table(max_len)
+    if not 0 <= class_index < table.shape[0]:
+        raise ShapeError(f"class index {class_index} out of range [0, {table.shape[0]})")
+    length, position = table[class_index].tolist()
+    return NuggetLabel(length, position) if length else NuggetLabel.NIL
 
 
 def label_for(trigger, char_index: int) -> NuggetLabel:

@@ -81,9 +81,9 @@ def head_backward(store: ParamStore, head: str, features: np.ndarray, dscores: n
 class SentenceEncoding:
     """Id arrays for one sentence, and its per-character distributions once queried.
 
-    `rows` holds every character's distributions from the first
-    char_distributions call on: a snapshot of the weights at that moment.
-    Encode the sentence again after changing them.
+    `rows` serves only char_distributions, the per-character accessor kept
+    for perfbench's decode gate and the test oracle; it is a snapshot of the
+    weights at the first call.  Encode the sentence again after changing them.
     """
 
     char_ids: np.ndarray
@@ -324,18 +324,22 @@ class CharSpanModel(CharEncoderBase):
 
     # -- inference ---------------------------------------------------------
 
+    def distributions(self, enc: SentenceEncoding) -> tuple[np.ndarray, np.ndarray]:
+        """(n, span classes) and (n, subtypes) probability rows of every character, from one forward pass."""
+        fwd = self._sentence_forward(enc)
+        return (
+            softmax(head_scores(self.store, "nugget", fwd.f_nugget)),
+            softmax(head_scores(self.store, "type", fwd.f_type)),
+        )
+
     def char_distributions(self, enc: SentenceEncoding, ci: int) -> tuple[np.ndarray, np.ndarray]:
         """(span-class probabilities, subtype probabilities) for one character.
 
-        The first call on an encoding computes every character's rows at
-        once and keeps them on it; later calls index into them.
+        The first call on an encoding keeps `distributions` on it; later
+        calls index into them.
         """
         if enc.rows is None:
-            fwd = self._sentence_forward(enc)
-            enc.rows = (
-                softmax(head_scores(self.store, "nugget", fwd.f_nugget)),
-                softmax(head_scores(self.store, "type", fwd.f_type)),
-            )
+            enc.rows = self.distributions(enc)
         pn, pt = enc.rows
         return pn[ci], pt[ci]
 

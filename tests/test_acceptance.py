@@ -133,13 +133,18 @@ def test_decoder_matches_oracle(capsys):
         def encode_sentence(self, sentence):
             return sentence
 
+        rows = (
+            ([0.1, 0.0, 0.0, 0.0, 0.9, 0.0, 0.0], [1.0]),
+            ([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [1.0]),
+            ([0.2, 0.8, 0.0, 0.0, 0.0, 0.0, 0.0], [1.0]),
+        )
+
+        def distributions(self, enc):
+            pn, pt = zip(*self.rows)
+            return np.array(pn), np.array(pt)
+
         def char_distributions(self, enc, ci):
-            rows = {
-                0: ([0.1, 0.0, 0.0, 0.0, 0.9, 0.0, 0.0], [1.0]),
-                1: ([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [1.0]),
-                2: ([0.2, 0.8, 0.0, 0.0, 0.0, 0.0, 0.0], [1.0]),
-            }
-            pn, pt = rows[ci]
+            pn, pt = self.rows[ci]
             return np.array(pn), np.array(pt)
 
     sentence = AnnotatedSentence("d", "s0", "受了伤", ((0, 0), (1, 1), (2, 2)), ())

@@ -166,8 +166,8 @@ class TestVocabulary:
         vocab = build_vocab(toy_corpus())
         assert PAD_ID == 0 and UNK_ID == 1
         assert all(v >= 2 for v in vocab.char_to_id.values())
-        assert vocab.char_id("never-seen") == UNK_ID
-        assert vocab.word_id("never-seen") == UNK_ID
+        assert vocab.char_ids(["never-seen"])[0] == UNK_ID
+        assert vocab.word_ids(["never-seen"])[0] == UNK_ID
 
     def test_counts(self):
         vocab = build_vocab(toy_corpus())

@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nuggetnet.corpus import AnnotatedSentence, SubtypeInventory, TriggerNugget
+from nuggetnet.corpus import AnnotatedSentence, SubtypeInventory
 from nuggetnet.decoder import (
     DecodeStats,
     Prediction,
@@ -16,6 +17,7 @@ from nuggetnet.decoder import (
     save_predictions,
 )
 from nuggetnet.errors import CorpusFormatError
+from nuggetnet.labels import encode_label, num_nugget_classes
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
 
 from decode_reference import decode_oracle
@@ -32,6 +34,10 @@ class ScriptedModel:
 
     def encode_sentence(self, sentence):
         return sentence
+
+    def distributions(self, enc):
+        pn, pt = zip(*self.rows)
+        return np.array(pn, dtype=np.float64), np.array(pt, dtype=np.float64)
 
     def char_distributions(self, enc, ci):
         pn, pt = self.rows[ci]
@@ -128,6 +134,57 @@ class TestDecodeRules:
         assert [(p.start, p.length) for p in preds] == [(0, 1), (1, 1), (2, 1)]
 
 
+@st.composite
+def scripted_cases(draw):
+    """(rows, subtype names, max_nugget_len) drawn from a seed.
+
+    A row holds 0.1 and its peak (0.2 or 0.4 for span classes, 0.4 for
+    subtypes), the peak at one random class and, by chance, at others too:
+    argmax ties, equal-score duplicate spans and claims past either edge
+    all come up within a few hundred cases.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    max_len, n_types, n = (int(v) for v in rng.integers(1, [4, 4, 11]))
+
+    def rows(size, peaks):
+        peak = rng.choice(peaks, size=(n, 1))
+        values = np.where(rng.random((n, size)) < 0.2, peak, 0.1)
+        values[np.arange(n), rng.integers(0, size, n)] = peak[:, 0]
+        return values.tolist()
+
+    pn, pt = rows(num_nugget_classes(max_len), [0.2, 0.4]), rows(n_types, [0.4])
+    return list(zip(pn, pt)), tuple(f"t{i}" for i in range(n_types)), max_len
+
+
+class TestRandomRows:
+    @given(scripted_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_and_counts(self, case):
+        rows, subtypes, max_len = case
+        model = ScriptedModel(rows, subtypes=subtypes, max_nugget_len=max_len)
+        n = len(rows)
+        s = sent("字" * n, tuple((i, i) for i in range(n)))
+        stats = DecodeStats()
+        assert decode_sentence(model, s, stats) == decode_oracle(model, s)
+
+        pairs = [(ln, pos) for ln in range(1, max_len + 1) for pos in range(1, ln + 1)]
+        label_of = {encode_label(ln, pos, max_len): (ln, pos) for ln, pos in pairs}
+        proposed = out_of_bounds = 0
+        spans = set()
+        for ci, (pn, _) in enumerate(rows):
+            k = pn.index(max(pn))
+            if k == 0:
+                continue
+            length, position = label_of[k]
+            start = ci - position + 1
+            if start < 0 or start + length > n:
+                out_of_bounds += 1
+                continue
+            proposed += 1
+            spans.add((start, length))
+        assert (stats.proposed, stats.out_of_bounds, stats.merged) == (proposed, out_of_bounds, proposed - len(spans))
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("mode", ["concat", "general", "task_specific"])
     def test_untrained_models_agree(self, mode):
@@ -217,6 +274,3 @@ class TestPrediction:
     def test_bad_record(self):
         with pytest.raises(CorpusFormatError):
             Prediction.from_record({"start": 1, "length": "x", "subtype": "a", "score": 0.0})
-
-    def test_as_trigger(self):
-        assert Prediction(2, 3, "injure", -0.1).as_trigger() == TriggerNugget(2, 3, "injure")

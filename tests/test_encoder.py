@@ -645,7 +645,7 @@ class TestEmbeddingFile:
         path.write_text(f"{ch} {vec}\n系外 1 2 3 4 5 6 7 8\n", encoding="utf-8")
         n = load_embeddings_file(path, model.store, "char", model.vocab.char_to_id)
         assert n == 1  # the unseen token is skipped
-        row = model.store["char.tok_emb"].value[model.vocab.char_id(ch)]
+        row = model.store["char.tok_emb"].value[model.vocab.char_ids([ch])[0]]
         npt.assert_allclose(row, 0.125 * np.arange(1, 9), atol=1e-15)
 
     def test_non_numeric_value_names_file_and_line(self, tmp_path, corpus3):
@@ -663,7 +663,7 @@ class TestEmbeddingFile:
         path.write_text(f"2 2 \n{a} 0.5 -0.25 \n{b} 1.5 2 \t\r\n", encoding="utf-8")
         assert load_embeddings_file(path, model.store, "char", model.vocab.char_to_id) == 2
         emb = model.store["char.tok_emb"].value
-        npt.assert_array_equal(emb[[model.vocab.char_id(a), model.vocab.char_id(b)]], [[0.5, -0.25], [1.5, 2.0]])
+        npt.assert_array_equal(emb[model.vocab.char_ids([a, b])], [[0.5, -0.25], [1.5, 2.0]])
 
     def test_dimension_mismatch_raises(self, tmp_path, corpus3):
         model = small_model(corpus3)

@@ -146,8 +146,8 @@ class TestCharSpanModel:
             enc = model.encode_sentence(sentence)
             n = len(sentence.text)
             expected = (
-                [model.vocab.char_id(c) for c in sentence.text],
-                [model.vocab.word_id(w) for w in sentence.words],
+                [model.vocab.char_ids([c])[0] for c in sentence.text],
+                [model.vocab.word_ids([w])[0] for w in sentence.words],
                 [sentence.word_index_of(i) for i in range(n)],
             )
             for got, want in zip((enc.char_ids, enc.word_ids, enc.char_to_word), expected):
@@ -155,6 +155,21 @@ class TestCharSpanModel:
         assert enc.char_ids.tolist().count(UNK_ID) == 2 and enc.word_ids[1] == UNK_ID
         with pytest.raises(IndexError):
             unknown.word_index_of(5)
+
+    def test_decode_reads_whole_rows(self, corpus3, monkeypatch):
+        # the decoder takes every character's rows from one sentence forward, not through the accessor
+        calls = []
+        for name in ("char_distributions", "_sentence_forward"):
+            original = getattr(CharSpanModel, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(CharSpanModel, name, counting)
+        model = small_model(corpus3)
+        decode_sentence(model, corpus3[2])
+        assert calls == ["_sentence_forward"]
 
     def test_encoding_is_a_snapshot_of_the_weights(self, corpus3):
         model = small_model(corpus3)
@@ -256,7 +271,7 @@ def test_argmax_only_when_training(corpus3, monkeypatch, kind):
 
         monkeypatch.setattr(module, name, counting)
     model = small_model(corpus3, kind=kind)
-    model.predict_sentence(corpus3[2])  # the proposal kind decodes through char_distributions
+    model.predict_sentence(corpus3[2])
     assert calls == []
     stream_a, stream_b = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
     model.loss_and_grads(stream_a, stream_b)
