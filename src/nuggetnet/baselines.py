@@ -17,15 +17,7 @@ import numpy as np
 from .corpus import AnnotatedSentence, SubtypeInventory, TriggerNugget, Vocabulary
 from .decoder import Prediction
 from .errors import ConfigError
-from .model import (
-    CharEncoderBase,
-    ModelConfig,
-    _backward_rows,
-    _branch_rows,
-    _rows_by_sentence,
-    head_backward,
-    head_scores,
-)
+from .model import CharEncoderBase, ModelConfig, head_backward, head_scores
 from .ndcore import softmax, softmax_xent
 
 O_TAG = 0
@@ -140,7 +132,7 @@ class IOBModel(CharEncoderBase):
         return _sample_instances(positives, pool, neg_ratio, rng_seed), []
 
     def loss_and_grads(self, batch: Sequence[IOBInstance], _unused: Sequence = (), drop_rng=None) -> float:
-        fwd = self._forward(self._rows_of(batch), drop_rng)
+        fwd = self._forward(self._groups_of([i.sentence for i in batch], [i.char_index for i in batch]), drop_rng)
         _, loss, dscores = softmax_xent(head_scores(self.store, "tag", fwd.f_nugget), [inst.tag for inst in batch])
         df = head_backward(self.store, "tag", fwd.f_nugget, dscores)
         self._backward(fwd, df, np.zeros_like(fwd.f_type))
@@ -175,16 +167,6 @@ class WordwiseModel(CharEncoderBase):
         self.store.add("head.wordtype_w", (self.n_classes, config.extractor.fused_dim), init="glorot")
         self.store.add("head.wordtype_b", (self.n_classes,), init="zeros")
 
-    def _word_features(
-        self, sentences: Sequence[AnnotatedSentence], word_indices: Sequence[int], for_backward: bool = True
-    ):
-        """The word branch for (sentence, word index) rows, the kernel calls shared by all sentences."""
-        groups = [
-            (self.vocab.word_ids(sentence.words), np.array([word_indices[r] for r in rows], dtype=np.int64), rows)
-            for sentence, rows in _rows_by_sentence(sentences)
-        ]
-        return _branch_rows(self.store, self.config, "word", groups, for_backward)
-
     @staticmethod
     def word_labels(sentence: AnnotatedSentence, inventory: SubtypeInventory) -> list[int]:
         """Per-word gold: subtype id + 1 of the first trigger touching the word."""
@@ -207,16 +189,19 @@ class WordwiseModel(CharEncoderBase):
         return _sample_instances(positives, pool, neg_ratio, rng_seed), []
 
     def loss_and_grads(self, batch: Sequence[WordInstance], _unused: Sequence = (), drop_rng=None) -> float:
-        branch = self._word_features([inst.sentence for inst in batch], [inst.word_index for inst in batch])
-        fp = branch.fp
-        _, loss, dscores = softmax_xent(head_scores(self.store, "wordtype", fp), [inst.label for inst in batch])
-        _backward_rows(self.store, self.config, branch, head_backward(self.store, "wordtype", fp, dscores))
+        """Cross-entropy over the batch's words; it uses no dropout, so drop_rng is ignored."""
+        first_chars = [i.sentence.word_spans[i.word_index][0] for i in batch]
+        fwd = self._forward(self._groups_of([i.sentence for i in batch], first_chars))
+        _, loss, dscores = softmax_xent(head_scores(self.store, "wordtype", fwd.f_nugget), [i.label for i in batch])
+        df = head_backward(self.store, "wordtype", fwd.f_nugget, dscores)
+        self._backward(fwd, df, np.zeros_like(fwd.f_type))
         return loss
 
     def predict_sentence(self, sentence: AnnotatedSentence) -> list[Prediction]:
-        n_words = len(sentence.word_spans)
-        fp = self._word_features([sentence] * n_words, range(n_words), for_backward=False).fp
-        probs = softmax(head_scores(self.store, "wordtype", fp))
+        first_chars = np.array([s for s, _ in sentence.word_spans], dtype=np.int64)
+        words = np.arange(first_chars.shape[0])
+        fwd = self._forward([(self.encode_sentence(sentence), first_chars, words)], for_backward=False)
+        probs = softmax(head_scores(self.store, "wordtype", fwd.f_nugget))
         preds = []
         for wi, (s, e) in enumerate(sentence.word_spans):
             label = int(np.argmax(probs[wi]))

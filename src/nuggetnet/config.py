@@ -88,8 +88,7 @@ class RunConfig:
         if self.generator is not None:
             gen = {**asdict(self.generator), "seed": self.generator_seed}
         return {
-            "model_kind": self.model_kind,
-            "model": self.model.to_json(),
+            "model": {**self.model.to_json(), "kind": self.model_kind},
             "training": self.training.to_json(),
             "generator": gen,
             "data": {"train": self.train_path, "dev": self.dev_path, "test": self.test_path},
@@ -102,11 +101,7 @@ class RunConfig:
 def parse_run_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
-    _check_keys(
-        data,
-        {"model", "training", "generator", "data", "embeddings", "vocab_min_count", "out_dir"},
-        "top-level",
-    )
+    _check_keys(data, set(RunConfig().to_json()), "top-level")
 
     model_section = dict(_section(data, "model"))
     _check_keys(model_section, {"kind"} | _field_names(ModelConfig), "model")
@@ -173,11 +168,16 @@ def parse_run_config(data: dict) -> RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
+    """The run config in a YAML file, or in a .json file such as the resolved_config.json a run writes.
+
+    JSON is read as JSON: YAML 1.1 would read a float without a dot, such as 1e-06, as a string.
+    """
+    syntax = "JSON" if str(path).endswith(".json") else "YAML"
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
+            data = json.load(fh) if syntax == "JSON" else yaml.safe_load(fh)
+        except (ValueError, yaml.YAMLError) as exc:
+            raise ConfigError(f"{path}: not valid {syntax}: {exc}") from exc
     try:
         return parse_run_config(data or {})
     except ConfigError as exc:

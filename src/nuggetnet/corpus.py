@@ -33,8 +33,6 @@ logger = logging.getLogger(__name__)
 
 PAD_ID = 0
 UNK_ID = 1
-PAD_TOKEN = "<pad>"
-UNK_TOKEN = "<unk>"
 
 
 @dataclass(frozen=True)

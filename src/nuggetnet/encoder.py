@@ -496,8 +496,8 @@ def load_embeddings_file(path, store: ParamStore, prefix: str, token_to_id: dict
 
     Trailing ASCII whitespace is ignored.  Tokens absent from the
     vocabulary are skipped.  Returns the number of rows loaded.  Dimension
-    mismatches and non-numeric values raise ConfigError naming the file
-    and line.
+    mismatches and non-numeric or non-finite values raise ConfigError
+    naming the file and line.
     """
     emb = store[f"{prefix}.tok_emb"].value
     loaded = 0
@@ -514,8 +514,11 @@ def load_embeddings_file(path, store: ParamStore, prefix: str, token_to_id: dict
                     f"{path}: line {lineno}: embedding has {len(values)} dims, expected {emb.shape[1]}"
                 )
             try:
-                emb[token_to_id[token]] = np.array([float(v) for v in values])
+                row = np.array([float(v) for v in values])
             except ValueError as exc:
                 raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+            if not np.isfinite(row).all():
+                raise ConfigError(f"{path}: line {lineno}: embedding has non-finite values")
+            emb[token_to_id[token]] = row
             loaded += 1
     return loaded

@@ -8,8 +8,10 @@ cross-entropies over two instance streams: every sampled character for the
 span head, gold in-nugget characters for the subtype head.
 
 Every model kind (this one and the baselines in baselines.py) derives from
-CharEncoderBase, which builds the encoder tensors and owns the one
-checkpoint layout; `load_model` opens any of them through MODEL_CLASSES.
+CharEncoderBase, which builds the encoder tensors, owns the one checkpoint
+layout, and runs every kind's rows through `_forward`/`_backward`; a
+wordwise row enters at its word's first character.  `load_model` opens any
+kind through MODEL_CLASSES.
 """
 
 from __future__ import annotations
@@ -81,13 +83,15 @@ def head_backward(store: ParamStore, head: str, features: np.ndarray, dscores: n
 class SentenceEncoding:
     """Id arrays for one sentence, and its per-character distributions once queried.
 
+    The id array of a branch the model does not use is None.
+
     `rows` serves only char_distributions, the per-character accessor kept
     for perfbench's decode gate and the test oracle; it is a snapshot of the
     weights at the first call.  Encode the sentence again after changing them.
     """
 
-    char_ids: np.ndarray
-    word_ids: np.ndarray
+    char_ids: np.ndarray | None
+    word_ids: np.ndarray | None
     char_to_word: np.ndarray
     rows: tuple[np.ndarray, ...] | None = None
 
@@ -154,14 +158,6 @@ def _backward_rows(store: ParamStore, config: ModelConfig, branch: _BranchRows, 
     branch_backward(store, branch.prefix, branch.cache, per_center, config.extractor)
 
 
-def _rows_by_sentence(sentences: Sequence) -> list[tuple[object, np.ndarray]]:
-    """(sentence, the batch rows it holds) per distinct object, in order of first appearance."""
-    groups: dict[int, tuple[object, list[int]]] = {}
-    for row, sentence in enumerate(sentences):
-        groups.setdefault(id(sentence), (sentence, []))[1].append(row)
-    return [(sentence, np.array(rows)) for sentence, rows in groups.values()]
-
-
 @dataclass
 class _Forward:
     branches: list[_BranchRows]
@@ -181,7 +177,7 @@ class CharEncoderBase:
 
     The store holds the encoder tensors, then the subclass's head tensors,
     which its __init__ adds after calling this one.  This base turns
-    (sentence encoding, char index) rows into fused head inputs, routes head
+    batch rows, grouped by sentence, into fused head inputs, routes head
     gradients back down, and saves and loads any kind in one layout.  A
     subclass's `kind` names it in checkpoints and in the run config.
     """
@@ -201,27 +197,38 @@ class CharEncoderBase:
         register_encoder_params(self.store, config.extractor, vocab)
 
     def encode_sentence(self, sentence: AnnotatedSentence) -> SentenceEncoding:
-        char_to_word = np.array(sentence.char_to_word, dtype=np.int64)
-        return SentenceEncoding(self.vocab.char_ids(sentence.text), self.vocab.word_ids(sentence.words), char_to_word)
+        cfg = self.config.extractor
+        char_ids = self.vocab.char_ids(sentence.text) if cfg.use_chars else None
+        word_ids = self.vocab.word_ids(sentence.words) if cfg.use_words else None
+        return SentenceEncoding(char_ids, word_ids, np.array(sentence.char_to_word, dtype=np.int64))
+
+    def _groups_of(self, sentences: Sequence[AnnotatedSentence], chars: Sequence[int]) -> list[tuple]:
+        """(encoding, chars[rows], rows) per distinct sentence object, in order of first appearance."""
+        rows_of: dict[int, tuple[AnnotatedSentence, list[int]]] = {}
+        for row, sentence in enumerate(sentences):
+            rows_of.setdefault(id(sentence), (sentence, []))[1].append(row)
+        chars = np.asarray(chars, dtype=np.int64)
+        return [(self.encode_sentence(s), chars[rows], np.array(rows)) for s, rows in rows_of.values()]
 
     def _forward(
         self,
-        items: Sequence[tuple[SentenceEncoding, int]],
+        groups: Sequence[tuple[SentenceEncoding, np.ndarray, np.ndarray]],
         drop_rng: np.random.Generator | None = None,
         for_backward: bool = True,
     ) -> _Forward:
-        """Head inputs for (encoding, char index) rows, all sentences' kernel calls shared.
+        """Head inputs for (encoding, char indices, batch rows) groups, one per sentence.
 
-        Inference passes for_backward=False: no branch finds an argmax.
+        All sentences share the kernel calls.  Inference passes
+        for_backward=False: no branch finds an argmax.
         """
         cfg = self.config.extractor
-        groups = {"char": [], "word": []}
-        for enc, rows in _rows_by_sentence([enc for enc, _ in items]):
-            chars = np.array([items[r][1] for r in rows], dtype=np.int64)
-            groups["char"].append((enc.char_ids, chars, rows))
-            groups["word"].append((enc.word_ids, enc.char_to_word[chars], rows))
-        enabled = [p for p, on in (("char", cfg.use_chars), ("word", cfg.use_words)) if on]
-        branches = [_branch_rows(self.store, self.config, p, groups[p], for_backward) for p in enabled]
+        branches = []
+        if cfg.use_chars:
+            char_groups = [(enc.char_ids, chars, rows) for enc, chars, rows in groups]
+            branches.append(_branch_rows(self.store, self.config, "char", char_groups, for_backward))
+        if cfg.use_words:
+            word_groups = [(enc.word_ids, enc.char_to_word[chars], rows) for enc, chars, rows in groups]
+            branches.append(_branch_rows(self.store, self.config, "word", word_groups, for_backward))
         fp = {b.prefix: b.fp for b in branches}
         fusion = fuse(self.store, cfg, fp.get("char"), fp.get("word"))
         f_nugget, f_type = fusion.f_nugget, fusion.f_type
@@ -229,7 +236,7 @@ class CharEncoderBase:
         if drop_rng is not None and cfg.dropout > 0.0:
             keep = 1.0 - cfg.dropout
             # row by row, the nugget mask's draws and then the type mask's
-            draws = drop_rng.random((len(items), 2, cfg.fused_dim))
+            draws = drop_rng.random((f_nugget.shape[0], 2, cfg.fused_dim))
             masks = ((draws[:, 0] < keep) / keep, (draws[:, 1] < keep) / keep)
             f_nugget = f_nugget * masks[0]
             f_type = f_type * masks[1]
@@ -244,19 +251,9 @@ class CharEncoderBase:
         for branch in fwd.branches:
             _backward_rows(self.store, self.config, branch, dfp[branch.prefix])
 
-    def _rows_of(self, instances: Sequence) -> list[tuple[SentenceEncoding, int]]:
-        """(encoding, char index) per training instance; each distinct sentence is encoded once."""
-        encodings: dict[int, SentenceEncoding] = {}
-        rows = []
-        for inst in instances:
-            key = id(inst.sentence)
-            if key not in encodings:
-                encodings[key] = self.encode_sentence(inst.sentence)
-            rows.append((encodings[key], inst.char_index))
-        return rows
-
     def _sentence_forward(self, enc: SentenceEncoding) -> _Forward:
-        return self._forward([(enc, ci) for ci in range(enc.char_ids.shape[0])], for_backward=False)
+        every_char = np.arange(enc.char_to_word.shape[0])
+        return self._forward([(enc, every_char, every_char)], for_backward=False)
 
     # -- persistence -------------------------------------------------------
 
@@ -368,7 +365,7 @@ class CharSpanModel(CharEncoderBase):
             if inst.type_label is None:
                 raise ConfigError("classifier stream instance is missing its subtype label")
         batch = [*gen_batch, *cls_batch]
-        fwd = self._forward(self._rows_of(batch), drop_rng)
+        fwd = self._forward(self._groups_of([i.sentence for i in batch], [i.char_index for i in batch]), drop_rng)
         g = len(gen_batch)
         gold_nugget = [label_to_class(inst.nugget_label, self.config.max_nugget_len) for inst in gen_batch]
         gold_type = [self.subtypes.id_of(inst.type_label) for inst in cls_batch]

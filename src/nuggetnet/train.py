@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import AnnotatedSentence
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NuggetError, NumericError
 from .evaluate import ScoreMode, score
 from .ndcore import adadelta_step, write_atomically
 
@@ -74,10 +74,24 @@ def evaluate_model(model, corpus: Sequence[AnnotatedSentence]) -> dict:
 
 
 def _truncate_log(log_path: str, last_epoch: int) -> None:
-    """Drop what a crash after last_epoch's checkpoint left in the log: later epochs' lines and a torn last line."""
+    """Drop what a crash after last_epoch's checkpoint left in the log: later epochs' lines and a torn last line.
+
+    A complete line that is not a JSON object with an integer "epoch" raises NuggetError naming it.
+    """
     with open(log_path, "rb") as fh:
         lines = fh.readlines()
-    kept = [line for line in lines if line.endswith(b"\n") and json.loads(line)["epoch"] <= last_epoch]
+    kept = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.endswith(b"\n"):
+            continue
+        try:
+            epoch = json.loads(line)["epoch"]
+        except (KeyError, TypeError, ValueError):
+            epoch = None
+        if type(epoch) is not int:
+            raise NuggetError(f"{log_path}: line {lineno}: not a JSON object with an integer \"epoch\"")
+        if epoch <= last_epoch:
+            kept.append(line)
     if len(kept) < len(lines):
         write_atomically(log_path, kept)
 

@@ -1,5 +1,6 @@
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 import yaml
@@ -12,6 +13,8 @@ from nuggetnet.errors import ConfigError
 from nuggetnet.model import load_model
 from nuggetnet.ndcore import ParamStore, load_checkpoint, save_checkpoint
 from nuggetnet.train import BEST_CHECKPOINT, LAST_CHECKPOINT, TRAIN_LOG
+
+from util import KINDS, SCHEMA_DIR
 
 SMALL_EXTRACTOR = {
     "token_emb_dim": 12,
@@ -112,7 +115,7 @@ class TestTrainPredictEval:
         for fname in (BEST_CHECKPOINT, LAST_CHECKPOINT, TRAIN_LOG, "resolved_config.json"):
             assert (out_dir / fname).exists(), fname
         resolved = json.loads((out_dir / "resolved_config.json").read_text())
-        assert resolved["model_kind"] == "proposal"
+        assert resolved["model"]["kind"] == "proposal"
         assert resolved["training"]["epochs"] == 2
 
     def test_predict_and_eval(self, pipeline, capsys):
@@ -222,6 +225,29 @@ class TestTrainPredictEval:
         assert main(["inspect", "--model", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: bad model metadata")
+        assert "Traceback" not in err
+
+    def test_resolved_config_trains_again(self, pipeline):
+        _, _, out_dir, cfg = pipeline
+        assert load_run_config(out_dir / "resolved_config.json") == load_run_config(cfg)
+
+    def test_resume_rejects_a_garbled_log_line(self, pipeline, tmp_path, capsys):
+        _, _, out_dir, cfg = pipeline
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for fname in (LAST_CHECKPOINT, TRAIN_LOG):
+            (run_dir / fname).write_bytes((out_dir / fname).read_bytes())
+        lines = (run_dir / TRAIN_LOG).read_bytes().splitlines(keepends=True)
+        (run_dir / TRAIN_LOG).write_bytes(lines[0] + b'{"loss": 1.0}\n' + lines[1])
+        resume_cfg = tmp_path / "resume.yaml"
+        resume_cfg.write_text(
+            yaml.safe_dump({**yaml.safe_load(cfg.read_text(encoding="utf-8")), "out_dir": str(run_dir)}),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(["train", "--config", str(resume_cfg), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / TRAIN_LOG}: line 2")
         assert "Traceback" not in err
 
     def test_resume_after_completion_is_noop(self, pipeline, capsys):
@@ -334,6 +360,24 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {message}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_resolved_config_reads_back(self, kind):
+        # what `train` writes to resolved_config.json parses back to the same run, kind included
+        extractor = {**SMALL_EXTRACTOR, "use_chars": kind != "wordwise", "hybrid_mode": "task_specific"}
+        run = parse_run_config(
+            {
+                "model": {"kind": kind, "max_nugget_len": 2, "extractor": extractor},
+                "training": {"epochs": 3, "stop_at_dev_f1": 0.9},
+                "generator": {"n_sentences": 12, "subtypes": ["a", "b"], "proportions": [0.5, 0.25, 0.25], "seed": 4},
+                "data": {"dev": "dev.jsonl"},
+                "out_dir": "out",
+            }
+        )
+        resolved = json.loads(json.dumps(run.to_json()))
+        jsonschema.validate(resolved, json.loads((SCHEMA_DIR / "config.schema.json").read_text()))
+        assert resolved["model"]["kind"] == kind
+        assert parse_run_config(resolved) == run
 
     def test_round_trip_through_yaml(self, tmp_path):
         path = tmp_path / "run.yaml"

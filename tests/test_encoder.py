@@ -611,18 +611,19 @@ class TestDropout:
     def test_training_masks_are_seeded(self, corpus3):
         model = small_model(corpus3, dropout=0.5)
         enc = model.encode_sentence(corpus3[0])
-        f1 = model._forward([(enc, 1)], np.random.default_rng(9))
-        f2 = model._forward([(enc, 1)], np.random.default_rng(9))
+        f1 = model._forward([(enc, np.array([1]), [0])], np.random.default_rng(9))
+        f2 = model._forward([(enc, np.array([1]), [0])], np.random.default_rng(9))
         npt.assert_array_equal(f1.f_nugget, f2.f_nugget)
         assert f1.masks is not None
-        f3 = model._forward([(enc, 1)], np.random.default_rng(10))
+        f3 = model._forward([(enc, np.array([1]), [0])], np.random.default_rng(10))
         assert not np.array_equal(f1.masks[0], f3.masks[0])
 
     def test_masks_drawn_row_by_row(self, corpus3):
         # each row draws its nugget mask, then its type mask, as one instance at a time would
         model = small_model(corpus3, dropout=0.5)
         enc_a, enc_b = (model.encode_sentence(s) for s in corpus3[:2])
-        fwd = model._forward([(enc_a, 1), (enc_b, 0), (enc_a, 3)], np.random.default_rng(11))
+        groups = [(enc_a, np.array([1, 3]), [0, 2]), (enc_b, np.array([0]), [1])]  # rows a, b, a
+        fwd = model._forward(groups, np.random.default_rng(11))
         rng = np.random.default_rng(11)
         d = model.config.extractor.fused_dim
         for row in range(3):
@@ -632,7 +633,7 @@ class TestDropout:
     def test_inference_applies_no_mask(self, corpus3):
         model = small_model(corpus3, dropout=0.5)
         enc = model.encode_sentence(corpus3[0])
-        fwd = model._forward([(enc, 1)])
+        fwd = model._forward([(enc, np.array([1]), [0])])
         assert fwd.masks is None
 
 
@@ -671,3 +672,13 @@ class TestEmbeddingFile:
         path.write_text(f"{corpus3[0].text[0]} 1 2 3\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="dims"):
             load_embeddings_file(path, model.store, "char", model.vocab.char_to_id)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, corpus3, bad):
+        model = small_model(corpus3)
+        a, b = corpus3[0].text[:2]
+        path = tmp_path / "emb.txt"
+        path.write_text(f"{a} 1 2 3 4 5 6 7 8\n{b} 1 2 3 {bad} 5 6 7 8\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="emb.txt: line 2: embedding has non-finite values"):
+            load_embeddings_file(path, model.store, "char", model.vocab.char_to_id)
+        assert np.isfinite(model.store["char.tok_emb"].value).all()

@@ -134,7 +134,7 @@ class TestCharSpanModel:
         rows = [model.char_distributions(enc, ci) for ci in range(len(corpus3[2].text))]
         assert enc.rows is not None
         for ci, (pn, pt) in enumerate(rows):
-            fwd = model._forward([(model.encode_sentence(corpus3[2]), ci)])
+            fwd = model._forward([(model.encode_sentence(corpus3[2]), np.array([ci]), [0])])
             npt.assert_allclose(pn, softmax(head_scores(model.store, "nugget", fwd.f_nugget))[0], atol=1e-15)
             npt.assert_allclose(pt, softmax(head_scores(model.store, "type", fwd.f_type))[0], atol=1e-15)
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nuggetnet.errors import ConfigError, NumericError
+from nuggetnet.errors import ConfigError, NuggetError, NumericError
 from nuggetnet.model import CharSpanModel, load_model
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
 from nuggetnet.train import (
@@ -12,6 +12,7 @@ from nuggetnet.train import (
     LAST_CHECKPOINT,
     TRAIN_LOG,
     TrainConfig,
+    _truncate_log,
     evaluate_model,
     train,
 )
@@ -132,6 +133,13 @@ class TestDeterminism:
         )
         for fname in (LAST_CHECKPOINT, TRAIN_LOG):
             assert (tmp_path / "full" / fname).read_bytes() == (tmp_path / "part" / fname).read_bytes(), fname
+
+    @pytest.mark.parametrize("bad", [b"not json", b"[0]", b'{"loss": 1.0}', b'{"epoch": "0"}', b'{"epoch": true}'])
+    def test_garbled_log_line_names_file_and_line(self, tmp_path, bad):
+        log = tmp_path / TRAIN_LOG
+        log.write_bytes(b'{"epoch": 0}\n' + bad + b'\n{"epoch": 1}\n{"epo')
+        with pytest.raises(NuggetError, match=f"{TRAIN_LOG}: line 2: not a JSON object with an integer"):
+            _truncate_log(str(log), 0)
 
 
 class TestLoopBehavior:
