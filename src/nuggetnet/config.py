@@ -8,6 +8,7 @@ with every default filled in.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass, field, fields
 
 import yaml
@@ -167,15 +168,30 @@ def parse_run_config(data: dict) -> RunConfig:
     )
 
 
+class _RunConfigLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that also reads YAML 1.2 floats, such as 1e-6 or 1.5e3, as numbers.
+
+    YAML 1.1, which SafeLoader follows, needs a dot and a signed exponent
+    in a float and reads 1e-6 as a string.
+    """
+
+
+_RunConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+0123456789."),
+)
+
+
 def load_run_config(path) -> RunConfig:
     """The run config in a YAML file, or in a .json file such as the resolved_config.json a run writes.
 
-    JSON is read as JSON: YAML 1.1 would read a float without a dot, such as 1e-06, as a string.
+    YAML floats follow YAML 1.2, so an exponent needs no dot (_RunConfigLoader).
     """
     syntax = "JSON" if str(path).endswith(".json") else "YAML"
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh) if syntax == "JSON" else yaml.safe_load(fh)
+            data = json.load(fh) if syntax == "JSON" else yaml.load(fh, Loader=_RunConfigLoader)
         except (ValueError, yaml.YAMLError) as exc:
             raise ConfigError(f"{path}: not valid {syntax}: {exc}") from exc
     try:

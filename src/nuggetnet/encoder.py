@@ -27,30 +27,40 @@ With one (extract_branch's for_backward) it finds each pooled value's
 argmax row instead (ndcore.split_argmax) and reads the value back at that
 row, T[arg] + P[arg - c], which is exact because max returns one of the
 elements it compares.  The cache keeps those rows, and T and P die with
-the forward pass.  The backward pass scatters each pooled gradient to its
-row only, into an (n x filters) token map and a ((2n-1) x filters) offset
-map, and turns each map into weight and embedding gradients with one
-matmul.
+the forward pass.
+
+Both convolutions multiply each distinct input row once.  A row of T is
+the sum, over the window slots k, of the product of slot k's filter
+columns with the token in that slot; ndcore.window_products takes every
+such product for each distinct token in one matmul, and
+ndcore.window_sum adds a row's window up, slot by slot, then the bias.
+P does the same over the distinct position rows.  A batch repeats its
+tokens many times, so this multiplies far fewer rows than there are
+columns, and never more.
 
 A model reads a sequence longer than its max_tokens through a
 max_tokens-long view centered on each character, clamped at the edges
 (model.py).  The centers that share a view share one segment, and one
-extract_branch call takes every segment of one branch of a batch.  The
-call cuts its segments into chunks for the token convolution and the
-pooling only: a chunk takes segments until its token term would pass a
-fixed element budget (_CALL_ELEMENTS), and at least one, so it holds one
-view of a long sentence at many filters and a whole batch of short
-sentences at few.  Each chunk's token term dies before the next chunk
-starts.  The convolutions read the segments' padded tokens back to back,
-one window slot at a time, so no (columns x window*dim) matrix of windows
-is built.  All segments share the offset table of the longest one, so it
-is computed once per call, and one pooling pass per chunk serves every
-center in it: each center pools over its own segment's rows only.  The
-lexical window, tanh and the projection then run once over all centers,
-and branch_backward mirrors this: the projection backward, the lexical
-gradient and the offset-convolution backward run once per call, and each
-chunk adds only its token map's convolution backward.  Gradients reach the
-embedding tables through ndcore.scatter_rows.
+extract_branch call takes every segment of one branch of a batch: one
+product table per convolution serves all of them.  The call cuts its
+segments into chunks for the token term's window sums and the pooling
+only: a chunk takes segments until its token term would pass a fixed
+element budget (_CALL_ELEMENTS), and at least one, so it holds one view
+of a long sentence at many filters and a whole batch of short sentences
+at few.  Each chunk's token term dies before the next chunk starts.  All
+segments share the offset table of the longest one, so it is computed
+once per call, and one pooling pass per chunk serves every center in it:
+each center pools over its own segment's rows only.  The lexical window,
+tanh and the projection then run once over all centers.
+
+branch_backward has no chunks.  It differentiates the projection and the
+lexical window once, then sends each pooled gradient straight from its
+argmax row to the (distinct row, window slot) products that row summed,
+for T and for P alike (_window_backward): one bincount per window slot,
+then one matmul for the filters' gradient and one for the embedding
+rows'.  No map of either term is built.  The lexical gradient reaches the
+token table through ndcore.scatter_rows.
+
 Backward passes are written out by hand; the gradient checker in ndcore is
 the authority on their correctness.
 """
@@ -65,7 +75,7 @@ import numpy as np
 
 from .corpus import PAD_ID, Vocabulary, relative_position_index
 from .errors import ConfigError, ShapeError
-from .ndcore import ParamStore, conv1d, scatter_rows, sigmoid, split_argmax, split_max_pool
+from .ndcore import Param, ParamStore, scatter_rows, sigmoid, split_argmax, split_max_pool, window_products, window_sum
 
 
 class HybridMode(str, Enum):
@@ -182,15 +192,18 @@ class BranchCache:
 
     Token-term row a is padded slot a + lead of every segment's padded
     tokens back to back; conv column j of a segment starting at padded
-    slot s is its row s + j.  Offset rows number the offsets -(N-1) .. N-1,
-    N being the longest segment's length.  Every array is per center, per
-    chunk or a row of convolution inputs: no (rows x filters) term outlives
-    the forward pass.
+    slot s is its row s + j, and it sums the window products of padded
+    slots s+j .. s+j+h-1.  Offset rows number the offsets -(N-1) .. N-1,
+    N being the longest segment's length.  Each convolution's input is
+    kept as its distinct table rows and each slot's index among them
+    (ndcore.window_products).  Every array is per center or per input
+    slot: no (rows x filters) term outlives the forward pass.
     """
 
-    padded_ids: np.ndarray  # every segment's token ids with its conv pads, back to back
-    pos_rows: np.ndarray  # (2N-1 + window-1,) position rows the offset convolution reads
-    chunk_slots: np.ndarray  # (chunks+1,) first padded slot of each chunk, then the end
+    tok_distinct: np.ndarray  # distinct token ids of the padded segments, PAD included
+    tok_slot: np.ndarray  # (padded slots,) index of each padded slot's token in tok_distinct
+    pos_distinct: np.ndarray  # distinct position rows the offset convolution reads
+    pos_slot: np.ndarray  # (2N-1 + window-1,) index of each of its input slots in pos_distinct
     centers: np.ndarray  # (k,) token-term row of each center
     lo: np.ndarray  # (k,) first token-term row of each center's segment
     arg_rows: np.ndarray | None  # (k, 2*n_filters) token-term row of each pooled value; None without backward
@@ -267,13 +280,14 @@ def extract_branch(
     """Feature vectors of one branch for the centers of one or more token sequences.
 
     `segments` holds (token ids, center indices into them) per sequence;
-    the result has one row per center, segment after segment.  The token
-    convolution and the pooling run chunk by chunk (_CALL_ELEMENTS); the
-    offset convolution, the lexical window, tanh and the projection run
-    once over all centers.  With for_backward the pooling finds each
-    pooled value's row once (split_argmax) and the cache keeps those rows
-    for branch_backward; without it the pooling takes the values only
-    (split_max_pool).
+    the result has one row per center, segment after segment.  Each
+    convolution multiplies its distinct input rows once for all segments
+    (ndcore.window_products); the token term's window sums and the pooling
+    run chunk by chunk (_CALL_ELEMENTS), and the offset term, the lexical
+    window, tanh and the projection once over all centers.  With
+    for_backward the pooling finds each pooled value's row once
+    (split_argmax) and the cache keeps those rows for branch_backward;
+    without it the pooling takes the values only (split_max_pool).
     """
     segments = [(np.asarray(ids, dtype=np.int64), np.asarray(c, dtype=np.int64)) for ids, c in segments]
     if not segments or any(ids.ndim != 1 or ids.shape[0] == 0 for ids, _ in segments):
@@ -299,8 +313,10 @@ def extract_branch(
     pos_rows = relative_position_index(np.arange(h + 2 * longest - 2) - (longest - 1) - lead, config.max_rel_dist)
 
     w = _filters(store[f"{prefix}.conv_w"].value, config)
-    token_w, conv_b = w[:, :, :e].reshape(m, -1), store[f"{prefix}.conv_b"].value
-    offset_term = conv1d(store[f"{prefix}.pos_emb"].value[pos_rows], w[:, :, e:].reshape(m, -1))
+    tok_distinct, tok_slot, tok_products = window_products(tok_emb, padded_ids, w[:, :, :e])
+    pos_distinct, pos_slot, pos_products = window_products(store[f"{prefix}.pos_emb"].value, pos_rows, w[:, :, e:])
+    offset_term = window_sum(pos_products, pos_slot, 0, 2 * longest - 1)
+    conv_b = store[f"{prefix}.conv_b"].value
 
     # every center as a token-term row inside its segment's rows [lo, hi); row a is padded slot a + lead
     counts = [c.shape[0] for _, c in segments]
@@ -314,7 +330,7 @@ def extract_branch(
     arg_rows = np.empty(pooled.shape, dtype=np.int64) if for_backward else None
     for start, end, r0, r1 in _chunk_ranges(lo, chunk_slots):
         # the chunk's token term is rows start .. end-h of the whole one; it dies with the chunk
-        token_term = conv1d(tok_emb[padded_ids[start:end]], token_w, conv_b)
+        token_term = window_sum(tok_products, tok_slot, start, end - start - h + 1, conv_b)
         rows = (centers[r0:r1] - start, lo[r0:r1] - start, hi[r0:r1] - start)
         if for_backward:
             arg = np.concatenate(split_argmax(token_term, offset_term, *rows), axis=1)
@@ -329,24 +345,38 @@ def extract_branch(
     # the ids are in range by construction; "clip" lets take write into the strided columns unbuffered
     np.take(tok_emb, lex_ids, axis=0, out=feature[:, 2 * m :].reshape(lex_ids.shape + (e,)), mode="clip")
     fp = np.tanh(feature @ store[f"{prefix}.proj_w"].value.T + store[f"{prefix}.proj_b"].value)
-    return BranchCache(padded_ids, pos_rows, chunk_slots, centers, lo, arg_rows, lex_ids, feature, fp)
+    return BranchCache(tok_distinct, tok_slot, pos_distinct, pos_slot, centers, lo, arg_rows, lex_ids, feature, fp)
 
 
-def _conv1d_backward(dmap: np.ndarray, x: np.ndarray, w: np.ndarray, grad_w: np.ndarray) -> np.ndarray:
-    """Backward of conv1d for filters w as (filters, window, d): adds dL/dw into grad_w, returns dL/dx."""
-    n_out = dmap.shape[0]
-    dx = np.zeros_like(x)
-    for k in range(w.shape[1]):
-        grad_w[:, k] += dmap.T @ x[k : k + n_out]
-        dx[k : k + n_out] += dmap @ w[:, k]
-    return dx
+def _window_backward(table: Param, w: np.ndarray, grad_w: np.ndarray, distinct, slot, rows, weights) -> None:
+    """Backward of window_sum over window_products(table.value, ids, w): adds into grad_w and table.grad.
+
+    weights[i, c] is dL/d(term[rows[i, c], c mod m]), the term's rows
+    numbered as window_sum's columns from slot 0.  Term row a is the sum of
+    products[slot[a+k], k] over the window slots k, so each value adds to
+    the h cells (slot[a+k], k) of one (distinct, h, m) gradient, one
+    bincount per window slot; two matmuls over the distinct rows then give
+    the filters' and the table's gradients.
+    """
+    m, h, d = w.shape
+    n = distinct.shape[0]
+    filters = np.arange(rows.shape[1]) % m
+    cells = np.empty((n, h, m))
+    for k in range(h):
+        bins = slot[rows + k]
+        bins *= m
+        bins += filters
+        cells[:, k] = np.bincount(bins.reshape(-1), weights.reshape(-1), n * m).reshape(n, m)
+    cells = cells.reshape(n, h * m)
+    grad_w += (cells.T @ table.value[distinct]).reshape(h, m, d).transpose(1, 0, 2)
+    table.grad[distinct] += cells @ w.transpose(1, 0, 2).reshape(h * m, d)
 
 
 def _projection_backward(store: ParamStore, prefix: str, cache: BranchCache, dfp: np.ndarray, m: int) -> np.ndarray:
     """Add the projection's and the lexical window's gradients; returns dL/d(pooled pre-activations), (k, 2m).
 
-    A function of its own so that its temporaries are freed before
-    branch_backward's chunks allocate theirs.
+    A function of its own so that its temporaries are freed before the
+    convolutions' backward allocates its own.
     """
     proj_w = store[f"{prefix}.proj_w"]
     dz = dfp * (1.0 - cache.fp * cache.fp)
@@ -364,38 +394,22 @@ def _projection_backward(store: ParamStore, prefix: str, cache: BranchCache, dfp
 def branch_backward(store: ParamStore, prefix: str, cache: BranchCache, dfp: np.ndarray, config: ExtractorConfig) -> None:
     """Accumulate gradients for one branch given dL/d(projected features), one row per center.
 
-    The projection, the lexical window and the offset convolution are
-    differentiated once; each chunk adds only its token convolution's part.
+    Each pooled value came from one token-term row, its argmax row, and one
+    offset-term row: both convolutions are differentiated once per branch,
+    straight from those rows, with no chunk loop and no map of either term.
     """
     m = config.n_filters
     e = config.token_emb_dim
-    h = config.window
-    tok_emb = store[f"{prefix}.tok_emb"]
-    pos_emb = store[f"{prefix}.pos_emb"]
     dpre = _projection_backward(store, prefix, cache, dfp, m)
-
-    # each pooled value came from one conv column, its argmax row, and one offset row: scatter it into
-    # both maps, whose row counts are the convolutions' output lengths.  The offset map is one for
-    # all chunks; each chunk scatters into a token map of its own and turns it into gradients at once.
-    filters = np.tile(np.arange(m), 2)
-    weights = dpre.reshape(-1)
-    n_offsets = cache.pos_rows.shape[0] - h + 1
-    offset_map = np.bincount(
-        (_offset_rows(cache.arg_rows, cache.centers, n_offsets) * m + filters).reshape(-1), weights, n_offsets * m
-    ).reshape(-1, m)
-    store[f"{prefix}.conv_b"].grad += offset_map.sum(axis=0)
-
+    store[f"{prefix}.conv_b"].grad += dpre.reshape(-1, m).sum(axis=0)
     conv_w = store[f"{prefix}.conv_w"]
     w = _filters(conv_w.value, config)
     grad = _filters(conv_w.grad, config)
-    for start, end, r0, r1 in _chunk_ranges(cache.lo, cache.chunk_slots):
-        n_cols = end - start - h + 1
-        bins = ((cache.arg_rows[r0:r1] - start) * m + filters).reshape(-1)
-        token_map = np.bincount(bins, weights[r0 * 2 * m : r1 * 2 * m], n_cols * m).reshape(n_cols, m)
-        ids = cache.padded_ids[start:end]
-        scatter_rows(tok_emb.grad, ids, _conv1d_backward(token_map, tok_emb.value[ids], w[:, :, :e], grad[:, :, :e]))
-    dpos = _conv1d_backward(offset_map, pos_emb.value[cache.pos_rows], w[:, :, e:], grad[:, :, e:])
-    scatter_rows(pos_emb.grad, cache.pos_rows, dpos)
+    n_offsets = cache.pos_slot.shape[0] - config.window + 1
+    offset_rows = _offset_rows(cache.arg_rows, cache.centers, n_offsets)
+    pos_emb, tok_emb = store[f"{prefix}.pos_emb"], store[f"{prefix}.tok_emb"]
+    _window_backward(pos_emb, w[:, :, e:], grad[:, :, e:], cache.pos_distinct, cache.pos_slot, offset_rows, dpre)
+    _window_backward(tok_emb, w[:, :, :e], grad[:, :, :e], cache.tok_distinct, cache.tok_slot, cache.arg_rows, dpre)
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +511,11 @@ def load_embeddings_file(path, store: ParamStore, prefix: str, token_to_id: dict
     Trailing ASCII whitespace is ignored.  Tokens absent from the
     vocabulary are skipped.  Returns the number of rows loaded.  Dimension
     mismatches and non-numeric or non-finite values raise ConfigError
-    naming the file and line.
+    naming the file and line.  The whole file is read and checked before
+    any row is written, so a bad line leaves the table as it was.
     """
     emb = store[f"{prefix}.tok_emb"].value
-    loaded = 0
+    ids, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip(_ASCII_SPACE).split(" ")
@@ -519,6 +534,8 @@ def load_embeddings_file(path, store: ParamStore, prefix: str, token_to_id: dict
                 raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
             if not np.isfinite(row).all():
                 raise ConfigError(f"{path}: line {lineno}: embedding has non-finite values")
-            emb[token_to_id[token]] = row
-            loaded += 1
-    return loaded
+            ids.append(token_to_id[token])
+            rows.append(row)
+    for token_id, row in zip(ids, rows):  # in file order: a token listed twice keeps its last row
+        emb[token_id] = row
+    return len(rows)

@@ -127,8 +127,8 @@ def _branch_rows(
 
     Each distinct center of a sentence is computed once.  Each
     max_tokens-long view a sentence needs is one segment; extract_branch
-    bounds its working memory itself, by running the token convolution and
-    the pooling over chunks of consecutive segments.  for_backward tells
+    bounds its working memory itself, by running the token term's window
+    sums and the pooling over chunks of consecutive segments.  for_backward tells
     extract_branch whether branch_backward follows: only then does the
     cache keep each pooled value's argmax row.  The cache keeps no token or
     offset term.

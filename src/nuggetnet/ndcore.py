@@ -94,34 +94,52 @@ class ParamStore:
 # ---------------------------------------------------------------------------
 
 
-def conv1d(inputs: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Valid 1-d convolution, without a nonlinearity.
+def window_products(table: np.ndarray, ids, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The products a 1-d convolution over the rows table[ids] sums, each distinct id once.
 
-    inputs:  (n, d) sequence of n input vectors
-    weights: (m, h*d) flat filters, one row per filter, window h
-    bias:    (m,) or None
-    returns: (n-h+1, m) map where
-             map[j, i] = w_i . concat(x_j .. x_{j+h-1}) + b_i
+    table:   (V, d) rows, such as an embedding table
+    ids:     (n,) the sequence's rows of table
+    weights: (m, h, d) filters, window h
+    returns: (distinct, slot, products): the sorted distinct ids, the index
+             slot[i] of ids[i] among them, and the (len(distinct), h, m)
+             products[u, k, i] = weights[i, k] . table[distinct[u]]
 
-    The map is summed one window slot at a time, so no (n, h*d) matrix of
-    windows is ever built.
+    One matmul over the distinct rows serves every window slot, so a
+    sequence that repeats its ids pays for each id once; window_sum adds
+    the products up into the convolution's columns.
     """
-    x = np.asarray(inputs, dtype=np.float64)
+    table = np.asarray(table, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if x.ndim != 2 or w.ndim != 2:
-        raise ShapeError(f"conv1d expects inputs (n,d) and weights (m,h*d); got {x.shape} and {w.shape}")
-    n, d = x.shape
-    m, hd = w.shape
+    if table.ndim != 2 or w.ndim != 3 or w.shape[2] != table.shape[1]:
+        raise ShapeError(f"window_products expects a table (V,d) and weights (m,h,d); got {table.shape} and {w.shape}")
+    m, h, d = w.shape
+    distinct, slot = np.unique(np.asarray(ids, dtype=np.int64).reshape(-1), return_inverse=True)
+    # the filters' columns stacked slot by slot: row k*m + i is filter i's columns for window slot k
+    products = table[distinct] @ w.transpose(1, 0, 2).reshape(h * m, d).T
+    return distinct, slot, products.reshape(-1, h, m)
+
+
+def window_sum(
+    products: np.ndarray, slot: np.ndarray, start: int, n_cols: int, bias: np.ndarray | None = None
+) -> np.ndarray:
+    """Columns start .. start+n_cols-1 of the valid convolution whose products window_products took.
+
+    returns: (n_cols, m) map where
+             map[j] = sum over k of products[slot[start+j+k], k], plus bias
+
+    i.e. w_i . concat(x_{start+j} .. x_{start+j+h-1}) + b_i for the rows x
+    of the sequence.  The window slots are added in order, then the bias.
+    """
+    _, h, m = products.shape
+    if n_cols < 1 or start < 0 or start + n_cols + h - 1 > slot.shape[0]:
+        raise ShapeError(f"columns {start} .. {start + n_cols - 1} need a window of {h} inside {slot.shape[0]} rows")
     if bias is not None and np.shape(bias) != (m,):
         raise ShapeError(f"bias shape {np.shape(bias)} does not match {m} filters")
-    if d == 0 or hd % d != 0:
-        raise ShapeError(f"filter width {hd} is not a multiple of input dimension {d}")
-    h = hd // d
-    if n < h:
-        raise ShapeError(f"sequence length {n} shorter than window {h}")
-    out = x[: n - h + 1] @ w[:, :d].T
+    # row u*h + k of the flat table is products[u, k]: each slot reads whole contiguous rows
+    flat = products.reshape(-1, m)
+    out = np.take(flat, slot[start : start + n_cols] * h, axis=0)
     for k in range(1, h):
-        out += x[k : k + n - h + 1] @ w[:, k * d : (k + 1) * d].T
+        out += np.take(flat, slot[start + k : start + k + n_cols] * h + k, axis=0)
     if bias is not None:
         out += bias
     return out

@@ -379,6 +379,15 @@ class TestRunConfig:
         assert resolved["model"]["kind"] == kind
         assert parse_run_config(resolved) == run
 
+    @pytest.mark.parametrize("text, value", [("1e-6", 1e-6), ("1.5e7", 1.5e7), ("2E+0", 2.0), ("3e2", 300.0)])
+    def test_yaml_exponent_floats_are_numbers(self, tmp_path, text, value):
+        # YAML 1.1 reads an exponent without a dot, or a dot with an unsigned exponent, as a string
+        path = tmp_path / "run.yaml"
+        path.write_text(f"training: {{eps: {text}}}\n", encoding="utf-8")
+        eps = load_run_config(path).training.eps
+        assert isinstance(eps, float) and eps == value
+        assert yaml.safe_load(path.read_text(encoding="utf-8")) != {"training": {"eps": value}}
+
     def test_round_trip_through_yaml(self, tmp_path):
         path = tmp_path / "run.yaml"
         write_config(path, tmp_path / "out", tmp_path / "data", epochs=7)

@@ -23,7 +23,7 @@ from nuggetnet.encoder import (
 )
 from nuggetnet.errors import ConfigError, ShapeError
 from nuggetnet.model import ModelConfig, _backward_rows, _branch_rows, _view_starts
-from nuggetnet.ndcore import ParamStore, conv1d, grad_check, sigmoid, split_argmax, split_max_pool
+from nuggetnet.ndcore import ParamStore, grad_check, sigmoid, split_argmax, split_max_pool
 
 from branch_reference import reference_branch, reference_view
 from util import small_extractor, small_model, toy_corpus, widen_params
@@ -130,7 +130,7 @@ class TestExtractBranch:
         cache = one_sequence(store, [2, 3, 4, 5, 6], [2], cfg)
         assert cache.feature.shape == (1, cfg.feature_dim)
         assert cache.fp.shape == (1, cfg.proj_dim)
-        assert cache.padded_ids.shape == (5 + cfg.window - 1,)  # one conv column per token
+        assert cache.tok_slot.shape == (5 + cfg.window - 1,)  # one conv column per token
 
     def test_padding_keeps_columns_aligned(self):
         # the filter reads only the center slot's token dim 0, so column j holds token j's value
@@ -160,7 +160,7 @@ class TestExtractBranch:
         cfg = small_extractor()
         store = branch_store(cfg)
         cache = one_sequence(store, [2], [0], cfg)
-        assert cache.padded_ids.shape == (cfg.window,)
+        assert cache.tok_slot.shape == (cfg.window,)
         assert cache.centers[0] == cache.lo[0]  # no left context to pool
         npt.assert_array_equal(cache.arg_rows[0, : cfg.n_filters], 0)  # the empty pool points at row lo
         npt.assert_array_equal(cache.feature[0, : cfg.n_filters], np.zeros(cfg.n_filters))
@@ -353,6 +353,65 @@ class TestKernelMatchesReference:
             ref = reference_view(store, "char", ids, c, cfg, max_tokens)
             npt.assert_allclose(branch.fp[row], ref.fp, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("budget", [_CALL_ELEMENTS, 1])
+    @pytest.mark.parametrize("vocab", ["repeated", "distinct"])
+    def test_repeated_and_distinct_tokens(self, monkeypatch, vocab, budget):
+        # the token term multiplies each distinct id once and every chunk reads the same products: ids
+        # from {PAD, 2, 3} (the same token in adjacent window slots, PAD inside segments as around them)
+        # and all-distinct ids must both give the per-center formula's features, in one chunk or in many
+        monkeypatch.setattr(nencoder, "_CALL_ELEMENTS", budget)
+        cfg = small_extractor(window=3, lex_window=2, max_rel_dist=40)
+        store = branch_store(cfg, n_tokens=140, seed=7)
+        rng = np.random.default_rng(11)
+        if vocab == "repeated":
+            fixed = [[2], [3, 3], [2, 2, 2, PAD_ID, 3, 3, 2], [PAD_ID, PAD_ID]]
+            all_ids = fixed + [rng.choice([PAD_ID, 2, 3], size=n).tolist() for n in (30, 13)]
+        else:
+            tokens = rng.permutation(np.arange(2, 140)).tolist()
+            all_ids = [tokens[a:b] for a, b in ((0, 1), (1, 3), (3, 10), (10, 12), (12, 42), (42, 55))]
+        segments = [(np.array(ids), np.arange(len(ids))) for ids in all_ids]
+        cache = extract_branch(store, "char", segments, cfg)
+        n_tokens = sum(map(len, all_ids))
+        expected = {PAD_ID, 2, 3} if vocab == "repeated" else {PAD_ID, *sum(all_ids, [])}
+        assert set(cache.tok_distinct.tolist()) == expected
+        n_distinct = cache.tok_distinct.shape[0]
+        assert n_distinct < n_tokens if vocab == "repeated" else n_distinct == n_tokens + 1
+        row = 0
+        for ids, centers in segments:
+            for c in centers.tolist():
+                ref = reference_branch(store, "char", ids, c, cfg)
+                npt.assert_allclose(cache.feature[row], ref.feature, rtol=0, atol=1e-12)
+                npt.assert_allclose(cache.fp[row], ref.fp, rtol=0, atol=1e-12)
+                row += 1
+        assert row == cache.fp.shape[0]
+        decoded = extract_branch(store, "char", segments, cfg, for_backward=False)
+        npt.assert_array_equal(cache.fp.view(np.int64), decoded.fp.view(np.int64))
+
+    def test_grad_check_with_repeated_tokens_across_views(self):
+        # two tokens and PAD, repeated inside windows and across the views of a long sentence: each
+        # distinct token's gradient gathers every slot that read it, in every view
+        cfg = small_extractor(window=3, lex_window=1, max_rel_dist=12)
+        store = branch_store(cfg, n_tokens=5, seed=8)
+        config = ModelConfig(extractor=cfg, max_tokens=6)
+        long_ids = np.array([2, 3, 3, 2, PAD_ID, 2, 3, 3, 3, 2, 2])
+        groups = [
+            (long_ids, np.array([0, 4, 5, 8, 10]), np.arange(5)),
+            (np.array([3, 3, 2]), np.array([0, 2]), np.array([5, 6])),
+        ]
+        target = np.linspace(-0.5, 0.5, 7 * cfg.proj_dim).reshape(7, -1)
+
+        def closure():
+            branch = _branch_rows(store, config, "char", groups)
+            loss = 0.5 * float(np.sum((branch.fp - target) ** 2))
+            _backward_rows(store, config, branch, branch.fp - target)
+            return loss
+
+        branch = _branch_rows(store, config, "char", groups)
+        assert n_segments(branch) == 5  # four views of the long sentence, one short sentence
+        npt.assert_array_equal(branch.cache.tok_distinct, [PAD_ID, 2, 3])
+        report = grad_check(closure, store, step=1e-5, tolerance=1e-5, coords_per_param=8, rng_seed=4)
+        assert report.passed, report.summary()
+
     def test_grad_check_over_sentences_and_views(self):
         cfg = small_extractor(window=3, lex_window=1, max_rel_dist=4)
         store = branch_store(cfg, n_tokens=20, seed=5)
@@ -379,15 +438,15 @@ class TestKernelMatchesReference:
         assert report.passed, report.summary()
 
 
-def chunk_views(views, token_convs, window):
-    """The views of each chunk, read off the rows of each chunk's token convolution (views plus their pads)."""
+def chunk_views(views, token_terms, window):
+    """The views of each chunk, read off the rows of each chunk's token term (views plus their pads, less a window)."""
     chunks, i = [], 0
-    for rows in token_convs:
+    for rows in token_terms:
         chunk = []
-        while sum(chunk) + (window - 1) * len(chunk) < rows:
+        while sum(chunk) + (window - 1) * len(chunk) < rows + window - 1:
             chunk.append(views[i])
             i += 1
-        assert sum(chunk) + (window - 1) * len(chunk) == rows
+        assert sum(chunk) + (window - 1) * len(chunk) == rows + window - 1
         chunks.append(chunk)
     assert i == len(views)
     return chunks
@@ -413,14 +472,14 @@ def test_call_passes_the_element_budget_only_with_one_view(n_filters, lengths, s
         row += centers.shape[0]
     with (
         mock.patch.object(nmodel, "extract_branch", wraps=extract_branch) as spy,
-        mock.patch.object(nencoder, "conv1d", wraps=conv1d) as convs,
+        mock.patch.object(nencoder, "split_argmax", wraps=split_argmax) as pools,
     ):
         _branch_rows(store, config, "char", groups)
     (call,) = spy.call_args_list
     views = [ids.shape[0] for ids, _ in call.args[2]]
     assert len(views) == sum(len(set(_view_starts(len(g[0]), g[1], 120).tolist())) for g in groups)
-    # the first convolution is the offset term's, once per call; every later one is a chunk's token term
-    sizes = chunk_views(views, [c.args[0].shape[0] for c in convs.call_args_list[1:]], cfg.window)
+    # each chunk pools once, over its own token term
+    sizes = chunk_views(views, [c.args[0].shape[0] for c in pools.call_args_list], cfg.window)
     for chunk in sizes:
         assert sum(chunk) * n_filters <= _CALL_ELEMENTS or len(chunk) == 1, chunk
     for chunk, following in zip(sizes, sizes[1:]):  # no chunk closes before the budget makes it
@@ -454,9 +513,9 @@ class TestChunks:
 
         proj_w = store["char.proj_w"]
         proj_w.value = proj_w.value.view(Counting)
-        with mock.patch.object(nencoder, "conv1d", wraps=conv1d) as convs:
+        with mock.patch.object(nencoder, "split_argmax", wraps=split_argmax) as pools:
             branch = _branch_rows(store, config, "char", groups)
-        assert convs.call_count - 1 == n_segments(branch) == 5  # one token convolution per chunk
+        assert pools.call_count == n_segments(branch) == 5  # one pooling pass per chunk
         assert matmuls == ["matmul"]
         matmuls.clear()
         _backward_rows(store, config, branch, np.ones_like(branch.fp))
@@ -477,9 +536,9 @@ class TestChunks:
         fp = _branch_rows(store, config, "char", groups).fp
         store.zero_grads()
         monkeypatch.setattr(nencoder, "_CALL_ELEMENTS", 1)  # five chunks, one per segment
-        with mock.patch.object(nencoder, "conv1d", wraps=conv1d) as convs:
+        with mock.patch.object(nencoder, "split_argmax", wraps=split_argmax) as pools:
             closure()
-        assert convs.call_count - 1 == 5
+        assert pools.call_count == 5
         for name, p in store.items():
             npt.assert_allclose(p.grad, whole[name], rtol=1e-12, atol=1e-15, err_msg=name)
         npt.assert_allclose(_branch_rows(store, config, "char", groups).fp, fp, rtol=0, atol=1e-14)
@@ -682,3 +741,23 @@ class TestEmbeddingFile:
         with pytest.raises(ConfigError, match="emb.txt: line 2: embedding has non-finite values"):
             load_embeddings_file(path, model.store, "char", model.vocab.char_to_id)
         assert np.isfinite(model.store["char.tok_emb"].value).all()
+
+    @pytest.mark.parametrize("bad", ["1 2 3 x 5 6 7 8", "1 2 3", "1 2 3 nan 5 6 7 8"])
+    def test_bad_line_leaves_the_table_unchanged(self, tmp_path, corpus3, bad):
+        # line 1 is good, line 2 is not: no row of the file is written
+        model = small_model(corpus3)
+        a, b = corpus3[0].text[:2]
+        path = tmp_path / "emb.txt"
+        path.write_text(f"{a} 1 2 3 4 5 6 7 8\n{b} {bad}\n", encoding="utf-8")
+        before = model.store["char.tok_emb"].value.copy()
+        with pytest.raises(ConfigError, match="emb.txt: line 2"):
+            load_embeddings_file(path, model.store, "char", model.vocab.char_to_id)
+        npt.assert_array_equal(model.store["char.tok_emb"].value, before)
+
+    def test_repeated_token_keeps_its_last_row(self, tmp_path, corpus3):
+        model = small_model(corpus3, token_emb_dim=2)
+        a = corpus3[0].text[0]
+        path = tmp_path / "emb.txt"
+        path.write_text(f"{a} 1 2\n{a} 3 4\n", encoding="utf-8")
+        assert load_embeddings_file(path, model.store, "char", model.vocab.char_to_id) == 2
+        npt.assert_array_equal(model.store["char.tok_emb"].value[model.vocab.char_ids([a])[0]], [3.0, 4.0])

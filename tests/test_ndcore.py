@@ -13,7 +13,6 @@ from nuggetnet.ndcore import (
     Param,
     ParamStore,
     adadelta_step,
-    conv1d,
     grad_check,
     load_checkpoint,
     restore_store,
@@ -24,6 +23,8 @@ from nuggetnet.ndcore import (
     softmax_xent,
     split_argmax,
     split_max_pool,
+    window_products,
+    window_sum,
 )
 
 # frozen reference values, computed once by hand / high-precision evaluation
@@ -36,6 +37,14 @@ LN_7 = 1.9459101090932196
 # first Adadelta step for any parameter with g = 1, rho = 0.95, eps = 1e-6:
 # dx = -sqrt(0 + 1e-6) / sqrt(0.05 + 1e-6) * 1
 ADADELTA_FIRST_STEP = -0.004472091234310839
+
+
+def conv1d(x, w, b=None):
+    """window_sum over window_products as a plain valid convolution of the rows x (n, d), filters w (m, h*d)."""
+    x, w = np.asarray(x, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    h = w.shape[1] // x.shape[1]
+    _, slot, products = window_products(x, np.arange(x.shape[0]), w.reshape(w.shape[0], h, x.shape[1]))
+    return window_sum(products, slot, 0, x.shape[0] - h + 1, b)
 
 
 class TestConv:
@@ -63,13 +72,33 @@ class TestConv:
         npt.assert_array_equal(win[0], [0, 1, 2, 3, 4, 5])
         npt.assert_array_equal(win[2], [6, 7, 8, 9, 10, 11])
 
+    def test_repeated_ids_multiply_once(self):
+        # ids read the table with repeats and pads: one product row per distinct id, and the map
+        # still reads each column's own window; columns may start anywhere in the sequence
+        table = np.arange(12.0).reshape(4, 3) - 5.0
+        ids = np.array([0, 2, 2, 3, 0, 2, 0, 0])
+        w = np.random.default_rng(0).normal(size=(5, 2, 3))
+        distinct, slot, products = window_products(table, ids, w)
+        npt.assert_array_equal(distinct, [0, 2, 3])
+        npt.assert_array_equal(distinct[slot], ids)
+        assert products.shape == (3, 2, 5)
+        b = np.linspace(-1.0, 1.0, 5)
+        dense = np.array([w[:, 0] @ table[ids[j]] + w[:, 1] @ table[ids[j + 1]] for j in range(7)]) + b
+        npt.assert_allclose(window_sum(products, slot, 0, 7, b), dense, rtol=0, atol=1e-13)
+        npt.assert_array_equal(window_sum(products, slot, 3, 2, b), window_sum(products, slot, 0, 7, b)[3:5])
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            conv1d(np.zeros((2, 3)), np.zeros((1, 7)), np.zeros(1))  # 7 % 3 != 0
+            window_products(np.zeros((2, 3)), [0, 1], np.zeros((1, 2, 4)))  # filter columns != table columns
+        with pytest.raises(ShapeError):
+            window_products(np.zeros((2, 3)), [0, 1], np.zeros((1, 6)))  # filters not split by window slot
         with pytest.raises(ShapeError):
             conv1d(np.zeros((1, 3)), np.zeros((1, 6)), np.zeros(1))  # n < h
         with pytest.raises(ShapeError):
             conv1d(np.zeros((2, 3)), np.zeros((1, 6)), np.zeros(2))  # bias per filter
+        _, slot, products = window_products(np.zeros((2, 3)), [0, 1, 1], np.zeros((1, 2, 3)))
+        with pytest.raises(ShapeError):
+            window_sum(products, slot, 1, 2)  # the last window would pass the sequence's end
         for pool in (split_max_pool, split_argmax):
             with pytest.raises(ShapeError):
                 pool(np.zeros((3, 2)), np.zeros((4, 2)), [0], [0], [3])  # offsets must be 2N-1
