@@ -138,20 +138,28 @@ class IOBModel(CharEncoderBase):
         self._backward(fwd, df, np.zeros_like(fwd.f_type))
         return loss
 
-    def tag_sentence(self, sentence: AnnotatedSentence) -> tuple[list[int], list[float]]:
-        fwd = self._sentence_forward(self.encode_sentence(sentence))
-        probs = softmax(head_scores(self.store, "tag", fwd.f_nugget))
-        tags = [int(t) for t in probs.argmax(axis=1)]
-        return tags, [math.log(float(probs[ci, tag])) for ci, tag in enumerate(tags)]
+    def _probabilities(self, fwd):
+        return (softmax(head_scores(self.store, "tag", fwd.f_nugget)),)
 
-    def predict_sentence(self, sentence: AnnotatedSentence) -> list[Prediction]:
-        tags, logps = self.tag_sentence(sentence)
+    @staticmethod
+    def _tags(probs: np.ndarray) -> tuple[list[int], list[float]]:
+        """Each row's argmax tag and its log probability."""
+        tags = probs.argmax(axis=1).tolist()
+        return tags, [math.log(p) for p in probs[np.arange(len(tags)), tags].tolist()]
+
+    def _decode(self, sentence, rows, stats):
+        tags, logps = self._tags(rows[0])
         preds = []
         for trig in iob_decode(tags, self.subtypes):
             score = sum(logps[trig.start : trig.start + trig.length])
             preds.append(Prediction(trig.start, trig.length, trig.subtype, score))
         preds.sort(key=lambda p: (p.start, p.length, self.subtypes.id_of(p.subtype)))
         return preds
+
+    def tag_sentence(self, sentence: AnnotatedSentence) -> tuple[list[int], list[float]]:
+        """Tags and their log probabilities, one forward for this sentence alone."""
+        (probs,) = self._probabilities(self._sentence_forward(self.encode_sentence(sentence)))
+        return self._tags(probs)
 
 
 class WordwiseModel(CharEncoderBase):
@@ -197,11 +205,15 @@ class WordwiseModel(CharEncoderBase):
         self._backward(fwd, df, np.zeros_like(fwd.f_type))
         return loss
 
-    def predict_sentence(self, sentence: AnnotatedSentence) -> list[Prediction]:
-        first_chars = np.array([s for s, _ in sentence.word_spans], dtype=np.int64)
-        words = np.arange(first_chars.shape[0])
-        fwd = self._forward([(self.encode_sentence(sentence), first_chars, words)], for_backward=False)
-        probs = softmax(head_scores(self.store, "wordtype", fwd.f_nugget))
+    def _row_chars(self, sentence):
+        """Each word's first character: one row per word."""
+        return np.array([s for s, _ in sentence.word_spans], dtype=np.int64)
+
+    def _probabilities(self, fwd):
+        return (softmax(head_scores(self.store, "wordtype", fwd.f_nugget)),)
+
+    def _decode(self, sentence, rows, stats):
+        probs = rows[0]
         preds = []
         for wi, (s, e) in enumerate(sentence.word_spans):
             label = int(np.argmax(probs[wi]))

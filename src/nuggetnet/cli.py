@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import RunConfig, dump_resolved_config, load_run_config
 from .corpus import SubtypeInventory, build_vocab, load_corpus, save_corpus
-from .decoder import decode_corpus, load_predictions, save_predictions
+from .decoder import DecodeStats, load_predictions, save_predictions
 from .encoder import load_embeddings_file
 from .errors import ConfigError, NuggetError
 from .evaluate import ScoreMode, corpus_match_stats, recall_by_match_type, score
@@ -126,11 +126,8 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     model, _ = load_model(args.model)
     corpus = load_corpus(args.input)
-    stats = None
-    if isinstance(model, CharSpanModel):
-        predictions, stats = decode_corpus(model, corpus)
-    else:
-        predictions = {s.key: model.predict_sentence(s) for s in corpus}
+    stats = DecodeStats() if model.kind == CharSpanModel.kind else None  # the baselines propose nothing
+    predictions = model.predict_corpus(corpus, stats)
     save_predictions(args.out, predictions)
     n = sum(len(p) for p in predictions.values())
     print(f"wrote {n} predictions for {len(corpus)} sentences to {args.out}")
@@ -227,8 +224,9 @@ def main(argv=None) -> int:
     except NuggetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:  # a file a command writes; the loaders turn their own into NuggetError
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 import yaml
 
 from .encoder import ExtractorConfig
-from .errors import ConfigError
+from .errors import ConfigError, reading
 from .model import MODEL_CLASSES, ModelConfig
 from .synthgen import GenSpec
 from .train import TrainConfig
@@ -189,7 +189,7 @@ def load_run_config(path) -> RunConfig:
     YAML floats follow YAML 1.2, so an exponent needs no dot (_RunConfigLoader).
     """
     syntax = "JSON" if str(path).endswith(".json") else "YAML"
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path, ConfigError) as fh:
         try:
             data = json.load(fh) if syntax == "JSON" else yaml.load(fh, Loader=_RunConfigLoader)
         except (ValueError, yaml.YAMLError) as exc:

@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CorpusFormatError, CorpusValidationError
+from .errors import CorpusFormatError, CorpusValidationError, reading
 from .labels import NuggetLabel, label_for
 
 logger = logging.getLogger(__name__)
@@ -238,7 +238,7 @@ def sentence_from_record(record: dict) -> AnnotatedSentence:
 def load_corpus(path) -> list[AnnotatedSentence]:
     """Read a JSONL corpus file; parse/validation failures carry the line number."""
     corpus = []
-    with open(path, encoding="utf-8") as fh:
+    with reading(path, CorpusFormatError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -11,19 +11,23 @@ same result with plain Python loops (tests/decode_reference.py).
 row argmax, `labels.class_table`, a bounds mask and one lexsort that puts
 each span's winner first.  Scores use `math.log`, not `np.log`, whose SIMD
 loop can differ in the last bit, so they equal the loop-written oracle's.
+It computes no rows: `decode_corpus` gets them from the model's
+`predict_corpus`, which forwards many sentences at a time and hands each
+sentence its own slices.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import AnnotatedSentence
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, reading
 from .labels import class_table
 
 
@@ -39,14 +43,36 @@ class Prediction:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Prediction":
-        """Parse one record; a NaN or infinite score is rejected, as the scorer orders predictions by score."""
-        try:
-            pred = cls(int(rec["start"]), int(rec["length"]), str(rec["subtype"]), float(rec["score"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"bad prediction record {rec!r}: {exc}") from exc
-        if not math.isfinite(pred.score):
-            raise CorpusFormatError(f"bad prediction record {rec!r}: score {pred.score} is not finite")
-        return pred
+        """Parse one record as strictly as schemas/predictions.schema.json does.
+
+        An integer is not a bool or a float.  A NaN or infinite score is
+        rejected too, as the scorer orders predictions by score.
+        """
+        _check_keys(rec, ("start", "length", "subtype", "score"), "bad prediction record")
+        start, length, subtype, score = rec["start"], rec["length"], rec["subtype"], rec["score"]
+        if not (_is_int(start) and start >= 0 and _is_int(length) and length >= 1):
+            raise CorpusFormatError(f"bad prediction record {rec!r}: start must be an integer >= 0, length one >= 1")
+        if not (isinstance(subtype, str) and subtype):
+            raise CorpusFormatError(f"bad prediction record {rec!r}: subtype must be a non-empty string")
+        if not _is_finite_number(score):
+            raise CorpusFormatError(f"bad prediction record {rec!r}: score {score!r} is not a number, or not finite")
+        return cls(start, length, subtype, float(score))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number, not a bool, that a float holds: no NaN, no infinity, no integer past the float range."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_int(value) and abs(value) <= sys.float_info.max
+
+
+def _check_keys(rec, keys: tuple[str, ...], what: str) -> None:
+    if not (isinstance(rec, dict) and set(rec) == set(keys)):
+        raise CorpusFormatError(f"{what} {rec!r}: needs exactly the keys {', '.join(keys)}")
 
 
 @dataclass
@@ -56,9 +82,14 @@ class DecodeStats:
     merged: int = 0  # duplicate-span proposals folded into a better one
 
 
-def decode_sentence(model, sentence: AnnotatedSentence, stats: DecodeStats | None = None) -> list[Prediction]:
-    """Predictions in (start, length) order; `stats`, if given, adds this sentence's counts."""
-    pn, pt = model.distributions(model.encode_sentence(sentence))
+def decode_sentence(
+    model, sentence: AnnotatedSentence, rows: tuple[np.ndarray, np.ndarray], stats: DecodeStats | None = None
+) -> list[Prediction]:
+    """Predictions in (start, length) order from the sentence's (span-class, subtype) probability rows.
+
+    The model gives max_nugget_len and the subtype names; `stats`, if given, adds this sentence's counts.
+    """
+    pn, pt = rows
     n = len(sentence.text)
     k = pn.argmax(axis=1)
     length, position = class_table(model.config.max_nugget_len)[k].T
@@ -85,8 +116,9 @@ def decode_sentence(model, sentence: AnnotatedSentence, stats: DecodeStats | Non
 def decode_corpus(
     model, corpus: Sequence[AnnotatedSentence]
 ) -> tuple[dict[tuple[str, str], list[Prediction]], DecodeStats]:
+    """(predictions by sentence key, the decoder's counts) of a proposal model, many sentences per forward."""
     stats = DecodeStats()
-    return {s.key: decode_sentence(model, s, stats) for s in corpus}, stats
+    return model.predict_corpus(corpus, stats), stats
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +139,21 @@ def save_predictions(path, predictions: dict[tuple[str, str], list[Prediction]])
 
 def load_predictions(path) -> dict[tuple[str, str], list[Prediction]]:
     out: dict[tuple[str, str], list[Prediction]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path, CorpusFormatError) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                key = (str(rec["doc_id"]), str(rec["sent_id"]))
+                _check_keys(rec, ("doc_id", "sent_id", "predictions"), "bad sentence record")
+                key = (rec["doc_id"], rec["sent_id"])
+                if not all(isinstance(k, str) and k for k in key) or not isinstance(rec["predictions"], list):
+                    raise CorpusFormatError(
+                        "doc_id and sent_id must be non-empty strings and predictions a list, "
+                        f"got {rec['doc_id']!r}, {rec['sent_id']!r} and {rec['predictions']!r}"
+                    )
                 preds = [Prediction.from_record(p) for p in rec["predictions"]]
-            except (json.JSONDecodeError, KeyError, TypeError, CorpusFormatError) as exc:
+            except (json.JSONDecodeError, CorpusFormatError) as exc:
                 raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
             if key in out:
                 raise CorpusFormatError(f"{path}: line {lineno}: duplicate sentence {key}")

@@ -74,7 +74,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import PAD_ID, Vocabulary, relative_position_index
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, reading
 from .ndcore import Param, ParamStore, scatter_rows, sigmoid, split_argmax, split_max_pool, window_products, window_sum
 
 
@@ -516,7 +516,7 @@ def load_embeddings_file(path, store: ParamStore, prefix: str, token_to_id: dict
     """
     emb = store[f"{prefix}.tok_emb"].value
     ids, rows = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path, ConfigError) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip(_ASCII_SPACE).split(" ")
             if len(parts) == 2 and lineno == 1 and all(p.isdigit() for p in parts):

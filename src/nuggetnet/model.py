@@ -12,6 +12,13 @@ CharEncoderBase, which builds the encoder tensors, owns the one checkpoint
 layout, and runs every kind's rows through `_forward`/`_backward`; a
 wordwise row enters at its word's first character.  `load_model` opens any
 kind through MODEL_CLASSES.
+
+Inference has one path for every kind, `predict_corpus`.  It packs whole
+sentences, in order, into one forward until the next would pass a fixed
+row budget (_PREDICT_ROWS), applies the kind's head softmax once per
+forward, and hands each sentence its own row slices: this model decodes
+them with decoder.decode_sentence, the IOB tagger with iob_decode, and the
+word classifier reads one row per word.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import decoder  # read as decoder.decode_sentence at each call, so a patched module attribute applies
 from .corpus import AnnotatedSentence, SubtypeInventory, TrainingInstance, Vocabulary
 from .encoder import (
     BranchCache,
@@ -85,9 +93,10 @@ class SentenceEncoding:
 
     The id array of a branch the model does not use is None.
 
-    `rows` serves only char_distributions, the per-character accessor kept
-    for perfbench's decode gate and the test oracle; it is a snapshot of the
-    weights at the first call.  Encode the sentence again after changing them.
+    Inference (`predict_corpus`) never fills `rows`.  It serves only
+    char_distributions, the per-character accessor kept for perfbench's
+    decode gate and the test oracle; it is a snapshot of the weights at the
+    first call.  Encode the sentence again after changing them.
     """
 
     char_ids: np.ndarray | None
@@ -165,6 +174,15 @@ class _Forward:
     f_nugget: np.ndarray  # (m, fused_dim) head inputs, after dropout when training
     f_type: np.ndarray
     masks: tuple[np.ndarray, np.ndarray] | None  # (nugget, type) dropout masks
+
+
+# Batch rows per inference forward.  predict_corpus packs whole sentences, in order, until the next
+# would pass this, and at least one.  A sentence with more rows goes alone, and so does one longer
+# than max_tokens: its views already fill a forward.  It counts rows, not sentences, because memory
+# grows with rows: a 128-row forward of ~10-char sentences peaks at 0.73 MiB (tracemalloc) with
+# perfbench's small extractor and 3.1 MiB at the default size, near a 32+32 training step's 0.54 and
+# 2.8 MiB.
+_PREDICT_ROWS = 128
 
 
 # kind -> class.  Each subclass adds itself when it is defined; the package
@@ -255,6 +273,61 @@ class CharEncoderBase:
         every_char = np.arange(enc.char_to_word.shape[0])
         return self._forward([(enc, every_char, every_char)], for_backward=False)
 
+    # -- inference ---------------------------------------------------------
+
+    def _row_chars(self, sentence: AnnotatedSentence) -> np.ndarray:
+        """The character each of the sentence's inference rows reads: every character, unless a kind says otherwise."""
+        return np.arange(len(sentence.text))
+
+    def _probabilities(self, fwd: _Forward) -> tuple[np.ndarray, ...]:
+        """The kind's head softmax over every row of a forward."""
+        raise NotImplementedError
+
+    def _decode(
+        self, sentence: AnnotatedSentence, rows: tuple[np.ndarray, ...], stats: decoder.DecodeStats | None
+    ) -> list[decoder.Prediction]:
+        """The sentence's predictions from its slices of `_probabilities`."""
+        raise NotImplementedError
+
+    def _packs(self, sentences: Sequence[AnnotatedSentence]):
+        """Runs of consecutive (sentence, row chars), one forward each, under _PREDICT_ROWS."""
+        pack, n_rows = [], 0
+        for sentence in sentences:
+            chars = self._row_chars(sentence)
+            alone = len(sentence.text) > self.config.max_tokens
+            if pack and (alone or n_rows + chars.shape[0] > _PREDICT_ROWS):
+                yield pack
+                pack, n_rows = [], 0
+            pack.append((sentence, chars))
+            n_rows += _PREDICT_ROWS if alone else chars.shape[0]  # a full count: nothing joins a long one
+        if pack:
+            yield pack
+
+    def predict_corpus(
+        self, sentences: Sequence[AnnotatedSentence], stats: decoder.DecodeStats | None = None
+    ) -> dict[tuple[str, str], list[decoder.Prediction]]:
+        """Predictions of every sentence, by sentence key, from one forward per pack (_packs).
+
+        `stats`, a decoder.DecodeStats, adds the proposal decoder's counts;
+        the baselines propose nothing and leave it as it is.  A one-sentence
+        call is a forward of that sentence alone: the proposal model's rows
+        then have the same bits as `distributions`.
+        """
+        out = {}
+        for pack in self._packs(sentences):
+            groups, bounds = [], [0]
+            for sentence, chars in pack:
+                bounds.append(bounds[-1] + chars.shape[0])
+                groups.append((self.encode_sentence(sentence), chars, np.arange(bounds[-2], bounds[-1])))
+            probs = self._probabilities(self._forward(groups, for_backward=False))
+            for (sentence, _), lo, hi in zip(pack, bounds, bounds[1:]):
+                out[sentence.key] = self._decode(sentence, tuple(p[lo:hi] for p in probs), stats)
+        return out
+
+    def predict_sentence(self, sentence: AnnotatedSentence) -> list[decoder.Prediction]:
+        """One sentence's predict_corpus; the package never calls it, only perfbench does."""
+        return self.predict_corpus([sentence])[sentence.key]
+
     # -- persistence -------------------------------------------------------
 
     def save(self, path, trainer_state: dict | None = None) -> None:
@@ -321,13 +394,18 @@ class CharSpanModel(CharEncoderBase):
 
     # -- inference ---------------------------------------------------------
 
-    def distributions(self, enc: SentenceEncoding) -> tuple[np.ndarray, np.ndarray]:
-        """(n, span classes) and (n, subtypes) probability rows of every character, from one forward pass."""
-        fwd = self._sentence_forward(enc)
+    def _probabilities(self, fwd):
         return (
             softmax(head_scores(self.store, "nugget", fwd.f_nugget)),
             softmax(head_scores(self.store, "type", fwd.f_type)),
         )
+
+    def _decode(self, sentence, rows, stats):
+        return decoder.decode_sentence(self, sentence, rows, stats)
+
+    def distributions(self, enc: SentenceEncoding) -> tuple[np.ndarray, np.ndarray]:
+        """(n, span classes) and (n, subtypes) probability rows of every character, from one forward pass."""
+        return self._probabilities(self._sentence_forward(enc))
 
     def char_distributions(self, enc: SentenceEncoding, ci: int) -> tuple[np.ndarray, np.ndarray]:
         """(span-class probabilities, subtype probabilities) for one character.
@@ -339,11 +417,6 @@ class CharSpanModel(CharEncoderBase):
             enc.rows = self.distributions(enc)
         pn, pt = enc.rows
         return pn[ci], pt[ci]
-
-    def predict_sentence(self, sentence: AnnotatedSentence):
-        from .decoder import decode_sentence
-
-        return decode_sentence(self, sentence)
 
     # -- training ----------------------------------------------------------
 

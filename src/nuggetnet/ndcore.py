@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CheckpointError, NumericError, ShapeError
+from .errors import CheckpointError, NumericError, ShapeError, reading
 
 
 class Param:
@@ -485,7 +485,7 @@ def save_checkpoint(path, store: ParamStore, meta: dict | None = None, include_o
 
 def load_checkpoint(path) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
     """Returns (meta, {param_name: {kind: array}}); any malformed file raises CheckpointError."""
-    with open(path, "rb") as fh:
+    with reading(path, CheckpointError, binary=True) as fh:
         blob = fh.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")

@@ -45,12 +45,18 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.neg_ratio < 0:
-            raise ConfigError(f"neg_ratio must be >= 0, got {self.neg_ratio}")
+        if not (math.isfinite(self.neg_ratio) and self.neg_ratio >= 0):
+            raise ConfigError(f"neg_ratio must be a finite number >= 0, got {self.neg_ratio}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
+        if not 0 <= self.rho < 1:
+            raise ConfigError(f"rho must be in [0, 1), got {self.rho}")
+        if not self.eps > 0:
+            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        if self.stop_at_dev_f1 is not None and not math.isfinite(self.stop_at_dev_f1):
+            raise ConfigError(f"stop_at_dev_f1 must be a finite number or null, got {self.stop_at_dev_f1}")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -67,7 +73,8 @@ class TrainResult:
 
 
 def evaluate_model(model, corpus: Sequence[AnnotatedSentence]) -> dict:
-    predictions = {s.key: model.predict_sentence(s) for s in corpus}
+    """Identification and classification F1 of the model's predictions, many sentences per forward."""
+    predictions = model.predict_corpus(corpus)
     ident = score(corpus, predictions, ScoreMode.IDENTIFICATION)
     cls = score(corpus, predictions, ScoreMode.CLASSIFICATION)
     return {"identification_f1": ident.f1, "classification_f1": cls.f1}

@@ -148,7 +148,7 @@ def test_decoder_matches_oracle(capsys):
             return np.array(pn), np.array(pt)
 
     sentence = AnnotatedSentence("d", "s0", "受了伤", ((0, 0), (1, 1), (2, 2)), ())
-    got = decode_sentence(Scripted(), sentence)
+    got = decode_sentence(Scripted(), sentence, Scripted().distributions(sentence))
     expect = [
         Prediction(0, 3, "Injure", math.log(0.9)),
         Prediction(2, 1, "Injure", math.log(0.8)),
@@ -170,7 +170,7 @@ def test_decoder_matches_oracle(capsys):
         widen_params(model.store, scale=0.8, rng_seed=100 + seed)
         for sentence in corpus:
             assert len(sentence.text) <= 12
-            if decode_sentence(model, sentence) != decode_oracle(model, sentence):
+            if model.predict_corpus([sentence])[sentence.key] != decode_oracle(model, sentence):
                 mismatches += 1
             checked += 1
     ok = ok and checked == 200 and mismatches == 0
@@ -211,7 +211,7 @@ def test_structural_mismatch_reproduction(capsys):
     train(wordwise, train_set, dev_set, TrainConfig(epochs=2, **fast))
 
     def id_recalls(model):
-        preds = {s.key: model.predict_sentence(s) for s in test_set}
+        preds = model.predict_corpus(test_set)
         by_type = recall_by_match_type(test_set, preds, ScoreMode.IDENTIFICATION)
         f1 = score(test_set, preds, ScoreMode.IDENTIFICATION).f1
         return by_type, f1
@@ -263,7 +263,7 @@ def test_determinism_byte_identical(capsys, tmp_path):
         model = small_model(corpus, rng_seed=5, max_rel_dist=20)
         train(model, corpus, corpus, config, out_dir=tmp_path / name)
         scores = evaluate_model(model, corpus)
-        preds = {s.key: model.predict_sentence(s) for s in corpus}
+        preds = model.predict_corpus(corpus)
         reports.append(
             (
                 scores,

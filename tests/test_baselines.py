@@ -168,9 +168,10 @@ class TestIOBModel:
     def test_predictions_cover_decoded_tags(self, corpus3):
         model = iob_model(corpus3)
         widen_params(model.store, scale=0.6)
+        predictions = model.predict_corpus(corpus3)
         for sentence in corpus3:
             tags, logps = model.tag_sentence(sentence)
-            preds = model.predict_sentence(sentence)
+            preds = predictions[sentence.key]
             assert len(preds) == len(iob_decode(tags, model.subtypes))
             for p in preds:
                 expect = sum(logps[p.start : p.start + p.length])
@@ -224,8 +225,9 @@ class TestWordwiseModel:
         widen_params(model.store, scale=0.6)
         word_span_set = lambda s: {(a, b - a + 1) for a, b in s.word_spans}
         any_preds = False
+        predictions = model.predict_corpus(corpus)
         for sentence in corpus:
-            for p in model.predict_sentence(sentence):
+            for p in predictions[sentence.key]:
                 any_preds = True
                 assert (p.start, p.length) in word_span_set(sentence)
         assert any_preds

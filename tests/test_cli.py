@@ -1,4 +1,5 @@
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -7,14 +8,14 @@ import yaml
 
 from nuggetnet.cli import main
 from nuggetnet.config import load_run_config, parse_run_config
-from nuggetnet.corpus import load_corpus
+from nuggetnet.corpus import load_corpus, save_corpus
 from nuggetnet.decoder import decode_corpus, load_predictions, save_predictions
 from nuggetnet.errors import ConfigError
 from nuggetnet.model import load_model
 from nuggetnet.ndcore import ParamStore, load_checkpoint, save_checkpoint
 from nuggetnet.train import BEST_CHECKPOINT, LAST_CHECKPOINT, TRAIN_LOG
 
-from util import KINDS, SCHEMA_DIR
+from util import KINDS, SCHEMA_DIR, small_model, toy_corpus
 
 SMALL_EXTRACTOR = {
     "token_emb_dim": 12,
@@ -205,15 +206,21 @@ class TestTrainPredictEval:
         lines = capsys.readouterr().out.splitlines()
         model, _ = load_model(out_dir / BEST_CHECKPOINT)
         corpus = load_corpus(data_dir / "test.jsonl")
-        _, stats = decode_corpus(model, corpus)
+        predictions, stats = decode_corpus(model, corpus)
         assert lines[0].startswith("wrote ")
         assert lines[1] == (
             f"decoder: {stats.proposed} proposed, {stats.out_of_bounds} out of bounds, {stats.merged} merged"
         )
-        # the file is what decoding sentence by sentence writes
-        per_sentence = tmp_path / "per-sentence.jsonl"
-        save_predictions(per_sentence, {s.key: model.predict_sentence(s) for s in corpus})
-        assert preds_path.read_bytes() == per_sentence.read_bytes()
+        # the file is what decode_corpus writes
+        batched = tmp_path / "batched.jsonl"
+        save_predictions(batched, predictions)
+        assert preds_path.read_bytes() == batched.read_bytes()
+        # and, but for the last bits of a score, what decoding sentence by sentence predicts
+        for sentence in corpus:
+            alone = model.predict_corpus([sentence])[sentence.key]
+            got = predictions[sentence.key]
+            assert [(p.start, p.length, p.subtype) for p in got] == [(p.start, p.length, p.subtype) for p in alone]
+            assert all(abs(a.score - b.score) <= 1e-12 for a, b in zip(got, alone))
 
     def test_inspect_bad_metadata(self, pipeline, tmp_path, capsys):
         _, _, out_dir, _ = pipeline
@@ -260,6 +267,60 @@ class TestTrainPredictEval:
         rc = main(["inspect", "--model", str(tmp_path / "nope.ckpt")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestUnreadableFiles:
+    """Every file a command reads or writes fails cleanly, naming the path, when it is not UTF-8, a directory or missing."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        corpus = toy_corpus()
+        good = {
+            "model": tmp_path / "model.ckpt",
+            "corpus": tmp_path / "corpus.jsonl",
+            "preds": tmp_path / "preds.jsonl",
+            "out": tmp_path / "out.jsonl",
+        }
+        small_model(corpus).save(good["model"])
+        save_corpus(good["corpus"], corpus)
+        save_predictions(good["preds"], {})
+        bad = {
+            "latin1": tmp_path / "latin1.txt",
+            "directory": tmp_path / "a-directory",
+            "missing": tmp_path / "no-such-directory" / "file",
+        }
+        bad["latin1"].write_bytes('{"text": "caf\u00e9"}\n'.encode("latin-1"))
+        bad["directory"].mkdir()
+        return tmp_path, good, bad
+
+    def commands(self, tmp_path, good, path):
+        def train_with(**sections):
+            cfg = tmp_path / "run.yaml"
+            run = {"data": {"train": str(good["corpus"])}, "out_dir": str(tmp_path / "run"), **sections}
+            cfg.write_text(yaml.safe_dump(run), encoding="utf-8")
+            return ["train", "--config", str(cfg)]
+
+        predict = {"model": good["model"], "input": good["corpus"], "out": good["out"]}
+        for flag in predict:
+            yield ["predict", *(a for k, v in {**predict, flag: path}.items() for a in (f"--{k}", str(v)))]
+        yield ["eval", "--gold", str(path), "--pred", str(good["preds"])]
+        yield ["eval", "--gold", str(good["corpus"]), "--pred", str(path)]
+        yield ["train", "--config", str(path)]
+        yield train_with(data={"train": str(path)})
+        yield train_with(embeddings={"chars": str(path)})
+
+    @pytest.mark.parametrize("which", ["latin1", "directory", "missing"])
+    def test_exit_1_naming_the_path(self, files, capsys, which):
+        tmp_path, good, bad = files
+        path = bad[which]
+        for argv in self.commands(tmp_path, good, path):
+            if which == "latin1" and argv[-2:] == ["--out", str(path)]:
+                continue  # a write replaces what it names, whatever its bytes
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}"), (argv, err)
+            assert "Traceback" not in err
 
 
 class TestBaselineTraining:
@@ -360,6 +421,35 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {message}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("training: {rho: 2.0}\n", "rho must be in [0, 1), got 2.0"),
+            ("training: {rho: 1.0}\n", "rho must be in [0, 1), got 1.0"),
+            ("training: {rho: -0.5}\n", "rho must be in [0, 1), got -0.5"),
+            ("training: {rho: .nan}\n", "rho must be in [0, 1), got nan"),
+            ("training: {eps: 0}\n", "eps must be > 0, got 0"),
+            ("training: {eps: -1}\n", "eps must be > 0, got -1"),
+            ("training: {neg_ratio: .nan}\n", "neg_ratio must be a finite number >= 0, got nan"),
+            ("training: {neg_ratio: .inf}\n", "neg_ratio must be a finite number >= 0, got inf"),
+            ("training: {stop_at_dev_f1: .nan}\n", "stop_at_dev_f1 must be a finite number or null, got nan"),
+            ("training: {stop_at_dev_f1: -.inf}\n", "stop_at_dev_f1 must be a finite number or null, got -inf"),
+        ],
+    )
+    def test_out_of_range_training_values_fail_cleanly(self, tmp_path, capsys, text, message):
+        path = tmp_path / "run.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert "Traceback" not in err
+        # the schema rejects every such value that JSON can write
+        section = yaml.load(text, Loader=yaml.SafeLoader)["training"]
+        if all(math.isfinite(v) for v in section.values()):
+            schema = json.loads((SCHEMA_DIR / "config.schema.json").read_text())
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({"training": section}, schema)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_resolved_config_reads_back(self, kind):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import jsonschema
@@ -44,6 +45,11 @@ class ScriptedModel:
         return np.asarray(pn, dtype=np.float64), np.asarray(pt, dtype=np.float64)
 
 
+def decode(model, sentence, stats=None):
+    """decode_sentence on the rows of the sentence's own forward."""
+    return decode_sentence(model, sentence, model.distributions(model.encode_sentence(sentence)), stats)
+
+
 def sent(text, spans, triggers=()):
     return AnnotatedSentence("d", "s0", text, spans, triggers)
 
@@ -73,7 +79,7 @@ class TestWorkedExample:
         )
 
     def test_spans_types_and_scores(self):
-        preds = decode_sentence(self.model(), sent("受了伤", ((0, 1), (2, 2))))
+        preds = decode(self.model(), sent("受了伤", ((0, 1), (2, 2))))
         assert preds == [
             Prediction(0, 3, "injure", math.log(0.5) + math.log(0.8)),
             Prediction(2, 1, "injure", math.log(0.9) + math.log(0.6)),
@@ -81,11 +87,11 @@ class TestWorkedExample:
 
     def test_oracle_agrees(self):
         s = sent("受了伤", ((0, 1), (2, 2)))
-        assert decode_oracle(self.model(), s) == decode_sentence(self.model(), s)
+        assert decode_oracle(self.model(), s) == decode(self.model(), s)
 
     def test_stats_count_proposals(self):
         stats = DecodeStats()
-        decode_sentence(self.model(), sent("受了伤", ((0, 1), (2, 2))), stats)
+        decode(self.model(), sent("受了伤", ((0, 1), (2, 2))), stats)
         assert (stats.proposed, stats.out_of_bounds, stats.merged) == (2, 0, 0)
 
 
@@ -94,33 +100,33 @@ class TestDecodeRules:
         # class 3 = length 2, position 2: char 0 would start at -1
         model = ScriptedModel([(peaked(3, 0.9), [0.9, 0.1]), (nil(), [0.5, 0.5])])
         stats = DecodeStats()
-        assert decode_sentence(model, sent("受伤", ((0, 1),)), stats) == []
+        assert decode(model, sent("受伤", ((0, 1),)), stats) == []
         assert stats.out_of_bounds == 1 and stats.proposed == 0
 
     def test_overlong_tail_discarded(self):
         # class 2 = length 2, position 1: char 1 would end past the text
         model = ScriptedModel([(nil(), [0.5, 0.5]), (peaked(2, 0.9), [0.9, 0.1])])
         stats = DecodeStats()
-        assert decode_sentence(model, sent("受伤", ((0, 1),)), stats) == []
+        assert decode(model, sent("受伤", ((0, 1),)), stats) == []
         assert stats.out_of_bounds == 1
 
     def test_duplicate_span_keeps_higher_score(self):
         # both chars claim span [0,2); char 1 is more confident
         model = ScriptedModel([(peaked(2, 0.6), [0.9, 0.1]), (peaked(3, 0.8), [0.2, 0.8])])
         stats = DecodeStats()
-        preds = decode_sentence(model, sent("受伤", ((0, 1),)), stats)
+        preds = decode(model, sent("受伤", ((0, 1),)), stats)
         assert preds == [Prediction(0, 2, "other", math.log(0.8) + math.log(0.8))]
         assert stats.merged == 1 and stats.proposed == 2
 
     def test_duplicate_span_tie_prefers_lower_subtype_id(self):
         model = ScriptedModel([(peaked(2, 0.7), [0.2, 0.8]), (peaked(3, 0.7), [0.8, 0.2])])
-        preds = decode_sentence(model, sent("受伤", ((0, 1),)))
+        preds = decode(model, sent("受伤", ((0, 1),)))
         assert len(preds) == 1 and preds[0].subtype == "injure"
         assert preds[0].score == math.log(0.7) + math.log(0.8)
 
     def test_all_nil_sentence(self):
         model = ScriptedModel([(nil(), [0.5, 0.5])] * 3)
-        assert decode_sentence(model, sent("受了伤", ((0, 1), (2, 2)))) == []
+        assert decode(model, sent("受了伤", ((0, 1), (2, 2)))) == []
 
     def test_predictions_sorted_by_span(self):
         model = ScriptedModel(
@@ -130,7 +136,7 @@ class TestDecodeRules:
                 (peaked(1, 0.9), [0.9, 0.1]),
             ]
         )
-        preds = decode_sentence(model, sent("受了伤", ((0, 1), (2, 2))))
+        preds = decode(model, sent("受了伤", ((0, 1), (2, 2))))
         assert [(p.start, p.length) for p in preds] == [(0, 1), (1, 1), (2, 1)]
 
 
@@ -165,7 +171,7 @@ class TestRandomRows:
         n = len(rows)
         s = sent("字" * n, tuple((i, i) for i in range(n)))
         stats = DecodeStats()
-        assert decode_sentence(model, s, stats) == decode_oracle(model, s)
+        assert decode(model, s, stats) == decode_oracle(model, s)
 
         pairs = [(ln, pos) for ln in range(1, max_len + 1) for pos in range(1, ln + 1)]
         label_of = {encode_label(ln, pos, max_len): (ln, pos) for ln, pos in pairs}
@@ -192,7 +198,7 @@ class TestOracleEquivalence:
         model = small_model(corpus, mode=mode)
         widen_params(model.store, scale=0.6, rng_seed=5)
         for sentence in corpus:
-            assert decode_sentence(model, sentence) == decode_oracle(model, sentence)
+            assert decode(model, sentence) == decode_oracle(model, sentence)
 
     def test_synthetic_corpus_agrees(self):
         spec = GenSpec(n_sentences=12, subtypes=default_subtype_names(3))
@@ -201,7 +207,7 @@ class TestOracleEquivalence:
         widen_params(model.store, scale=0.8, rng_seed=6)
         checked = 0
         for sentence in corpus:
-            a = decode_sentence(model, sentence)
+            a = decode(model, sentence)
             b = decode_oracle(model, sentence)
             assert a == b
             checked += len(a)
@@ -264,6 +270,65 @@ class TestPredictionFiles:
         preds, stats = decode_corpus(model, corpus)
         assert set(preds) == {s.key for s in corpus}
         assert stats.proposed >= stats.merged
+
+
+ANY_JSON_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.floats(-3, 3, allow_nan=False),
+    st.text(alphabet="ab", max_size=2),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(alphabet="ab", max_size=1), st.integers(0, 2), max_size=1),
+)
+
+
+@st.composite
+def mutated_lines(draw):
+    """A valid predictions line with one change: a key's value swapped, a key dropped or a key added."""
+    rec = {"doc_id": "d", "sent_id": "s1", "predictions": [{"start": 1, "length": 2, "subtype": "a", "score": -0.5}]}
+    target = draw(st.sampled_from([rec, rec["predictions"][0]]))
+    change = draw(st.sampled_from(["swap", "drop", "add"]))
+    if change == "add":
+        target[draw(st.sampled_from(["extra", "type", "doc_id"]))] = draw(ANY_JSON_VALUE)
+    else:
+        key = draw(st.sampled_from(sorted(target)))
+        if change == "drop":
+            del target[key]
+        else:
+            target[key] = draw(ANY_JSON_VALUE)
+    return rec
+
+
+class TestPredictionRecordTypes:
+    schema = json.loads((SCHEMA_DIR / "predictions.schema.json").read_text())
+
+    @given(mutated_lines())
+    @settings(max_examples=300, deadline=None)
+    def test_loader_rejects_what_the_schema_rejects(self, tmp_path_factory, rec):
+        path = tmp_path_factory.mktemp("preds") / "preds.jsonl"
+        good = {"doc_id": "d", "sent_id": "s0", "predictions": []}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(rec) + "\n", encoding="utf-8")
+        try:
+            jsonschema.validate(rec, self.schema)
+        except jsonschema.ValidationError:
+            with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}: line 2: "):
+                load_predictions(path)
+            return
+        try:
+            loaded = load_predictions(path)
+        except CorpusFormatError:
+            # the loader is stricter than the schema on one point: an integer field takes no 1.0
+            assert any(type(p[k]) is float for p in rec["predictions"] for k in ("start", "length"))
+            return
+        key = (rec["doc_id"], rec["sent_id"])
+        assert loaded[key] == [Prediction(**p) for p in rec["predictions"]]
+
+    @pytest.mark.parametrize("field, value", [("start", 1.7), ("start", True), ("length", 2.0), ("subtype", 3)])
+    def test_inexact_types_rejected(self, field, value):
+        rec = {"start": 1, "length": 2, "subtype": "a", "score": -0.5, field: value}
+        with pytest.raises(CorpusFormatError, match="bad prediction record"):
+            Prediction.from_record(rec)
 
 
 class TestPrediction:

@@ -50,3 +50,14 @@ def test_every_definition_has_a_caller_outside_tests():
             if is_definition and node.name not in referenced | UNREFERENCED_ON_PURPOSE:
                 unused.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not unused, "defined but never used outside tests:\n" + "\n".join(unused)
+
+
+def test_inference_goes_through_predict_corpus():
+    # predict_sentence is a one-sentence predict_corpus kept for the benchmark; the package itself
+    # predicts many sentences per forward, so nothing in it may call the per-sentence form
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "predict_sentence":
+                callers.append(f"{path.name}:{node.lineno}")
+    assert not callers, "predict_sentence called inside the package:\n" + "\n".join(callers)

@@ -5,7 +5,7 @@ import pytest
 import nuggetnet.encoder as nencoder
 import nuggetnet.model as nmodel
 from nuggetnet.corpus import UNK_ID, AnnotatedSentence, SubtypeInventory, build_vocab
-from nuggetnet.decoder import decode_sentence
+from nuggetnet.decoder import decode_corpus
 from nuggetnet.errors import CheckpointError, ConfigError
 from nuggetnet.labels import num_nugget_classes
 from nuggetnet.model import MODEL_CLASSES, CharSpanModel, ModelConfig, _view_starts, head_scores, load_model
@@ -122,9 +122,9 @@ class TestCharSpanModel:
         assert max(len(s.text) for s in corpus) > 20
         model = small_model(corpus, max_rel_dist=8)
         model.config = ModelConfig(extractor=model.config.extractor, max_tokens=20)
+        predictions = model.predict_corpus(corpus)
         for s in corpus:
-            preds = model.predict_sentence(s)
-            for p in preds:
+            for p in predictions[s.key]:
                 assert 0 <= p.start and p.start + p.length <= len(s.text)
 
     def test_distributions_computed_once_per_encoding(self, corpus3):
@@ -157,19 +157,19 @@ class TestCharSpanModel:
             unknown.word_index_of(5)
 
     def test_decode_reads_whole_rows(self, corpus3, monkeypatch):
-        # the decoder takes every character's rows from one sentence forward, not through the accessor
+        # the decoder takes every character's rows from one forward, not through the accessor
         calls = []
-        for name in ("char_distributions", "_sentence_forward"):
+        for name in ("char_distributions", "_forward"):
             original = getattr(CharSpanModel, name)
 
-            def counting(*args, _name=name, _original=original):
+            def counting(*args, _name=name, _original=original, **kwargs):
                 calls.append(_name)
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(CharSpanModel, name, counting)
         model = small_model(corpus3)
-        decode_sentence(model, corpus3[2])
-        assert calls == ["_sentence_forward"]
+        decode_corpus(model, [corpus3[2]])
+        assert calls == ["_forward"]
 
     def test_encoding_is_a_snapshot_of_the_weights(self, corpus3):
         model = small_model(corpus3)
@@ -193,7 +193,7 @@ class TestCharSpanModel:
         def n_views(n):
             return len(set(_view_starts(n, np.arange(n), 8).tolist()))
 
-        decode_sentence(model, sentence)
+        model.predict_corpus([sentence])
         char_views, word_views = n_views(len(sentence.text)), n_views(len(sentence.words))
         assert char_views > 1 and word_views > 1
         assert kernel_calls == [("char", [char_views]), ("word", [word_views])]
@@ -224,7 +224,7 @@ class TestCharSpanModel:
         assert pools == ["split_argmax"] * 6
         kernel_calls.clear()
         pools.clear()
-        model.predict_sentence(corpus3[2])
+        model.predict_corpus([corpus3[2]])
         assert kernel_calls == [("char", [1]), ("word", [1])]
         assert pools == ["split_max_pool"] * 2
 
@@ -271,7 +271,7 @@ def test_argmax_only_when_training(corpus3, monkeypatch, kind):
 
         monkeypatch.setattr(module, name, counting)
     model = small_model(corpus3, kind=kind)
-    model.predict_sentence(corpus3[2])
+    model.predict_corpus(corpus3)
     assert calls == []
     stream_a, stream_b = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
     model.loss_and_grads(stream_a, stream_b)
