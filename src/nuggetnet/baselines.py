@@ -5,20 +5,22 @@ weaker predictions.  The IOB tagger cannot represent overlapping nuggets;
 the word classifier can only ever predict whole words, so any trigger that
 is a strict part of a word or crosses a word boundary is unreachable for it
 by construction.
+
+Each is model.CharEncoderBase with one softmax head, trained on
+LabelledChar rows that one builder samples for both kinds.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import AnnotatedSentence, SubtypeInventory, TriggerNugget, Vocabulary
 from .decoder import Prediction
 from .errors import ConfigError
-from .model import CharEncoderBase, ModelConfig, head_backward, head_scores
-from .ndcore import softmax, softmax_xent
+from .model import CharEncoderBase, ModelConfig
 
 O_TAG = 0
 
@@ -91,25 +93,25 @@ def iob_decode(tags: Sequence[int], inventory: SubtypeInventory) -> list[Trigger
     return out
 
 
-class IOBInstance(NamedTuple):
+class LabelledChar(NamedTuple):
+    """A character and its gold class, 0 for none: an IOB tag, or a word's label at its first character."""
+
     sentence: AnnotatedSentence
     char_index: int
-    tag: int
+    label: int
 
 
-class WordInstance(NamedTuple):
-    sentence: AnnotatedSentence
-    word_index: int
-    label: int  # 0 = no event, else subtype id + 1
-
-
-def _sample_instances(positives: list, negative_pool: list, neg_ratio: float, rng_seed: int) -> list:
+def _labelled_stream(rows: Iterable[LabelledChar], neg_ratio: float, rng_seed: int) -> list[LabelledChar]:
+    """Every row with a nonzero label, then floor(neg_ratio * their count) of the 0 rows, drawn without replacement."""
+    positives, negative_pool = [], []
+    for row in rows:
+        (positives if row.label else negative_pool).append(row)
     rng = np.random.default_rng([rng_seed, 0x1B])
     n_neg = min(int(neg_ratio * len(positives)), len(negative_pool))
     if n_neg:
         chosen = rng.choice(len(negative_pool), size=n_neg, replace=False)
         return positives + [negative_pool[int(j)] for j in chosen]
-    return list(positives)
+    return positives
 
 
 class IOBModel(CharEncoderBase):
@@ -117,29 +119,19 @@ class IOBModel(CharEncoderBase):
 
     kind = "iob"
 
-    def __init__(self, config: ModelConfig, vocab: Vocabulary, subtypes: SubtypeInventory, rng_seed: int = 0):
-        super().__init__(config, vocab, subtypes, rng_seed)
-        self.n_tags = n_iob_tags(len(subtypes))
-        self.store.add("head.tag_w", (self.n_tags, config.extractor.fused_dim), init="glorot")
-        self.store.add("head.tag_b", (self.n_tags,), init="zeros")
+    def _head_classes(self):
+        return {"tag": n_iob_tags(len(self.subtypes))}
 
     def training_streams(self, corpus, neg_ratio: float = 5.0, rng_seed: int = 0):
-        positives, pool = [], []
-        for sentence in corpus:
-            tags, _ = iob_encode(sentence, self.subtypes)
-            for i, tag in enumerate(tags):
-                (positives if tag != O_TAG else pool).append(IOBInstance(sentence, i, tag))
-        return _sample_instances(positives, pool, neg_ratio, rng_seed), []
+        rows = (
+            LabelledChar(sentence, i, tag)
+            for sentence in corpus
+            for i, tag in enumerate(iob_encode(sentence, self.subtypes)[0])
+        )
+        return _labelled_stream(rows, neg_ratio, rng_seed), []
 
-    def loss_and_grads(self, batch: Sequence[IOBInstance], _unused: Sequence = (), drop_rng=None) -> float:
-        fwd = self._forward(self._groups_of([i.sentence for i in batch], [i.char_index for i in batch]), drop_rng)
-        _, loss, dscores = softmax_xent(head_scores(self.store, "tag", fwd.f_nugget), [inst.tag for inst in batch])
-        df = head_backward(self.store, "tag", fwd.f_nugget, dscores)
-        self._backward(fwd, df, np.zeros_like(fwd.f_type))
-        return loss
-
-    def _probabilities(self, fwd):
-        return (softmax(head_scores(self.store, "tag", fwd.f_nugget)),)
+    def loss_and_grads(self, batch: Sequence[LabelledChar], _unused: Sequence = (), drop_rng=None) -> float:
+        return self._loss(batch, (), drop_rng)
 
     @staticmethod
     def _tags(probs: np.ndarray) -> tuple[list[int], list[float]]:
@@ -171,9 +163,9 @@ class WordwiseModel(CharEncoderBase):
         if config.extractor.use_chars or not config.extractor.use_words:
             raise ConfigError("the wordwise baseline runs on the word branch only")
         super().__init__(config, vocab, subtypes, rng_seed)
-        self.n_classes = len(subtypes) + 1
-        self.store.add("head.wordtype_w", (self.n_classes, config.extractor.fused_dim), init="glorot")
-        self.store.add("head.wordtype_b", (self.n_classes,), init="zeros")
+
+    def _head_classes(self):
+        return {"wordtype": len(self.subtypes) + 1}
 
     @staticmethod
     def word_labels(sentence: AnnotatedSentence, inventory: SubtypeInventory) -> list[int]:
@@ -190,27 +182,20 @@ class WordwiseModel(CharEncoderBase):
         return labels
 
     def training_streams(self, corpus, neg_ratio: float = 5.0, rng_seed: int = 0):
-        positives, pool = [], []
-        for sentence in corpus:
-            for wi, label in enumerate(self.word_labels(sentence, self.subtypes)):
-                (positives if label else pool).append(WordInstance(sentence, wi, label))
-        return _sample_instances(positives, pool, neg_ratio, rng_seed), []
+        rows = (
+            LabelledChar(sentence, start, label)
+            for sentence in corpus
+            for (start, _), label in zip(sentence.word_spans, self.word_labels(sentence, self.subtypes))
+        )
+        return _labelled_stream(rows, neg_ratio, rng_seed), []
 
-    def loss_and_grads(self, batch: Sequence[WordInstance], _unused: Sequence = (), drop_rng=None) -> float:
+    def loss_and_grads(self, batch: Sequence[LabelledChar], _unused: Sequence = (), drop_rng=None) -> float:
         """Cross-entropy over the batch's words; it uses no dropout, so drop_rng is ignored."""
-        first_chars = [i.sentence.word_spans[i.word_index][0] for i in batch]
-        fwd = self._forward(self._groups_of([i.sentence for i in batch], first_chars))
-        _, loss, dscores = softmax_xent(head_scores(self.store, "wordtype", fwd.f_nugget), [i.label for i in batch])
-        df = head_backward(self.store, "wordtype", fwd.f_nugget, dscores)
-        self._backward(fwd, df, np.zeros_like(fwd.f_type))
-        return loss
+        return self._loss(batch, (), None)
 
     def _row_chars(self, sentence):
         """Each word's first character: one row per word."""
         return np.array([s for s, _ in sentence.word_spans], dtype=np.int64)
-
-    def _probabilities(self, fwd):
-        return (softmax(head_scores(self.store, "wordtype", fwd.f_nugget)),)
 
     def _decode(self, sentence, rows, stats):
         probs = rows[0]

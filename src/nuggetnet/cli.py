@@ -21,7 +21,7 @@ from .config import RunConfig, dump_resolved_config, load_run_config
 from .corpus import SubtypeInventory, build_vocab, load_corpus, save_corpus
 from .decoder import DecodeStats, load_predictions, save_predictions
 from .encoder import load_embeddings_file
-from .errors import ConfigError, NuggetError
+from .errors import CheckpointError, ConfigError, NuggetError
 from .evaluate import ScoreMode, corpus_match_stats, recall_by_match_type, score
 from .model import MODEL_CLASSES, CharSpanModel, load_model
 from .synthgen import GenSpec, allocate_quotas, default_subtype_names, generate_synthetic_corpus
@@ -92,6 +92,21 @@ def _build_model(run: RunConfig, train_sentences):
     return model
 
 
+def _trainer_state(meta: dict, path: str) -> dict:
+    """The checkpoint's trainer_state, checked for what resuming reads."""
+    state = meta.get("trainer_state")
+    if state is None:
+        raise ConfigError(f"{path}: checkpoint has no trainer state, cannot resume")
+    if not isinstance(state, dict):
+        raise CheckpointError(f"{path}: trainer_state must be a JSON object, got {state!r}")
+    for key in ("epoch", "best_epoch", "since_improve"):  # -1 is before the first epoch
+        if not (type(state.get(key)) is int and state[key] >= -1):
+            raise CheckpointError(f"{path}: trainer_state {key} must be an integer >= -1, got {state.get(key)!r}")
+    if type(state.get("best_dev_f1")) not in (int, float):
+        raise CheckpointError(f"{path}: trainer_state best_dev_f1 must be a number, got {state.get('best_dev_f1')!r}")
+    return state
+
+
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
     if not run.train_path:
@@ -105,10 +120,9 @@ def cmd_train(args) -> int:
 
     resume_state = None
     if args.resume:
-        model, meta = load_model(os.path.join(run.out_dir, LAST_CHECKPOINT))
-        resume_state = meta.get("trainer_state")
-        if resume_state is None:
-            raise ConfigError("checkpoint has no trainer state, cannot resume")
+        last = os.path.join(run.out_dir, LAST_CHECKPOINT)
+        model, meta = load_model(last)
+        resume_state = _trainer_state(meta, last)
     else:
         model = _build_model(run, train_sentences)
 

@@ -8,10 +8,10 @@ cross-entropies over two instance streams: every sampled character for the
 span head, gold in-nugget characters for the subtype head.
 
 Every model kind (this one and the baselines in baselines.py) derives from
-CharEncoderBase, which builds the encoder tensors, owns the one checkpoint
-layout, and runs every kind's rows through `_forward`/`_backward`; a
-wordwise row enters at its word's first character.  `load_model` opens any
-kind through MODEL_CLASSES.
+CharEncoderBase, which builds the encoder and the output layer, owns the
+one checkpoint layout, and trains every kind through one loss over
+(sentence, char, gold class) rows; a wordwise row enters at its word's
+first character.  `load_model` opens any kind through MODEL_CLASSES.
 
 Inference has one path for every kind, `predict_corpus`.  It packs whole
 sentences, in order, into one forward until the next would pass a fixed
@@ -65,14 +65,6 @@ class ModelConfig:
     @classmethod
     def from_json(cls, data: dict) -> "ModelConfig":
         return cls(**{**data, "extractor": ExtractorConfig.from_json(data["extractor"])})
-
-
-def register_head_params(store: ParamStore, fused_dim: int, n_nugget_classes: int, n_subtypes: int) -> None:
-    """The span-class head (NIL plus every (length, position) pair) and the subtype head, which has no NIL."""
-    store.add("head.nugget_w", (n_nugget_classes, fused_dim), init="glorot")
-    store.add("head.nugget_b", (n_nugget_classes,), init="zeros")
-    store.add("head.type_w", (n_subtypes, fused_dim), init="glorot")
-    store.add("head.type_b", (n_subtypes,), init="zeros")
 
 
 def head_scores(store: ParamStore, head: str, features: np.ndarray) -> np.ndarray:
@@ -191,12 +183,11 @@ MODEL_CLASSES: dict[str, type["CharEncoderBase"]] = {}
 
 
 class CharEncoderBase:
-    """What every model kind shares: its state, the encoder, batched plumbing and the checkpoint.
+    """What every model kind shares: its state, the encoder, the output layer, batched plumbing and the checkpoint.
 
-    The store holds the encoder tensors, then the subclass's head tensors,
-    which its __init__ adds after calling this one.  This base turns
-    batch rows, grouped by sentence, into fused head inputs, routes head
-    gradients back down, and saves and loads any kind in one layout.  A
+    A subclass names its softmax heads and their class counts
+    (`_head_classes`): head 0 reads f_nugget and head 1 f_type.  The store
+    holds the encoder tensors, then each head's `head.<name>_w`/`_b`.  A
     subclass's `kind` names it in checkpoints and in the run config.
     """
 
@@ -213,6 +204,14 @@ class CharEncoderBase:
         self.rng_seed = rng_seed
         self.store = ParamStore(rng_seed)
         register_encoder_params(self.store, config.extractor, vocab)
+        self.heads = self._head_classes()
+        for head, n_classes in self.heads.items():
+            self.store.add(f"head.{head}_w", (n_classes, config.extractor.fused_dim), init="glorot")
+            self.store.add(f"head.{head}_b", (n_classes,), init="zeros")
+
+    def _head_classes(self) -> dict[str, int]:
+        """Class count of each softmax head, by name, in head order."""
+        raise NotImplementedError
 
     def encode_sentence(self, sentence: AnnotatedSentence) -> SentenceEncoding:
         cfg = self.config.extractor
@@ -269,6 +268,24 @@ class CharEncoderBase:
         for branch in fwd.branches:
             _backward_rows(self.store, self.config, branch, dfp[branch.prefix])
 
+    def _loss(self, rows_a: Sequence[tuple], rows_b: Sequence[tuple], drop_rng: np.random.Generator | None) -> float:
+        """Summed cross-entropy of (sentence, char index, gold class) rows, a through head 0 and b through head 1.
+
+        Both streams share one forward pass; grads accumulate.
+        """
+        rows = [*rows_a, *rows_b]
+        fwd = self._forward(self._groups_of([r[0] for r in rows], [r[1] for r in rows]), drop_rng)
+        features, cut = (fwd.f_nugget, fwd.f_type), len(rows_a)
+        grads = [np.zeros_like(f) for f in features]
+        loss = 0.0
+        parts = ((rows_a, slice(None, cut)), (rows_b, slice(cut, None)))
+        for head, f, df, (stream, part) in zip(self.heads, features, grads, parts):
+            _, head_loss, dscores = softmax_xent(head_scores(self.store, head, f[part]), [r[2] for r in stream])
+            df[part] = head_backward(self.store, head, f[part], dscores)
+            loss += head_loss
+        self._backward(fwd, *grads)
+        return loss
+
     def _sentence_forward(self, enc: SentenceEncoding) -> _Forward:
         every_char = np.arange(enc.char_to_word.shape[0])
         return self._forward([(enc, every_char, every_char)], for_backward=False)
@@ -280,8 +297,8 @@ class CharEncoderBase:
         return np.arange(len(sentence.text))
 
     def _probabilities(self, fwd: _Forward) -> tuple[np.ndarray, ...]:
-        """The kind's head softmax over every row of a forward."""
-        raise NotImplementedError
+        """Each head's softmax over every row of a forward, in head order."""
+        return tuple(softmax(head_scores(self.store, h, f)) for h, f in zip(self.heads, (fwd.f_nugget, fwd.f_type)))
 
     def _decode(
         self, sentence: AnnotatedSentence, rows: tuple[np.ndarray, ...], stats: decoder.DecodeStats | None
@@ -353,31 +370,21 @@ class CharEncoderBase:
             raise CheckpointError("bad model metadata: config and vocab must be JSON objects")
         if not all(isinstance(vocab.get(table), dict) for table in ("chars", "words")):
             raise CheckpointError("bad model metadata: vocab must map chars and words to ids")
+        for table in ("chars", "words"):
+            # what build_vocab writes: ids 2.. in a row, after PAD and UNK; any other id misreads the embeddings
+            ids = vocab[table].values()
+            if not (all(type(i) is int for i in ids) and sorted(ids) == list(range(2, len(ids) + 2))):
+                raise CheckpointError(f"bad model metadata: vocab {table} ids must be 2..{len(ids) + 1}, each once")
         if not (isinstance(names, list) and names and all(isinstance(name, str) for name in names)):
             raise CheckpointError(f"bad model metadata: subtypes must be a non-empty list of names, got {names!r}")
+        rng_seed = meta.get("rng_seed", 0)
+        if type(rng_seed) is not int:
+            raise CheckpointError(f"bad model metadata: rng_seed must be an integer, got {rng_seed!r}")
         try:
             config, vocab = ModelConfig.from_json(config), Vocabulary.from_json(vocab)
         except (ConfigError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"bad model metadata: {type(exc).__name__}: {exc}") from exc
-        return cls(config=config, vocab=vocab, subtypes=SubtypeInventory(names), rng_seed=int(meta.get("rng_seed", 0)))
-
-    @classmethod
-    def _restore(cls, path, meta: dict, tensors: dict) -> "CharEncoderBase":
-        """from_meta filled with the checkpoint's tensors; a CheckpointError names the file."""
-        try:
-            model = cls.from_meta(meta)
-            restore_store(model.store, tensors)
-        except CheckpointError as exc:
-            raise CheckpointError(f"{path}: {exc}") from exc
-        return model
-
-    @classmethod
-    def load(cls, path) -> tuple["CharEncoderBase", dict]:
-        """(model, metadata) from a checkpoint of this kind; any other kind raises CheckpointError."""
-        meta, tensors = load_checkpoint(path)
-        if meta.get("kind") != cls.kind:
-            raise CheckpointError(f"{path}: checkpoint kind {meta.get('kind')!r} is not {cls.kind!r}")
-        return cls._restore(path, meta, tensors), meta
+        return cls(config=config, vocab=vocab, subtypes=SubtypeInventory(names), rng_seed=rng_seed)
 
 
 class CharSpanModel(CharEncoderBase):
@@ -389,16 +396,12 @@ class CharSpanModel(CharEncoderBase):
         if len(subtypes) < 1:
             raise ConfigError("model needs at least one event subtype")
         super().__init__(config, vocab, subtypes, rng_seed)
-        self.n_nugget_classes = num_nugget_classes(config.max_nugget_len)
-        register_head_params(self.store, config.extractor.fused_dim, self.n_nugget_classes, len(subtypes))
+
+    def _head_classes(self):
+        """The span-class head (NIL plus every (length, position) pair) and the subtype head, which has no NIL."""
+        return {"nugget": num_nugget_classes(self.config.max_nugget_len), "type": len(self.subtypes)}
 
     # -- inference ---------------------------------------------------------
-
-    def _probabilities(self, fwd):
-        return (
-            softmax(head_scores(self.store, "nugget", fwd.f_nugget)),
-            softmax(head_scores(self.store, "type", fwd.f_type)),
-        )
 
     def _decode(self, sentence, rows, stats):
         return decoder.decode_sentence(self, sentence, rows, stats)
@@ -437,26 +440,24 @@ class CharSpanModel(CharEncoderBase):
         for inst in cls_batch:
             if inst.type_label is None:
                 raise ConfigError("classifier stream instance is missing its subtype label")
-        batch = [*gen_batch, *cls_batch]
-        fwd = self._forward(self._groups_of([i.sentence for i in batch], [i.char_index for i in batch]), drop_rng)
-        g = len(gen_batch)
-        gold_nugget = [label_to_class(inst.nugget_label, self.config.max_nugget_len) for inst in gen_batch]
-        gold_type = [self.subtypes.id_of(inst.type_label) for inst in cls_batch]
-        _, loss_nugget, ds_nugget = softmax_xent(head_scores(self.store, "nugget", fwd.f_nugget[:g]), gold_nugget)
-        _, loss_type, ds_type = softmax_xent(head_scores(self.store, "type", fwd.f_type[g:]), gold_type)
-        df_nugget = np.zeros_like(fwd.f_nugget)
-        df_type = np.zeros_like(fwd.f_type)
-        df_nugget[:g] = head_backward(self.store, "nugget", fwd.f_nugget[:g], ds_nugget)
-        df_type[g:] = head_backward(self.store, "type", fwd.f_type[g:], ds_type)
-        self._backward(fwd, df_nugget, df_type)
-        return loss_nugget + loss_type
+        max_len = self.config.max_nugget_len
+        return self._loss(
+            [(i.sentence, i.char_index, label_to_class(i.nugget_label, max_len)) for i in gen_batch],
+            [(i.sentence, i.char_index, self.subtypes.id_of(i.type_label)) for i in cls_batch],
+            drop_rng,
+        )
 
 
 def load_model(path) -> tuple[CharEncoderBase, dict]:
-    """Open any checkpoint, dispatching on its recorded model kind."""
+    """Open any checkpoint, dispatching on its recorded model kind; a CheckpointError names the file."""
     meta, tensors = load_checkpoint(path)
     kind = meta.get("kind")
     cls = MODEL_CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
-    return cls._restore(path, meta, tensors), meta
+    try:
+        model = cls.from_meta(meta)
+        restore_store(model.store, tensors)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    return model, meta

@@ -435,14 +435,8 @@ def _meta_json(meta: dict) -> bytes:
     return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _record_chunks(store: ParamStore, include_optimizer: bool) -> Iterable[bytes]:
-    records = []
-    for name, p in store.items():
-        tensors = [("value", p.value)]
-        if include_optimizer:
-            tensors += [("eg2", p.eg2), ("edx2", p.edx2)]
-        for kind, arr in tensors:
-            records.append((name, kind, arr))
+def _record_chunks(store: ParamStore) -> Iterable[bytes]:
+    records = [(name, kind, arr) for name, p in store.items() for kind, arr in zip(_KINDS, (p.value, p.eg2, p.edx2))]
     yield struct.pack("<I", len(records))
     for name, kind, arr in records:
         name_b = name.encode("utf-8")
@@ -471,16 +465,16 @@ def write_atomically(path, chunks: Iterable[bytes]) -> None:
         raise
 
 
-def save_checkpoint(path, store: ParamStore, meta: dict | None = None, include_optimizer: bool = True) -> None:
+def save_checkpoint(path, store: ParamStore, meta: dict | None = None) -> None:
     meta = dict(meta or {})
     if _CRC_KEY in meta:
         raise ValueError(f"checkpoint metadata key {_CRC_KEY!r} is reserved")
     crc = zlib.crc32(_meta_json(meta))
-    for chunk in _record_chunks(store, include_optimizer):
+    for chunk in _record_chunks(store):
         crc = zlib.crc32(chunk, crc)
     meta_bytes = _meta_json({**meta, _CRC_KEY: crc})
     header = CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)) + meta_bytes
-    write_atomically(path, itertools.chain([header], _record_chunks(store, include_optimizer)))
+    write_atomically(path, itertools.chain([header], _record_chunks(store)))
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:

@@ -257,6 +257,37 @@ class TestTrainPredictEval:
         assert err.startswith(f"error: {run_dir / TRAIN_LOG}: line 2")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda state: {**state, "epoch": "x"},
+            lambda state: 5,
+            lambda state: {k: v for k, v in state.items() if k != "best_dev_f1"},
+            lambda state: {**state, "since_improve": True},
+            lambda state: {**state, "epoch": -5},
+        ],
+        ids=["epoch-string", "bare-int", "no-best-f1", "bool-counter", "epoch-below-start"],
+    )
+    def test_resume_rejects_a_malformed_trainer_state(self, pipeline, tmp_path, capsys, edit):
+        _, _, out_dir, cfg = pipeline
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        last = run_dir / LAST_CHECKPOINT
+        meta, _ = load_checkpoint(out_dir / LAST_CHECKPOINT)
+        meta["trainer_state"] = edit(meta["trainer_state"])
+        model, _ = load_model(out_dir / LAST_CHECKPOINT)
+        save_checkpoint(last, model.store, meta)
+        resume_cfg = tmp_path / "resume.yaml"
+        resume_cfg.write_text(
+            yaml.safe_dump({**yaml.safe_load(cfg.read_text(encoding="utf-8")), "out_dir": str(run_dir)}),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(["train", "--config", str(resume_cfg), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {last}: trainer_state")
+        assert "Traceback" not in err
+
     def test_resume_after_completion_is_noop(self, pipeline, capsys):
         _, _, out_dir, cfg = pipeline
         before = (out_dir / LAST_CHECKPOINT).read_bytes()

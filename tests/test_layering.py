@@ -1,9 +1,11 @@
 """The package's modules reach each other only through public names, and every definition has a caller."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nuggetnet"
+SPANS = PACKAGE.parents[1] / "perfbench" / "spans.py"
 
 
 def test_no_module_imports_a_private_name_from_another():
@@ -61,3 +63,12 @@ def test_inference_goes_through_predict_corpus():
             if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "predict_sentence":
                 callers.append(f"{path.name}:{node.lineno}")
     assert not callers, "predict_sentence called inside the package:\n" + "\n".join(callers)
+
+
+def test_benchmark_hooks_resolve():
+    # the benchmark patches named call sites; one that a refactor moves (into a base class, say) stops
+    # resolving and its span silently reads unmeasured.  wordwise_predict names an inherited method.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.Tracer().unmeasured == {"baselines.wordwise_predict"}

@@ -8,7 +8,7 @@ from nuggetnet.corpus import UNK_ID, AnnotatedSentence, SubtypeInventory, build_
 from nuggetnet.decoder import decode_corpus
 from nuggetnet.errors import CheckpointError, ConfigError
 from nuggetnet.labels import num_nugget_classes
-from nuggetnet.model import MODEL_CLASSES, CharSpanModel, ModelConfig, _view_starts, head_scores, load_model
+from nuggetnet.model import CharSpanModel, ModelConfig, _view_starts, head_scores, load_model
 from nuggetnet.ndcore import ParamStore, grad_check, load_checkpoint, save_checkpoint, softmax
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
 
@@ -68,8 +68,7 @@ class TestCharSpanModel:
 
     def test_head_shapes(self, corpus3):
         model = small_model(corpus3, max_nugget_len=3)
-        assert model.n_nugget_classes == num_nugget_classes(3)
-        assert model.store["head.nugget_w"].value.shape == (7, 10)
+        assert model.store["head.nugget_w"].value.shape == (num_nugget_classes(3), 10) == (7, 10)
         assert model.store["head.type_w"].value.shape == (2, 10)
 
     def test_distributions_normalized(self, corpus3):
@@ -233,7 +232,8 @@ class TestCharSpanModel:
         widen_params(model.store)
         path = tmp_path / "model.ckpt"
         model.save(path, trainer_state={"epoch": 2})
-        loaded, meta = CharSpanModel.load(path)
+        loaded, meta = load_model(path)
+        assert type(loaded) is CharSpanModel
         assert meta["trainer_state"]["epoch"] == 2
         assert loaded.config == model.config
         assert loaded.subtypes.names == model.subtypes.names
@@ -278,6 +278,17 @@ def test_argmax_only_when_training(corpus3, monkeypatch, kind):
     assert calls.count("split_argmax") == calls.count("branch_backward") > 0
 
 
+def char_id(new_id):
+    """A metadata edit: the first character of the vocabulary gets id new_id."""
+
+    def edit(vocab):
+        first = next(iter(vocab["chars"]))
+        return {**vocab, "chars": {**vocab["chars"], first: new_id}}
+
+    edit.__name__ = f"char_id_{new_id}"
+    return edit
+
+
 def saved_meta(model, path) -> dict:
     model.save(path)
     return load_checkpoint(path)[0]
@@ -296,6 +307,10 @@ def saved_meta(model, path) -> dict:
         ("subtypes", 3),
         ("subtypes", "xy"),  # as many characters as the model has subtypes
         ("subtypes", ["x", 7]),
+        ("rng_seed", "abc"),
+        ("rng_seed", [1]),
+        ("vocab", char_id(10**6)),  # past the embedding table
+        ("vocab", char_id(-5)),  # would read another row of it
     ],
 )
 def test_bad_metadata_names_file(tmp_path, corpus3, kind, field, value):
@@ -306,12 +321,11 @@ def test_bad_metadata_names_file(tmp_path, corpus3, kind, field, value):
     if value is None:
         del meta[field]
     else:
-        meta[field] = value
+        meta[field] = value(meta[field]) if callable(value) else value
     save_checkpoint(path, model.store, meta)
-    for load in (load_model, MODEL_CLASSES[kind].load):
-        with pytest.raises(CheckpointError, match="bad model metadata") as info:
-            load(path)
-        assert str(path) in str(info.value)
+    with pytest.raises(CheckpointError, match="bad model metadata") as info:
+        load_model(path)
+    assert str(path) in str(info.value)
 
 
 def test_tensor_mismatch_names_file(tmp_path, corpus3):

@@ -492,9 +492,9 @@ class TestCheckpoint:
         real_chunks = ndcore._record_chunks
         passes = []
 
-        def chunks(store, include_optimizer):
+        def chunks(store):
             passes.append(1)
-            for i, chunk in enumerate(real_chunks(store, include_optimizer)):
+            for i, chunk in enumerate(real_chunks(store)):
                 if len(passes) == 2 and i == 3:  # the checksum pass ran; fail part way through writing
                     raise OSError("disk full")
                 yield chunk

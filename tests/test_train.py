@@ -121,7 +121,8 @@ class TestDeterminism:
         full_lines = (tmp_path / "full" / TRAIN_LOG).read_bytes().splitlines(keepends=True)
         with open(tmp_path / "part" / TRAIN_LOG, "ab") as fh:
             fh.write(full_lines[2] + full_lines[3][:10])
-        resumed, meta = CharSpanModel.load(tmp_path / "part" / LAST_CHECKPOINT)
+        resumed, meta = load_model(tmp_path / "part" / LAST_CHECKPOINT)
+        assert type(resumed) is CharSpanModel
         assert meta["trainer_state"]["epoch"] == 1
         train(
             resumed,
