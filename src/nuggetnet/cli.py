@@ -21,7 +21,7 @@ from .config import RunConfig, dump_resolved_config, load_run_config
 from .corpus import SubtypeInventory, build_vocab, load_corpus, save_corpus
 from .decoder import DecodeStats, load_predictions, save_predictions
 from .encoder import load_embeddings_file
-from .errors import CheckpointError, ConfigError, NuggetError
+from .errors import ConfigError, NuggetError, changed_fields
 from .evaluate import ScoreMode, corpus_match_stats, recall_by_match_type, score
 from .model import MODEL_CLASSES, CharSpanModel, load_model
 from .synthgen import GenSpec, allocate_quotas, default_subtype_names, generate_synthetic_corpus
@@ -83,46 +83,39 @@ def _build_model(run: RunConfig, train_sentences):
     )
     subtypes = SubtypeInventory.from_corpus(train_sentences)
     model = MODEL_CLASSES[run.model_kind](run.model, vocab, subtypes, rng_seed=run.training.rng_seed)
-    if run.char_embeddings:
-        n = load_embeddings_file(run.char_embeddings, model.store, "char", vocab.char_to_id)
+    if run.embeddings.chars:
+        n = load_embeddings_file(run.embeddings.chars, model.store, "char", vocab.char_to_id)
         logger.info("loaded %d pretrained character embeddings", n)
-    if run.word_embeddings:
-        n = load_embeddings_file(run.word_embeddings, model.store, "word", vocab.word_to_id)
+    if run.embeddings.words:
+        n = load_embeddings_file(run.embeddings.words, model.store, "word", vocab.word_to_id)
         logger.info("loaded %d pretrained word embeddings", n)
     return model
 
 
-def _trainer_state(meta: dict, path: str) -> dict:
-    """The checkpoint's trainer_state, checked for what resuming reads."""
-    state = meta.get("trainer_state")
-    if state is None:
-        raise ConfigError(f"{path}: checkpoint has no trainer state, cannot resume")
-    if not isinstance(state, dict):
-        raise CheckpointError(f"{path}: trainer_state must be a JSON object, got {state!r}")
-    for key in ("epoch", "best_epoch", "since_improve"):  # -1 is before the first epoch
-        if not (type(state.get(key)) is int and state[key] >= -1):
-            raise CheckpointError(f"{path}: trainer_state {key} must be an integer >= -1, got {state.get(key)!r}")
-    if type(state.get("best_dev_f1")) not in (int, float):
-        raise CheckpointError(f"{path}: trainer_state best_dev_f1 must be a number, got {state.get('best_dev_f1')!r}")
-    return state
-
-
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
-    if not run.train_path:
+    if not run.data.train:
         raise ConfigError(f"{args.config}: data.train is required for training")
     if not run.out_dir:
         raise ConfigError(f"{args.config}: out_dir is required for training")
-    train_sentences = load_corpus(run.train_path)
-    dev_sentences = load_corpus(run.dev_path) if run.dev_path else train_sentences
-    if not run.dev_path:
+    train_sentences = load_corpus(run.data.train)
+    dev_sentences = load_corpus(run.data.dev) if run.data.dev else train_sentences
+    if not run.data.dev:
         logger.warning("no dev set configured; early stopping will use the training set")
 
     resume_state = None
     if args.resume:
+        # the checkpoint's model goes on training: the run must describe the same one
         last = os.path.join(run.out_dir, LAST_CHECKPOINT)
         model, meta = load_model(last)
-        resume_state = _trainer_state(meta, last)
+        resume_state = meta.get("trainer_state")
+        if resume_state is None:
+            raise ConfigError(f"{last}: checkpoint has no trainer state, cannot resume")
+        if model.kind != run.model_kind:
+            raise ConfigError(f"{last}: checkpoint holds a {model.kind} model, the run's model.kind is {run.model_kind}")
+        changed = changed_fields(model.config, run.model)
+        if changed:
+            raise ConfigError(f"{last}: checkpoint's model config differs from the run's model section in {', '.join(changed)}")
     else:
         model = _build_model(run, train_sentences)
 

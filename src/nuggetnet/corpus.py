@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CorpusFormatError, CorpusValidationError, reading
+from .errors import CheckpointError, CorpusFormatError, CorpusValidationError, check_keys, check_value, is_a, reading
 from .labels import NuggetLabel, label_for
 
 logger = logging.getLogger(__name__)
@@ -216,22 +216,34 @@ def sentence_to_record(sentence: AnnotatedSentence) -> dict:
     }
 
 
-def sentence_from_record(record: dict) -> AnnotatedSentence:
-    for fname in ("doc_id", "sent_id", "text", "words", "triggers"):
-        if fname not in record:
-            raise CorpusFormatError(f"missing field '{fname}'")
-    triggers = []
-    for k, t in enumerate(record["triggers"]):
-        for fname in ("start", "length", "type"):
-            if fname not in t:
-                raise CorpusFormatError(f"trigger entry {k} missing field '{fname}'")
-        triggers.append(TriggerNugget(int(t["start"]), int(t["length"]), str(t["type"])))
+def sentence_from_record(record) -> AnnotatedSentence:
+    """The sentence in one corpus record, read as strictly as corpus.schema.json: CorpusFormatError names a bad field.
+
+    What the schema cannot say, such as words that do not partition the text, raises CorpusValidationError.
+    """
+    keys = ("doc_id", "sent_id", "text", "words", "triggers")
+    check_keys(record, keys, "sentence", CorpusFormatError, required=keys)
+    for key in ("doc_id", "sent_id", "text"):
+        check_value(record[key], "str", key, CorpusFormatError)
+    if not (record["doc_id"] and record["sent_id"]):
+        raise CorpusFormatError(f"doc_id and sent_id must not be empty, got {record['doc_id']!r} and {record['sent_id']!r}")
+    words = check_value(record["words"], "tuple[tuple[int, int], ...]", "words", CorpusFormatError)
+    triggers = record["triggers"]
+    if not isinstance(triggers, list):
+        raise CorpusFormatError(f"triggers must be a list, got {triggers!r}")
+    keys = ("start", "length", "type")
+    for k, t in enumerate(triggers):
+        check_keys(t, keys, f"triggers[{k}]", CorpusFormatError, required=keys)
+        check_value(t["start"], "int", f"triggers[{k}].start", CorpusFormatError)
+        check_value(t["length"], "int", f"triggers[{k}].length", CorpusFormatError)
+        if not (is_a(t["type"], "str") and t["type"]):
+            raise CorpusFormatError(f"triggers[{k}].type must be a non-empty string, got {t['type']!r}")
     return AnnotatedSentence(
-        doc_id=str(record["doc_id"]),
-        sent_id=str(record["sent_id"]),
-        text=str(record["text"]),
-        word_spans=tuple((int(s), int(e)) for s, e in record["words"]),
-        triggers=tuple(triggers),
+        doc_id=record["doc_id"],
+        sent_id=record["sent_id"],
+        text=record["text"],
+        word_spans=words,
+        triggers=tuple(TriggerNugget(t["start"], t["length"], t["type"]) for t in triggers),
     )
 
 
@@ -249,10 +261,8 @@ def load_corpus(path) -> list[AnnotatedSentence]:
                 raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
             try:
                 corpus.append(sentence_from_record(record))
-            except CorpusValidationError as exc:
-                raise CorpusValidationError(f"{path}: line {lineno}: {exc}") from exc
-            except (CorpusFormatError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
+            except (CorpusFormatError, CorpusValidationError) as exc:
+                raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
     return corpus
 
 
@@ -304,12 +314,17 @@ class Vocabulary:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Vocabulary":
-        return cls(
-            char_to_id={str(k): int(v) for k, v in data["chars"].items()},
-            word_to_id={str(k): int(v) for k, v in data["words"].items()},
-            max_rel_dist=int(data["max_rel_dist"]),
-        )
+    def from_json(cls, data) -> "Vocabulary":
+        """The vocabulary to_json wrote into a checkpoint; anything build_vocab could not have made raises CheckpointError."""
+        keys = ("max_rel_dist", "chars", "words")
+        check_keys(data, keys, "vocab", CheckpointError, required=keys)
+        for table in ("chars", "words"):
+            # what build_vocab writes: ids 2.. in a row, after PAD and UNK; any other id misreads the embeddings
+            ids = list(data[table].values()) if isinstance(data[table], dict) else None
+            if ids is None or not (all(is_a(i, "int") for i in ids) and sorted(ids) == list(range(2, len(ids) + 2))):
+                raise CheckpointError(f"vocab.{table} must map its tokens to the ids 2, 3, ..., each id once")
+        max_rel_dist = check_value(data["max_rel_dist"], "int", "vocab.max_rel_dist", CheckpointError)
+        return cls(char_to_id=data["chars"], word_to_id=data["words"], max_rel_dist=max_rel_dist)
 
 
 def relative_position_index(rel, max_rel_dist: int):

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import AnnotatedSentence
-from .errors import CorpusFormatError, reading
+from .errors import CorpusFormatError, check_keys, is_a, reading
 from .labels import class_table
 
 
@@ -42,37 +41,22 @@ class Prediction:
         return {"start": self.start, "length": self.length, "subtype": self.subtype, "score": self.score}
 
     @classmethod
-    def from_record(cls, rec: dict) -> "Prediction":
+    def from_record(cls, rec) -> "Prediction":
         """Parse one record as strictly as schemas/predictions.schema.json does.
 
         An integer is not a bool or a float.  A NaN or infinite score is
         rejected too, as the scorer orders predictions by score.
         """
-        _check_keys(rec, ("start", "length", "subtype", "score"), "bad prediction record")
-        start, length, subtype, score = rec["start"], rec["length"], rec["subtype"], rec["score"]
-        if not (_is_int(start) and start >= 0 and _is_int(length) and length >= 1):
+        keys = ("start", "length", "subtype", "score")
+        check_keys(rec, keys, "prediction record", CorpusFormatError, required=keys)
+        start, length, subtype, score = (rec[key] for key in keys)
+        if not (is_a(start, "int") and start >= 0 and is_a(length, "int") and length >= 1):
             raise CorpusFormatError(f"bad prediction record {rec!r}: start must be an integer >= 0, length one >= 1")
-        if not (isinstance(subtype, str) and subtype):
+        if not (is_a(subtype, "str") and subtype):
             raise CorpusFormatError(f"bad prediction record {rec!r}: subtype must be a non-empty string")
-        if not _is_finite_number(score):
+        if not (is_a(score, "float") and math.isfinite(score)):
             raise CorpusFormatError(f"bad prediction record {rec!r}: score {score!r} is not a number, or not finite")
         return cls(start, length, subtype, float(score))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    """A JSON number, not a bool, that a float holds: no NaN, no infinity, no integer past the float range."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return _is_int(value) and abs(value) <= sys.float_info.max
-
-
-def _check_keys(rec, keys: tuple[str, ...], what: str) -> None:
-    if not (isinstance(rec, dict) and set(rec) == set(keys)):
-        raise CorpusFormatError(f"{what} {rec!r}: needs exactly the keys {', '.join(keys)}")
 
 
 @dataclass
@@ -139,13 +123,14 @@ def save_predictions(path, predictions: dict[tuple[str, str], list[Prediction]])
 
 def load_predictions(path) -> dict[tuple[str, str], list[Prediction]]:
     out: dict[tuple[str, str], list[Prediction]] = {}
+    keys = ("doc_id", "sent_id", "predictions")
     with reading(path, CorpusFormatError) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                _check_keys(rec, ("doc_id", "sent_id", "predictions"), "bad sentence record")
+                check_keys(rec, keys, "sentence record", CorpusFormatError, required=keys)
                 key = (rec["doc_id"], rec["sent_id"])
                 if not all(isinstance(k, str) and k for k in key) or not isinstance(rec["predictions"], list):
                     raise CorpusFormatError(

@@ -67,7 +67,7 @@ the authority on their correctness.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -139,13 +139,6 @@ class ExtractorConfig:
         if self.hybrid_mode is HybridMode.CONCAT:
             return 2 * self.proj_dim
         return self.proj_dim
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "hybrid_mode": self.hybrid_mode.value}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ExtractorConfig":
-        return cls(**data)
 
 
 BRANCH_PREFIXES = ("char", "word")

@@ -1,10 +1,15 @@
-"""Exception types shared across the package, and the one way its loaders open a file.
+"""Exception types shared across the package, the one way its loaders open a file, and the one typed JSON reader.
 
 Every error message names the offending field, line or dimension so CLI
-diagnostics stay actionable.
+diagnostics stay actionable.  The run config, a checkpoint's model config
+and the trainer state are each read by `from_json`, which takes the field
+list and the value types from the dataclass, so each declares them once.
 """
 
 import contextlib
+import sys
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 
 
 class NuggetError(Exception):
@@ -55,3 +60,99 @@ def reading(path, error: type[NuggetError], binary: bool = False):
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except OSError as exc:
         raise error(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number that a float holds: NaN and infinity are numbers here, an integer past the float range is not."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
+
+
+# declared field type -> (what a value must be, the check); a JSON list stands for a tuple
+VALUE_CHECKS = {
+    "int": ("an integer", _is_int),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "float": ("a number", _is_number),
+    "float | None": ("a number or null", lambda v: v is None or _is_number(v)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "tuple[str, ...]": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "tuple[float, float, float]": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "tuple[tuple[int, int], ...]": (
+        "a list of [start, end] integer pairs",
+        lambda v: isinstance(v, list) and all(isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in v),
+    ),
+}
+
+
+def is_a(value, type_name: str) -> bool:
+    """Whether value, as parsed from JSON or YAML, has the declared type type_name (a VALUE_CHECKS key)."""
+    return VALUE_CHECKS[type_name][1](value)
+
+
+def check_value(value, type_name: str, where: str, error: type[NuggetError]):
+    """value, if it has the declared type type_name; otherwise `error` naming where."""
+    if not is_a(value, type_name):
+        raise error(f"{where} must be {VALUE_CHECKS[type_name][0]}, got {value!r}")
+    return value
+
+
+def check_keys(data, keys, where: str, error: type[NuggetError], required=()) -> None:
+    """Raise `error` naming where unless data is a mapping with no key outside keys and every key in required."""
+    if not isinstance(data, dict):
+        raise error(f"{where or 'the top level'} must be a mapping, got {type(data).__name__}")
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise error(f"unknown {where or 'top-level'} keys: {', '.join(sorted(unknown))}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise error(f"{where} needs {', '.join(missing)}")
+
+
+def from_json(cls, data, error: type[NuggetError], where: str = ""):
+    """The dataclass cls built from the JSON object data, every value checked against its field's type.
+
+    Only the fields the constructor takes are read.  A field whose annotation
+    (source text: the package postpones annotations) VALUE_CHECKS lists is
+    checked there, a list becoming a tuple; a dataclass field is read the
+    same way, null meaning all defaults unless the field may be None; other
+    fields, such as enums, are left to cls's own checks, whose ConfigError
+    becomes `error`.  Every error names `where.field`.
+    """
+    known = {f.name: f for f in fields(cls) if f.init}
+    required = [name for name, f in known.items() if f.default is MISSING and f.default_factory is MISSING]
+    check_keys(data, known, where, error, required)
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for name, value in data.items():
+        at = f"{where}.{name}" if where else name
+        type_name = known[name].type
+        if type_name in VALUE_CHECKS:
+            check_value(value, type_name, at, error)
+            values[name] = tuple(value) if isinstance(value, list) else value
+            continue
+        hint = hints[name]
+        nested = [t for t in typing.get_args(hint) or (hint,) if is_dataclass(t)]
+        if not nested or (value is None and type(None) in typing.get_args(hint)):
+            values[name] = value
+        else:
+            values[name] = from_json(nested[0], {} if value is None else value, error, at)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise error(str(exc)) from exc
+
+
+def changed_fields(old, new, where: str = "") -> list[str]:
+    """`field old -> new` for each field whose value differs between dataclasses old and new, nested ones field by field."""
+    changed = []
+    for f in fields(old):
+        a, b, at = getattr(old, f.name), getattr(new, f.name), f"{where}{f.name}"
+        if is_dataclass(a) and is_dataclass(b):
+            changed += changed_fields(a, b, f"{at}.")
+        elif a != b:
+            changed.append(f"{at} {a!r} -> {b!r}")
+    return changed

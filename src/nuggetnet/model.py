@@ -40,7 +40,7 @@ from .encoder import (
     fuse_backward,
     register_encoder_params,
 )
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, check_value, from_json, is_a
 from .labels import label_to_class, num_nugget_classes
 from .ndcore import ParamStore, load_checkpoint, restore_store, save_checkpoint, scatter_rows, softmax, softmax_xent
 
@@ -58,13 +58,6 @@ class ModelConfig:
             raise ConfigError(
                 f"max_tokens {self.max_tokens} shorter than the conv window {self.extractor.window}"
             )
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "extractor": self.extractor.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ModelConfig":
-        return cls(**{**data, "extractor": ExtractorConfig.from_json(data["extractor"])})
 
 
 def head_scores(store: ParamStore, head: str, features: np.ndarray) -> np.ndarray:
@@ -350,7 +343,7 @@ class CharEncoderBase:
     def save(self, path, trainer_state: dict | None = None) -> None:
         meta = {
             "kind": self.kind,
-            "config": self.config.to_json(),
+            "config": asdict(self.config),
             "vocab": self.vocab.to_json(),
             "subtypes": self.subtypes.names,
             "rng_seed": self.rng_seed,
@@ -363,28 +356,19 @@ class CharEncoderBase:
     def from_meta(cls, meta: dict) -> "CharEncoderBase":
         """A freshly initialised model of this kind with the checkpoint's config, vocab and subtypes.
 
-        Metadata that does not describe a model raises CheckpointError.
+        The config is read as strictly as a run file's model section.
+        Metadata that does not describe a model raises CheckpointError naming the field.
         """
-        config, vocab, names = meta.get("config"), meta.get("vocab"), meta.get("subtypes")
-        if not (isinstance(config, dict) and isinstance(vocab, dict)):
-            raise CheckpointError("bad model metadata: config and vocab must be JSON objects")
-        if not all(isinstance(vocab.get(table), dict) for table in ("chars", "words")):
-            raise CheckpointError("bad model metadata: vocab must map chars and words to ids")
-        for table in ("chars", "words"):
-            # what build_vocab writes: ids 2.. in a row, after PAD and UNK; any other id misreads the embeddings
-            ids = vocab[table].values()
-            if not (all(type(i) is int for i in ids) and sorted(ids) == list(range(2, len(ids) + 2))):
-                raise CheckpointError(f"bad model metadata: vocab {table} ids must be 2..{len(ids) + 1}, each once")
-        if not (isinstance(names, list) and names and all(isinstance(name, str) for name in names)):
-            raise CheckpointError(f"bad model metadata: subtypes must be a non-empty list of names, got {names!r}")
-        rng_seed = meta.get("rng_seed", 0)
-        if type(rng_seed) is not int:
-            raise CheckpointError(f"bad model metadata: rng_seed must be an integer, got {rng_seed!r}")
+        names = meta.get("subtypes")
         try:
-            config, vocab = ModelConfig.from_json(config), Vocabulary.from_json(vocab)
-        except (ConfigError, KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"bad model metadata: {type(exc).__name__}: {exc}") from exc
-        return cls(config=config, vocab=vocab, subtypes=SubtypeInventory(names), rng_seed=rng_seed)
+            config = from_json(ModelConfig, meta.get("config"), CheckpointError, "config")
+            vocab = Vocabulary.from_json(meta.get("vocab"))
+            if not (is_a(names, "tuple[str, ...]") and names):
+                raise CheckpointError(f"subtypes must be a non-empty list of names, got {names!r}")
+            rng_seed = check_value(meta.get("rng_seed", 0), "int", "rng_seed", CheckpointError)
+            return cls(config=config, vocab=vocab, subtypes=SubtypeInventory(names), rng_seed=rng_seed)
+        except (CheckpointError, ConfigError) as exc:
+            raise CheckpointError(f"bad model metadata: {exc}") from exc
 
 
 class CharSpanModel(CharEncoderBase):

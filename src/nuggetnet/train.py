@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import AnnotatedSentence
-from .errors import ConfigError, NuggetError, NumericError
+from .errors import CheckpointError, ConfigError, NuggetError, NumericError, changed_fields, from_json, is_a
 from .evaluate import ScoreMode, score
 from .ndcore import adadelta_step, write_atomically
 
@@ -58,8 +58,21 @@ class TrainConfig:
         if self.stop_at_dev_f1 is not None and not math.isfinite(self.stop_at_dev_f1):
             raise ConfigError(f"stop_at_dev_f1 must be a finite number or null, got {self.stop_at_dev_f1}")
 
-    def to_json(self) -> dict:
-        return asdict(self)
+
+@dataclass(frozen=True)
+class TrainerState:
+    """What a checkpoint records for resuming: where the run stood after `epoch` (-1: before the first), and its config."""
+
+    epoch: int
+    best_dev_f1: float
+    best_epoch: int
+    since_improve: int
+    train_config: TrainConfig
+
+    def __post_init__(self):
+        for name in ("epoch", "best_epoch", "since_improve"):
+            if getattr(self, name) < -1:
+                raise ConfigError(f"trainer_state.{name} must be an integer >= -1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -95,7 +108,7 @@ def _truncate_log(log_path: str, last_epoch: int) -> None:
             epoch = json.loads(line)["epoch"]
         except (KeyError, TypeError, ValueError):
             epoch = None
-        if type(epoch) is not int:
+        if not is_a(epoch, "int"):
             raise NuggetError(f"{log_path}: line {lineno}: not a JSON object with an integer \"epoch\"")
         if epoch <= last_epoch:
             kept.append(line)
@@ -113,26 +126,33 @@ def train(
 ) -> TrainResult:
     """Train in place; returns the run summary.  Checkpoints go to out_dir.
 
-    To resume, load the weights from last.ckpt into `model` and pass the
-    trainer_state dict from that checkpoint's metadata.
+    To resume, load the weights from out_dir's last.ckpt into `model` and
+    pass the trainer_state dict from that checkpoint's metadata.  The run
+    must have the config the state records, but for `epochs`.
     """
+    resume = resume_state is not None
+    state = TrainerState(-1, -1.0, -1, 0, config)
+    if resume:
+        last = os.path.join(out_dir or "", LAST_CHECKPOINT)
+        try:
+            state = from_json(TrainerState, resume_state, CheckpointError, "trainer_state")
+        except CheckpointError as exc:
+            raise CheckpointError(f"{last}: {exc}") from exc
+        changed = changed_fields(replace(state.train_config, epochs=config.epochs), config)
+        if changed:
+            raise ConfigError(
+                f"{last}: trainer_state train_config differs from the run's training section in "
+                f"{', '.join(changed)}; a resumed run may change only epochs"
+            )
+    start_epoch = state.epoch + 1
+    best_f1, best_epoch, since_improve = state.best_dev_f1, state.best_epoch, state.since_improve
+    history: list[dict] = []
+
     stream_a, stream_b = model.training_streams(
         train_corpus, neg_ratio=config.neg_ratio, rng_seed=config.rng_seed
     )
     if not stream_a:
         raise ConfigError("training corpus produced no instances")
-
-    resume = resume_state is not None
-    start_epoch = 0
-    best_f1 = -1.0
-    best_epoch = -1
-    since_improve = 0
-    history: list[dict] = []
-    if resume:
-        start_epoch = resume_state["epoch"] + 1
-        best_f1 = resume_state["best_dev_f1"]
-        best_epoch = resume_state["best_epoch"]
-        since_improve = resume_state["since_improve"]
 
     log_path = os.path.join(out_dir, TRAIN_LOG) if out_dir is not None else None
     if out_dir is not None:
@@ -140,16 +160,10 @@ def train(
         if not resume and os.path.exists(log_path):
             os.remove(log_path)
         elif resume and os.path.exists(log_path):
-            _truncate_log(log_path, resume_state["epoch"])
+            _truncate_log(log_path, state.epoch)
 
     def trainer_state(epoch: int) -> dict:
-        return {
-            "epoch": epoch,
-            "best_dev_f1": best_f1,
-            "best_epoch": best_epoch,
-            "since_improve": since_improve,
-            "train_config": config.to_json(),
-        }
+        return asdict(TrainerState(epoch, best_f1, best_epoch, since_improve, config))
 
     def log_line(rec: dict) -> None:
         history.append(rec)

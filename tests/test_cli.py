@@ -1,5 +1,7 @@
 import json
 import math
+import typing
+from dataclasses import fields, is_dataclass
 
 import jsonschema
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 import yaml
 
 from nuggetnet.cli import main
-from nuggetnet.config import load_run_config, parse_run_config
+from nuggetnet.config import RunConfig, load_run_config, parse_run_config
 from nuggetnet.corpus import load_corpus, save_corpus
 from nuggetnet.decoder import decode_corpus, load_predictions, save_predictions
 from nuggetnet.errors import ConfigError
@@ -234,6 +236,18 @@ class TestTrainPredictEval:
         assert err.startswith(f"error: {path}: bad model metadata")
         assert "Traceback" not in err
 
+    def test_inspect_badly_typed_metadata(self, pipeline, tmp_path, capsys):
+        _, _, out_dir, _ = pipeline
+        meta, _ = load_checkpoint(out_dir / BEST_CHECKPOINT)
+        meta["config"]["extractor"]["n_filters"] = 8.5
+        path = tmp_path / "float-filters.ckpt"
+        save_checkpoint(path, ParamStore(0), meta)
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: bad model metadata: config.extractor.n_filters must be an integer")
+        assert "Traceback" not in err
+
     def test_resolved_config_trains_again(self, pipeline):
         _, _, out_dir, cfg = pipeline
         assert load_run_config(out_dir / "resolved_config.json") == load_run_config(cfg)
@@ -287,6 +301,43 @@ class TestTrainPredictEval:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {last}: trainer_state")
         assert "Traceback" not in err
+
+    @staticmethod
+    def resume_in_copy(pipeline, tmp_path, edit):
+        """Run `train --resume` on a copy of the pipeline's run whose config `edit` changed in place; the exit code."""
+        _, _, out_dir, cfg = pipeline
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for fname in (LAST_CHECKPOINT, TRAIN_LOG):
+            (run_dir / fname).write_bytes((out_dir / fname).read_bytes())
+        config = {**yaml.safe_load(cfg.read_text(encoding="utf-8")), "out_dir": str(run_dir)}
+        edit(config)
+        resume_cfg = tmp_path / "resume.yaml"
+        resume_cfg.write_text(yaml.safe_dump(config), encoding="utf-8")
+        return main(["train", "--config", str(resume_cfg), "--resume"]), run_dir
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda cfg: cfg["training"].update(batch_size=32), "trainer_state train_config differs {} batch_size 16 -> 32"),
+            (lambda cfg: cfg["model"].update(kind="iob"), "model.kind is iob"),
+            (lambda cfg: cfg["model"]["extractor"].update(n_filters=16), "model section in extractor.n_filters 8 -> 16"),
+        ],
+        ids=["batch-size", "kind", "n-filters"],
+    )
+    def test_resume_refuses_a_changed_config(self, pipeline, tmp_path, capsys, edit, named):
+        capsys.readouterr()
+        rc, run_dir = self.resume_in_copy(pipeline, tmp_path, edit)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / LAST_CHECKPOINT}: ")
+        assert all(part in err for part in named.split(" {} "))
+        assert "Traceback" not in err
+
+    def test_resume_may_extend_epochs(self, pipeline, tmp_path):
+        rc, run_dir = self.resume_in_copy(pipeline, tmp_path, lambda cfg: cfg["training"].update(epochs=3))
+        assert rc == 0
+        assert [json.loads(line)["epoch"] for line in (run_dir / TRAIN_LOG).read_text().splitlines()] == [0, 1, 2]
 
     def test_resume_after_completion_is_noop(self, pipeline, capsys):
         _, _, out_dir, cfg = pipeline
@@ -500,6 +551,22 @@ class TestRunConfig:
         assert resolved["model"]["kind"] == kind
         assert parse_run_config(resolved) == run
 
+    def test_schema_sections_match_the_dataclasses(self):
+        # the schema is the one hand-written copy of the field list: each section names its dataclass's
+        # fields and no other key but model.kind and generator.seed, which the config reads by hand
+        by_hand = {"model": {"kind"}, "generator": {"seed"}}
+
+        def check(cls, section, where):
+            names = {f.name for f in fields(cls) if f.init}
+            assert set(section["properties"]) == names | by_hand.get(where, set()), where or "top level"
+            hints = typing.get_type_hints(cls)
+            for name in names:
+                nested = [t for t in typing.get_args(hints[name]) or (hints[name],) if is_dataclass(t)]
+                if nested:
+                    check(nested[0], section["properties"][name], f"{where}.{name}".lstrip("."))
+
+        check(RunConfig, json.loads((SCHEMA_DIR / "config.schema.json").read_text()), "")
+
     @pytest.mark.parametrize("text, value", [("1e-6", 1e-6), ("1.5e7", 1.5e7), ("2E+0", 2.0), ("3e2", 300.0)])
     def test_yaml_exponent_floats_are_numbers(self, tmp_path, text, value):
         # YAML 1.1 reads an exponent without a dot, or a dot with an unsigned exponent, as a string
@@ -515,4 +582,4 @@ class TestRunConfig:
         run = load_run_config(path)
         assert run.training.epochs == 7
         assert run.model.extractor.n_filters == SMALL_EXTRACTOR["n_filters"]
-        assert run.train_path.endswith("train.jsonl")
+        assert run.data.train.endswith("train.jsonl")

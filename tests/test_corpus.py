@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
+import jsonschema
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nuggetnet.corpus import (
     PAD_ID,
@@ -24,7 +26,7 @@ from nuggetnet.corpus import (
 from nuggetnet.errors import CorpusFormatError, CorpusValidationError
 from nuggetnet.labels import NuggetLabel
 
-from util import toy_corpus
+from util import ANY_JSON_VALUE, SCHEMA_DIR, toy_corpus
 
 
 def sent(text, words, triggers=()):
@@ -143,6 +145,94 @@ class TestSerialization:
         )
         for s in toy_corpus():
             jsonschema.validate(sentence_to_record(s), schema)
+
+
+GOOD_LINE = {"doc_id": "d", "sent_id": "s0", "text": "甲", "words": [[0, 0]], "triggers": []}
+
+
+def corpus_file(path, rec):
+    """A corpus file at path: a valid sentence on line 1, rec on line 2."""
+    path.write_text(json.dumps(GOOD_LINE) + "\n" + json.dumps(rec, ensure_ascii=False) + "\n", encoding="utf-8")
+    return path
+
+
+@st.composite
+def mutated_sentences(draw):
+    """A valid corpus line with one change: a value swapped, or an entry dropped or added, in the record, a word or a trigger."""
+    rec = {
+        "doc_id": "d",
+        "sent_id": "s1",
+        "text": "甲乙丙",
+        "words": [[0, 1], [2, 2]],
+        "triggers": [{"start": 1, "length": 2, "type": "a"}],
+    }
+    target = draw(st.sampled_from([rec, rec["words"][0], rec["triggers"][0]]))
+    change = draw(st.sampled_from(["swap", "drop", "add"]))
+    if isinstance(target, list):
+        if change == "add":
+            target.append(draw(ANY_JSON_VALUE))
+        elif change == "drop":
+            del target[draw(st.integers(0, len(target) - 1))]
+        else:
+            target[draw(st.integers(0, len(target) - 1))] = draw(ANY_JSON_VALUE)
+    elif change == "add":
+        target[draw(st.sampled_from(["extra", "subtype", "doc_id"]))] = draw(ANY_JSON_VALUE)
+    else:
+        key = draw(st.sampled_from(sorted(target)))
+        if change == "drop":
+            del target[key]
+        else:
+            target[key] = draw(ANY_JSON_VALUE)
+    return rec
+
+
+class TestCorpusRecordTypes:
+    schema = json.loads((SCHEMA_DIR / "corpus.schema.json").read_text())
+
+    @given(mutated_sentences())
+    @settings(max_examples=300, deadline=None)
+    def test_loader_rejects_what_the_schema_rejects(self, tmp_path_factory, rec):
+        path = corpus_file(tmp_path_factory.mktemp("corpus") / "c.jsonl", rec)
+        where = rf"^{re.escape(str(path))}: line 2: "
+        try:
+            jsonschema.validate(rec, self.schema)
+        except jsonschema.ValidationError as err:
+            with pytest.raises((CorpusFormatError, CorpusValidationError), match=where) as info:
+                load_corpus(path)
+            if err.validator == "type":
+                assert isinstance(info.value, CorpusFormatError)
+            return
+        try:
+            loaded = load_corpus(path)
+        except CorpusValidationError as exc:
+            # what the schema cannot say: words that partition the text, triggers inside it
+            assert re.match(where, str(exc))
+            return
+        except CorpusFormatError:
+            # the loader is stricter than the schema on one point: an integer field takes no 1.0
+            ints = [v for span in rec["words"] for v in span] + [t[k] for t in rec["triggers"] for k in ("start", "length")]
+            assert any(type(v) is float for v in ints)
+            return
+        assert sentence_to_record(loaded[1]) == rec
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("triggers", [{"start": 0, "length": 1, "type": 5}], "triggers[0].type"),
+            ("triggers", [{"start": True, "length": 1, "type": "a"}], "triggers[0].start"),
+            ("triggers", {}, "triggers"),
+            ("words", [[0, 0.5], [1, 1]], "words"),
+            ("words", [[0, False], [1, 1]], "words"),
+            ("doc_id", 1, "doc_id"),
+            ("sent_id", None, "sent_id"),
+            ("extra", 1, "extra"),
+        ],
+    )
+    def test_inexact_values_rejected(self, tmp_path, field, value, named):
+        rec = {"doc_id": "d", "sent_id": "s1", "text": "甲乙", "words": [[0, 0], [1, 1]], "triggers": [], field: value}
+        path = corpus_file(tmp_path / "c.jsonl", rec)
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}: line 2: .*{re.escape(named)}"):
+            load_corpus(path)
 
 
 class TestSubtypeInventory:

@@ -22,7 +22,7 @@ from nuggetnet.labels import encode_label, num_nugget_classes
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
 
 from decode_reference import decode_oracle
-from util import SCHEMA_DIR, small_model, toy_corpus, widen_params
+from util import ANY_JSON_VALUE, SCHEMA_DIR, small_model, toy_corpus, widen_params
 
 
 class ScriptedModel:
@@ -270,17 +270,6 @@ class TestPredictionFiles:
         preds, stats = decode_corpus(model, corpus)
         assert set(preds) == {s.key for s in corpus}
         assert stats.proposed >= stats.merged
-
-
-ANY_JSON_VALUE = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-2, 3),
-    st.floats(-3, 3, allow_nan=False),
-    st.text(alphabet="ab", max_size=2),
-    st.lists(st.integers(0, 2), max_size=2),
-    st.dictionaries(st.text(alphabet="ab", max_size=1), st.integers(0, 2), max_size=1),
-)
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import json
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ from nuggetnet.encoder import (
     load_embeddings_file,
     register_encoder_params,
 )
-from nuggetnet.errors import ConfigError, ShapeError
+from nuggetnet.errors import ConfigError, ShapeError, from_json
 from nuggetnet.model import ModelConfig, _backward_rows, _branch_rows, _view_starts
 from nuggetnet.ndcore import ParamStore, grad_check, sigmoid, split_argmax, split_max_pool
 
@@ -70,7 +72,7 @@ class TestExtractorConfig:
 
     def test_json_round_trip(self):
         cfg = small_extractor(hybrid_mode=HybridMode.TASK_SPECIFIC, dropout=0.25)
-        assert ExtractorConfig.from_json(cfg.to_json()) == cfg
+        assert from_json(ExtractorConfig, json.loads(json.dumps(asdict(cfg))), ConfigError, "extractor") == cfg
 
 
 class TestRegistration:

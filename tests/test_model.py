@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,7 +9,7 @@ import nuggetnet.encoder as nencoder
 import nuggetnet.model as nmodel
 from nuggetnet.corpus import UNK_ID, AnnotatedSentence, SubtypeInventory, build_vocab
 from nuggetnet.decoder import decode_corpus
-from nuggetnet.errors import CheckpointError, ConfigError
+from nuggetnet.errors import CheckpointError, ConfigError, from_json
 from nuggetnet.labels import num_nugget_classes
 from nuggetnet.model import CharSpanModel, ModelConfig, _view_starts, head_scores, load_model
 from nuggetnet.ndcore import ParamStore, grad_check, load_checkpoint, save_checkpoint, softmax
@@ -24,7 +27,7 @@ class TestModelConfig:
 
     def test_json_round_trip(self):
         config = ModelConfig(extractor=small_extractor(), max_nugget_len=4, max_tokens=80)
-        assert ModelConfig.from_json(config.to_json()) == config
+        assert from_json(ModelConfig, json.loads(json.dumps(asdict(config))), CheckpointError, "config") == config
 
 
 class TestCenteredView:
@@ -289,6 +292,23 @@ def char_id(new_id):
     return edit
 
 
+def set_at(path, value):
+    """A metadata edit: the entry at the dotted path inside the field is set to value, or added."""
+    *parents, leaf = path.split(".")
+
+    def edit(section):
+        section = json.loads(json.dumps(section))
+        node = section
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+        return section
+
+    edit.__name__ = f"{path}={value!r}"
+    edit.key = leaf
+    return edit
+
+
 def saved_meta(model, path) -> dict:
     model.save(path)
     return load_checkpoint(path)[0]
@@ -311,6 +331,12 @@ def saved_meta(model, path) -> dict:
         ("rng_seed", [1]),
         ("vocab", char_id(10**6)),  # past the embedding table
         ("vocab", char_id(-5)),  # would read another row of it
+        ("config", set_at("extractor.n_filters", 8.5)),
+        ("config", set_at("extractor.n_filters", True)),
+        ("config", set_at("max_nugget_len", 3.0)),
+        ("config", set_at("extractor.use_chars", "yes")),
+        ("config", set_at("extractor.filterz", 8)),
+        ("vocab", set_at("max_rel_dist", 40.5)),
     ],
 )
 def test_bad_metadata_names_file(tmp_path, corpus3, kind, field, value):
@@ -326,6 +352,8 @@ def test_bad_metadata_names_file(tmp_path, corpus3, kind, field, value):
     with pytest.raises(CheckpointError, match="bad model metadata") as info:
         load_model(path)
     assert str(path) in str(info.value)
+    if hasattr(value, "key"):  # checked as strictly as a run file's field: the message names it
+        assert f"{field}." in str(info.value) and value.key in str(info.value)
 
 
 def test_tensor_mismatch_names_file(tmp_path, corpus3):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,7 @@ class TestTrainConfig:
                 TrainConfig(**bad)
 
     def test_json_includes_stop_target(self):
-        assert TrainConfig(stop_at_dev_f1=0.9).to_json()["stop_at_dev_f1"] == 0.9
+        assert asdict(TrainConfig(stop_at_dev_f1=0.9))["stop_at_dev_f1"] == 0.9
 
 
 class TestDeterminism:

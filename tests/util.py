@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from nuggetnet.corpus import AnnotatedSentence, SubtypeInventory, TriggerNugget, build_vocab
 from nuggetnet.encoder import ExtractorConfig, HybridMode
@@ -13,6 +14,17 @@ from nuggetnet.model import MODEL_CLASSES, CharEncoderBase, ModelConfig
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
 KINDS = ("proposal", "iob", "wordwise")
+
+# a small value of every JSON type, for mutating records
+ANY_JSON_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.floats(-3, 3, allow_nan=False),
+    st.text(alphabet="ab", max_size=2),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(alphabet="ab", max_size=1), st.integers(0, 2), max_size=1),
+)
 
 # every character distinct within a sentence and max_rel_dist chosen to cover
 # whole sentences: no duplicate conv inputs, hence no exact pooling ties
