@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,11 +22,11 @@ from .config import RunConfig, dump_resolved_config, load_run_config
 from .corpus import SubtypeInventory, build_vocab, load_corpus, save_corpus
 from .decoder import DecodeStats, load_predictions, save_predictions
 from .encoder import load_embeddings_file
-from .errors import ConfigError, NuggetError, changed_fields
+from .errors import CheckpointError, ConfigError, NuggetError, changed_fields, from_json
 from .evaluate import ScoreMode, corpus_match_stats, recall_by_match_type, score
-from .model import MODEL_CLASSES, CharSpanModel, load_model
+from .model import MODEL_CLASSES, CharEncoderBase, CharSpanModel, load_model
 from .synthgen import GenSpec, allocate_quotas, default_subtype_names, generate_synthetic_corpus
-from .train import LAST_CHECKPOINT, train
+from .train import LAST_CHECKPOINT, TrainerState, train
 
 logger = logging.getLogger(__name__)
 
@@ -92,6 +93,30 @@ def _build_model(run: RunConfig, train_sentences):
     return model
 
 
+def _resume_checkpoint(run: RunConfig) -> tuple[CharEncoderBase, TrainerState]:
+    """The model and trainer state in the run's last.ckpt, whose config the run must repeat but for training.epochs."""
+    last = os.path.join(run.out_dir, LAST_CHECKPOINT)
+    model, meta = load_model(last)
+    if meta.get("trainer_state") is None:
+        raise ConfigError(f"{last}: checkpoint has no trainer state, cannot resume")
+    try:
+        state = from_json(TrainerState, meta["trainer_state"], CheckpointError, "trainer_state")
+    except CheckpointError as exc:
+        raise CheckpointError(f"{last}: {exc}") from exc
+    if model.kind != run.model_kind:
+        raise ConfigError(f"{last}: checkpoint holds a {model.kind} model, the run's model.kind is {run.model_kind}")
+    changed = changed_fields(model.config, run.model)
+    if changed:
+        raise ConfigError(f"{last}: checkpoint's model config differs from the run's model section in {', '.join(changed)}")
+    changed = changed_fields(replace(state.train_config, epochs=run.training.epochs), run.training)
+    if changed:
+        raise ConfigError(
+            f"{last}: trainer_state train_config differs from the run's training section in "
+            f"{', '.join(changed)}; a resumed run may change only epochs"
+        )
+    return model, state
+
+
 def cmd_train(args) -> int:
     run = load_run_config(args.config)
     if not run.data.train:
@@ -103,21 +128,8 @@ def cmd_train(args) -> int:
     if not run.data.dev:
         logger.warning("no dev set configured; early stopping will use the training set")
 
-    resume_state = None
-    if args.resume:
-        # the checkpoint's model goes on training: the run must describe the same one
-        last = os.path.join(run.out_dir, LAST_CHECKPOINT)
-        model, meta = load_model(last)
-        resume_state = meta.get("trainer_state")
-        if resume_state is None:
-            raise ConfigError(f"{last}: checkpoint has no trainer state, cannot resume")
-        if model.kind != run.model_kind:
-            raise ConfigError(f"{last}: checkpoint holds a {model.kind} model, the run's model.kind is {run.model_kind}")
-        changed = changed_fields(model.config, run.model)
-        if changed:
-            raise ConfigError(f"{last}: checkpoint's model config differs from the run's model section in {', '.join(changed)}")
-    else:
-        model = _build_model(run, train_sentences)
+    # every resume check runs here, before resolved_config.json is replaced
+    model, resume_state = _resume_checkpoint(run) if args.resume else (_build_model(run, train_sentences), None)
 
     os.makedirs(run.out_dir, exist_ok=True)
     dump_resolved_config(run, os.path.join(run.out_dir, "resolved_config.json"))

@@ -7,6 +7,7 @@ list and the value types from the dataclass, so each declares them once.
 """
 
 import contextlib
+import enum
 import sys
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -118,9 +119,9 @@ def from_json(cls, data, error: type[NuggetError], where: str = ""):
     Only the fields the constructor takes are read.  A field whose annotation
     (source text: the package postpones annotations) VALUE_CHECKS lists is
     checked there, a list becoming a tuple; a dataclass field is read the
-    same way, null meaning all defaults unless the field may be None; other
-    fields, such as enums, are left to cls's own checks, whose ConfigError
-    becomes `error`.  Every error names `where.field`.
+    same way, null meaning all defaults unless the field may be None; an enum
+    is left to cls's own checks; any other type is a TypeError (add it to
+    VALUE_CHECKS).  cls's ConfigError becomes `error`; errors name `where.field`.
     """
     known = {f.name: f for f in fields(cls) if f.init}
     required = [name for name, f in known.items() if f.default is MISSING and f.default_factory is MISSING]
@@ -136,10 +137,12 @@ def from_json(cls, data, error: type[NuggetError], where: str = ""):
             continue
         hint = hints[name]
         nested = [t for t in typing.get_args(hint) or (hint,) if is_dataclass(t)]
-        if not nested or (value is None and type(None) in typing.get_args(hint)):
+        if nested and not (value is None and type(None) in typing.get_args(hint)):
+            values[name] = from_json(nested[0], {} if value is None else value, error, at)
+        elif nested or (isinstance(hint, type) and issubclass(hint, enum.Enum)):
             values[name] = value
         else:
-            values[name] = from_json(nested[0], {} if value is None else value, error, at)
+            raise TypeError(f"{cls.__name__}.{name}: no value check for type {type_name!r}")
     try:
         return cls(**values)
     except ConfigError as exc:

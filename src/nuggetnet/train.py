@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import AnnotatedSentence
-from .errors import CheckpointError, ConfigError, NuggetError, NumericError, changed_fields, from_json, is_a
+from .errors import ConfigError, NuggetError, NumericError, is_a
 from .evaluate import ScoreMode, score
 from .ndcore import adadelta_step, write_atomically
 
@@ -122,28 +122,15 @@ def train(
     dev_corpus: Sequence[AnnotatedSentence],
     config: TrainConfig,
     out_dir: str | os.PathLike | None = None,
-    resume_state: dict | None = None,
+    resume_state: TrainerState | None = None,
 ) -> TrainResult:
     """Train in place; returns the run summary.  Checkpoints go to out_dir.
 
     To resume, load the weights from out_dir's last.ckpt into `model` and
-    pass the trainer_state dict from that checkpoint's metadata.  The run
-    must have the config the state records, but for `epochs`.
+    pass that checkpoint's trainer state.  The caller checks that config
+    matches the state's train_config but for `epochs`.
     """
-    resume = resume_state is not None
-    state = TrainerState(-1, -1.0, -1, 0, config)
-    if resume:
-        last = os.path.join(out_dir or "", LAST_CHECKPOINT)
-        try:
-            state = from_json(TrainerState, resume_state, CheckpointError, "trainer_state")
-        except CheckpointError as exc:
-            raise CheckpointError(f"{last}: {exc}") from exc
-        changed = changed_fields(replace(state.train_config, epochs=config.epochs), config)
-        if changed:
-            raise ConfigError(
-                f"{last}: trainer_state train_config differs from the run's training section in "
-                f"{', '.join(changed)}; a resumed run may change only epochs"
-            )
+    state = resume_state or TrainerState(-1, -1.0, -1, 0, config)
     start_epoch = state.epoch + 1
     best_f1, best_epoch, since_improve = state.best_dev_f1, state.best_epoch, state.since_improve
     history: list[dict] = []
@@ -157,9 +144,9 @@ def train(
     log_path = os.path.join(out_dir, TRAIN_LOG) if out_dir is not None else None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        if not resume and os.path.exists(log_path):
+        if resume_state is None and os.path.exists(log_path):
             os.remove(log_path)
-        elif resume and os.path.exists(log_path):
+        elif os.path.exists(log_path):
             _truncate_log(log_path, state.epoch)
 
     def trainer_state(epoch: int) -> dict:

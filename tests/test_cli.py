@@ -1,7 +1,7 @@
 import json
 import math
 import typing
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, make_dataclass
 
 import jsonschema
 import numpy as np
@@ -12,12 +12,14 @@ from nuggetnet.cli import main
 from nuggetnet.config import RunConfig, load_run_config, parse_run_config
 from nuggetnet.corpus import load_corpus, save_corpus
 from nuggetnet.decoder import decode_corpus, load_predictions, save_predictions
-from nuggetnet.errors import ConfigError
+from nuggetnet.errors import ConfigError, from_json
 from nuggetnet.model import load_model
 from nuggetnet.ndcore import ParamStore, load_checkpoint, save_checkpoint
 from nuggetnet.train import BEST_CHECKPOINT, LAST_CHECKPOINT, TRAIN_LOG
 
 from util import KINDS, SCHEMA_DIR, small_model, toy_corpus
+
+RESOLVED = "resolved_config.json"
 
 SMALL_EXTRACTOR = {
     "token_emb_dim": 12,
@@ -287,6 +289,7 @@ class TestTrainPredictEval:
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         last = run_dir / LAST_CHECKPOINT
+        (run_dir / RESOLVED).write_bytes((out_dir / RESOLVED).read_bytes())
         meta, _ = load_checkpoint(out_dir / LAST_CHECKPOINT)
         meta["trainer_state"] = edit(meta["trainer_state"])
         model, _ = load_model(out_dir / LAST_CHECKPOINT)
@@ -301,6 +304,7 @@ class TestTrainPredictEval:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {last}: trainer_state")
         assert "Traceback" not in err
+        assert (run_dir / RESOLVED).read_bytes() == (out_dir / RESOLVED).read_bytes()
 
     @staticmethod
     def resume_in_copy(pipeline, tmp_path, edit):
@@ -308,7 +312,7 @@ class TestTrainPredictEval:
         _, _, out_dir, cfg = pipeline
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        for fname in (LAST_CHECKPOINT, TRAIN_LOG):
+        for fname in (LAST_CHECKPOINT, TRAIN_LOG, RESOLVED):
             (run_dir / fname).write_bytes((out_dir / fname).read_bytes())
         config = {**yaml.safe_load(cfg.read_text(encoding="utf-8")), "out_dir": str(run_dir)}
         edit(config)
@@ -333,6 +337,8 @@ class TestTrainPredictEval:
         assert err.startswith(f"error: {run_dir / LAST_CHECKPOINT}: ")
         assert all(part in err for part in named.split(" {} "))
         assert "Traceback" not in err
+        _, _, out_dir, _ = pipeline
+        assert (run_dir / RESOLVED).read_bytes() == (out_dir / RESOLVED).read_bytes()
 
     def test_resume_may_extend_epochs(self, pipeline, tmp_path):
         rc, run_dir = self.resume_in_copy(pipeline, tmp_path, lambda cfg: cfg["training"].update(epochs=3))
@@ -566,6 +572,13 @@ class TestRunConfig:
                     check(nested[0], section["properties"][name], f"{where}.{name}".lstrip("."))
 
         check(RunConfig, json.loads((SCHEMA_DIR / "config.schema.json").read_text()), "")
+
+    @pytest.mark.parametrize("annotation", ["int | None", int, list])
+    def test_a_field_type_without_a_value_check_is_refused(self, annotation):
+        # a field that from_json cannot check must not load unchecked, whether its annotation is text or a type
+        cls = make_dataclass("Section", [("n", annotation, None)], frozen=True)
+        with pytest.raises(TypeError, match="Section.n: no value check"):
+            from_json(cls, {"n": 1}, ConfigError, "section")
 
     @pytest.mark.parametrize("text, value", [("1e-6", 1e-6), ("1.5e7", 1.5e7), ("2E+0", 2.0), ("3e2", 300.0)])
     def test_yaml_exponent_floats_are_numbers(self, tmp_path, text, value):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nuggetnet.errors import ConfigError, NuggetError, NumericError
+from nuggetnet.errors import CheckpointError, ConfigError, NuggetError, NumericError, from_json
 from nuggetnet.model import CharSpanModel, load_model
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
 from nuggetnet.train import (
@@ -13,6 +13,7 @@ from nuggetnet.train import (
     LAST_CHECKPOINT,
     TRAIN_LOG,
     TrainConfig,
+    TrainerState,
     _truncate_log,
     evaluate_model,
     train,
@@ -100,7 +101,7 @@ class TestDeterminism:
             corpus,
             quick_config(epochs=4),
             out_dir=tmp_path / "part",
-            resume_state=meta["trainer_state"],
+            resume_state=from_json(TrainerState, meta["trainer_state"], CheckpointError),
         )
 
         full_ckpt = (tmp_path / "full" / LAST_CHECKPOINT).read_bytes()
@@ -131,7 +132,7 @@ class TestDeterminism:
             corpus,
             quick_config(epochs=4),
             out_dir=tmp_path / "part",
-            resume_state=meta["trainer_state"],
+            resume_state=from_json(TrainerState, meta["trainer_state"], CheckpointError),
         )
         for fname in (LAST_CHECKPOINT, TRAIN_LOG):
             assert (tmp_path / "full" / fname).read_bytes() == (tmp_path / "part" / fname).read_bytes(), fname
