@@ -30,6 +30,8 @@ from .train import LAST_CHECKPOINT, TrainerState, train
 
 logger = logging.getLogger(__name__)
 
+RESOLVED_CONFIG = "resolved_config.json"
+
 
 def _parse_fractions(text: str, n: int, flag: str) -> tuple[float, ...]:
     try:
@@ -56,6 +58,8 @@ def cmd_gen_data(args) -> int:
         )
         seed = args.seed
         out_dir = args.out
+        if seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
     if not out_dir:
         raise ConfigError("no output directory (use --out or out_dir in the config)")
 
@@ -94,9 +98,13 @@ def _build_model(run: RunConfig, train_sentences):
 
 
 def _resume_checkpoint(run: RunConfig) -> tuple[CharEncoderBase, TrainerState]:
-    """The model and trainer state in the run's last.ckpt, whose config the run must repeat but for training.epochs."""
+    """The model, with its Adadelta state, and trainer state in the run's last.ckpt.
+
+    The run must repeat its config but for training.epochs, and data,
+    embeddings and vocab_min_count as resolved_config.json records them.
+    """
     last = os.path.join(run.out_dir, LAST_CHECKPOINT)
-    model, meta = load_model(last)
+    model, meta = load_model(last, optimizer_state=True)
     if meta.get("trainer_state") is None:
         raise ConfigError(f"{last}: checkpoint has no trainer state, cannot resume")
     try:
@@ -114,6 +122,16 @@ def _resume_checkpoint(run: RunConfig) -> tuple[CharEncoderBase, TrainerState]:
             f"{last}: trainer_state train_config differs from the run's training section in "
             f"{', '.join(changed)}; a resumed run may change only epochs"
         )
+    resolved = os.path.join(run.out_dir, RESOLVED_CONFIG)
+    if not os.path.exists(resolved):
+        raise ConfigError(f"{resolved}: missing, cannot check the run's data, embeddings and vocab_min_count")
+    first = load_run_config(resolved)
+    changed = changed_fields(first.data, run.data, "data.")
+    changed += changed_fields(first.embeddings, run.embeddings, "embeddings.")
+    if first.vocab_min_count != run.vocab_min_count:
+        changed.append(f"vocab_min_count {first.vocab_min_count!r} -> {run.vocab_min_count!r}")
+    if changed:
+        raise ConfigError(f"{resolved}: the resumed run changes {', '.join(changed)}")
     return model, state
 
 
@@ -132,7 +150,7 @@ def cmd_train(args) -> int:
     model, resume_state = _resume_checkpoint(run) if args.resume else (_build_model(run, train_sentences), None)
 
     os.makedirs(run.out_dir, exist_ok=True)
-    dump_resolved_config(run, os.path.join(run.out_dir, "resolved_config.json"))
+    dump_resolved_config(run, os.path.join(run.out_dir, RESOLVED_CONFIG))
     result = train(model, train_sentences, dev_sentences, run.training, run.out_dir, resume_state)
     print(
         f"trained {result.epochs_run} epochs; best dev classification F1 "

@@ -49,6 +49,10 @@ class RunConfig:
     model_kind: str = field(default="proposal", init=False)
     generator_seed: int = field(default=0, init=False)
 
+    def __post_init__(self):
+        if self.vocab_min_count < 1:
+            raise ConfigError(f"vocab_min_count must be >= 1, got {self.vocab_min_count}")
+
     def to_json(self) -> dict:
         out = asdict(self)
         out["model"]["kind"] = out.pop("model_kind")
@@ -70,6 +74,8 @@ def parse_run_config(data) -> RunConfig:
     data = dict(data) if isinstance(data, dict) else data
     kind = _pop(data, "model", "kind", RunConfig.model_kind)
     seed = check_value(_pop(data, "generator", "seed", RunConfig.generator_seed), "int", "generator.seed", ConfigError)
+    if seed < 0:
+        raise ConfigError(f"generator.seed must be >= 0, got {seed}")
     kinds = tuple(MODEL_CLASSES)
     if kind not in kinds:
         raise ConfigError(f"model.kind must be one of {kinds}, got {kind!r}")

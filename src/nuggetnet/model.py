@@ -11,7 +11,8 @@ Every model kind (this one and the baselines in baselines.py) derives from
 CharEncoderBase, which builds the encoder and the output layer, owns the
 one checkpoint layout, and trains every kind through one loss over
 (sentence, char, gold class) rows; a wordwise row enters at its word's
-first character.  `load_model` opens any kind through MODEL_CLASSES.
+first character.  `load_model` opens any kind through MODEL_CLASSES, with
+its weights alone unless asked for the Adadelta state to resume.
 
 Inference has one path for every kind, `predict_corpus`.  It packs whole
 sentences, in order, into one forward until the next would pass a fixed
@@ -366,6 +367,8 @@ class CharEncoderBase:
             if not (is_a(names, "tuple[str, ...]") and names):
                 raise CheckpointError(f"subtypes must be a non-empty list of names, got {names!r}")
             rng_seed = check_value(meta.get("rng_seed", 0), "int", "rng_seed", CheckpointError)
+            if rng_seed < 0:
+                raise CheckpointError(f"rng_seed must be >= 0, got {rng_seed}")
             return cls(config=config, vocab=vocab, subtypes=SubtypeInventory(names), rng_seed=rng_seed)
         except (CheckpointError, ConfigError) as exc:
             raise CheckpointError(f"bad model metadata: {exc}") from exc
@@ -432,9 +435,12 @@ class CharSpanModel(CharEncoderBase):
         )
 
 
-def load_model(path) -> tuple[CharEncoderBase, dict]:
-    """Open any checkpoint, dispatching on its recorded model kind; a CheckpointError names the file."""
-    meta, tensors = load_checkpoint(path)
+def load_model(path, optimizer_state: bool = False) -> tuple[CharEncoderBase, dict]:
+    """Open any checkpoint, dispatching on its recorded model kind; a CheckpointError names the file.
+
+    optimizer_state=True also restores the Adadelta state, which resuming needs.
+    """
+    meta, tensors = load_checkpoint(path, optimizer_state=optimizer_state)
     kind = meta.get("kind")
     cls = MODEL_CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:

@@ -3,7 +3,8 @@
 Everything is 64-bit floats: the models are small, and determinism plus
 finite-difference fidelity matter more than speed.  There is no autodiff
 graph; each layer has an explicit forward here and hand-derived backward
-passes in the modules that compose them.
+passes in the modules that compose them.  Gradients and Adadelta state
+exist from first use, so a model loaded for inference holds its values alone.
 """
 
 from __future__ import annotations
@@ -22,16 +23,30 @@ import numpy as np
 from .errors import CheckpointError, NumericError, ShapeError, reading
 
 
-class Param:
-    """One named tensor with its gradient accumulator and Adadelta state."""
+def _zeros_on_first_use(slot: str) -> property:
+    def get(p):
+        if getattr(p, slot) is None:
+            setattr(p, slot, np.zeros(p.value.shape))
+        return getattr(p, slot)
 
-    __slots__ = ("value", "grad", "eg2", "edx2")
+    return property(get, lambda p, arr: setattr(p, slot, arr))  # p.grad += x assigns back
+
+
+class Param:
+    """One named tensor with its gradient accumulator and Adadelta state, each allocated on first use."""
+
+    __slots__ = ("value", "_grad", "_eg2", "_edx2")
+    grad = _zeros_on_first_use("_grad")
+    eg2 = _zeros_on_first_use("_eg2")  # running E[g^2]
+    edx2 = _zeros_on_first_use("_edx2")  # running E[dx^2]
 
     def __init__(self, value: np.ndarray):
         self.value = value
-        self.grad = np.zeros_like(value)
-        self.eg2 = np.zeros_like(value)  # running E[g^2]
-        self.edx2 = np.zeros_like(value)  # running E[dx^2]
+        self._grad = self._eg2 = self._edx2 = None
+
+    def held(self, name: str) -> np.ndarray | None:
+        """grad, eg2 or edx2 if allocated, else None."""
+        return getattr(self, f"_{name}")
 
 
 class ParamStore:
@@ -83,7 +98,12 @@ class ParamStore:
 
     def zero_grads(self) -> None:
         for p in self._params.values():
-            p.grad[...] = 0.0
+            grad = p.held("grad")
+            if grad is not None:
+                grad[...] = 0.0
+
+    def has_optimizer_state(self) -> bool:
+        return all(p.held("eg2") is not None and p.held("edx2") is not None for p in self._params.values())
 
     def n_parameters(self) -> int:
         return sum(p.value.size for p in self._params.values())
@@ -436,13 +456,14 @@ def _meta_json(meta: dict) -> bytes:
 
 
 def _record_chunks(store: ParamStore) -> Iterable[bytes]:
-    records = [(name, kind, arr) for name, p in store.items() for kind, arr in zip(_KINDS, (p.value, p.eg2, p.edx2))]
-    yield struct.pack("<I", len(records))
-    for name, kind, arr in records:
+    yield struct.pack("<I", len(_KINDS) * len(store.names()))
+    for name, p in store.items():
         name_b = name.encode("utf-8")
-        yield struct.pack("<H", len(name_b)) + name_b
-        yield struct.pack(f"<BB{arr.ndim}I", _KINDS.index(kind), arr.ndim, *arr.shape)
-        yield np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        for kind_idx, arr in enumerate((p.value, p.held("eg2"), p.held("edx2"))):
+            yield struct.pack("<H", len(name_b)) + name_b
+            yield struct.pack(f"<BB{p.value.ndim}I", kind_idx, p.value.ndim, *p.value.shape)
+            # state never allocated is zeros
+            yield bytes(p.value.nbytes) if arr is None else np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
 def write_atomically(path, chunks: Iterable[bytes]) -> None:
@@ -477,8 +498,12 @@ def save_checkpoint(path, store: ParamStore, meta: dict | None = None) -> None:
     write_atomically(path, itertools.chain([header], _record_chunks(store)))
 
 
-def load_checkpoint(path) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
-    """Returns (meta, {param_name: {kind: array}}); any malformed file raises CheckpointError."""
+def load_checkpoint(path, optimizer_state: bool = False) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
+    """Returns (meta, {param_name: {kind: array}}); any malformed file raises CheckpointError.
+
+    Every record is checked, but only optimizer_state=True (to resume)
+    copies out the eg2 and edx2 records.
+    """
     with reading(path, CheckpointError, binary=True) as fh:
         blob = fh.read()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -510,6 +535,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
         raise CheckpointError(f"{path}: checksum mismatch, the file is corrupt")
     (n_records,) = take("<I")
     tensors: dict[str, dict[str, np.ndarray]] = {}
+    shapes: dict[str, dict[str, tuple[int, ...]]] = {}
     for _ in range(n_records):
         (name_len,) = take("<H")
         try:
@@ -522,19 +548,26 @@ def load_checkpoint(path) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
         kind = _KINDS[kind_idx]
         shape = take(f"<{ndim}I")
         payload = take_bytes(8 * math.prod(shape))
-        if kind in tensors.get(name, {}):
+        if kind in shapes.setdefault(name, {}):
             raise CheckpointError(f"{path}: tensor {name!r} has two {kind} records")
-        tensors.setdefault(name, {})[kind] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        shapes[name][kind] = shape
+        if kind == "value" or optimizer_state:
+            tensors.setdefault(name, {})[kind] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes after the last record")
-    for name, rec in tensors.items():
-        if "value" not in rec:
+    for name, kinds in shapes.items():
+        if "value" not in kinds:
             raise CheckpointError(f"{path}: tensor {name!r} has no value record")
+        for kind, shape in kinds.items():
+            if shape != kinds["value"]:
+                raise CheckpointError(
+                    f"{path}: tensor {name!r} has {kind} shape {shape} but value shape {kinds['value']}"
+                )
     return meta, tensors
 
 
 def restore_store(store: ParamStore, tensors: dict[str, dict[str, np.ndarray]]) -> None:
-    """Copy checkpoint tensors into an already-registered store, checking shapes."""
+    """Copy checkpoint tensors into an already-registered store, checking shapes; absent state stays unallocated."""
     for name, p in store.items():
         if name not in tensors:
             raise CheckpointError(f"checkpoint is missing parameter {name!r}")

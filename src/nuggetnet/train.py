@@ -47,6 +47,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.neg_ratio) and self.neg_ratio >= 0):
             raise ConfigError(f"neg_ratio must be a finite number >= 0, got {self.neg_ratio}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.eval_every < 1:
@@ -126,10 +128,13 @@ def train(
 ) -> TrainResult:
     """Train in place; returns the run summary.  Checkpoints go to out_dir.
 
-    To resume, load the weights from out_dir's last.ckpt into `model` and
-    pass that checkpoint's trainer state.  The caller checks that config
-    matches the state's train_config but for `epochs`.
+    To resume, load out_dir's last.ckpt with load_model(path,
+    optimizer_state=True) and pass that checkpoint's trainer state.  The
+    caller checks that config matches the state's train_config but for
+    `epochs`.
     """
+    if resume_state is not None and not model.store.has_optimizer_state():
+        raise ConfigError("cannot resume a model with no Adadelta state: load it with optimizer_state=True")
     state = resume_state or TrainerState(-1, -1.0, -1, 0, config)
     start_epoch = state.epoch + 1
     best_f1, best_epoch, since_improve = state.best_dev_f1, state.best_epoch, state.since_improve

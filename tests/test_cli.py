@@ -93,6 +93,21 @@ class TestGenData:
         assert rc == 1
         assert "output directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("from_config", [True, False], ids=["generator-seed", "seed-flag"])
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys, from_config):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({"generator": {"n_sentences": 20, "subtypes": ["a"], "seed": -1}}))
+        args = ["--config", str(path)] if from_config else ["--seed", "-1"]
+        assert main(["gen-data", "--out", str(tmp_path / "gen"), *args]) == 1
+        err = capsys.readouterr().err
+        where = f"{path}: generator.seed" if from_config else "--seed"
+        assert err.startswith(f"error: {where} must be >= 0, got -1")
+        assert "Traceback" not in err
+        assert not (tmp_path / "gen").exists()
+        schema = json.loads((SCHEMA_DIR / "config.schema.json").read_text())
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(yaml.safe_load(path.read_text()), schema)
+
     def test_generator_section_from_config(self, tmp_path, capsys):
         cfg = {
             "generator": {"n_sentences": 20, "subtypes": ["a", "b"], "seed": 4},
@@ -258,7 +273,7 @@ class TestTrainPredictEval:
         _, _, out_dir, cfg = pipeline
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        for fname in (LAST_CHECKPOINT, TRAIN_LOG):
+        for fname in (LAST_CHECKPOINT, TRAIN_LOG, RESOLVED):
             (run_dir / fname).write_bytes((out_dir / fname).read_bytes())
         lines = (run_dir / TRAIN_LOG).read_bytes().splitlines(keepends=True)
         (run_dir / TRAIN_LOG).write_bytes(lines[0] + b'{"loss": 1.0}\n' + lines[1])
@@ -339,6 +354,37 @@ class TestTrainPredictEval:
         assert "Traceback" not in err
         _, _, out_dir, _ = pipeline
         assert (run_dir / RESOLVED).read_bytes() == (out_dir / RESOLVED).read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda cfg: cfg["data"].update(train=cfg["data"]["dev"]), "data.train"),
+            (lambda cfg: cfg["data"].pop("test"), "data.test"),
+            (lambda cfg: cfg.update(embeddings={"chars": "chars.txt"}), "embeddings.chars None -> 'chars.txt'"),
+            (lambda cfg: cfg.update(vocab_min_count=2), "vocab_min_count 1 -> 2"),
+        ],
+        ids=["train-data", "test-data", "char-embeddings", "vocab-min-count"],
+    )
+    def test_resume_refuses_changed_data(self, pipeline, tmp_path, capsys, edit, named):
+        # the checkpoint does not record these; the resolved_config.json of the first run does
+        capsys.readouterr()
+        rc, run_dir = self.resume_in_copy(pipeline, tmp_path, edit)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / RESOLVED}: the resumed run changes ")
+        assert named in err and "Traceback" not in err
+        _, _, out_dir, _ = pipeline
+        assert (run_dir / RESOLVED).read_bytes() == (out_dir / RESOLVED).read_bytes()
+
+    def test_resume_without_resolved_config_is_refused(self, pipeline, tmp_path, capsys):
+        capsys.readouterr()
+        rc, run_dir = self.resume_in_copy(pipeline, tmp_path, lambda cfg: None)
+        assert rc == 0
+        (run_dir / RESOLVED).unlink()
+        assert main(["train", "--config", str(tmp_path / "resume.yaml"), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / RESOLVED}: missing")
+        assert not (run_dir / RESOLVED).exists()
 
     def test_resume_may_extend_epochs(self, pipeline, tmp_path):
         rc, run_dir = self.resume_in_copy(pipeline, tmp_path, lambda cfg: cfg["training"].update(epochs=3))
@@ -523,6 +569,7 @@ class TestRunConfig:
             ("training: {neg_ratio: .inf}\n", "neg_ratio must be a finite number >= 0, got inf"),
             ("training: {stop_at_dev_f1: .nan}\n", "stop_at_dev_f1 must be a finite number or null, got nan"),
             ("training: {stop_at_dev_f1: -.inf}\n", "stop_at_dev_f1 must be a finite number or null, got -inf"),
+            ("training: {rng_seed: -2}\n", "rng_seed must be >= 0, got -2"),
         ],
     )
     def test_out_of_range_training_values_fail_cleanly(self, tmp_path, capsys, text, message):
@@ -538,6 +585,19 @@ class TestRunConfig:
             schema = json.loads((SCHEMA_DIR / "config.schema.json").read_text())
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate({"training": section}, schema)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_vocab_min_count_below_one_fails_cleanly(self, tmp_path, capsys, count):
+        with pytest.raises(ConfigError, match=f"vocab_min_count must be >= 1, got {count}"):
+            parse_run_config({"vocab_min_count": count})
+        path = tmp_path / "run.yaml"
+        path.write_text(f"vocab_min_count: {count}\n", encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: vocab_min_count must be >= 1, got {count}")
+        assert "Traceback" not in err
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({"vocab_min_count": count}, json.loads((SCHEMA_DIR / "config.schema.json").read_text()))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_resolved_config_reads_back(self, kind):

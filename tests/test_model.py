@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -12,7 +13,7 @@ from nuggetnet.decoder import decode_corpus
 from nuggetnet.errors import CheckpointError, ConfigError, from_json
 from nuggetnet.labels import num_nugget_classes
 from nuggetnet.model import CharSpanModel, ModelConfig, _view_starts, head_scores, load_model
-from nuggetnet.ndcore import ParamStore, grad_check, load_checkpoint, save_checkpoint, softmax
+from nuggetnet.ndcore import ParamStore, adadelta_step, grad_check, load_checkpoint, save_checkpoint, softmax
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
 
 from util import KINDS, small_extractor, small_model, toy_corpus, widen_params
@@ -337,6 +338,7 @@ def saved_meta(model, path) -> dict:
         ("config", set_at("extractor.use_chars", "yes")),
         ("config", set_at("extractor.filterz", 8)),
         ("vocab", set_at("max_rel_dist", 40.5)),
+        ("rng_seed", -1),  # numpy's generators take no negative seed
     ],
 )
 def test_bad_metadata_names_file(tmp_path, corpus3, kind, field, value):
@@ -362,3 +364,62 @@ def test_tensor_mismatch_names_file(tmp_path, corpus3):
     with pytest.raises(CheckpointError, match="missing parameter") as info:
         load_model(path)
     assert str(path) in str(info.value)
+
+
+class TestInferenceFootprint:
+    """A model loaded for inference holds its weights alone; one loaded to resume holds its optimizer state too."""
+
+    STATE = ("grad", "eg2", "edx2")
+
+    @pytest.fixture
+    def trained(self, tmp_path, corpus3):
+        """A model after three Adadelta steps, so that its optimizer state is nonzero, and its checkpoint."""
+        model = small_model(corpus3)
+        gen, cls = model.training_streams(corpus3)
+        for _ in range(3):
+            model.loss_and_grads(gen[:8], cls[:8])
+            adadelta_step(model.store)
+        assert any(np.any(p.eg2) for _, p in model.store.items())
+        path = tmp_path / "model.ckpt"
+        model.save(path, trainer_state={"epoch": 0})
+        return model, path
+
+    @staticmethod
+    def traced_peak(load):
+        tracemalloc.start()
+        try:
+            load()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_inference_load_holds_only_weights(self, trained):
+        model, path = trained
+        loaded, _ = load_model(path)
+        for name, p in loaded.store.items():
+            assert [k for k in self.STATE if p.held(k) is not None] == [], name
+            npt.assert_array_equal(p.value, model.store[name].value)
+        assert not loaded.store.has_optimizer_state()
+        loaded.predict_corpus(toy_corpus())  # inference allocates none either
+        assert all(p.held(k) is None for _, p in loaded.store.items() for k in self.STATE)
+
+    def test_inference_load_peak(self, trained, tmp_path):
+        # the file read in one piece plus one copy of the values, beside what reading the metadata costs
+        model, path = trained
+        values = sum(p.value.nbytes for _, p in model.store.items())
+        meta_only = tmp_path / "meta.ckpt"
+        save_checkpoint(meta_only, ParamStore(0), load_checkpoint(path)[0])
+        load_model(path)  # first-call caches do not count
+        bound = path.stat().st_size + values + self.traced_peak(lambda: load_checkpoint(meta_only))
+        assert self.traced_peak(lambda: load_model(path)) <= bound
+        # the resume load copies two more records per tensor, and the bound sees them
+        assert self.traced_peak(lambda: load_model(path, optimizer_state=True)) > bound
+
+    def test_resume_load_restores_state_bit_for_bit(self, trained):
+        model, path = trained
+        loaded, _ = load_model(path, optimizer_state=True)
+        assert loaded.store.has_optimizer_state()
+        for name, p in model.store.items():
+            for kind in ("value", "eg2", "edx2"):
+                assert getattr(loaded.store[name], kind).tobytes() == getattr(p, kind).tobytes(), (name, kind)
+            assert loaded.store[name].held("grad") is None

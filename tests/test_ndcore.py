@@ -332,6 +332,24 @@ class TestParamStore:
         s.zero_grads()
         npt.assert_array_equal(p.grad, np.zeros((2, 2)))
 
+    def test_gradient_and_state_exist_from_first_use(self):
+        s = ParamStore(0)
+        p = s.add("w", (2, 3), init="glorot")
+        q = s.add("b", (3,))
+        s.zero_grads()
+        assert all(p.held(name) is None for name in ("grad", "eg2", "edx2"))
+        assert not s.has_optimizer_state()
+        grad = p.grad
+        assert p.held("grad") is grad
+        npt.assert_array_equal(grad, np.zeros((2, 3)))
+        assert grad.dtype == np.float64 and type(grad) is np.ndarray
+        p.grad += 2.0  # assigned back: the same array
+        assert p.grad is grad and np.all(grad == 2.0)
+        assert p.held("eg2") is None and q.held("grad") is None
+        adadelta_step(s)
+        assert s.has_optimizer_state()
+        npt.assert_array_equal(p.grad, np.zeros((2, 3)))
+
 
 def textbook_adadelta(p: Param, rho: float = 0.95, eps: float = 1e-6) -> None:
     """One Adadelta step on one parameter, element by element in Python floats."""
@@ -472,7 +490,7 @@ class TestCheckpoint:
         meta = {"kind": "test", "vocab": {"a": 2}}
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, s, meta)
-        meta2, tensors = load_checkpoint(path)
+        meta2, tensors = load_checkpoint(path, optimizer_state=True)
         assert meta2 == meta
         fresh = self.build_store()
         for p in fresh._params.values():
@@ -484,6 +502,44 @@ class TestCheckpoint:
             npt.assert_array_equal(fresh[name].value, p.value)
             npt.assert_array_equal(fresh[name].eg2, p.eg2)
             npt.assert_array_equal(fresh[name].edx2, p.edx2)
+
+    def test_state_never_used_saves_zero_records(self, tmp_path):
+        lazy = self.build_store()
+        eager = self.build_store()
+        for _, p in eager.items():
+            p.eg2[...] += 0.0  # reading allocates: zeros, but for w's
+            p.edx2[...] += 0.0
+        save_checkpoint(tmp_path / "lazy.ckpt", lazy, {"k": 1})
+        save_checkpoint(tmp_path / "eager.ckpt", eager, {"k": 1})
+        assert lazy["emb"].held("eg2") is None and lazy["b"].held("edx2") is None
+        assert (tmp_path / "lazy.ckpt").read_bytes() == (tmp_path / "eager.ckpt").read_bytes()
+
+    def test_optimizer_state_is_copied_only_when_asked(self, tmp_path):
+        s = self.build_store()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, s, {})
+        _, values = load_checkpoint(path)
+        _, everything = load_checkpoint(path, optimizer_state=True)
+        assert all(rec.keys() == {"value"} for rec in values.values())
+        assert all(rec.keys() == {"value", "eg2", "edx2"} for rec in everything.values())
+        fresh = self.build_store()
+        for _, p in fresh.items():
+            p.value[...] = 0
+        restore_store(fresh, values)
+        assert fresh["emb"].held("eg2") is None and fresh["b"].held("edx2") is None
+        npt.assert_array_equal(fresh["w"].eg2, np.full((4, 5), 0.25))  # left as it was
+        restore_store(fresh, everything)
+        for name, p in s.items():
+            npt.assert_array_equal(fresh[name].value, p.value)
+            npt.assert_array_equal(fresh[name].eg2, p.eg2)
+            npt.assert_array_equal(fresh[name].edx2, p.edx2)
+
+    @pytest.mark.parametrize("optimizer_state", [False, True])
+    def test_state_record_shaped_unlike_its_value(self, tmp_path, optimizer_state):
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(v1_checkpoint({}, [record(b"w", 0, [1.0, 2.0]), record(b"w", 1, [0.5])]))
+        with pytest.raises(CheckpointError, match=r"'w' has eg2 shape \(1,\) but value shape \(2,\)"):
+            load_checkpoint(path, optimizer_state=optimizer_state)
 
     def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "last.ckpt"
@@ -595,23 +651,32 @@ class TestCheckpoint:
         path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
         save_checkpoint(path, self.build_store(), {"kind": "test", "note": "\u00e9t\u00e9"})
         blob = path.read_bytes()
-        expected = load_checkpoint(path)
+        expected = load_checkpoint(path, optimizer_state=True)
         if data.draw(st.booleans(), label="truncate"):
             corrupt = blob[: data.draw(st.integers(0, len(blob) - 1), label="keep")]
         else:
             at = data.draw(st.integers(0, len(blob) - 1), label="at")
             corrupt = blob[:at] + bytes([blob[at] ^ data.draw(st.integers(1, 255), label="xor")]) + blob[at + 1 :]
         path.write_bytes(corrupt)
-        try:
-            meta, tensors = load_checkpoint(path)
-        except CheckpointError:
+        loads = []
+        for optimizer_state in (True, False):
+            try:
+                loads.append(load_checkpoint(path, optimizer_state=optimizer_state))
+            except CheckpointError:
+                loads.append(None)
+        # skipping the optimizer records skips none of the checks
+        assert (loads[0] is None) == (loads[1] is None)
+        if loads[0] is None:
             return
-        assert meta == expected[0]
-        assert tensors.keys() == expected[1].keys()
+        (meta, tensors), (values_meta, values) = loads
+        assert meta == values_meta == expected[0]
+        assert tensors.keys() == values.keys() == expected[1].keys()
         for name, rec in tensors.items():
             assert rec.keys() == expected[1][name].keys()
             for kind, arr in rec.items():
                 assert arr.tobytes() == expected[1][name][kind].tobytes()
+            assert values[name].keys() == {"value"}
+            assert values[name]["value"].tobytes() == rec["value"].tobytes()
 
     def test_shape_mismatch_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -93,7 +93,7 @@ class TestDeterminism:
 
         split = tiny_model(corpus, rng_seed=5, kind=kind)
         train(split, corpus, corpus, quick_config(epochs=stop), out_dir=tmp_path / "part")
-        resumed, meta = load_model(tmp_path / "part" / LAST_CHECKPOINT)
+        resumed, meta = load_model(tmp_path / "part" / LAST_CHECKPOINT, optimizer_state=True)
         assert meta["kind"] == kind and meta["trainer_state"]["epoch"] == stop - 1
         train(
             resumed,
@@ -123,7 +123,7 @@ class TestDeterminism:
         full_lines = (tmp_path / "full" / TRAIN_LOG).read_bytes().splitlines(keepends=True)
         with open(tmp_path / "part" / TRAIN_LOG, "ab") as fh:
             fh.write(full_lines[2] + full_lines[3][:10])
-        resumed, meta = load_model(tmp_path / "part" / LAST_CHECKPOINT)
+        resumed, meta = load_model(tmp_path / "part" / LAST_CHECKPOINT, optimizer_state=True)
         assert type(resumed) is CharSpanModel
         assert meta["trainer_state"]["epoch"] == 1
         train(
@@ -136,6 +136,23 @@ class TestDeterminism:
         )
         for fname in (LAST_CHECKPOINT, TRAIN_LOG):
             assert (tmp_path / "full" / fname).read_bytes() == (tmp_path / "part" / fname).read_bytes(), fname
+
+    def test_resume_without_optimizer_state_is_refused(self, tmp_path):
+        # weights alone would restart Adadelta from zero: the run would silently differ from a straight one
+        corpus = tiny_corpus()
+        train(tiny_model(corpus, rng_seed=5), corpus, corpus, quick_config(epochs=1), out_dir=tmp_path)
+        before = {fname: (tmp_path / fname).read_bytes() for fname in (LAST_CHECKPOINT, TRAIN_LOG)}
+        weights_only, meta = load_model(tmp_path / LAST_CHECKPOINT)
+        with pytest.raises(ConfigError, match=r"no Adadelta state.*optimizer_state=True"):
+            train(
+                weights_only,
+                corpus,
+                corpus,
+                quick_config(epochs=2),
+                out_dir=tmp_path,
+                resume_state=from_json(TrainerState, meta["trainer_state"], CheckpointError),
+            )
+        assert {fname: (tmp_path / fname).read_bytes() for fname in before} == before
 
     @pytest.mark.parametrize("bad", [b"not json", b"[0]", b'{"loss": 1.0}', b'{"epoch": "0"}', b'{"epoch": true}'])
     def test_garbled_log_line_names_file_and_line(self, tmp_path, bad):
