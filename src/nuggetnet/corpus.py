@@ -112,6 +112,8 @@ class AnnotatedSentence:
     def __post_init__(self):
         self.word_spans = tuple((int(s), int(e)) for s, e in self.word_spans)
         self.triggers = tuple(self.triggers)
+        # ids()'s memo; in CPython a key first set later makes each sentence's __dict__ ~350 bytes larger
+        self._ids = None
         self._validate()
 
     def _validate(self) -> None:
@@ -167,6 +169,23 @@ class AnnotatedSentence:
             for i in range(s, e + 1):
                 out[i] = wi
         return tuple(out)
+
+    def ids(self, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(char ids, word ids, char_to_word) under vocab, as read-only int64 arrays.
+
+        They are computed once per sentence and vocabulary object, and kept
+        on the sentence side by side in one array, of which these are views.
+        Another vocabulary object, even an equal one, computes them afresh
+        and replaces them.
+        """
+        memo = self._ids
+        if memo is None or memo[0] is not vocab:
+            flat = np.concatenate([vocab.char_ids(self.text), self.char_to_word, vocab.word_ids(self.words)])
+            flat.flags.writeable = False
+            memo = self._ids = (vocab, flat)
+        n = len(self.text)
+        flat = memo[1]
+        return flat[:n], flat[2 * n :], flat[n : 2 * n]
 
     def word_index_of(self, char_index: int) -> int:
         """Index of the word whose span contains `char_index`."""

@@ -282,26 +282,34 @@ def extract_branch(
     (split_argmax) and the cache keeps those rows for branch_backward;
     without it the pooling takes the values only (split_max_pool).
     """
-    segments = [(np.asarray(ids, dtype=np.int64), np.asarray(c, dtype=np.int64)) for ids, c in segments]
-    if not segments or any(ids.ndim != 1 or ids.shape[0] == 0 for ids, _ in segments):
+    if not segments:
         raise ShapeError("cannot extract features from an empty token sequence")
-    if any(c.ndim != 1 for _, c in segments):
-        raise ShapeError("center indices must be a 1-d list per segment")
-    if not any(c.shape[0] for _, c in segments):
+    # every segment's ids back to back, and its centers; the per-segment work is a len() each
+    try:
+        tokens, cols = (np.concatenate(parts, dtype=np.int64, casting="unsafe") for parts in zip(*segments))
+        lengths = np.array([len(ids) for ids, _ in segments])
+        counts = np.array([len(c) for _, c in segments])
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"each segment needs 1-d token ids and 1-d center indices: {exc}") from exc
+    if tokens.ndim != 1 or cols.ndim != 1:
+        raise ShapeError("token ids and center indices must be a 1-d list per segment")
+    if not lengths.all():
+        raise ShapeError("cannot extract features from an empty token sequence")
+    if cols.shape[0] == 0:
         raise ShapeError("no centers to extract features for")
     tok_emb = store[f"{prefix}.tok_emb"].value
     h = config.window
     e = config.token_emb_dim
     m = config.n_filters
     lead = (h - 1) // 2
-    lengths = np.array([ids.shape[0] for ids, _ in segments])
     longest = int(lengths.max())
 
     # conv column j of a segment reads its padded slots j .. j+h-1, i.e. tokens j-lead .. j-lead+h-1
     pad_starts = np.concatenate([[0], np.cumsum(lengths + h - 1)])
     padded_ids = np.full(pad_starts[-1], PAD_ID, dtype=np.int64)
-    for (ids, _), start in zip(segments, pad_starts.tolist()):
-        padded_ids[start + lead : start + lead + ids.shape[0]] = ids
+    # token t of a segment goes to its padded slot lead + t: its place in tokens, moved by lead and the pads before it
+    shift = np.repeat(pad_starts[:-1] + lead - (np.cumsum(lengths) - lengths), lengths)
+    padded_ids[shift + np.arange(tokens.shape[0])] = tokens
     # offset row r (j - c = r - (N-1)) reads the positions of tokens j-lead .. j-lead+h-1 relative to c
     pos_rows = relative_position_index(np.arange(h + 2 * longest - 2) - (longest - 1) - lead, config.max_rel_dist)
 
@@ -312,10 +320,9 @@ def extract_branch(
     conv_b = store[f"{prefix}.conv_b"].value
 
     # every center as a token-term row inside its segment's rows [lo, hi); row a is padded slot a + lead
-    counts = [c.shape[0] for _, c in segments]
     lo = np.repeat(pad_starts[:-1], counts)
     hi = lo + np.repeat(lengths, counts)
-    centers = lo + np.concatenate([c for _, c in segments])
+    centers = lo + cols
     chunk_slots = pad_starts[_chunks(lengths.tolist(), m)]
     # the chunks write their pooled values straight into the features, and nothing is concatenated
     feature = np.empty((centers.shape[0], config.feature_dim))

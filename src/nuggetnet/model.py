@@ -11,8 +11,12 @@ Every model kind (this one and the baselines in baselines.py) derives from
 CharEncoderBase, which builds the encoder and the output layer, owns the
 one checkpoint layout, and trains every kind through one loss over
 (sentence, char, gold class) rows; a wordwise row enters at its word's
-first character.  `load_model` opens any kind through MODEL_CLASSES, with
-its weights alone unless asked for the Adadelta state to resume.
+first character.  A batch's plumbing costs a fixed number of numpy calls:
+each sentence's ids are encoded once and kept on it, _groups_of groups
+the rows by sentence with one argsort, and _branch_rows indexes a
+branch's centers and views with one np.unique.  `load_model` opens any
+kind through MODEL_CLASSES, with its weights alone unless asked for the
+Adadelta state to resume.
 
 Inference has one path for every kind, `predict_corpus`.  It packs whole
 sentences, in order, into one forward until the next would pass a fixed
@@ -41,7 +45,7 @@ from .encoder import (
     fuse_backward,
     register_encoder_params,
 )
-from .errors import CheckpointError, ConfigError, check_value, from_json, is_a
+from .errors import CheckpointError, ConfigError, ShapeError, check_value, from_json, is_a
 from .labels import label_to_class, num_nugget_classes
 from .ndcore import ParamStore, load_checkpoint, restore_store, save_checkpoint, scatter_rows, softmax, softmax_xent
 
@@ -77,7 +81,9 @@ def head_backward(store: ParamStore, head: str, features: np.ndarray, dscores: n
 class SentenceEncoding:
     """Id arrays for one sentence, and its per-character distributions once queried.
 
-    The id array of a branch the model does not use is None.
+    The id arrays are read-only views of the ids the sentence keeps
+    (AnnotatedSentence.ids), shared by every encoding of it; the id array
+    of a branch the model does not use is None.
 
     Inference (`predict_corpus`) never fills `rows`.  It serves only
     char_distributions, the per-character accessor kept for perfbench's
@@ -91,11 +97,12 @@ class SentenceEncoding:
     rows: tuple[np.ndarray, ...] | None = None
 
 
-def _view_starts(n: int, centers: np.ndarray, max_tokens: int) -> np.ndarray:
-    """First token of the max_tokens-long view each center reads: centered on it, clamped at the edges."""
-    if n <= max_tokens:
-        return np.zeros_like(centers)
-    return np.clip(centers - max_tokens // 2, 0, n - max_tokens)
+def _view_starts(n, centers: np.ndarray, max_tokens: int) -> np.ndarray:
+    """First token of the max_tokens-long view each center reads: centered on it, clamped at the edges.
+
+    n is the sequence's length, or an array of one length per center.
+    """
+    return np.clip(centers - max_tokens // 2, 0, np.maximum(np.subtract(n, max_tokens), 0))
 
 
 @dataclass
@@ -127,21 +134,34 @@ def _branch_rows(
     extract_branch whether branch_backward follows: only then does the
     cache keep each pooled value's argmax row.  The cache keeps no token or
     offset term.
+
+    The index takes a fixed number of numpy calls, however many sentences
+    there are: one np.unique over (sentence, center) keys orders the
+    distinct centers by sentence, then by center, and its inverse gives
+    each batch row's cache row.  A segment is a run of one (sentence, view
+    start), so views keep the order of their starts.
     """
-    segments = []
-    cache_row = np.empty(sum(len(rows) for _, _, rows in groups), dtype=np.int64)
-    k = 0
-    for ids, centers, rows in groups:
-        centers = centers.tolist()
-        distinct = np.array(sorted(set(centers)), dtype=np.int64)
-        starts = _view_starts(ids.shape[0], distinct, config.max_tokens)
-        position = {}
-        for start in sorted(set(starts.tolist())):
-            view_centers = distinct[starts == start]
-            segments.append((ids[start : start + config.max_tokens], view_centers - start))
-            position.update(zip(view_centers.tolist(), range(k, k + view_centers.shape[0])))
-            k += view_centers.shape[0]
-        cache_row[rows] = [position[c] for c in centers]
+    seqs = [ids for ids, _, _ in groups]
+    lengths = np.array([ids.shape[0] for ids in seqs])
+    row_seq = np.repeat(np.arange(len(seqs)), [c.shape[0] for _, c, _ in groups])
+    row_center = np.concatenate([c for _, c, _ in groups])
+    if np.any((row_center < 0) | (row_center >= lengths[row_seq])):
+        raise ShapeError(f"centers {row_center.tolist()} must lie inside their sequences of lengths {lengths.tolist()}")
+    width = int(lengths.max())
+    keys, slot = np.unique(row_seq * width + row_center, return_inverse=True)
+    seq, centers = np.divmod(keys, width)
+    starts = _view_starts(lengths[seq], centers, config.max_tokens)
+    cut = np.flatnonzero((seq[1:] != seq[:-1]) | (starts[1:] != starts[:-1])) + 1
+    bounds = [0, *cut.tolist(), keys.shape[0]]
+    firsts = bounds[:-1]
+    centers -= starts
+    segments = [
+        (seqs[g][start : start + config.max_tokens], centers[a:b])
+        for g, start, a, b in zip(seq[firsts].tolist(), starts[firsts].tolist(), firsts, bounds[1:])
+    ]
+    rows = np.concatenate([r for _, _, r in groups])
+    cache_row = np.empty(rows.shape[0], dtype=np.int64)
+    cache_row[rows] = slot
     cache = extract_branch(store, prefix, segments, config.extractor, for_backward)
     return _BranchRows(prefix, cache, cache_row)
 
@@ -202,24 +222,35 @@ class CharEncoderBase:
         for head, n_classes in self.heads.items():
             self.store.add(f"head.{head}_w", (n_classes, config.extractor.fused_dim), init="glorot")
             self.store.add(f"head.{head}_b", (n_classes,), init="zeros")
+        self.store.pack()
 
     def _head_classes(self) -> dict[str, int]:
         """Class count of each softmax head, by name, in head order."""
         raise NotImplementedError
 
     def encode_sentence(self, sentence: AnnotatedSentence) -> SentenceEncoding:
+        """A fresh encoding, with no rows, over the ids the sentence keeps for this model's vocabulary."""
         cfg = self.config.extractor
-        char_ids = self.vocab.char_ids(sentence.text) if cfg.use_chars else None
-        word_ids = self.vocab.word_ids(sentence.words) if cfg.use_words else None
-        return SentenceEncoding(char_ids, word_ids, np.array(sentence.char_to_word, dtype=np.int64))
+        char_ids, word_ids, char_to_word = sentence.ids(self.vocab)
+        return SentenceEncoding(char_ids if cfg.use_chars else None, word_ids if cfg.use_words else None, char_to_word)
 
     def _groups_of(self, sentences: Sequence[AnnotatedSentence], chars: Sequence[int]) -> list[tuple]:
-        """(encoding, chars[rows], rows) per distinct sentence object, in order of first appearance."""
-        rows_of: dict[int, tuple[AnnotatedSentence, list[int]]] = {}
-        for row, sentence in enumerate(sentences):
-            rows_of.setdefault(id(sentence), (sentence, []))[1].append(row)
-        chars = np.asarray(chars, dtype=np.int64)
-        return [(self.encode_sentence(s), chars[rows], np.array(rows)) for s, rows in rows_of.values()]
+        """(encoding, chars[rows], rows) per distinct sentence object, in order of first appearance.
+
+        One stable argsort orders the rows by sentence, so each group's
+        chars and rows are slices of two arrays.
+        """
+        keys = list(map(id, sentences))
+        distinct = dict(zip(keys, sentences))
+        group_of = {key: g for g, key in enumerate(distinct)}
+        group = np.array([group_of[key] for key in keys])
+        rows = np.argsort(group, kind="stable")
+        chars = np.asarray(chars, dtype=np.int64)[rows]
+        bounds = np.cumsum(np.bincount(group)).tolist()
+        return [
+            (self.encode_sentence(s), chars[a:b], rows[a:b])
+            for s, a, b in zip(distinct.values(), [0, *bounds], bounds)
+        ]
 
     def _forward(
         self,

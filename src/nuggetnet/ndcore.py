@@ -3,7 +3,8 @@
 Everything is 64-bit floats: the models are small, and determinism plus
 finite-difference fidelity matter more than speed.  There is no autodiff
 graph; each layer has an explicit forward here and hand-derived backward
-passes in the modules that compose them.  Gradients and Adadelta state
+passes in the modules that compose them.  A model's tensors are views of
+one flat arena per kind (ParamStore.pack); gradients and Adadelta state
 exist from first use, so a model loaded for inference holds its values alone.
 """
 
@@ -23,30 +24,64 @@ import numpy as np
 from .errors import CheckpointError, NumericError, ShapeError, reading
 
 
-def _zeros_on_first_use(slot: str) -> property:
-    def get(p):
-        if getattr(p, slot) is None:
-            setattr(p, slot, np.zeros(p.value.shape))
-        return getattr(p, slot)
+_STATE = ("grad", "eg2", "edx2")
 
-    return property(get, lambda p, arr: setattr(p, slot, arr))  # p.grad += x assigns back
+
+def _state_arena(arena: dict[str, np.ndarray], name: str) -> np.ndarray:
+    """One kind's array of a packed store's arenas; a state's is allocated as zeros on first use."""
+    if name not in arena:
+        arena[name] = np.zeros(arena["value"].shape)
+    return arena[name]
+
+
+def _zeros_on_first_use(name: str) -> property:
+    slot = f"_{name}"
+
+    def get(p):
+        arr = getattr(p, slot)
+        if arr is None:
+            if p._arena is None:
+                arr = np.zeros(p.value.shape)
+                setattr(p, slot, arr)
+            else:
+                _state_arena(p._arena, name)
+                arr = p.held(name)
+        return arr
+
+    def put(p, arr):  # p.grad += x assigns the same array back; anything else is copied in
+        held = get(p)
+        if arr is not held:
+            held[...] = arr
+
+    return property(get, put)
 
 
 class Param:
-    """One named tensor with its gradient accumulator and Adadelta state, each allocated on first use."""
+    """One named tensor with its gradient accumulator and Adadelta state, each allocated on first use.
 
-    __slots__ = ("value", "_grad", "_eg2", "_edx2")
-    grad = _zeros_on_first_use("_grad")
-    eg2 = _zeros_on_first_use("_eg2")  # running E[g^2]
-    edx2 = _zeros_on_first_use("_edx2")  # running E[dx^2]
+    In a packed store (ParamStore.pack) the value and every state are views
+    of the store's arenas, and the first use of a state allocates it for
+    every tensor at once.
+    """
+
+    __slots__ = ("value", "_grad", "_eg2", "_edx2", "_arena", "_span")
+    grad = _zeros_on_first_use("grad")
+    eg2 = _zeros_on_first_use("eg2")  # running E[g^2]
+    edx2 = _zeros_on_first_use("edx2")  # running E[dx^2]
 
     def __init__(self, value: np.ndarray):
         self.value = value
         self._grad = self._eg2 = self._edx2 = None
+        self._arena: dict[str, np.ndarray] | None = None  # kind -> flat array, shared by a packed store's tensors
+        self._span = slice(0, 0)  # this tensor's elements in each arena
 
     def held(self, name: str) -> np.ndarray | None:
         """grad, eg2 or edx2 if allocated, else None."""
-        return getattr(self, f"_{name}")
+        arr = getattr(self, f"_{name}")
+        if arr is None and self._arena is not None and name in self._arena:
+            arr = self._arena[name][self._span].reshape(self.value.shape)
+            setattr(self, f"_{name}", arr)
+        return arr
 
 
 class ParamStore:
@@ -56,16 +91,25 @@ class ParamStore:
     the same tensors in the same order therefore reproduces values bit for
     bit.  A store has one logical writer during training; forward-only reads
     of a frozen store are freely shareable.
+
+    `pack`, once every tensor is registered (a model does it when built),
+    moves the values into one flat arena in registration order, and each
+    Param's value becomes a view of it.  The gradients and the Adadelta
+    state get one arena each on first use, so adadelta_step updates every
+    tensor at once.
     """
 
     def __init__(self, rng_seed: int = 0):
         self.rng_seed = rng_seed
         self._rng = np.random.default_rng([rng_seed, 0x70])
         self._params: dict[str, Param] = {}
+        self._arena: dict[str, np.ndarray] | None = None
 
     def add(self, name: str, shape: tuple[int, ...], init: str = "zeros") -> Param:
         if name in self._params:
             raise ValueError(f"parameter {name!r} already registered")
+        if self._arena is not None:
+            raise ValueError(f"cannot register {name!r}: the store is packed")
         if init == "zeros":
             value = np.zeros(shape, dtype=np.float64)
         elif init == "glorot":
@@ -80,6 +124,33 @@ class ParamStore:
         param = Param(np.ascontiguousarray(value, dtype=np.float64))
         self._params[name] = param
         return param
+
+    def pack(self) -> None:
+        """Move every value, and each state any tensor holds, into one arena per kind; a packed store stays packed."""
+        if self._arena is not None:
+            return
+        size = self.n_parameters()
+        arena = {"value": np.empty(size)}
+        for name in _STATE:
+            if any(p.held(name) is not None for p in self._params.values()):
+                arena[name] = np.zeros(size)
+        lo = 0
+        for p in self._params.values():
+            span = slice(lo, lo + p.value.size)
+            lo = span.stop
+            for name, flat in arena.items():
+                held = p.value if name == "value" else p.held(name)
+                if held is not None:
+                    flat[span] = held.reshape(-1)
+            p.value = arena["value"][span].reshape(p.value.shape)
+            p._grad = p._eg2 = p._edx2 = None
+            p._arena, p._span = arena, span
+        self._arena = arena
+
+    def arena(self, name: str) -> np.ndarray:
+        """Every tensor's value, grad, eg2 or edx2 as one flat array; packs the store, allocates state on first use."""
+        self.pack()
+        return _state_arena(self._arena, name)
 
     def __getitem__(self, name: str) -> Param:
         try:
@@ -216,13 +287,18 @@ def split_argmax(token_term: np.ndarray, offset_term: np.ndarray, cols, lo, hi) 
 
     Each pool keeps the first maximum; an empty left pool points at lo.
     The pooled values are token_term[arg] + offset_term[arg - cols[i] + N - 1]
-    exactly, as max returns one of the elements it compares.
+    exactly, as max returns one of the elements it compares.  The loop
+    writes each pool's offset into its row, and lo and cols are added once
+    after it.
     """
-    left_arg = np.empty((len(cols), token_term.shape[1]), dtype=np.int64)
+    left_arg = np.zeros((len(cols), token_term.shape[1]), dtype=np.int64)
     right_arg = np.empty_like(left_arg)
     for i, a, c, pre in _center_maps(token_term, offset_term, cols, lo, hi):
-        left_arg[i] = a + pre[: c - a].argmax(axis=0) if c > a else a
-        right_arg[i] = c + pre[c - a :].argmax(axis=0)
+        if c > a:
+            pre[: c - a].argmax(axis=0, out=left_arg[i])
+        pre[c - a :].argmax(axis=0, out=right_arg[i])
+    left_arg += np.asarray(lo, dtype=np.int64)[:, None]
+    right_arg += np.asarray(cols, dtype=np.int64)[:, None]
     return left_arg, right_arg
 
 
@@ -315,37 +391,37 @@ def adadelta_step(store: ParamStore, rho: float = ADADELTA_RHO, eps: float = ADA
                   step   <- sqrt(E[dx^2]+eps) / sqrt(E[g^2]+eps) * g
                   E[dx^2]<- rho E[dx^2] + (1-rho) step^2
                   x      <- x - step
-    Gradients are zeroed afterwards.  Each tensor is updated in place, one
-    flat block at a time, through two block-sized buffers; every
-    product is taken in the order written above, so the result does not
-    depend on the block size.  The step is the negated update dx = -step:
+    Gradients are zeroed afterwards.  The update runs over the store's
+    arenas (ParamStore.arena, which packs a store not packed yet), every
+    tensor at once, one flat block at a time, through two block-sized
+    buffers; every product is taken in the order written above, so the
+    result does not depend on the block size or on where one tensor ends
+    and the next begins.  The step is the negated update dx = -step:
     every product above is sign-symmetric and x - step is x + dx, so the
     result is bit for bit that of the update written with dx.
     """
+    value, grad, eg2, edx2 = (store.arena(name) for name in ("value", *_STATE))
     buffers = np.empty((2, _ADADELTA_BLOCK))
-    for _, p in store.items():
-        # ParamStore.add makes every tensor C-contiguous, so these are views
-        value, grad, eg2, edx2 = (a.reshape(-1) for a in (p.value, p.grad, p.eg2, p.edx2))
-        for lo in range(0, value.shape[0], _ADADELTA_BLOCK):
-            hi = min(lo + _ADADELTA_BLOCK, value.shape[0])
-            g, e, d = grad[lo:hi], eg2[lo:hi], edx2[lo:hi]
-            step, t = buffers[:, : hi - lo]
-            e *= rho
-            np.multiply(1.0 - rho, g, out=t)
-            t *= g
-            e += t
-            np.add(d, eps, out=step)
-            np.sqrt(step, out=step)
-            np.add(e, eps, out=t)
-            np.sqrt(t, out=t)
-            step /= t
-            step *= g
-            d *= rho
-            np.multiply(1.0 - rho, step, out=t)
-            t *= step
-            d += t
-            value[lo:hi] -= step
-            g[...] = 0.0
+    for lo in range(0, value.shape[0], _ADADELTA_BLOCK):
+        hi = min(lo + _ADADELTA_BLOCK, value.shape[0])
+        g, e, d = grad[lo:hi], eg2[lo:hi], edx2[lo:hi]
+        step, t = buffers[:, : hi - lo]
+        e *= rho
+        np.multiply(1.0 - rho, g, out=t)
+        t *= g
+        e += t
+        np.add(d, eps, out=step)
+        np.sqrt(step, out=step)
+        np.add(e, eps, out=t)
+        np.sqrt(t, out=t)
+        step /= t
+        step *= g
+        d *= rho
+        np.multiply(1.0 - rho, step, out=t)
+        t *= step
+        d += t
+        value[lo:hi] -= step
+        g[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,188 @@
+"""The batch index: ids encoded once per sentence, rows grouped and indexed with a fixed number of calls."""
+
+import dataclasses
+import sys
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import nuggetnet.model as nmodel
+from nuggetnet.corpus import AnnotatedSentence, SubtypeInventory, TriggerNugget, Vocabulary, build_vocab
+from nuggetnet.encoder import extract_branch
+from nuggetnet.errors import ShapeError
+from nuggetnet.model import CharSpanModel, ModelConfig, _branch_rows
+
+from batch_reference import reference_groups, reference_index
+from util import small_extractor, small_model
+
+ALPHABET = "甲乙丙丁戊己"
+
+
+def alphabet_model():
+    """A small model whose character vocabulary is ALPHABET."""
+    return small_model([AnnotatedSentence("d", "s", ALPHABET, ((0, 5),), (TriggerNugget(0, 1, "x"),))], max_rel_dist=6)
+
+
+def same_array(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def sentences(draw):
+    n = draw(st.integers(1, 40))
+    text = "".join(draw(st.lists(st.sampled_from(ALPHABET), min_size=n, max_size=n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else set())
+    bounds = [0, *cuts, n]
+    return text, tuple((a, b - 1) for a, b in zip(bounds, bounds[1:]))
+
+
+@st.composite
+def batch_cases(draw):
+    """A model with both branches, and batch rows that repeat sentences, rows and equal sentence copies."""
+    specs = draw(st.lists(sentences(), min_size=1, max_size=6))
+    corpus = [AnnotatedSentence("d", f"s{i}", text, spans, ()) for i, (text, spans) in enumerate(specs)]
+    config = ModelConfig(extractor=small_extractor(max_rel_dist=6), max_tokens=draw(st.sampled_from([3, 5, 16, 120])))
+    model = CharSpanModel(config, build_vocab(corpus, max_rel_dist=6), SubtypeInventory(["x"]), rng_seed=2)
+    copies = [dataclasses.replace(s) for s in corpus]  # equal, but other objects: groups of their own
+    picks = draw(st.lists(st.tuples(st.integers(0, len(corpus) - 1), st.booleans(), st.integers(0, 39)), min_size=1, max_size=30))
+    rows = [((copies if copy else corpus)[i], c % len(corpus[i].text)) for i, copy, c in picks]
+    return model, [s for s, _ in rows], [c for _, c in rows]
+
+
+@given(batch_cases())
+@settings(max_examples=60, deadline=None)
+def test_batch_index_matches_the_per_sentence_one(case):
+    model, batch, chars = case
+    groups = model._groups_of(batch, chars)
+    expected = reference_groups(model, batch, chars)
+    assert len(groups) == len(expected)
+    for (enc, c, rows), (ref_enc, ref_c, ref_rows) in zip(groups, expected):
+        same_array(c, ref_c)
+        same_array(rows, ref_rows)
+        for name in ("char_ids", "word_ids", "char_to_word"):
+            same_array(getattr(enc, name), getattr(ref_enc, name))
+    with mock.patch.object(nmodel, "extract_branch", wraps=extract_branch) as spy:
+        fwd = model._forward(groups)
+    branch_groups = {
+        "char": [(enc.char_ids, c, rows) for enc, c, rows in expected],
+        "word": [(enc.word_ids, enc.char_to_word[c], rows) for enc, c, rows in expected],
+    }
+    assert [call.args[1] for call in spy.call_args_list] == ["char", "word"]
+    for branch, call in zip(fwd.branches, spy.call_args_list):
+        segments, cache_row = reference_index(branch_groups[branch.prefix], model.config.max_tokens)
+        assert len(call.args[2]) == len(segments)
+        for (ids, centers), (ref_ids, ref_centers) in zip(call.args[2], segments):
+            same_array(ids, ref_ids)
+            same_array(centers, ref_centers)
+        same_array(branch.cache_row, cache_row)
+        ref = extract_branch(model.store, branch.prefix, segments, model.config.extractor)
+        for name in ("feature", "fp", "arg_rows", "centers", "lo"):
+            same_array(getattr(branch.cache, name), getattr(ref, name))
+
+
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=5),
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 29)), min_size=1, max_size=25),
+    st.sampled_from([3, 4, 7, 120]),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_branch_rows_index_any_groups(lengths, picks, max_tokens, seed):
+    # groups straight into _branch_rows: one token array in several groups, centers repeated, rows shuffled
+    model = alphabet_model()
+    config = ModelConfig(extractor=model.config.extractor, max_tokens=max_tokens)
+    rng = np.random.default_rng(seed)
+    seqs = [rng.integers(0, model.vocab.n_chars, size=n) for n in lengths]
+    groups = {}
+    for g, c in picks:
+        ids = seqs[g % len(seqs)]
+        groups.setdefault(g, (ids, []))[1].append(c % ids.shape[0])
+    perm = rng.permutation(len(picks))
+    batch, k = [], 0
+    for ids, centers in groups.values():
+        batch.append((ids, np.array(centers), perm[k : k + len(centers)]))
+        k += len(centers)
+    with mock.patch.object(nmodel, "extract_branch", wraps=extract_branch) as spy:
+        branch = _branch_rows(model.store, config, "char", batch)
+    segments, cache_row = reference_index(batch, max_tokens)
+    ((_, _, got, *_), _), = spy.call_args_list
+    assert len(got) == len(segments)
+    for (ids, centers), (ref_ids, ref_centers) in zip(got, segments):
+        same_array(ids, ref_ids)
+        same_array(centers, ref_centers)
+    same_array(branch.cache_row, cache_row)
+    ref = extract_branch(model.store, "char", segments, model.config.extractor)
+    same_array(branch.fp, ref.fp[cache_row])
+
+
+def test_out_of_range_center_is_refused():
+    model = alphabet_model()
+    with pytest.raises(ShapeError, match="must lie inside"):
+        _branch_rows(model.store, model.config, "char", [(np.array([2, 3]), np.array([2]), np.array([0]))])
+
+
+def test_encodings_are_fresh_and_share_read_only_ids(corpus3):
+    model = small_model(corpus3)
+    sentence = corpus3[0]
+    a, b = model.encode_sentence(sentence), model.encode_sentence(sentence)
+    assert a is not b
+    for name in ("char_ids", "word_ids", "char_to_word"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.shares_memory(x, y) and x.tobytes() == y.tobytes()
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 5
+    model.char_distributions(a, 0)  # fills a's rows, the snapshot of the weights now
+    assert a.rows is not None and b.rows is None
+    assert model.encode_sentence(sentence).rows is None
+
+
+def test_another_vocabulary_does_not_reuse_the_ids(corpus3):
+    model = small_model(corpus3)
+    sentence = corpus3[0]
+    own = model.encode_sentence(sentence).char_ids
+    chars = sorted(set(sentence.text))
+    other = Vocabulary(char_to_id={c: i + 2 for i, c in enumerate(reversed(chars))}, max_rel_dist=10)
+    char_ids, word_ids, _ = sentence.ids(other)
+    assert char_ids.tolist() == [other.char_to_id[c] for c in sentence.text] != own.tolist()
+    assert set(word_ids.tolist()) == {1}  # no word is known to the other vocabulary
+    # an equal vocabulary object computes the same ids afresh, and the model gets its own ids back
+    twin = Vocabulary.from_json(model.vocab.to_json())
+    assert not np.shares_memory(sentence.ids(twin)[0], own) and sentence.ids(twin)[0].tolist() == own.tolist()
+    assert model.encode_sentence(sentence).char_ids.tolist() == own.tolist()
+
+
+def branch_rows_calls(n_sentences: int) -> int:
+    """Python and builtin calls that one _branch_rows call makes for a batch of distinct sentences."""
+    model = alphabet_model()
+    rng = np.random.default_rng(n_sentences)
+    groups, row = [], 0
+    for n in rng.integers(5, 15, size=n_sentences).tolist():
+        centers = rng.choice(n, size=2, replace=False)
+        groups.append((rng.integers(2, model.vocab.n_chars, size=n), centers, np.arange(row, row + 2)))
+        row += 2
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    with mock.patch.object(nmodel, "extract_branch", lambda *args, **kwargs: None):
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            _branch_rows(model.store, model.config, "char", groups)
+        finally:
+            sys.setprofile(previous)
+    return calls
+
+
+def test_branch_rows_makes_no_call_per_sentence():
+    # the batch index is array operations over all sentences at once: a per-sentence call in it would
+    # add at least one call for each sentence added
+    few, many = branch_rows_calls(8), branch_rows_calls(64)
+    assert many - few < 64 - 8, (few, many)

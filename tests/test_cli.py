@@ -1,7 +1,7 @@
 import json
 import math
 import typing
-from dataclasses import fields, is_dataclass, make_dataclass
+from dataclasses import MISSING, fields, is_dataclass, make_dataclass
 
 import jsonschema
 import numpy as np
@@ -619,12 +619,15 @@ class TestRunConfig:
 
     def test_schema_sections_match_the_dataclasses(self):
         # the schema is the one hand-written copy of the field list: each section names its dataclass's
-        # fields and no other key but model.kind and generator.seed, which the config reads by hand
+        # fields and no other key but model.kind and generator.seed, which the config reads by hand, and
+        # requires the fields that have no default
         by_hand = {"model": {"kind"}, "generator": {"seed"}}
 
         def check(cls, section, where):
             names = {f.name for f in fields(cls) if f.init}
             assert set(section["properties"]) == names | by_hand.get(where, set()), where or "top level"
+            required = {f.name for f in fields(cls) if f.init and f.default is MISSING and f.default_factory is MISSING}
+            assert set(section.get("required", ())) == required, where or "top level"
             hints = typing.get_type_hints(cls)
             for name in names:
                 nested = [t for t in typing.get_args(hints[name]) or (hints[name],) if is_dataclass(t)]
@@ -632,6 +635,17 @@ class TestRunConfig:
                     check(nested[0], section["properties"][name], f"{where}.{name}".lstrip("."))
 
         check(RunConfig, json.loads((SCHEMA_DIR / "config.schema.json").read_text()), "")
+
+    def test_schema_and_reader_agree_on_generator_n_sentences(self):
+        schema = json.loads((SCHEMA_DIR / "config.schema.json").read_text())
+        incomplete = {"generator": {"subtypes": ["a", "b"], "seed": 2}}
+        with pytest.raises(jsonschema.ValidationError, match="n_sentences"):
+            jsonschema.validate(incomplete, schema)
+        with pytest.raises(ConfigError, match="generator needs n_sentences"):
+            parse_run_config(incomplete)
+        complete = {"generator": {**incomplete["generator"], "n_sentences": 5}}
+        jsonschema.validate(complete, schema)
+        assert parse_run_config(complete).generator.n_sentences == 5
 
     @pytest.mark.parametrize("annotation", ["int | None", int, list])
     def test_a_field_type_without_a_value_check_is_refused(self, annotation):

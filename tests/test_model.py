@@ -415,6 +415,19 @@ class TestInferenceFootprint:
         # the resume load copies two more records per tensor, and the bound sees them
         assert self.traced_peak(lambda: load_model(path, optimizer_state=True)) > bound
 
+    def test_resume_round_trip_restores_the_arenas(self, trained, corpus3):
+        # the loaded model's arenas equal the saved model's, and both take the same next step
+        model, path = trained
+        loaded, _ = load_model(path, optimizer_state=True)
+        for kind in ("value", "eg2", "edx2"):
+            assert loaded.store.arena(kind).tobytes() == model.store.arena(kind).tobytes(), kind
+        gen, cls = model.training_streams(corpus3)
+        for m in (model, loaded):
+            m.loss_and_grads(gen[:8], cls[:8])
+            adadelta_step(m.store)
+        for kind in ("value", "grad", "eg2", "edx2"):
+            assert loaded.store.arena(kind).tobytes() == model.store.arena(kind).tobytes(), kind
+
     def test_resume_load_restores_state_bit_for_bit(self, trained):
         model, path = trained
         loaded, _ = load_model(path, optimizer_state=True)

@@ -426,6 +426,105 @@ class TestAdadelta:
         assert abs(p.value[0] - 3.0) < 0.05
 
 
+def per_tensor_adadelta(store: ParamStore, rho: float = 0.95, eps: float = 1e-6) -> None:
+    """adadelta_step as it ran before the arena: the same block update, one tensor at a time."""
+    buffers = np.empty((2, ndcore._ADADELTA_BLOCK))
+    for _, p in store.items():
+        value, grad, eg2, edx2 = (a.reshape(-1) for a in (p.value, p.grad, p.eg2, p.edx2))
+        for lo in range(0, value.shape[0], ndcore._ADADELTA_BLOCK):
+            hi = min(lo + ndcore._ADADELTA_BLOCK, value.shape[0])
+            g, e, d = grad[lo:hi], eg2[lo:hi], edx2[lo:hi]
+            step, t = buffers[:, : hi - lo]
+            e *= rho
+            np.multiply(1.0 - rho, g, out=t)
+            t *= g
+            e += t
+            np.add(d, eps, out=step)
+            np.sqrt(step, out=step)
+            np.add(e, eps, out=t)
+            np.sqrt(t, out=t)
+            step /= t
+            step *= g
+            d *= rho
+            np.multiply(1.0 - rho, step, out=t)
+            t *= step
+            d += t
+            value[lo:hi] -= step
+            g[...] = 0.0
+
+
+class TestArena:
+    KINDS = ("value", "grad", "eg2", "edx2")
+
+    @given(
+        st.lists(st.sampled_from([(83, 200), (16385,), (2, 8192), (3, 5), (1,)]), min_size=1, max_size=4),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_adadelta_over_the_arena_matches_the_per_tensor_update(self, shapes, seed):
+        # tensors that straddle the arena's blocks, and rows that get no gradient
+        rng = np.random.default_rng(seed)
+        packed, per_tensor = ParamStore(3), ParamStore(3)
+        for s in (packed, per_tensor):
+            for i, shape in enumerate(shapes):
+                s.add(f"t{i}", shape, init="glorot")
+        packed.pack()
+        for _ in range(3):
+            for name, p in per_tensor.items():
+                g = rng.normal(size=p.value.shape)
+                g[rng.random(g.shape[0]) < 0.3] = 0.0
+                p.grad[...] = packed[name].grad[...] = g
+            adadelta_step(packed)
+            per_tensor_adadelta(per_tensor)
+        for name, p in per_tensor.items():
+            for kind in self.KINDS:
+                assert getattr(packed[name], kind).tobytes() == getattr(p, kind).tobytes(), (name, kind)
+
+    def test_every_tensor_is_a_view_of_its_arenas(self):
+        s = ParamStore(0)
+        for name, shape in (("a", (3, 4)), ("b", (5,)), ("c", (2, 1, 3))):
+            s.add(name, shape, init="glorot")
+        s.pack()
+        s["b"].grad  # the first use of a state allocates it for every tensor
+        assert all(p.held("grad") is not None and p.held("eg2") is None for _, p in s.items())
+        for kind in self.KINDS:
+            flat = s.arena(kind)
+            assert flat.shape == (s.n_parameters(),) and flat.dtype == np.float64
+            lo = 0
+            for _, p in s.items():
+                view = getattr(p, kind)
+                assert view.base is flat and view.flags.c_contiguous
+                assert (view.ctypes.data - flat.ctypes.data) // flat.itemsize == lo  # registration order, no gap
+                lo += view.size
+            assert lo == flat.shape[0]
+        s["c"].grad += 2.0  # written through the view, read in the arena
+        npt.assert_array_equal(s.arena("grad")[-6:], np.full(6, 2.0))
+
+    def test_packing_keeps_values_and_held_state(self):
+        s = ParamStore(4)
+        w = s.add("w", (3, 2), init="glorot")
+        s.add("b", (2,))
+        before = w.value.copy()
+        w.eg2[...] = 0.5
+        s.pack()
+        npt.assert_array_equal(w.value, before)
+        npt.assert_array_equal(w.eg2, np.full((3, 2), 0.5))
+        npt.assert_array_equal(s["b"].eg2, np.zeros(2))  # held for one tensor, so held for all
+        assert w.held("grad") is None and w.held("edx2") is None
+        with pytest.raises(ValueError, match="packed"):
+            s.add("late", (1,))
+        s.pack()  # a packed store stays as it is
+        assert w.value.base is s.arena("value")
+
+    def test_assigning_a_state_copies_into_the_arena(self):
+        s = ParamStore(0)
+        p = s.add("w", (2,))
+        s.pack()
+        p.grad = np.array([1.0, 2.0])
+        assert p.grad.base is s.arena("grad")
+        npt.assert_array_equal(s.arena("grad"), [1.0, 2.0])
+
+
 class TestGradCheck:
     def test_detects_correct_gradient(self):
         s = ParamStore(0)
