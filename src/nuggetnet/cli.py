@@ -22,10 +22,10 @@ from .config import RunConfig, dump_resolved_config, load_run_config
 from .corpus import SubtypeInventory, build_vocab, load_corpus, save_corpus
 from .decoder import DecodeStats, load_predictions, save_predictions
 from .encoder import load_embeddings_file
-from .errors import CheckpointError, ConfigError, NuggetError, changed_fields, from_json
+from .errors import CheckpointError, ConfigError, NuggetError, changed_fields, check_bound, from_json
 from .evaluate import ScoreMode, corpus_match_stats, recall_by_match_type, score
 from .model import MODEL_CLASSES, CharEncoderBase, CharSpanModel, load_model
-from .synthgen import GenSpec, allocate_quotas, default_subtype_names, generate_synthetic_corpus
+from .synthgen import GenSpec, allocate_quotas, check_fractions, default_subtype_names, generate_synthetic_corpus
 from .train import LAST_CHECKPOINT, TrainerState, train
 
 logger = logging.getLogger(__name__)
@@ -33,17 +33,16 @@ logger = logging.getLogger(__name__)
 RESOLVED_CONFIG = "resolved_config.json"
 
 
-def _parse_fractions(text: str, n: int, flag: str) -> tuple[float, ...]:
+def _parse_fractions(text: str, flag: str) -> tuple[float, ...]:
     try:
         parts = tuple(float(p) for p in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"{flag} must be comma-separated numbers: {exc}") from exc
-    if len(parts) != n:
-        raise ConfigError(f"{flag} needs exactly {n} comma-separated values, got {len(parts)}")
-    return parts
+    return check_fractions(parts, flag)
 
 
 def cmd_gen_data(args) -> int:
+    splits = _parse_fractions(args.splits, "--splits")
     if args.config:
         run = load_run_config(args.config)
         if run.generator is None:
@@ -54,19 +53,14 @@ def cmd_gen_data(args) -> int:
         spec = GenSpec(
             n_sentences=args.n_sentences,
             subtypes=default_subtype_names(args.n_subtypes),
-            proportions=_parse_fractions(args.proportions, 3, "--proportions"),
+            proportions=_parse_fractions(args.proportions, "--proportions"),
         )
-        seed = args.seed
+        seed = check_bound(RunConfig, "generator_seed", args.seed, "--seed")
         out_dir = args.out
-        if seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {seed}")
     if not out_dir:
         raise ConfigError("no output directory (use --out or out_dir in the config)")
 
     corpus = generate_synthetic_corpus(spec, rng_seed=seed)
-    splits = _parse_fractions(args.splits, 3, "--splits")
-    if abs(sum(splits) - 1.0) > 1e-9:
-        raise ConfigError(f"--splits must sum to 1, got {splits}")
     sizes = allocate_quotas(len(corpus), splits)
 
     os.makedirs(out_dir, exist_ok=True)

@@ -1,12 +1,13 @@
 """Run configuration: one YAML file describing data, model, and training.
 
 RunConfig has one field per section or top-level key of
-schemas/config.schema.json, and `errors.from_json` reads the file by those
-fields: unknown keys are rejected by name so typos fail loudly instead of
-silently falling back to defaults, and every value must have its field's
-type.  Only `model.kind` and `generator.seed` are read by hand, as they sit
-in a section without being fields of its dataclass.  The loaded config can
-be echoed back as JSON with every default filled in.
+schemas/config.schema.json, which tests/config_schema.py generates from the
+fields and the bounds in their metadata.  `errors.from_json` reads a file by
+those fields: unknown keys are rejected by name, so typos fail loudly instead
+of silently falling back to defaults, every value must have its field's type,
+and each `__post_init__` holds its bounds.  Only `model.kind` and
+`generator.seed` are read by hand, as they are no fields of their section's
+dataclass.  The loaded config can be echoed back with every default filled in.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import yaml
 
-from .errors import ConfigError, check_value, from_json, reading
+from .errors import ConfigError, check_bound, check_bounds, check_value, from_json, reading
 from .model import MODEL_CLASSES, ModelConfig
 from .synthgen import GenSpec
 from .train import TrainConfig
@@ -43,15 +44,14 @@ class RunConfig:
     generator: GenSpec | None = None
     data: DataPaths = field(default_factory=DataPaths)
     embeddings: EmbeddingPaths = field(default_factory=EmbeddingPaths)
-    vocab_min_count: int = 1
+    vocab_min_count: int = field(default=1, metadata={"minimum": 1})
     out_dir: str | None = None
     # model.kind and generator.seed: no constructor argument, so from_json leaves them to parse_run_config
     model_kind: str = field(default="proposal", init=False)
-    generator_seed: int = field(default=0, init=False)
+    generator_seed: int = field(default=0, init=False, metadata={"minimum": 0})
 
     def __post_init__(self):
-        if self.vocab_min_count < 1:
-            raise ConfigError(f"vocab_min_count must be >= 1, got {self.vocab_min_count}")
+        check_bounds(self)
 
     def to_json(self) -> dict:
         out = asdict(self)
@@ -74,8 +74,7 @@ def parse_run_config(data) -> RunConfig:
     data = dict(data) if isinstance(data, dict) else data
     kind = _pop(data, "model", "kind", RunConfig.model_kind)
     seed = check_value(_pop(data, "generator", "seed", RunConfig.generator_seed), "int", "generator.seed", ConfigError)
-    if seed < 0:
-        raise ConfigError(f"generator.seed must be >= 0, got {seed}")
+    check_bound(RunConfig, "generator_seed", seed, "generator.seed")
     kinds = tuple(MODEL_CLASSES)
     if kind not in kinds:
         raise ConfigError(f"model.kind must be one of {kinds}, got {kind!r}")

@@ -67,14 +67,14 @@ the authority on their correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import PAD_ID, Vocabulary, relative_position_index
-from .errors import ConfigError, ShapeError, reading
+from .errors import ConfigError, ShapeError, check_bounds, reading
 from .ndcore import Param, ParamStore, scatter_rows, sigmoid, split_argmax, split_max_pool, window_products, window_sum
 
 
@@ -86,28 +86,22 @@ class HybridMode(str, Enum):
 
 @dataclass(frozen=True)
 class ExtractorConfig:
-    token_emb_dim: int = 100
-    pos_emb_dim: int = 5
-    n_filters: int = 200
-    window: int = 3
-    lex_window: int = 1
-    proj_dim: int = 200
-    max_rel_dist: int = 40
+    token_emb_dim: int = field(default=100, metadata={"minimum": 1})
+    pos_emb_dim: int = field(default=5, metadata={"minimum": 1})
+    n_filters: int = field(default=200, metadata={"minimum": 1})
+    window: int = field(default=3, metadata={"minimum": 1})
+    lex_window: int = field(default=1, metadata={"minimum": 0})
+    proj_dim: int = field(default=200, metadata={"minimum": 1})
+    max_rel_dist: int = field(default=40, metadata={"minimum": 1})
     use_chars: bool = True
     use_words: bool = True
     hybrid_mode: HybridMode = HybridMode.GENERAL
-    dropout: float = 0.0
+    dropout: float = field(default=0.0, metadata={"minimum": 0, "exclusiveMaximum": 1})
 
     def __post_init__(self):
-        for name in ("token_emb_dim", "pos_emb_dim", "n_filters", "window", "proj_dim", "max_rel_dist"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lex_window < 0:
-            raise ConfigError(f"lex_window must be >= 0, got {self.lex_window}")
+        check_bounds(self)
         if not (self.use_chars or self.use_words):
             raise ConfigError("at least one of use_chars/use_words must be enabled")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         # tolerate the plain string form from config files
         try:
             object.__setattr__(self, "hybrid_mode", HybridMode(self.hybrid_mode))

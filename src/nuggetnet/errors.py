@@ -8,6 +8,7 @@ list and the value types from the dataclass, so each declares them once.
 
 import contextlib
 import enum
+import math
 import sys
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -147,6 +148,51 @@ def from_json(cls, data, error: type[NuggetError], where: str = ""):
         return cls(**values)
     except ConfigError as exc:
         raise error(str(exc)) from exc
+
+
+def _check_number(bounds, x, where: str, optional: bool = False) -> None:
+    """Raise ConfigError naming where unless the number x keeps bounds; NaN keeps none."""
+    lo, gt, hi, finite = (bounds.get(k) for k in ("minimum", "exclusiveMinimum", "exclusiveMaximum", "finite"))
+    if (not finite or math.isfinite(x)) and (lo is None or x >= lo) and (gt is None or x > gt) and (hi is None or x < hi):
+        return
+    rule = f">= {lo}" if lo is not None else f"> {gt}" if gt is not None else ""
+    rule = f"in [{lo}, {hi})" if hi is not None else rule
+    rule = f"a finite number {rule}".rstrip() if finite else rule
+    raise ConfigError(f"{where} must be {rule}{' or null' if optional else ''}, got {x}")
+
+
+def _check_field(f, value, where: str) -> None:
+    """Raise ConfigError naming where unless value keeps the bounds on dataclass field f; None keeps any."""
+    bounds = f.metadata
+    if value is None or not bounds:
+        return
+    if not isinstance(value, (tuple, list)):
+        return _check_number(bounds, value, where, "None" in str(f.type))
+    n, lo = len(value), bounds.get("minItems", 0)
+    if not lo <= n <= bounds.get("maxItems", n):
+        exact = f"must have exactly {lo} entries, got {n}"
+        raise ConfigError(f"{where} {exact if 'maxItems' in bounds else 'must be non-empty'}")
+    if bounds.get("uniqueItems") and len(set(value)) != n:
+        raise ConfigError(f"{where} contains duplicates")
+    for i, x in enumerate(value if "items" in bounds else ()):
+        _check_number(bounds["items"], x, f"{where}[{i}]")
+
+
+def check_bounds(obj, prefix: str = "") -> None:
+    """Raise ConfigError naming the first field of dataclass obj (prefix + its name) whose value breaks its bounds.
+
+    The bounds are the field's metadata, in JSON Schema's words for the config schema to copy: minimum,
+    exclusiveMinimum, exclusiveMaximum (with a minimum) and finite (no NaN or infinity, which JSON cannot
+    write) for a number; minItems (1, or equal to maxItems), uniqueItems and items (each entry's) for a tuple.
+    """
+    for f in fields(obj):
+        _check_field(f, getattr(obj, f.name), prefix + f.name)
+
+
+def check_bound(cls, name: str, value, where: str):
+    """value, if it keeps the bounds declared on dataclass cls's field name; otherwise ConfigError naming where."""
+    _check_field(next(f for f in fields(cls) if f.name == name), value, where)
+    return value
 
 
 def changed_fields(old, new, where: str = "") -> list[str]:

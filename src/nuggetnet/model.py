@@ -45,24 +45,22 @@ from .encoder import (
     fuse_backward,
     register_encoder_params,
 )
-from .errors import CheckpointError, ConfigError, ShapeError, check_value, from_json, is_a
+from .errors import CheckpointError, ConfigError, ShapeError, check_bound, check_bounds, check_value, from_json, is_a
 from .labels import label_to_class, num_nugget_classes
 from .ndcore import ParamStore, load_checkpoint, restore_store, save_checkpoint, scatter_rows, softmax, softmax_xent
+from .train import TrainConfig
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
-    max_nugget_len: int = 3
-    max_tokens: int = 120
+    max_nugget_len: int = field(default=3, metadata={"minimum": 1})
+    max_tokens: int = field(default=120, metadata={"minimum": 1})
 
     def __post_init__(self):
-        if self.max_nugget_len < 1:
-            raise ConfigError(f"max_nugget_len must be >= 1, got {self.max_nugget_len}")
+        check_bounds(self)
         if self.max_tokens < self.extractor.window:
-            raise ConfigError(
-                f"max_tokens {self.max_tokens} shorter than the conv window {self.extractor.window}"
-            )
+            raise ConfigError(f"max_tokens {self.max_tokens} shorter than the conv window {self.extractor.window}")
 
 
 def head_scores(store: ParamStore, head: str, features: np.ndarray) -> np.ndarray:
@@ -398,8 +396,7 @@ class CharEncoderBase:
             if not (is_a(names, "tuple[str, ...]") and names):
                 raise CheckpointError(f"subtypes must be a non-empty list of names, got {names!r}")
             rng_seed = check_value(meta.get("rng_seed", 0), "int", "rng_seed", CheckpointError)
-            if rng_seed < 0:
-                raise CheckpointError(f"rng_seed must be >= 0, got {rng_seed}")
+            check_bound(TrainConfig, "rng_seed", rng_seed, "rng_seed")
             return cls(config=config, vocab=vocab, subtypes=SubtypeInventory(names), rng_seed=rng_seed)
         except (CheckpointError, ConfigError) as exc:
             raise CheckpointError(f"bad model metadata: {exc}") from exc

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import AnnotatedSentence, MatchType, TriggerNugget, classify_match_type
-from .errors import ConfigError
+from .errors import ConfigError, check_bound, check_bounds
 
 _CJK_BASE = 0x4E00
 
@@ -29,34 +29,30 @@ def default_subtype_names(n: int = 8) -> tuple[str, ...]:
 class GenSpec:
     """Recipe for one synthetic corpus."""
 
-    n_sentences: int
-    subtypes: tuple[str, ...] = field(default_factory=default_subtype_names)
+    n_sentences: int = field(metadata={"minimum": 0})
+    subtypes: tuple[str, ...] = field(default_factory=default_subtype_names, metadata={"minItems": 1, "uniqueItems": True})
     # fraction of triggers per match type: (exact, part_of_word, cross_words)
-    proportions: tuple[float, float, float] = (0.755, 0.195, 0.05)
-    min_context_words: int = 1
-    max_context_words: int = 3
-    n_distractor_words: int = 20
+    proportions: tuple[float, float, float] = field(
+        default=(0.755, 0.195, 0.05), metadata={"minItems": 3, "maxItems": 3, "items": {"finite": True, "minimum": 0}}
+    )
+    min_context_words: int = field(default=1, metadata={"minimum": 0})
+    max_context_words: int = field(default=3, metadata={"minimum": 0})
+    n_distractor_words: int = field(default=20, metadata={"minimum": 1})
     doc_prefix: str = "synth"
 
     def __post_init__(self):
-        if self.n_sentences < 0:
-            raise ConfigError(f"n_sentences must be >= 0, got {self.n_sentences}")
-        if not self.subtypes:
-            raise ConfigError("subtypes must be non-empty")
-        if len(set(self.subtypes)) != len(self.subtypes):
-            raise ConfigError("subtypes contains duplicates")
-        if len(self.proportions) != 3:
-            raise ConfigError("proportions must have exactly 3 entries (exact, part_of_word, cross_words)")
-        if any(p < 0 for p in self.proportions):
-            raise ConfigError(f"proportions must be non-negative, got {self.proportions}")
-        if abs(sum(self.proportions) - 1.0) > 1e-9:
-            raise ConfigError(f"proportions must sum to 1, got {self.proportions} (sum {sum(self.proportions)})")
-        if not 0 <= self.min_context_words <= self.max_context_words:
-            raise ConfigError(
-                f"context word range [{self.min_context_words}, {self.max_context_words}] is invalid"
-            )
-        if self.n_distractor_words < 1:
-            raise ConfigError("need at least one distractor word")
+        check_bounds(self)
+        check_fractions(self.proportions, "proportions")
+        if self.min_context_words > self.max_context_words:
+            raise ConfigError(f"context word range [{self.min_context_words}, {self.max_context_words}] is invalid")
+
+
+def check_fractions(values: tuple[float, ...], where: str) -> tuple[float, ...]:
+    """values, if they keep GenSpec.proportions' bounds and sum to 1; otherwise ConfigError naming where."""
+    check_bound(GenSpec, "proportions", values, where)
+    if abs(sum(values) - 1.0) > 1e-9:
+        raise ConfigError(f"{where} must sum to 1, got {values} (sum {sum(values)})")
+    return values
 
 
 class _CharBank:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import AnnotatedSentence
-from .errors import ConfigError, NuggetError, NumericError, is_a
+from .errors import ConfigError, NuggetError, NumericError, check_bounds, is_a
 from .evaluate import ScoreMode, score
 from .ndcore import adadelta_step, write_atomically
 
@@ -29,52 +29,33 @@ TRAIN_LOG = "train_log.jsonl"
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 32
-    neg_ratio: float = 5.0
-    patience: int = 10
-    rng_seed: int = 0
-    rho: float = 0.95
-    eps: float = 1e-6
-    eval_every: int = 1
+    epochs: int = field(default=50, metadata={"minimum": 0})
+    batch_size: int = field(default=32, metadata={"minimum": 1})
+    neg_ratio: float = field(default=5.0, metadata={"finite": True, "minimum": 0})
+    patience: int = field(default=10, metadata={"minimum": 1})
+    rng_seed: int = field(default=0, metadata={"minimum": 0})
+    rho: float = field(default=0.95, metadata={"minimum": 0, "exclusiveMaximum": 1})
+    eps: float = field(default=1e-6, metadata={"exclusiveMinimum": 0})
+    eval_every: int = field(default=1, metadata={"minimum": 1})
     # optional early exit once dev classification F1 reaches this value
-    stop_at_dev_f1: float | None = None
+    stop_at_dev_f1: float | None = field(default=None, metadata={"finite": True})
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.neg_ratio) and self.neg_ratio >= 0):
-            raise ConfigError(f"neg_ratio must be a finite number >= 0, got {self.neg_ratio}")
-        if self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-        if not 0 <= self.rho < 1:
-            raise ConfigError(f"rho must be in [0, 1), got {self.rho}")
-        if not self.eps > 0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
-        if self.stop_at_dev_f1 is not None and not math.isfinite(self.stop_at_dev_f1):
-            raise ConfigError(f"stop_at_dev_f1 must be a finite number or null, got {self.stop_at_dev_f1}")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
 class TrainerState:
     """What a checkpoint records for resuming: where the run stood after `epoch` (-1: before the first), and its config."""
 
-    epoch: int
+    epoch: int = field(metadata={"minimum": -1})
     best_dev_f1: float
-    best_epoch: int
-    since_improve: int
+    best_epoch: int = field(metadata={"minimum": -1})
+    since_improve: int = field(metadata={"minimum": -1})
     train_config: TrainConfig
 
     def __post_init__(self):
-        for name in ("epoch", "best_epoch", "since_improve"):
-            if getattr(self, name) < -1:
-                raise ConfigError(f"trainer_state.{name} must be an integer >= -1, got {getattr(self, name)}")
+        check_bounds(self, "trainer_state.")
 
 
 @dataclass
@@ -131,7 +112,8 @@ def train(
     To resume, load out_dir's last.ckpt with load_model(path,
     optimizer_state=True) and pass that checkpoint's trainer state.  The
     caller checks that config matches the state's train_config but for
-    `epochs`.
+    `epochs`.  Resuming a run that stopped early or reached its target
+    writes nothing and returns how it stopped.
     """
     if resume_state is not None and not model.store.has_optimizer_state():
         raise ConfigError("cannot resume a model with no Adadelta state: load it with optimizer_state=True")
@@ -139,6 +121,11 @@ def train(
     start_epoch = state.epoch + 1
     best_f1, best_epoch, since_improve = state.best_dev_f1, state.best_epoch, state.since_improve
     history: list[dict] = []
+    # only epochs may differ on resume, so a run that stopped would stop at the same epoch again
+    stopped_early = since_improve >= config.patience
+    reached_target = config.stop_at_dev_f1 is not None and best_epoch >= 0 and best_f1 >= config.stop_at_dev_f1
+    if stopped_early or reached_target:
+        return TrainResult(start_epoch, best_epoch, best_f1, stopped_early, reached_target, history)
 
     stream_a, stream_b = model.training_streams(
         train_corpus, neg_ratio=config.neg_ratio, rng_seed=config.rng_seed
@@ -169,8 +156,6 @@ def train(
         return TrainResult(0, best_epoch, best_f1, False, False, history)
 
     dropout = model.config.extractor.dropout
-    stopped_early = False
-    reached_target = False
     epochs_run = start_epoch
     for epoch in range(start_epoch, config.epochs):
         rng = np.random.default_rng([config.rng_seed, 1, epoch])

@@ -88,6 +88,24 @@ class TestGenData:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--proportions", "nan,0.5,0.5", "--proportions[0] must be a finite number >= 0, got nan"),
+            ("--splits", "nan,0.5,0.5", "--splits[0] must be a finite number >= 0, got nan"),
+            ("--splits", "-0.5,1,0.5", "--splits[0] must be a finite number >= 0, got -0.5"),
+            ("--splits", "0.5,0.5", "--splits must have exactly 3 entries, got 2"),
+            ("--splits", "0.5,0.25,0.2", "--splits must sum to 1"),
+        ],
+    )
+    def test_bad_fractions_fail_naming_the_flag(self, tmp_path, capsys, flag, value, message):
+        # a NaN fraction passed the sum check and crashed the quota split; a negative split wrote an empty dev set
+        assert main(["gen-data", "--out", str(tmp_path / "d"), "--n-sentences", "20", f"{flag}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
     def test_missing_out_dir(self, tmp_path, capsys):
         rc = main(["gen-data", "--n-sentences", "5"])
         assert rc == 1

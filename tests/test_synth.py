@@ -63,6 +63,14 @@ class TestGenSpecValidation:
         with pytest.raises(ConfigError):
             spec(**overrides)
 
+    @pytest.mark.parametrize(
+        "proportions", [(float("nan"), 0.5, 0.5), (0.5, 0.5, float("nan")), (float("inf"), 0.0, 0.0)]
+    )
+    def test_rejects_non_finite_proportions(self, proportions):
+        # abs(nan - 1) > 1e-9 is False, so a NaN entry once passed the sum check and crashed allocate_quotas
+        with pytest.raises(ConfigError, match=r"proportions\[\d\] must be a finite number >= 0, got (nan|inf)"):
+            spec(proportions=proportions)
+
     def test_rejects_duplicate_subtypes(self):
         with pytest.raises(ConfigError, match="duplicates"):
             GenSpec(n_sentences=5, subtypes=("a", "a"))

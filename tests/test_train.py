@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +136,27 @@ class TestDeterminism:
         )
         for fname in (LAST_CHECKPOINT, TRAIN_LOG):
             assert (tmp_path / "full" / fname).read_bytes() == (tmp_path / "part" / fname).read_bytes(), fname
+
+    @pytest.mark.parametrize("stop", [dict(patience=1), dict(stop_at_dev_f1=0.0)], ids=["patience", "target"])
+    @pytest.mark.parametrize("epochs", [8, 10])
+    def test_resuming_a_stopped_run_trains_nothing(self, tmp_path, stop, epochs):
+        # only epochs may change on resume, so a straight run with more epochs would have stopped at the same epoch
+        corpus = tiny_corpus()
+        first = train(tiny_model(corpus, rng_seed=5), corpus, corpus, quick_config(epochs=8, **stop), out_dir=tmp_path)
+        assert (first.stopped_early, first.reached_target) == ("patience" in stop, "patience" not in stop)
+        assert first.epochs_run < 8
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        resumed, meta = load_model(tmp_path / LAST_CHECKPOINT, optimizer_state=True)
+        again = train(
+            resumed,
+            corpus,
+            corpus,
+            quick_config(epochs=epochs, **stop),
+            out_dir=tmp_path,
+            resume_state=from_json(TrainerState, meta["trainer_state"], CheckpointError),
+        )
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert again.history == [] and replace(again, history=first.history) == first
 
     def test_resume_without_optimizer_state_is_refused(self, tmp_path):
         # weights alone would restart Adadelta from zero: the run would silently differ from a straight one
