@@ -159,10 +159,10 @@ class WordwiseModel(CharEncoderBase):
 
     kind = "wordwise"
 
-    def __init__(self, config: ModelConfig, vocab: Vocabulary, subtypes: SubtypeInventory, rng_seed: int = 0):
+    def __init__(self, config: ModelConfig, vocab: Vocabulary, subtypes: SubtypeInventory, rng_seed: int = 0, tensors=None):
         if config.extractor.use_chars or not config.extractor.use_words:
             raise ConfigError("the wordwise baseline runs on the word branch only")
-        super().__init__(config, vocab, subtypes, rng_seed)
+        super().__init__(config, vocab, subtypes, rng_seed, tensors)
 
     def _head_classes(self):
         return {"wordtype": len(self.subtypes) + 1}

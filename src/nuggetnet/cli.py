@@ -41,21 +41,30 @@ def _parse_fractions(text: str, flag: str) -> tuple[float, ...]:
     return check_fractions(parts, flag)
 
 
+# the gen-data flags that a run config's generator section replaces, with their values when there is none
+GENERATOR_FLAG_DEFAULTS = {"n_sentences": 2000, "n_subtypes": 8, "proportions": "0.755,0.195,0.05", "seed": 0}
+
+
 def cmd_gen_data(args) -> int:
     splits = _parse_fractions(args.splits, "--splits")
+    flags = {name: getattr(args, name) for name in GENERATOR_FLAG_DEFAULTS}
     if args.config:
+        given = [f"--{name.replace('_', '-')}" for name, value in flags.items() if value is not None]
+        if given:
+            raise ConfigError(f"{', '.join(given)} cannot be combined with --config, whose generator section sets them")
         run = load_run_config(args.config)
         if run.generator is None:
             raise ConfigError(f"{args.config} has no generator section")
         spec, seed = run.generator, run.generator_seed
         out_dir = args.out or run.out_dir
     else:
+        flags = {name: GENERATOR_FLAG_DEFAULTS[name] if value is None else value for name, value in flags.items()}
         spec = GenSpec(
-            n_sentences=args.n_sentences,
-            subtypes=default_subtype_names(args.n_subtypes),
-            proportions=_parse_fractions(args.proportions, "--proportions"),
+            n_sentences=flags["n_sentences"],
+            subtypes=default_subtype_names(flags["n_subtypes"]),
+            proportions=_parse_fractions(flags["proportions"], "--proportions"),
         )
-        seed = check_bound(RunConfig, "generator_seed", args.seed, "--seed")
+        seed = check_bound(RunConfig, "generator_seed", flags["seed"], "--seed")
         out_dir = args.out
     if not out_dir:
         raise ConfigError("no output directory (use --out or out_dir in the config)")
@@ -216,11 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="generate a synthetic segmented corpus")
     g.add_argument("--config", help="run config with a generator section")
     g.add_argument("--out", help="output directory")
-    g.add_argument("--n-sentences", type=int, default=2000)
-    g.add_argument("--n-subtypes", type=int, default=8)
-    g.add_argument("--proportions", default="0.755,0.195,0.05", help="exact,part_of_word,cross_words")
+    # None tells a flag left out from one given: --config refuses these, and without it they default
+    defaults = GENERATOR_FLAG_DEFAULTS
+    g.add_argument("--n-sentences", type=int, help=f"default {defaults['n_sentences']}")
+    g.add_argument("--n-subtypes", type=int, help=f"default {defaults['n_subtypes']}")
+    g.add_argument("--proportions", help=f"exact,part_of_word,cross_words (default {defaults['proportions']})")
     g.add_argument("--splits", default="0.8,0.1,0.1", help="train,dev,test fractions")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, help=f"default {defaults['seed']}")
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a model from a run config")

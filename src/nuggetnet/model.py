@@ -47,7 +47,7 @@ from .encoder import (
 )
 from .errors import CheckpointError, ConfigError, ShapeError, check_bound, check_bounds, check_value, from_json, is_a
 from .labels import label_to_class, num_nugget_classes
-from .ndcore import ParamStore, load_checkpoint, restore_store, save_checkpoint, scatter_rows, softmax, softmax_xent
+from .ndcore import ParamStore, load_checkpoint, save_checkpoint, scatter_rows, softmax, softmax_xent
 from .train import TrainConfig
 
 
@@ -209,12 +209,13 @@ class CharEncoderBase:
         super().__init_subclass__(**kwargs)
         MODEL_CLASSES[cls.kind] = cls
 
-    def __init__(self, config: ModelConfig, vocab: Vocabulary, subtypes: SubtypeInventory, rng_seed: int = 0):
+    def __init__(self, config: ModelConfig, vocab: Vocabulary, subtypes: SubtypeInventory, rng_seed: int = 0, tensors=None):
+        """A model with freshly drawn weights, or with a checkpoint's tensors (load_checkpoint), which it keeps."""
         self.config = config
         self.vocab = vocab
         self.subtypes = subtypes
         self.rng_seed = rng_seed
-        self.store = ParamStore(rng_seed)
+        self.store = ParamStore(rng_seed, tensors)
         register_encoder_params(self.store, config.extractor, vocab)
         self.heads = self._head_classes()
         for head, n_classes in self.heads.items():
@@ -383,11 +384,12 @@ class CharEncoderBase:
         save_checkpoint(path, self.store, meta)
 
     @classmethod
-    def from_meta(cls, meta: dict) -> "CharEncoderBase":
-        """A freshly initialised model of this kind with the checkpoint's config, vocab and subtypes.
+    def from_meta(cls, meta: dict, tensors: dict | None = None) -> "CharEncoderBase":
+        """A model of this kind with the checkpoint's config, vocab and subtypes, and its tensors if given.
 
         The config is read as strictly as a run file's model section.
-        Metadata that does not describe a model raises CheckpointError naming the field.
+        Metadata that does not describe a model raises CheckpointError
+        naming the field, and so do tensors that do not fit the model.
         """
         names = meta.get("subtypes")
         try:
@@ -397,8 +399,12 @@ class CharEncoderBase:
                 raise CheckpointError(f"subtypes must be a non-empty list of names, got {names!r}")
             rng_seed = check_value(meta.get("rng_seed", 0), "int", "rng_seed", CheckpointError)
             check_bound(TrainConfig, "rng_seed", rng_seed, "rng_seed")
-            return cls(config=config, vocab=vocab, subtypes=SubtypeInventory(names), rng_seed=rng_seed)
+            subtypes = SubtypeInventory(names)
         except (CheckpointError, ConfigError) as exc:
+            raise CheckpointError(f"bad model metadata: {exc}") from exc
+        try:
+            return cls(config=config, vocab=vocab, subtypes=subtypes, rng_seed=rng_seed, tensors=tensors)
+        except ConfigError as exc:
             raise CheckpointError(f"bad model metadata: {exc}") from exc
 
 
@@ -407,10 +413,10 @@ class CharSpanModel(CharEncoderBase):
 
     kind = "proposal"
 
-    def __init__(self, config: ModelConfig, vocab: Vocabulary, subtypes: SubtypeInventory, rng_seed: int = 0):
+    def __init__(self, config: ModelConfig, vocab: Vocabulary, subtypes: SubtypeInventory, rng_seed: int = 0, tensors=None):
         if len(subtypes) < 1:
             raise ConfigError("model needs at least one event subtype")
-        super().__init__(config, vocab, subtypes, rng_seed)
+        super().__init__(config, vocab, subtypes, rng_seed, tensors)
 
     def _head_classes(self):
         """The span-class head (NIL plus every (length, position) pair) and the subtype head, which has no NIL."""
@@ -466,7 +472,9 @@ class CharSpanModel(CharEncoderBase):
 def load_model(path, optimizer_state: bool = False) -> tuple[CharEncoderBase, dict]:
     """Open any checkpoint, dispatching on its recorded model kind; a CheckpointError names the file.
 
-    optimizer_state=True also restores the Adadelta state, which resuming needs.
+    The model is built from the checkpoint's arrays, so it draws no
+    weights and holds one copy of them.  optimizer_state=True also restores
+    the Adadelta state, which resuming needs.
     """
     meta, tensors = load_checkpoint(path, optimizer_state=optimizer_state)
     kind = meta.get("kind")
@@ -474,8 +482,7 @@ def load_model(path, optimizer_state: bool = False) -> tuple[CharEncoderBase, di
     if cls is None:
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
     try:
-        model = cls.from_meta(meta)
-        restore_store(model.store, tensors)
+        model = cls.from_meta(meta, tensors)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     return model, meta

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -32,6 +33,21 @@ def _state_arena(arena: dict[str, np.ndarray], name: str) -> np.ndarray:
     if name not in arena:
         arena[name] = np.zeros(arena["value"].shape)
     return arena[name]
+
+
+def _tiled(arrays: list[np.ndarray | None], size: int) -> np.ndarray | None:
+    """The flat float64 array of size elements that the arrays are consecutive views of, in order, or None."""
+    base = arrays[0].base if arrays and arrays[0] is not None else None
+    if not isinstance(base, np.ndarray) or base.dtype != np.float64 or base.shape != (size,):
+        return None
+    at = base.__array_interface__["data"][0]
+    for arr in arrays:
+        if arr is None or arr.base is not base or not arr.flags.c_contiguous:
+            return None
+        if arr.__array_interface__["data"][0] != at:
+            return None
+        at += arr.nbytes
+    return base
 
 
 def _zeros_on_first_use(name: str) -> property:
@@ -89,8 +105,11 @@ class ParamStore:
 
     All randomness (initialization) flows from the store seed; registering
     the same tensors in the same order therefore reproduces values bit for
-    bit.  A store has one logical writer during training; forward-only reads
-    of a frozen store are freely shareable.
+    bit.  A store given a checkpoint's tensors (load_checkpoint) draws
+    nothing: each registered tensor takes its arrays from them, which must
+    have its shape, and the store keeps them.  A store has one
+    logical writer during training; forward-only reads of a frozen store
+    are freely shareable.
 
     `pack`, once every tensor is registered (a model does it when built),
     moves the values into one flat arena in registration order, and each
@@ -99,9 +118,10 @@ class ParamStore:
     tensor at once.
     """
 
-    def __init__(self, rng_seed: int = 0):
+    def __init__(self, rng_seed: int = 0, tensors: dict[str, dict[str, np.ndarray]] | None = None):
         self.rng_seed = rng_seed
-        self._rng = np.random.default_rng([rng_seed, 0x70])
+        self._rng: np.random.Generator | None = None  # made on the first draw, so a loaded store needs no numpy.random
+        self._tensors = tensors
         self._params: dict[str, Param] = {}
         self._arena: dict[str, np.ndarray] | None = None
 
@@ -110,38 +130,68 @@ class ParamStore:
             raise ValueError(f"parameter {name!r} already registered")
         if self._arena is not None:
             raise ValueError(f"cannot register {name!r}: the store is packed")
-        if init == "zeros":
-            value = np.zeros(shape, dtype=np.float64)
-        elif init == "glorot":
-            # shape convention (fan_out, fan_in) for matrices
-            fan_out, fan_in = (shape[0], int(np.prod(shape[1:]))) if len(shape) > 1 else (1, shape[0])
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            value = self._rng.uniform(-limit, limit, size=shape)
-        elif init == "embedding":
-            value = self._rng.uniform(-0.01, 0.01, size=shape)
-        else:
+        if init not in ("zeros", "glorot", "embedding"):
             raise ValueError(f"unknown init scheme {init!r}")
-        param = Param(np.ascontiguousarray(value, dtype=np.float64))
+        if self._tensors is not None:
+            if name not in self._tensors:
+                raise CheckpointError(f"checkpoint is missing parameter {name!r}")
+            rec = self._tensors[name]
+            if rec["value"].shape != tuple(shape):
+                raise CheckpointError(
+                    f"parameter {name!r}: checkpoint shape {rec['value'].shape} != model shape {tuple(shape)}"
+                )
+            param = Param(rec["value"])
+            param._eg2, param._edx2 = rec.get("eg2"), rec.get("edx2")
+        else:
+            param = Param(np.ascontiguousarray(self._draw(shape, init), dtype=np.float64))
         self._params[name] = param
         return param
 
+    def _draw(self, shape: tuple[int, ...], init: str) -> np.ndarray:
+        if init == "zeros":
+            return np.zeros(shape, dtype=np.float64)
+        if self._rng is None:
+            self._rng = np.random.default_rng([self.rng_seed, 0x70])
+        if init == "embedding":
+            return self._rng.uniform(-0.01, 0.01, size=shape)
+        # glorot, shape convention (fan_out, fan_in) for matrices
+        fan_out, fan_in = (shape[0], int(np.prod(shape[1:]))) if len(shape) > 1 else (1, shape[0])
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return self._rng.uniform(-limit, limit, size=shape)
+
     def pack(self) -> None:
-        """Move every value, and each state any tensor holds, into one arena per kind; a packed store stays packed."""
+        """Move every value, and each state any tensor holds, into one arena per kind; a packed store stays packed.
+
+        A kind whose arrays already tile one flat array in registration
+        order, as a checkpoint's do, keeps that array as its arena.  A store
+        built from a checkpoint's tensors checks here that it used them all.
+        """
         if self._arena is not None:
             return
+        if self._tensors is not None:
+            extra = set(self._tensors) - set(self._params)
+            if extra:
+                raise CheckpointError(f"checkpoint contains unknown parameters: {sorted(extra)}")
+            self._tensors = None
+        params = list(self._params.values())
         size = self.n_parameters()
-        arena = {"value": np.empty(size)}
-        for name in _STATE:
-            if any(p.held(name) is not None for p in self._params.values()):
-                arena[name] = np.zeros(size)
+        arena = {}
+        for name in ("value", *_STATE):
+            held = [p.value if name == "value" else p.held(name) for p in params]
+            if name != "value" and all(h is None for h in held):
+                continue
+            arena[name] = _tiled(held, size)
+            if arena[name] is None:
+                arena[name] = flat = np.zeros(size)
+                lo = 0
+                for p, h in zip(params, held):
+                    if h is not None:
+                        flat[lo : lo + p.value.size] = h.reshape(-1)
+                    lo += p.value.size
         lo = 0
-        for p in self._params.values():
+        for p in params:
             span = slice(lo, lo + p.value.size)
             lo = span.stop
-            for name, flat in arena.items():
-                held = p.value if name == "value" else p.held(name)
-                if held is not None:
-                    flat[span] = held.reshape(-1)
             p.value = arena["value"][span].reshape(p.value.shape)
             p._grad = p._eg2 = p._edx2 = None
             p._arena, p._span = arena, span
@@ -520,11 +570,22 @@ def grad_check(
 # metadata JSON without that entry followed by everything after the
 # metadata.  Version 1 files, which have none, still load.  Round-trips
 # are bit-exact.
+#
+# load_checkpoint streams the file in two passes and never holds it whole.
+# The first reads everything after the metadata through one buffer to check
+# the CRC; the second walks the record headers, seeking past each payload,
+# and then reads each value payload (and, to resume, each state payload)
+# straight into its slice of one flat array per kind.
 
 CHECKPOINT_MAGIC = b"NGCKPT01"
 CHECKPOINT_VERSION = 2
 _KINDS = ("value", "eg2", "edx2")
 _CRC_KEY = "crc32"
+# Bytes per read of the CRC pass.  Freeing this buffer raises glibc's
+# dynamic mmap threshold to its size, which keeps decode's per-sentence
+# temporaries (up to ~2.7 MB at the default size) on the heap: at 1 MiB
+# each decoded sentence took ~700 minor page faults in fresh mmaps.
+_READ_BUFFER = 1 << 22
 
 
 def _meta_json(meta: dict) -> bytes:
@@ -574,90 +635,99 @@ def save_checkpoint(path, store: ParamStore, meta: dict | None = None) -> None:
     write_atomically(path, itertools.chain([header], _record_chunks(store)))
 
 
+def _crc_to_end(fh, crc: int, rest: int) -> int:
+    """crc continued over the file's last `rest` bytes, read through one buffer of at most _READ_BUFFER bytes."""
+    view = memoryview(bytearray(min(rest, _READ_BUFFER)))
+    while got := fh.readinto(view):
+        crc = zlib.crc32(view[:got], crc)
+    return crc
+
+
 def load_checkpoint(path, optimizer_state: bool = False) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
     """Returns (meta, {param_name: {kind: array}}); any malformed file raises CheckpointError.
 
     Every record is checked, but only optimizer_state=True (to resume)
-    copies out the eg2 and edx2 records.
+    reads the eg2 and edx2 records.  Each kind's arrays are views of one
+    flat array in record order, which a store built from them keeps as its
+    arena (ParamStore.pack).
     """
     with reading(path, CheckpointError, binary=True) as fh:
-        blob = fh.read()
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    off = len(CHECKPOINT_MAGIC)
-    view = memoryview(blob)  # slices of it share the file's bytes instead of copying them
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+        off = len(CHECKPOINT_MAGIC)
 
-    def take_bytes(size: int) -> memoryview:
-        nonlocal off
-        if off + size > len(blob):
-            raise CheckpointError(f"{path}: truncated checkpoint")
-        off += size
-        return view[off - size : off]
+        def skip(n: int) -> int:
+            """Move past the next n bytes of the file; returns where they start."""
+            nonlocal off
+            if off + n > size:
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            off += n
+            return off - n
 
-    def take(fmt):
-        return struct.unpack(fmt, take_bytes(struct.calcsize(fmt)))
+        def take_bytes(n: int) -> bytes:
+            skip(n)
+            return fh.read(n)
 
-    version, meta_len = take("<II")
-    if version not in (1, CHECKPOINT_VERSION):
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    try:
-        meta = json.loads(str(take_bytes(meta_len), "utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise CheckpointError(f"{path}: unreadable metadata: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise CheckpointError(f"{path}: metadata is not a JSON object")
-    crc = meta.pop(_CRC_KEY, None)
-    if version >= 2 and crc != zlib.crc32(view[off:], zlib.crc32(_meta_json(meta))):
-        raise CheckpointError(f"{path}: checksum mismatch, the file is corrupt")
-    (n_records,) = take("<I")
-    tensors: dict[str, dict[str, np.ndarray]] = {}
-    shapes: dict[str, dict[str, tuple[int, ...]]] = {}
-    for _ in range(n_records):
-        (name_len,) = take("<H")
+        def take(fmt):
+            return struct.unpack(fmt, take_bytes(struct.calcsize(fmt)))
+
+        version, meta_len = take("<II")
+        if version not in (1, CHECKPOINT_VERSION):
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         try:
-            name = str(take_bytes(name_len), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: undecodable tensor name: {exc}") from exc
-        kind_idx, ndim = take("<BB")
-        if kind_idx >= len(_KINDS):
-            raise CheckpointError(f"{path}: tensor {name!r} has unknown kind byte {kind_idx}")
-        kind = _KINDS[kind_idx]
-        shape = take(f"<{ndim}I")
-        payload = take_bytes(8 * math.prod(shape))
-        if kind in shapes.setdefault(name, {}):
-            raise CheckpointError(f"{path}: tensor {name!r} has two {kind} records")
-        shapes[name][kind] = shape
-        if kind == "value" or optimizer_state:
-            tensors.setdefault(name, {})[kind] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
-    if off != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes after the last record")
-    for name, kinds in shapes.items():
-        if "value" not in kinds:
-            raise CheckpointError(f"{path}: tensor {name!r} has no value record")
-        for kind, shape in kinds.items():
-            if shape != kinds["value"]:
-                raise CheckpointError(
-                    f"{path}: tensor {name!r} has {kind} shape {shape} but value shape {kinds['value']}"
-                )
+            meta = json.loads(str(take_bytes(meta_len), "utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise CheckpointError(f"{path}: unreadable metadata: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: metadata is not a JSON object")
+        crc = meta.pop(_CRC_KEY, None)
+        if version >= 2:
+            if crc != _crc_to_end(fh, zlib.crc32(_meta_json(meta)), size - off):
+                raise CheckpointError(f"{path}: checksum mismatch, the file is corrupt")
+            fh.seek(off)
+        (n_records,) = take("<I")
+        shapes: dict[str, dict[str, tuple[int, ...]]] = {}
+        payloads = {kind: [] for kind in (_KINDS if optimizer_state else ("value",))}  # kind -> (name, shape, offset)
+        for _ in range(n_records):
+            (name_len,) = take("<H")
+            try:
+                name = str(take_bytes(name_len), "utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: undecodable tensor name: {exc}") from exc
+            kind_idx, ndim = take("<BB")
+            if kind_idx >= len(_KINDS):
+                raise CheckpointError(f"{path}: tensor {name!r} has unknown kind byte {kind_idx}")
+            kind = _KINDS[kind_idx]
+            shape = take(f"<{ndim}I")
+            at = skip(8 * math.prod(shape))
+            fh.seek(off)
+            if kind in shapes.setdefault(name, {}):
+                raise CheckpointError(f"{path}: tensor {name!r} has two {kind} records")
+            shapes[name][kind] = shape
+            if kind in payloads:
+                payloads[kind].append((name, shape, at))
+        if off != size:
+            raise CheckpointError(f"{path}: {size - off} trailing bytes after the last record")
+        for name, kinds in shapes.items():
+            if "value" not in kinds:
+                raise CheckpointError(f"{path}: tensor {name!r} has no value record")
+            for kind, shape in kinds.items():
+                if shape != kinds["value"]:
+                    raise CheckpointError(
+                        f"{path}: tensor {name!r} has {kind} shape {shape} but value shape {kinds['value']}"
+                    )
+        tensors: dict[str, dict[str, np.ndarray]] = {name: {} for name in shapes}
+        for kind, records in payloads.items():
+            flat = np.empty(sum(math.prod(shape) for _, shape, _ in records))
+            lo = 0
+            for name, shape, at in records:
+                part = flat[lo : lo + math.prod(shape)]
+                lo += part.size
+                fh.seek(at)
+                if fh.readinto(part) != part.nbytes:
+                    raise CheckpointError(f"{path}: truncated checkpoint")
+                tensors[name][kind] = part.reshape(shape)
+            if sys.byteorder == "big":  # the payloads are little-endian
+                flat.byteswap(inplace=True)
     return meta, tensors
-
-
-def restore_store(store: ParamStore, tensors: dict[str, dict[str, np.ndarray]]) -> None:
-    """Copy checkpoint tensors into an already-registered store, checking shapes; absent state stays unallocated."""
-    for name, p in store.items():
-        if name not in tensors:
-            raise CheckpointError(f"checkpoint is missing parameter {name!r}")
-        rec = tensors[name]
-        if rec["value"].shape != p.value.shape:
-            raise CheckpointError(
-                f"parameter {name!r}: checkpoint shape {rec['value'].shape} "
-                f"!= model shape {p.value.shape}"
-            )
-        p.value[...] = rec["value"]
-        if "eg2" in rec:
-            p.eg2[...] = rec["eg2"]
-        if "edx2" in rec:
-            p.edx2[...] = rec["edx2"]
-    extra = set(tensors) - set(store.names())
-    if extra:
-        raise CheckpointError(f"checkpoint contains unknown parameters: {sorted(extra)}")

@@ -79,11 +79,16 @@ def evaluate_model(model, corpus: Sequence[AnnotatedSentence]) -> dict:
 def _truncate_log(log_path: str, last_epoch: int) -> None:
     """Drop what a crash after last_epoch's checkpoint left in the log: later epochs' lines and a torn last line.
 
-    A complete line that is not a JSON object with an integer "epoch" raises NuggetError naming it.
+    A complete line that is not a JSON object with an integer "epoch"
+    raises NuggetError naming it, and so does a log (or its absence) that
+    lacks an epoch up to last_epoch, as a power loss can leave it.
     """
-    with open(log_path, "rb") as fh:
-        lines = fh.readlines()
-    kept = []
+    try:
+        with open(log_path, "rb") as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        lines = []
+    kept, epochs = [], set()
     for lineno, line in enumerate(lines, start=1):
         if not line.endswith(b"\n"):
             continue
@@ -95,6 +100,10 @@ def _truncate_log(log_path: str, last_epoch: int) -> None:
             raise NuggetError(f"{log_path}: line {lineno}: not a JSON object with an integer \"epoch\"")
         if epoch <= last_epoch:
             kept.append(line)
+            epochs.add(epoch)
+    missing = min(set(range(last_epoch + 1)) - epochs, default=None)
+    if missing is not None:
+        raise NuggetError(f"{log_path}: no line for epoch {missing}, which the checkpoint has passed; cannot resume")
     if len(kept) < len(lines):
         write_atomically(log_path, kept)
 
@@ -136,10 +145,10 @@ def train(
     log_path = os.path.join(out_dir, TRAIN_LOG) if out_dir is not None else None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        if resume_state is None and os.path.exists(log_path):
-            os.remove(log_path)
-        elif os.path.exists(log_path):
+        if resume_state is not None:
             _truncate_log(log_path, state.epoch)
+        elif os.path.exists(log_path):
+            os.remove(log_path)
 
     def trainer_state(epoch: int) -> dict:
         return asdict(TrainerState(epoch, best_f1, best_epoch, since_improve, config))

@@ -7,7 +7,8 @@ their annotations, with the bounds in their metadata (`errors.check_bounds`);
 the fields without a default are `required`.  `model.kind` and
 `generator.seed`, which `parse_run_config` reads by hand, follow their
 section's fields.  The rules between fields, which no JSON Schema keyword
-says, are listed in the description.
+says, are listed in the description, and the one place where the code is
+stricter than the schema's types (integer-valued floats) in `$comment`.
 """
 
 import enum
@@ -31,6 +32,10 @@ CROSS_FIELD_RULES = (
     "model: max_tokens >= extractor.window",
     "generator: proportions sum to 1",
     "generator: min_context_words <= max_context_words",
+)
+INTEGER_NOTE = (
+    'An "integer" field must be written without a fraction: the code refuses an integer-valued number '
+    "such as 8.0, which JSON Schema counts as an integer."
 )
 JSON_TYPES = {int: "integer", bool: "boolean", float: "number", str: "string", type(None): "null"}
 WIDTH = 100  # a field's schema that fits on one line at this width stays on it
@@ -84,6 +89,7 @@ def config_schema() -> dict:
         "title": "Run configuration (YAML, shown here as its JSON data model)",
         "description": "Generated from the config dataclasses by tests/config_schema.py. "
         "The code also holds rules between fields: " + "; ".join(CROSS_FIELD_RULES) + ".",
+        "$comment": INTEGER_NOTE,
         **top,
     }
 

@@ -137,6 +137,31 @@ class TestGenData:
         assert len(load_corpus(tmp_path / "gen" / "train.jsonl")) == 16
 
 
+    def test_generator_flags_beside_config_are_refused(self, tmp_path, capsys):
+        # they were silently ignored: this wrote 16/2/2 sentences at the config's proportions and exited 0
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({"generator": {"n_sentences": 20}}), encoding="utf-8")
+        args = ["--seed", "-5", "--n-sentences", "999", "--proportions", "1,0,0"]
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "gen"), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: --n-sentences, --proportions, --seed cannot be combined with --config, "
+            "whose generator section sets them"
+        )
+        assert not (tmp_path / "gen").exists()
+        for flag, value in zip(args[::2], args[1::2]):
+            assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "gen"), flag, value]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {flag} cannot be combined with --config")
+
+    def test_generator_flags_default_without_config(self, tmp_path):
+        defaults = ["--n-subtypes", "8", "--proportions", "0.755,0.195,0.05", "--seed", "0"]
+        assert main(["gen-data", "--out", str(tmp_path / "implicit"), "--n-sentences", "20"]) == 0
+        assert main(["gen-data", "--out", str(tmp_path / "explicit"), "--n-sentences", "20", *defaults]) == 0
+        for split in ("train", "dev", "test"):
+            name = f"{split}.jsonl"
+            assert (tmp_path / "implicit" / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("pipeline")

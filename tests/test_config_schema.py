@@ -118,6 +118,27 @@ def test_the_property_draws_every_value_the_schema_lists():
     assert set(FIELDS) == set(_schema_leaves(config_schema.config_schema()))
 
 
+def _leaf_schema(path) -> dict:
+    node = VALIDATOR.schema
+    for key in path:
+        node = node["properties"][key]
+    return node
+
+
+INTEGER_FIELDS = [path for path in _schema_leaves(VALIDATOR.schema) if _leaf_schema(path).get("type") == "integer"]
+
+
+@pytest.mark.parametrize("path", INTEGER_FIELDS, ids=".".join)
+def test_integer_valued_floats_pass_the_schema_but_not_the_code(path):
+    # JSON Schema counts 8.0 as an integer; the code keeps int fields strict, and the schema's $comment says so
+    data = _run_file(path, 8.0)
+    assert next(VALIDATOR.iter_errors(data), None) is None
+    with pytest.raises(ConfigError) as info:
+        parse_run_config(data)
+    assert str(info.value) == f"{'.'.join(path)} must be an integer, got 8.0"
+    assert "8.0" in VALIDATOR.schema["$comment"]
+
+
 @given(st.data())
 @settings(max_examples=400, deadline=None)
 def test_code_and_schema_agree_on_every_field(data):

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +12,8 @@ import pytest
 
 import nuggetnet.encoder as nencoder
 import nuggetnet.model as nmodel
-from nuggetnet.corpus import UNK_ID, AnnotatedSentence, SubtypeInventory, build_vocab
+import nuggetnet.ndcore as ndcore
+from nuggetnet.corpus import UNK_ID, AnnotatedSentence, SubtypeInventory, build_vocab, save_corpus
 from nuggetnet.decoder import decode_corpus
 from nuggetnet.errors import CheckpointError, ConfigError, from_json
 from nuggetnet.labels import num_nugget_classes
@@ -403,17 +408,55 @@ class TestInferenceFootprint:
         loaded.predict_corpus(toy_corpus())  # inference allocates none either
         assert all(p.held(k) is None for _, p in loaded.store.items() for k in self.STATE)
 
-    def test_inference_load_peak(self, trained, tmp_path):
-        # the file read in one piece plus one copy of the values, beside what reading the metadata costs
+    def test_inference_load_peak(self, trained, tmp_path, monkeypatch):
+        # one copy of the values, the read buffer and what reading the metadata costs: never the whole file
         model, path = trained
+        monkeypatch.setattr(ndcore, "_READ_BUFFER", 1 << 14)  # smaller than the file, as at the default size
         values = sum(p.value.nbytes for _, p in model.store.items())
         meta_only = tmp_path / "meta.ckpt"
         save_checkpoint(meta_only, ParamStore(0), load_checkpoint(path)[0])
         load_model(path)  # first-call caches do not count
-        bound = path.stat().st_size + values + self.traced_peak(lambda: load_checkpoint(meta_only))
+        bound = values + ndcore._READ_BUFFER + self.traced_peak(lambda: load_checkpoint(meta_only))
+        assert ndcore._READ_BUFFER < path.stat().st_size
         assert self.traced_peak(lambda: load_model(path)) <= bound
         # the resume load copies two more records per tensor, and the bound sees them
         assert self.traced_peak(lambda: load_model(path, optimizer_state=True)) > bound
+
+    def test_loaded_model_keeps_the_checkpoints_arrays(self, trained, monkeypatch):
+        # the value arena is the array load_checkpoint read the values into, not a copy, bit for bit the saved one
+        model, path = trained
+        read = []
+
+        def recording(*args, **kwargs):
+            read.append(load_checkpoint(*args, **kwargs))
+            return read[-1]
+
+        monkeypatch.setattr(nmodel, "load_checkpoint", recording)
+        loaded, _ = load_model(path)
+        arena = loaded.store.arena("value")
+        assert all(rec["value"].base is arena for rec in read[0][1].values())
+        assert all(p.value.base is arena for _, p in loaded.store.items())
+        assert arena.tobytes() == model.store.arena("value").tobytes()
+
+    def test_load_and_predict_never_import_numpy_random(self, trained, tmp_path):
+        # a store built from a checkpoint draws nothing, so its Generator is never made
+        _, path = trained
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(corpus, toy_corpus())
+        script = (
+            "import sys\n"
+            "from nuggetnet.corpus import load_corpus\n"
+            "from nuggetnet.model import load_model\n"
+            f"model, _ = load_model({str(path)!r})\n"
+            f"predictions = model.predict_corpus(load_corpus({str(corpus)!r}))\n"
+            "assert len(predictions) == 3, predictions\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(nmodel.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_resume_round_trip_restores_the_arenas(self, trained, corpus3):
         # the loaded model's arenas equal the saved model's, and both take the same next step

@@ -15,7 +15,6 @@ from nuggetnet.ndcore import (
     adadelta_step,
     grad_check,
     load_checkpoint,
-    restore_store,
     save_checkpoint,
     scatter_rows,
     sigmoid,
@@ -575,13 +574,15 @@ def v1_checkpoint(meta: dict, records: list[bytes]) -> bytes:
 
 
 class TestCheckpoint:
-    def build_store(self):
-        s = ParamStore(11)
+    def build_store(self, tensors=None):
+        """Three tensors, w with Adadelta state; given a checkpoint's tensors, the store takes them instead."""
+        s = ParamStore(11, tensors)
         s.add("emb", (6, 3), init="embedding")
         s.add("w", (4, 5), init="glorot")
         s.add("b", (4,), init="zeros")
-        s["w"].eg2[...] = 0.25
-        s["w"].edx2[...] = 0.5
+        if tensors is None:
+            s["w"].eg2[...] = 0.25
+            s["w"].edx2[...] = 0.5
         return s
 
     def test_bit_exact_round_trip(self, tmp_path):
@@ -591,12 +592,7 @@ class TestCheckpoint:
         save_checkpoint(path, s, meta)
         meta2, tensors = load_checkpoint(path, optimizer_state=True)
         assert meta2 == meta
-        fresh = self.build_store()
-        for p in fresh._params.values():
-            p.value[...] = 0
-            p.eg2[...] = 0
-            p.edx2[...] = 0
-        restore_store(fresh, tensors)
+        fresh = self.build_store(tensors)
         for name, p in s.items():
             npt.assert_array_equal(fresh[name].value, p.value)
             npt.assert_array_equal(fresh[name].eg2, p.eg2)
@@ -621,17 +617,63 @@ class TestCheckpoint:
         _, everything = load_checkpoint(path, optimizer_state=True)
         assert all(rec.keys() == {"value"} for rec in values.values())
         assert all(rec.keys() == {"value", "eg2", "edx2"} for rec in everything.values())
-        fresh = self.build_store()
-        for _, p in fresh.items():
-            p.value[...] = 0
-        restore_store(fresh, values)
-        assert fresh["emb"].held("eg2") is None and fresh["b"].held("edx2") is None
-        npt.assert_array_equal(fresh["w"].eg2, np.full((4, 5), 0.25))  # left as it was
-        restore_store(fresh, everything)
+        weights = self.build_store(values)
+        weights.pack()
+        assert not any(p.held(kind) is not None for _, p in weights.items() for kind in ("grad", "eg2", "edx2"))
+        resumed = self.build_store(everything)
         for name, p in s.items():
-            npt.assert_array_equal(fresh[name].value, p.value)
-            npt.assert_array_equal(fresh[name].eg2, p.eg2)
-            npt.assert_array_equal(fresh[name].edx2, p.edx2)
+            npt.assert_array_equal(weights[name].value, p.value)
+            npt.assert_array_equal(resumed[name].value, p.value)
+            npt.assert_array_equal(resumed[name].eg2, p.eg2)
+            npt.assert_array_equal(resumed[name].edx2, p.edx2)
+
+    @pytest.mark.parametrize("order", [("emb", "w", "b"), ("b", "emb", "w")], ids=["file-order", "other-order"])
+    def test_a_store_built_from_a_checkpoint_packs_its_arrays(self, tmp_path, order):
+        # in the file's order the loaded arrays become the arenas; in another they are copied into new ones
+        s = self.build_store()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, s, {})
+        _, tensors = load_checkpoint(path, optimizer_state=True)
+        loaded = ParamStore(0, {name: tensors[name] for name in order})
+        for name in order:
+            loaded.add(name, s[name].value.shape)
+        loaded.pack()
+        for kind in ("value", "eg2", "edx2"):
+            adopted = all(getattr(loaded[name], kind).base is tensors[name][kind].base for name in order)
+            assert adopted == (order == ("emb", "w", "b")), kind
+            for name in order:
+                assert getattr(loaded[name], kind).tobytes() == getattr(s[name], kind).tobytes(), (name, kind)
+
+    def test_a_store_built_from_a_checkpoint_draws_nothing(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self.build_store(), {})
+        loaded = self.build_store(load_checkpoint(path)[1])
+        assert loaded._rng is None
+        assert self.build_store()._rng is not None
+
+    def test_unused_checkpoint_tensor_fails_when_the_store_packs(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self.build_store(), {})
+        other = ParamStore(0, load_checkpoint(path)[1])
+        other.add("emb", (6, 3))
+        with pytest.raises(CheckpointError, match=r"unknown parameters: \['b', 'w'\]"):
+            other.pack()
+
+    @pytest.mark.parametrize("read_buffer", [7, 1 << 22])
+    def test_checksum_pass_reads_through_one_buffer(self, tmp_path, monkeypatch, read_buffer):
+        # a buffer of a few bytes takes many reads, the default one; both see every byte
+        monkeypatch.setattr(ndcore, "_READ_BUFFER", read_buffer)
+        s = self.build_store()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, s, {"k": 1})
+        _, tensors = load_checkpoint(path, optimizer_state=True)
+        for name, p in s.items():
+            assert tensors[name]["value"].tobytes() == p.value.tobytes()
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("optimizer_state", [False, True])
     def test_state_record_shaped_unlike_its_value(self, tmp_path, optimizer_state):
@@ -781,21 +823,18 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self.build_store(), {})
         _, tensors = load_checkpoint(path)
-        other = ParamStore(0)
+        other = ParamStore(0, tensors)
         other.add("emb", (6, 3))
-        other.add("w", (4, 9))
-        other.add("b", (4,))
         with pytest.raises(CheckpointError, match="shape"):
-            restore_store(other, tensors)
+            other.add("w", (4, 9))
 
     def test_missing_parameter_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self.build_store(), {})
         _, tensors = load_checkpoint(path)
-        other = ParamStore(0)
+        other = ParamStore(0, tensors)
         other.add("emb", (6, 3))
         other.add("w", (4, 5))
         other.add("b", (4,))
-        other.add("extra", (2,))
         with pytest.raises(CheckpointError, match="extra"):
-            restore_store(other, tensors)
+            other.add("extra", (2,))

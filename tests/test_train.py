@@ -175,6 +175,43 @@ class TestDeterminism:
             )
         assert {fname: (tmp_path / fname).read_bytes() for fname in before} == before
 
+    def resume_after_log_loss(self, tmp_path, lose_lines):
+        """Train 3 epochs, let lose_lines(lines) stand for what power loss kept of the log, and resume to 5."""
+        corpus = tiny_corpus()
+        train(tiny_model(corpus, rng_seed=5), corpus, corpus, quick_config(epochs=3), out_dir=tmp_path)
+        log = tmp_path / TRAIN_LOG
+        kept = lose_lines(log.read_bytes().splitlines(keepends=True))
+        if kept is None:
+            log.unlink()
+        else:
+            log.write_bytes(b"".join(kept))
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        resumed, meta = load_model(tmp_path / LAST_CHECKPOINT, optimizer_state=True)
+        assert meta["trainer_state"]["epoch"] == 2
+        with pytest.raises(NuggetError) as info:
+            train(
+                resumed,
+                corpus,
+                corpus,
+                quick_config(epochs=5),
+                out_dir=tmp_path,
+                resume_state=from_json(TrainerState, meta["trainer_state"], CheckpointError),
+            )
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        return str(info.value)
+
+    @pytest.mark.parametrize("lost, first_missing", [((2,), 2), ((1,), 1), ((0, 2), 0)])
+    def test_resume_refuses_a_log_missing_an_epoch(self, tmp_path, lost, first_missing):
+        # last.ckpt outlived log lines it has passed: resuming would write a log without them
+        message = self.resume_after_log_loss(tmp_path, lambda lines: [l for i, l in enumerate(lines) if i not in lost])
+        assert message == (
+            f"{tmp_path / TRAIN_LOG}: no line for epoch {first_missing}, which the checkpoint has passed; cannot resume"
+        )
+
+    def test_resume_refuses_a_missing_log(self, tmp_path):
+        message = self.resume_after_log_loss(tmp_path, lambda lines: None)
+        assert message.startswith(f"{tmp_path / TRAIN_LOG}: no line for epoch 0,")
+
     @pytest.mark.parametrize("bad", [b"not json", b"[0]", b'{"loss": 1.0}', b'{"epoch": "0"}', b'{"epoch": true}'])
     def test_garbled_log_line_names_file_and_line(self, tmp_path, bad):
         log = tmp_path / TRAIN_LOG
