@@ -41,8 +41,9 @@ columns, and never more.
 A model reads a sequence longer than its max_tokens through a
 max_tokens-long view centered on each character, clamped at the edges
 (model.py).  The centers that share a view share one segment, and one
-extract_branch call takes every segment of one branch of a batch: one
-product table per convolution serves all of them.  The call cuts its
+extract_branch call takes every segment of one branch of a batch, as flat
+arrays with one length and one center count per segment: one product
+table per convolution serves all of them.  The call cuts its
 segments into chunks for the token term's window sums and the pooling
 only: a chunk takes segments until its token term would pass a fixed
 element budget (_CALL_ELEMENTS), and at least one, so it holds one view
@@ -260,35 +261,32 @@ def _pooled_at(
 def extract_branch(
     store: ParamStore,
     prefix: str,
-    segments: Sequence[tuple[np.ndarray, np.ndarray]],
+    tokens: np.ndarray,
+    lengths: np.ndarray,
+    cols: np.ndarray,
+    counts: np.ndarray,
     config: ExtractorConfig,
     for_backward: bool = True,
 ) -> BranchCache:
-    """Feature vectors of one branch for the centers of one or more token sequences.
+    """Feature vectors of one branch for the centers of one or more token sequences, the segments.
 
-    `segments` holds (token ids, center indices into them) per sequence;
-    the result has one row per center, segment after segment.  Each
-    convolution multiplies its distinct input rows once for all segments
-    (ndcore.window_products); the token term's window sums and the pooling
-    run chunk by chunk (_CALL_ELEMENTS), and the offset term, the lexical
-    window, tanh and the projection once over all centers.  With
-    for_backward the pooling finds each pooled value's row once
-    (split_argmax) and the cache keeps those rows for branch_backward;
+    Segment s holds the next lengths[s] ids of tokens and the next
+    counts[s] center indices into them of cols; the result has one row per
+    center of cols.  Each convolution multiplies its distinct input rows
+    once for all segments (ndcore.window_products); the token term's window
+    sums and the pooling run chunk by chunk (_CALL_ELEMENTS), and the
+    offset term, the lexical window, tanh and the projection once over all
+    centers.  With for_backward the pooling finds each pooled value's row
+    once (split_argmax) and the cache keeps those rows for branch_backward;
     without it the pooling takes the values only (split_max_pool).
     """
-    if not segments:
+    tokens, lengths, cols, counts = (np.asarray(a, dtype=np.int64) for a in (tokens, lengths, cols, counts))
+    if tokens.ndim != 1 or cols.ndim != 1 or lengths.ndim != 1 or counts.shape != lengths.shape:
+        raise ShapeError("token ids and center indices must be 1-d, with one length and one count per segment")
+    if lengths.shape[0] == 0 or lengths.min() < 1:
         raise ShapeError("cannot extract features from an empty token sequence")
-    # every segment's ids back to back, and its centers; the per-segment work is a len() each
-    try:
-        tokens, cols = (np.concatenate(parts, dtype=np.int64, casting="unsafe") for parts in zip(*segments))
-        lengths = np.array([len(ids) for ids, _ in segments])
-        counts = np.array([len(c) for _, c in segments])
-    except (TypeError, ValueError) as exc:
-        raise ShapeError(f"each segment needs 1-d token ids and 1-d center indices: {exc}") from exc
-    if tokens.ndim != 1 or cols.ndim != 1:
-        raise ShapeError("token ids and center indices must be a 1-d list per segment")
-    if not lengths.all():
-        raise ShapeError("cannot extract features from an empty token sequence")
+    if lengths.sum() != tokens.shape[0] or counts.min() < 0 or counts.sum() != cols.shape[0]:
+        raise ShapeError(f"segment lengths {lengths.tolist()} and counts {counts.tolist()} do not cut the tokens and centers")
     if cols.shape[0] == 0:
         raise ShapeError("no centers to extract features for")
     tok_emb = store[f"{prefix}.tok_emb"].value

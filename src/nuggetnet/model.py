@@ -12,11 +12,11 @@ CharEncoderBase, which builds the encoder and the output layer, owns the
 one checkpoint layout, and trains every kind through one loss over
 (sentence, char, gold class) rows; a wordwise row enters at its word's
 first character.  A batch's plumbing costs a fixed number of numpy calls:
-each sentence's ids are encoded once and kept on it, _groups_of groups
-the rows by sentence with one argsort, and _branch_rows indexes a
-branch's centers and views with one np.unique.  `load_model` opens any
-kind through MODEL_CLASSES, with its weights alone unless asked for the
-Adadelta state to resume.
+each sentence keeps its ids (AnnotatedSentence.ids), a row is one
+(sentence, character) pair, and _branch_rows indexes a branch's centers
+and views with one np.unique and gathers their tokens in one step.
+`load_model` opens any kind through MODEL_CLASSES, with its weights alone
+unless asked for the Adadelta state to resume.
 
 Inference has one path for every kind, `predict_corpus`.  It packs whole
 sentences, in order, into one forward until the next would pass a fixed
@@ -29,6 +29,7 @@ word classifier reads one row per word.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -83,7 +84,7 @@ class SentenceEncoding:
     (AnnotatedSentence.ids), shared by every encoding of it; the id array
     of a branch the model does not use is None.
 
-    Inference (`predict_corpus`) never fills `rows`.  It serves only
+    Training and `predict_corpus` make none.  `rows` serves only
     char_distributions, the per-character accessor kept for perfbench's
     decode gate and the test oracle; it is a snapshot of the weights at the
     first call.  Encode the sentence again after changing them.
@@ -100,7 +101,15 @@ def _view_starts(n, centers: np.ndarray, max_tokens: int) -> np.ndarray:
 
     n is the sequence's length, or an array of one length per center.
     """
-    return np.clip(centers - max_tokens // 2, 0, np.maximum(np.subtract(n, max_tokens), 0))
+    return np.minimum(np.maximum(centers - max_tokens // 2, 0), np.maximum(np.subtract(n, max_tokens), 0))
+
+
+def _lengths_holding(seqs: Sequence[np.ndarray], seq: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The length of each sequence; ShapeError unless every at[r] indexes sequence seqs[seq[r]]."""
+    lengths = np.array([ids.shape[0] for ids in seqs])
+    if ((at < 0) | (at >= lengths[seq])).any():
+        raise ShapeError(f"indices {at.tolist()} must lie inside their sequences of lengths {lengths.tolist()}")
+    return lengths
 
 
 @dataclass
@@ -120,47 +129,43 @@ def _branch_rows(
     store: ParamStore,
     config: ModelConfig,
     prefix: str,
-    groups: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    seqs: Sequence[np.ndarray],
+    seq: np.ndarray,
+    centers: np.ndarray,
     for_backward: bool = True,
 ) -> _BranchRows:
-    """Features of one branch for (token ids, centers, batch rows) per sentence, in one extract_branch call.
+    """Features of one branch for batch rows, row r centered on token centers[r] of seqs[seq[r]], in one extract_branch call.
 
-    Each distinct center of a sentence is computed once.  Each
-    max_tokens-long view a sentence needs is one segment; extract_branch
+    Each distinct (sequence, center) is computed once.  Each
+    max_tokens-long view a sequence needs is one segment; extract_branch
     bounds its working memory itself, by running the token term's window
     sums and the pooling over chunks of consecutive segments.  for_backward tells
     extract_branch whether branch_backward follows: only then does the
     cache keep each pooled value's argmax row.  The cache keeps no token or
     offset term.
 
-    The index takes a fixed number of numpy calls, however many sentences
-    there are: one np.unique over (sentence, center) keys orders the
-    distinct centers by sentence, then by center, and its inverse gives
-    each batch row's cache row.  A segment is a run of one (sentence, view
-    start), so views keep the order of their starts.
+    The index takes a fixed number of numpy calls, however many sequences
+    there are: one np.unique over (sequence, center) keys orders the
+    distinct centers by sequence, then by center, and its inverse is each
+    row's cache row.  A segment is a run of one (sequence, view start), so
+    views keep the order of their starts, and one gather from the
+    sequences back to back takes every view's tokens.
     """
-    seqs = [ids for ids, _, _ in groups]
-    lengths = np.array([ids.shape[0] for ids in seqs])
-    row_seq = np.repeat(np.arange(len(seqs)), [c.shape[0] for _, c, _ in groups])
-    row_center = np.concatenate([c for _, c, _ in groups])
-    if np.any((row_center < 0) | (row_center >= lengths[row_seq])):
-        raise ShapeError(f"centers {row_center.tolist()} must lie inside their sequences of lengths {lengths.tolist()}")
+    lengths = _lengths_holding(seqs, seq, centers)
     width = int(lengths.max())
-    keys, slot = np.unique(row_seq * width + row_center, return_inverse=True)
+    keys, cache_row = np.unique(seq * width + centers, return_inverse=True)
     seq, centers = np.divmod(keys, width)
     starts = _view_starts(lengths[seq], centers, config.max_tokens)
-    cut = np.flatnonzero((seq[1:] != seq[:-1]) | (starts[1:] != starts[:-1])) + 1
-    bounds = [0, *cut.tolist(), keys.shape[0]]
-    firsts = bounds[:-1]
-    centers -= starts
-    segments = [
-        (seqs[g][start : start + config.max_tokens], centers[a:b])
-        for g, start, a, b in zip(seq[firsts].tolist(), starts[firsts].tolist(), firsts, bounds[1:])
-    ]
-    rows = np.concatenate([r for _, _, r in groups])
-    cache_row = np.empty(rows.shape[0], dtype=np.int64)
-    cache_row[rows] = slot
-    cache = extract_branch(store, prefix, segments, config.extractor, for_backward)
+    view = keys - centers + starts  # seq * width + start: one value per view
+    edges = np.flatnonzero(np.concatenate(([True], view[1:] != view[:-1], [True])))
+    firsts, counts = edges[:-1], edges[1:] - edges[:-1]
+    view_seq, view_start = seq[firsts], starts[firsts]
+    view_len = np.minimum(lengths[view_seq] - view_start, config.max_tokens)
+    # token t of a view is token view_start + t of its sequence, which sits at that sequence's offset back to back
+    ends = view_len.cumsum()
+    first_token = (lengths.cumsum() - lengths)[view_seq] + view_start
+    tokens = np.concatenate(seqs)[(first_token - ends + view_len).repeat(view_len) + np.arange(ends[-1])]
+    cache = extract_branch(store, prefix, tokens, view_len, centers - starts, counts, config.extractor, for_backward)
     return _BranchRows(prefix, cache, cache_row)
 
 
@@ -233,43 +238,29 @@ class CharEncoderBase:
         char_ids, word_ids, char_to_word = sentence.ids(self.vocab)
         return SentenceEncoding(char_ids if cfg.use_chars else None, word_ids if cfg.use_words else None, char_to_word)
 
-    def _groups_of(self, sentences: Sequence[AnnotatedSentence], chars: Sequence[int]) -> list[tuple]:
-        """(encoding, chars[rows], rows) per distinct sentence object, in order of first appearance.
-
-        One stable argsort orders the rows by sentence, so each group's
-        chars and rows are slices of two arrays.
-        """
-        keys = list(map(id, sentences))
-        distinct = dict(zip(keys, sentences))
-        group_of = {key: g for g, key in enumerate(distinct)}
-        group = np.array([group_of[key] for key in keys])
-        rows = np.argsort(group, kind="stable")
-        chars = np.asarray(chars, dtype=np.int64)[rows]
-        bounds = np.cumsum(np.bincount(group)).tolist()
-        return [
-            (self.encode_sentence(s), chars[a:b], rows[a:b])
-            for s, a, b in zip(distinct.values(), [0, *bounds], bounds)
-        ]
-
     def _forward(
         self,
-        groups: Sequence[tuple[SentenceEncoding, np.ndarray, np.ndarray]],
+        ids: Sequence[tuple[np.ndarray | None, np.ndarray | None, np.ndarray]],
+        sent: np.ndarray,
+        chars: np.ndarray,
         drop_rng: np.random.Generator | None = None,
         for_backward: bool = True,
     ) -> _Forward:
-        """Head inputs for (encoding, char indices, batch rows) groups, one per sentence.
+        """Head inputs for batch rows, row r at character chars[r] of sentence sent[r].
 
-        All sentences share the kernel calls.  Inference passes
-        for_backward=False: no branch finds an argmax.
+        ids holds each sentence's (char ids, word ids, char_to_word), as
+        AnnotatedSentence.ids gives them.  All sentences share the kernel
+        calls.  Inference passes for_backward=False: no branch finds an argmax.
         """
         cfg = self.config.extractor
         branches = []
         if cfg.use_chars:
-            char_groups = [(enc.char_ids, chars, rows) for enc, chars, rows in groups]
-            branches.append(_branch_rows(self.store, self.config, "char", char_groups, for_backward))
+            branches.append(_branch_rows(self.store, self.config, "char", [i[0] for i in ids], sent, chars, for_backward))
         if cfg.use_words:
-            word_groups = [(enc.word_ids, enc.char_to_word[chars], rows) for enc, chars, rows in groups]
-            branches.append(_branch_rows(self.store, self.config, "word", word_groups, for_backward))
+            maps = [i[2] for i in ids]
+            n = _lengths_holding(maps, sent, chars)
+            words = np.concatenate(maps)[(n.cumsum() - n)[sent] + chars]
+            branches.append(_branch_rows(self.store, self.config, "word", [i[1] for i in ids], sent, words, for_backward))
         fp = {b.prefix: b.fp for b in branches}
         fusion = fuse(self.store, cfg, fp.get("char"), fp.get("word"))
         f_nugget, f_type = fusion.f_nugget, fusion.f_type
@@ -298,7 +289,13 @@ class CharEncoderBase:
         Both streams share one forward pass; grads accumulate.
         """
         rows = [*rows_a, *rows_b]
-        fwd = self._forward(self._groups_of([r[0] for r in rows], [r[1] for r in rows]), drop_rng)
+        # each distinct sentence object once, in order of first appearance, with no call per row
+        sentences = [r[0] for r in rows]
+        keys = list(map(id, sentences))
+        distinct = dict(zip(keys, sentences))
+        slot = {key: k for k, key in enumerate(distinct)}
+        ids = [s.ids(self.vocab) for s in distinct.values()]
+        fwd = self._forward(ids, np.array([slot[key] for key in keys]), np.array([r[1] for r in rows]), drop_rng)
         features, cut = (fwd.f_nugget, fwd.f_type), len(rows_a)
         grads = [np.zeros_like(f) for f in features]
         loss = 0.0
@@ -312,7 +309,8 @@ class CharEncoderBase:
 
     def _sentence_forward(self, enc: SentenceEncoding) -> _Forward:
         every_char = np.arange(enc.char_to_word.shape[0])
-        return self._forward([(enc, every_char, every_char)], for_backward=False)
+        ids = [(enc.char_ids, enc.word_ids, enc.char_to_word)]
+        return self._forward(ids, np.zeros_like(every_char), every_char, for_backward=False)
 
     # -- inference ---------------------------------------------------------
 
@@ -356,11 +354,12 @@ class CharEncoderBase:
         """
         out = {}
         for pack in self._packs(sentences):
-            groups, bounds = [], [0]
-            for sentence, chars in pack:
-                bounds.append(bounds[-1] + chars.shape[0])
-                groups.append((self.encode_sentence(sentence), chars, np.arange(bounds[-2], bounds[-1])))
-            probs = self._probabilities(self._forward(groups, for_backward=False))
+            counts = [chars.shape[0] for _, chars in pack]
+            ids = [sentence.ids(self.vocab) for sentence, _ in pack]
+            sent, chars = np.arange(len(pack)).repeat(counts), np.concatenate([c for _, c in pack])
+            # the forward's caches die here, before the next pack's forward allocates its own
+            probs = self._probabilities(self._forward(ids, sent, chars, for_backward=False))
+            bounds = [0, *accumulate(counts)]
             for (sentence, _), lo, hi in zip(pack, bounds, bounds[1:]):
                 out[sentence.key] = self._decode(sentence, tuple(p[lo:hi] for p in probs), stats)
         return out
@@ -397,6 +396,8 @@ class CharEncoderBase:
             vocab = Vocabulary.from_json(meta.get("vocab"))
             if not (is_a(names, "tuple[str, ...]") and names):
                 raise CheckpointError(f"subtypes must be a non-empty list of names, got {names!r}")
+            if len(set(names)) < len(names):
+                raise CheckpointError(f"subtypes lists {next(n for k, n in enumerate(names) if n in names[:k])!r} twice")
             rng_seed = check_value(meta.get("rng_seed", 0), "int", "rng_seed", CheckpointError)
             check_bound(TrainConfig, "rng_seed", rng_seed, "rng_seed")
             subtypes = SubtypeInventory(names)

@@ -76,8 +76,8 @@ def evaluate_model(model, corpus: Sequence[AnnotatedSentence]) -> dict:
     return {"identification_f1": ident.f1, "classification_f1": cls.f1}
 
 
-def _truncate_log(log_path: str, last_epoch: int) -> None:
-    """Drop what a crash after last_epoch's checkpoint left in the log: later epochs' lines and a torn last line.
+def resumable_log(log_path: str, last_epoch: int) -> list[bytes] | None:
+    """The log lines a resume after last_epoch keeps, None for all; it drops a crash's later lines and torn last line.
 
     A complete line that is not a JSON object with an integer "epoch"
     raises NuggetError naming it, and so does a log (or its absence) that
@@ -104,8 +104,7 @@ def _truncate_log(log_path: str, last_epoch: int) -> None:
     missing = min(set(range(last_epoch + 1)) - epochs, default=None)
     if missing is not None:
         raise NuggetError(f"{log_path}: no line for epoch {missing}, which the checkpoint has passed; cannot resume")
-    if len(kept) < len(lines):
-        write_atomically(log_path, kept)
+    return kept if len(kept) < len(lines) else None
 
 
 def train(
@@ -146,7 +145,9 @@ def train(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         if resume_state is not None:
-            _truncate_log(log_path, state.epoch)
+            kept = resumable_log(log_path, state.epoch)
+            if kept is not None:
+                write_atomically(log_path, kept)
         elif os.path.exists(log_path):
             os.remove(log_path)
 

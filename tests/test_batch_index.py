@@ -1,7 +1,9 @@
-"""The batch index: ids encoded once per sentence, rows grouped and indexed with a fixed number of calls."""
+"""The batch index: ids kept once per sentence, rows indexed by one flat index with a fixed number of calls."""
 
 import dataclasses
+import gc
 import sys
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,7 @@ from nuggetnet.errors import ShapeError
 from nuggetnet.model import CharSpanModel, ModelConfig, _branch_rows
 
 from batch_reference import reference_groups, reference_index
-from util import small_extractor, small_model
+from util import branch_rows_of, extract_segments, flat_segments, small_extractor, small_model
 
 ALPHABET = "甲乙丙丁戊己"
 
@@ -53,35 +55,46 @@ def batch_cases(draw):
     return model, [s for s, _ in rows], [c for _, c in rows]
 
 
+def loss_forward(model, batch, chars):
+    """The _Forward of one _loss step over (batch[r], chars[r]) rows, the first half through head 0, and its extract_branch calls."""
+    forwards = []
+    original = CharSpanModel._forward
+
+    def recording(self, *args, **kwargs):
+        forwards.append(original(self, *args, **kwargs))
+        return forwards[-1]
+
+    rows = [(s, c, 0) for s, c in zip(batch, chars)]
+    cut = max(1, len(rows) // 2)
+    with (
+        mock.patch.object(CharSpanModel, "_forward", recording),
+        mock.patch.object(nmodel, "extract_branch", wraps=extract_branch) as spy,
+    ):
+        model._loss(rows[:cut], rows[cut:], None)
+    (fwd,) = forwards
+    return fwd, spy.call_args_list
+
+
 @given(batch_cases())
 @settings(max_examples=60, deadline=None)
 def test_batch_index_matches_the_per_sentence_one(case):
+    # a training step's flat index gives the per-sentence reference's segments, in order, and cache rows
     model, batch, chars = case
-    groups = model._groups_of(batch, chars)
+    fwd, calls = loss_forward(model, batch, chars)
     expected = reference_groups(model, batch, chars)
-    assert len(groups) == len(expected)
-    for (enc, c, rows), (ref_enc, ref_c, ref_rows) in zip(groups, expected):
-        same_array(c, ref_c)
-        same_array(rows, ref_rows)
-        for name in ("char_ids", "word_ids", "char_to_word"):
-            same_array(getattr(enc, name), getattr(ref_enc, name))
-    with mock.patch.object(nmodel, "extract_branch", wraps=extract_branch) as spy:
-        fwd = model._forward(groups)
     branch_groups = {
         "char": [(enc.char_ids, c, rows) for enc, c, rows in expected],
         "word": [(enc.word_ids, enc.char_to_word[c], rows) for enc, c, rows in expected],
     }
-    assert [call.args[1] for call in spy.call_args_list] == ["char", "word"]
-    for branch, call in zip(fwd.branches, spy.call_args_list):
+    assert [call.args[1] for call in calls] == ["char", "word"]
+    for branch, call in zip(fwd.branches, calls):
         segments, cache_row = reference_index(branch_groups[branch.prefix], model.config.max_tokens)
-        assert len(call.args[2]) == len(segments)
-        for (ids, centers), (ref_ids, ref_centers) in zip(call.args[2], segments):
-            same_array(ids, ref_ids)
-            same_array(centers, ref_centers)
+        for got, want in zip(call.args[2:6], flat_segments(segments)):
+            same_array(got, want)
         same_array(branch.cache_row, cache_row)
-        ref = extract_branch(model.store, branch.prefix, segments, model.config.extractor)
-        for name in ("feature", "fp", "arg_rows", "centers", "lo"):
-            same_array(getattr(branch.cache, name), getattr(ref, name))
+        ref = extract_segments(model.store, branch.prefix, segments, model.config.extractor)
+        for name, value in vars(branch.cache).items():
+            same_array(value, getattr(ref, name))
 
 
 @given(
@@ -107,22 +120,20 @@ def test_branch_rows_index_any_groups(lengths, picks, max_tokens, seed):
         batch.append((ids, np.array(centers), perm[k : k + len(centers)]))
         k += len(centers)
     with mock.patch.object(nmodel, "extract_branch", wraps=extract_branch) as spy:
-        branch = _branch_rows(model.store, config, "char", batch)
+        branch = branch_rows_of(model.store, config, "char", batch)
     segments, cache_row = reference_index(batch, max_tokens)
-    ((_, _, got, *_), _), = spy.call_args_list
-    assert len(got) == len(segments)
-    for (ids, centers), (ref_ids, ref_centers) in zip(got, segments):
-        same_array(ids, ref_ids)
-        same_array(centers, ref_centers)
+    (call,) = spy.call_args_list
+    for got, want in zip(call.args[2:6], flat_segments(segments)):
+        same_array(got, want)
     same_array(branch.cache_row, cache_row)
-    ref = extract_branch(model.store, "char", segments, model.config.extractor)
+    ref = extract_segments(model.store, "char", segments, model.config.extractor)
     same_array(branch.fp, ref.fp[cache_row])
 
 
 def test_out_of_range_center_is_refused():
     model = alphabet_model()
     with pytest.raises(ShapeError, match="must lie inside"):
-        _branch_rows(model.store, model.config, "char", [(np.array([2, 3]), np.array([2]), np.array([0]))])
+        branch_rows_of(model.store, model.config, "char", [(np.array([2, 3]), np.array([2]), np.array([0]))])
 
 
 def test_encodings_are_fresh_and_share_read_only_ids(corpus3):
@@ -156,29 +167,58 @@ def test_another_vocabulary_does_not_reuse_the_ids(corpus3):
     assert model.encode_sentence(sentence).char_ids.tolist() == own.tolist()
 
 
-def branch_rows_calls(n_sentences: int) -> int:
-    """Python and builtin calls that one _branch_rows call makes for a batch of distinct sentences."""
-    model = alphabet_model()
-    rng = np.random.default_rng(n_sentences)
-    groups, row = [], 0
-    for n in rng.integers(5, 15, size=n_sentences).tolist():
-        centers = rng.choice(n, size=2, replace=False)
-        groups.append((rng.integers(2, model.vocab.n_chars, size=n), centers, np.arange(row, row + 2)))
-        row += 2
+def calls_made(fn, *args) -> int:
+    """Python and builtin calls that fn(*args) makes; AnnotatedSentence.ids counts as one, its own calls with it."""
+    ids_code = AnnotatedSentence.ids.__code__
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
-        calls += event in ("call", "c_call")
+        calls += event == "call" or (event == "c_call" and frame.f_code is not ids_code)
 
-    with mock.patch.object(nmodel, "extract_branch", lambda *args, **kwargs: None):
-        previous = sys.getprofile()
-        sys.setprofile(count)
-        try:
-            _branch_rows(model.store, model.config, "char", groups)
-        finally:
-            sys.setprofile(previous)
+    previous = sys.getprofile()
+    gc.disable()  # a collection would add the finalizers of other tests' garbage
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
     return calls
+
+
+def branch_rows_calls(n_sentences: int) -> int:
+    """Calls that one _branch_rows call makes for a batch of distinct sentences, two rows each."""
+    model = alphabet_model()
+    rng = np.random.default_rng(n_sentences)
+    seqs, centers = [], []
+    for n in rng.integers(5, 15, size=n_sentences).tolist():
+        seqs.append(rng.integers(2, model.vocab.n_chars, size=n))
+        centers.extend(rng.choice(n, size=2, replace=False).tolist())
+    seq = np.repeat(np.arange(n_sentences), 2)
+    with mock.patch.object(nmodel, "extract_branch", lambda *args, **kwargs: None):
+        return calls_made(_branch_rows, model.store, model.config, "char", seqs, seq, np.array(centers))
+
+
+def loss_calls(n_sentences: int) -> int:
+    """Calls that one _loss step makes, kernels stubbed, for distinct sentences whose ids are kept, two rows each."""
+    model = alphabet_model()
+    rng = np.random.default_rng(n_sentences)
+    rows = []
+    for k, n in enumerate(rng.integers(5, 15, size=n_sentences).tolist()):
+        text = "".join(rng.choice(list(ALPHABET), size=n).tolist())
+        sentence = AnnotatedSentence("d", f"s{k}", text, tuple((i, i) for i in range(n)), ())
+        sentence.ids(model.vocab)  # kept from the first epoch on
+        rows.extend((sentence, c, 0) for c in rng.choice(n, size=2, replace=False).tolist())
+
+    def extract(store, prefix, tokens, lengths, cols, counts, config, for_backward):
+        return SimpleNamespace(fp=np.zeros((cols.shape[0], config.proj_dim)))
+
+    with (
+        mock.patch.object(nmodel, "extract_branch", extract),
+        mock.patch.object(nmodel, "branch_backward", lambda *args: None),
+    ):
+        return calls_made(model._loss, rows[::2], rows[1::2], None)
 
 
 def test_branch_rows_makes_no_call_per_sentence():
@@ -186,3 +226,6 @@ def test_branch_rows_makes_no_call_per_sentence():
     # add at least one call for each sentence added
     few, many = branch_rows_calls(8), branch_rows_calls(64)
     assert many - few < 64 - 8, (few, many)
+    # a whole step adds one call per sentence, reading its kept ids, and none per row
+    few, many = loss_calls(8), loss_calls(64)
+    assert many - few <= 64 - 8, (few, many)

@@ -429,6 +429,20 @@ class TestTrainPredictEval:
         assert err.startswith(f"error: {run_dir / RESOLVED}: missing")
         assert not (run_dir / RESOLVED).exists()
 
+    def test_resume_without_the_log_leaves_resolved_config(self, pipeline, tmp_path, capsys):
+        # the log check refuses the resume before resolved_config.json is replaced, as every other check does
+        def lose_log(cfg):
+            cfg["training"]["epochs"] = 4
+            (tmp_path / "run" / TRAIN_LOG).unlink()
+
+        capsys.readouterr()
+        rc, run_dir = self.resume_in_copy(pipeline, tmp_path, lose_log)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / TRAIN_LOG}: no line for epoch 0,")
+        _, _, out_dir, _ = pipeline
+        assert (run_dir / RESOLVED).read_bytes() == (out_dir / RESOLVED).read_bytes()
+
     def test_resume_may_extend_epochs(self, pipeline, tmp_path):
         rc, run_dir = self.resume_in_copy(pipeline, tmp_path, lambda cfg: cfg["training"].update(epochs=3))
         assert rc == 0

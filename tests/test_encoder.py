@@ -17,18 +17,17 @@ from nuggetnet.encoder import (
     HybridMode,
     _pooled_at,
     branch_backward,
-    extract_branch,
     fuse,
     fuse_backward,
     load_embeddings_file,
     register_encoder_params,
 )
 from nuggetnet.errors import ConfigError, ShapeError, from_json
-from nuggetnet.model import ModelConfig, _backward_rows, _branch_rows, _view_starts
+from nuggetnet.model import ModelConfig, _backward_rows, _view_starts
 from nuggetnet.ndcore import ParamStore, grad_check, sigmoid, split_argmax, split_max_pool
 
 from branch_reference import reference_branch, reference_view
-from util import small_extractor, small_model, toy_corpus, widen_params
+from util import branch_rows_of, extract_segments, small_extractor, small_model, toy_corpus, widen_params
 
 
 def branch_store(config, n_tokens=12, seed=3, widen=True):
@@ -99,7 +98,7 @@ class TestRegistration:
 
 
 def one_sequence(store, ids, centers, cfg):
-    return extract_branch(store, "char", [(np.array(ids), np.array(centers))], cfg)
+    return extract_segments(store, "char", [(np.array(ids), np.array(centers))], cfg)
 
 
 def extract_with_terms(store, segments, cfg):
@@ -109,7 +108,7 @@ def extract_with_terms(store, segments, cfg):
     split_argmax call received them; the cache keeps neither term.
     """
     with mock.patch.object(nencoder, "split_argmax", wraps=split_argmax) as spy:
-        cache = extract_branch(store, "char", segments, cfg)
+        cache = extract_segments(store, "char", segments, cfg)
     (args, _), = spy.call_args_list
     return cache, args
 
@@ -175,10 +174,10 @@ class TestExtractBranch:
         config = ModelConfig(extractor=cfg, max_tokens=16)
         n = 80
         groups = [(np.arange(2, 2 + n), np.arange(n), np.arange(n))]
-        branch = _branch_rows(store, config, "char", groups, for_backward=False)
+        branch = branch_rows_of(store, config, "char", groups, for_backward=False)
         assert n_segments(branch) == len(set(_view_starts(n, np.arange(n), 16).tolist())) > n // 2
         assert per_center_only(branch.cache) and branch.cache.arg_rows is None
-        npt.assert_array_equal(branch.fp, _branch_rows(store, config, "char", groups).fp)
+        npt.assert_array_equal(branch.fp, branch_rows_of(store, config, "char", groups).fp)
 
     def test_training_keeps_no_filter_map(self):
         # a training cache keeps each pooled value's argmax row, but neither term past the forward pass
@@ -186,7 +185,7 @@ class TestExtractBranch:
         store = branch_store(cfg, n_tokens=140)
         config = ModelConfig(extractor=cfg, max_tokens=16)
         groups = [(np.arange(2, 82), np.arange(80), np.arange(80)), (np.arange(2, 12), np.arange(10), np.arange(80, 90))]
-        branch = _branch_rows(store, config, "char", groups)
+        branch = branch_rows_of(store, config, "char", groups)
         assert n_segments(branch) > 10
         assert per_center_only(branch.cache)
         assert branch.cache.arg_rows.shape == (branch.cache.fp.shape[0], 2 * cfg.n_filters)
@@ -199,20 +198,35 @@ class TestExtractBranch:
         with pytest.raises(ShapeError):
             one_sequence(store, np.array([], dtype=np.int64), [0], cfg)
         with pytest.raises(ShapeError):
-            extract_branch(store, "char", [], cfg)
+            extract_segments(store, "char", [], cfg)
 
     def test_no_centers_rejected(self):
         cfg = small_extractor()
         store = branch_store(cfg)
         with pytest.raises(ShapeError, match="no centers"):
-            extract_branch(store, "char", [([2, 3, 4], []), ([5, 6], [])], cfg)
+            extract_segments(store, "char", [([2, 3, 4], []), ([5, 6], [])], cfg)
+
+    def test_lengths_and_counts_must_cut_the_flat_arrays(self):
+        cfg = small_extractor()
+        store = branch_store(cfg)
+        tokens, lengths, cols, counts = np.array([2, 3, 4]), np.array([3]), np.array([0, 2]), np.array([2])
+        for bad in (
+            (tokens[:2], lengths, cols, counts),  # fewer tokens than the lengths add up to
+            (tokens, lengths, cols, counts + 1),  # more centers counted than given
+            (tokens, lengths, cols, np.array([2, 0])),  # a count without a length
+            (tokens, np.array([4, -1]), cols, np.array([1, 1])),  # a negative length
+            (tokens, lengths, cols[:, None], counts),  # centers not 1-d
+        ):
+            with pytest.raises(ShapeError):
+                nencoder.extract_branch(store, "char", *bad, cfg)
+        nencoder.extract_branch(store, "char", tokens, lengths, cols, counts, cfg)
 
     def test_segments_match_separate_calls(self):
         cfg = small_extractor()
         store = branch_store(cfg)
         a = ([2, 3, 4, 5, 6, 7, 8], [0, 3, 6])
         b = ([9, 10, 11], [2, 1])
-        both = extract_branch(store, "char", [a, b], cfg)
+        both = extract_segments(store, "char", [a, b], cfg)
         alone = np.concatenate([one_sequence(store, *seg, cfg).fp for seg in (a, b)])
         npt.assert_allclose(both.fp, alone, rtol=0, atol=1e-14)
 
@@ -223,7 +237,7 @@ class TestExtractBranch:
         target = np.arange(4 * cfg.proj_dim, dtype=np.float64).reshape(4, -1) / 10
 
         def closure():
-            cache = extract_branch(store, "char", segments, cfg)
+            cache = extract_segments(store, "char", segments, cfg)
             loss = 0.5 * float(np.sum((cache.fp - target) ** 2))
             branch_backward(store, "char", cache, cache.fp - target, cfg)
             return loss
@@ -339,7 +353,7 @@ class TestKernelMatchesReference:
         expected = np.concatenate(split_max_pool(token_term, offset_term, centers, lo, hi), axis=1)
         npt.assert_array_equal(pooled.view(np.int64), expected.view(np.int64))
         assert np.all(pooled[centers == lo, : cfg.n_filters] == 0.0)
-        decoded = extract_branch(store, "char", segments, cfg, for_backward=False)
+        decoded = extract_segments(store, "char", segments, cfg, for_backward=False)
         npt.assert_array_equal(cache.feature.view(np.int64), decoded.feature.view(np.int64))
         npt.assert_array_equal(cache.fp.view(np.int64), decoded.fp.view(np.int64))
 
@@ -350,7 +364,7 @@ class TestKernelMatchesReference:
         store = branch_store(cfg, n_tokens=140, seed=seed)
         config = ModelConfig(extractor=cfg, max_tokens=max_tokens)
         rows = np.arange(len(centers))
-        branch = _branch_rows(store, config, "char", [(ids, np.array(centers), rows)])
+        branch = branch_rows_of(store, config, "char", [(ids, np.array(centers), rows)])
         for row, c in enumerate(centers):
             ref = reference_view(store, "char", ids, c, cfg, max_tokens)
             npt.assert_allclose(branch.fp[row], ref.fp, rtol=0, atol=1e-12)
@@ -372,7 +386,7 @@ class TestKernelMatchesReference:
             tokens = rng.permutation(np.arange(2, 140)).tolist()
             all_ids = [tokens[a:b] for a, b in ((0, 1), (1, 3), (3, 10), (10, 12), (12, 42), (42, 55))]
         segments = [(np.array(ids), np.arange(len(ids))) for ids in all_ids]
-        cache = extract_branch(store, "char", segments, cfg)
+        cache = extract_segments(store, "char", segments, cfg)
         n_tokens = sum(map(len, all_ids))
         expected = {PAD_ID, 2, 3} if vocab == "repeated" else {PAD_ID, *sum(all_ids, [])}
         assert set(cache.tok_distinct.tolist()) == expected
@@ -386,7 +400,7 @@ class TestKernelMatchesReference:
                 npt.assert_allclose(cache.fp[row], ref.fp, rtol=0, atol=1e-12)
                 row += 1
         assert row == cache.fp.shape[0]
-        decoded = extract_branch(store, "char", segments, cfg, for_backward=False)
+        decoded = extract_segments(store, "char", segments, cfg, for_backward=False)
         npt.assert_array_equal(cache.fp.view(np.int64), decoded.fp.view(np.int64))
 
     def test_grad_check_with_repeated_tokens_across_views(self):
@@ -403,12 +417,12 @@ class TestKernelMatchesReference:
         target = np.linspace(-0.5, 0.5, 7 * cfg.proj_dim).reshape(7, -1)
 
         def closure():
-            branch = _branch_rows(store, config, "char", groups)
+            branch = branch_rows_of(store, config, "char", groups)
             loss = 0.5 * float(np.sum((branch.fp - target) ** 2))
             _backward_rows(store, config, branch, branch.fp - target)
             return loss
 
-        branch = _branch_rows(store, config, "char", groups)
+        branch = branch_rows_of(store, config, "char", groups)
         assert n_segments(branch) == 5  # four views of the long sentence, one short sentence
         npt.assert_array_equal(branch.cache.tok_distinct, [PAD_ID, 2, 3])
         report = grad_check(closure, store, step=1e-5, tolerance=1e-5, coords_per_param=8, rng_seed=4)
@@ -426,12 +440,12 @@ class TestKernelMatchesReference:
         target = np.linspace(-0.5, 0.5, 7 * cfg.proj_dim).reshape(7, -1)
 
         def closure():
-            branch = _branch_rows(store, config, "char", groups)
+            branch = branch_rows_of(store, config, "char", groups)
             loss = 0.5 * float(np.sum((branch.fp - target) ** 2))
             _backward_rows(store, config, branch, branch.fp - target)
             return loss
 
-        branch = _branch_rows(store, config, "char", groups)
+        branch = branch_rows_of(store, config, "char", groups)
         npt.assert_array_equal(_view_starts(11, np.array([0, 5, 7, 10]), 6), [0, 2, 4, 5])
         # one segment per view of the long sentence, one for the short one, all in the branch's one call
         assert n_segments(branch) == 5
@@ -473,12 +487,12 @@ def test_call_passes_the_element_budget_only_with_one_view(n_filters, lengths, s
         groups.append((rng.integers(2, 140, size=n), centers, np.arange(row, row + centers.shape[0])))
         row += centers.shape[0]
     with (
-        mock.patch.object(nmodel, "extract_branch", wraps=extract_branch) as spy,
+        mock.patch.object(nmodel, "extract_branch", wraps=nencoder.extract_branch) as spy,
         mock.patch.object(nencoder, "split_argmax", wraps=split_argmax) as pools,
     ):
-        _branch_rows(store, config, "char", groups)
+        branch_rows_of(store, config, "char", groups)
     (call,) = spy.call_args_list
-    views = [ids.shape[0] for ids, _ in call.args[2]]
+    views = call.args[3].tolist()  # the segments' lengths
     assert len(views) == sum(len(set(_view_starts(len(g[0]), g[1], 120).tolist())) for g in groups)
     # each chunk pools once, over its own token term
     sizes = chunk_views(views, [c.args[0].shape[0] for c in pools.call_args_list], cfg.window)
@@ -516,7 +530,7 @@ class TestChunks:
         proj_w = store["char.proj_w"]
         proj_w.value = proj_w.value.view(Counting)
         with mock.patch.object(nencoder, "split_argmax", wraps=split_argmax) as pools:
-            branch = _branch_rows(store, config, "char", groups)
+            branch = branch_rows_of(store, config, "char", groups)
         assert pools.call_count == n_segments(branch) == 5  # one pooling pass per chunk
         assert matmuls == ["matmul"]
         matmuls.clear()
@@ -528,14 +542,14 @@ class TestChunks:
         target = np.linspace(-0.5, 0.5, 7 * config.extractor.proj_dim).reshape(7, -1)
 
         def closure():
-            branch = _branch_rows(store, config, "char", groups)
+            branch = branch_rows_of(store, config, "char", groups)
             loss = 0.5 * float(np.sum((branch.fp - target) ** 2))
             _backward_rows(store, config, branch, branch.fp - target)
             return loss
 
         closure()
         whole = {name: p.grad.copy() for name, p in store.items()}
-        fp = _branch_rows(store, config, "char", groups).fp
+        fp = branch_rows_of(store, config, "char", groups).fp
         store.zero_grads()
         monkeypatch.setattr(nencoder, "_CALL_ELEMENTS", 1)  # five chunks, one per segment
         with mock.patch.object(nencoder, "split_argmax", wraps=split_argmax) as pools:
@@ -543,7 +557,7 @@ class TestChunks:
         assert pools.call_count == 5
         for name, p in store.items():
             npt.assert_allclose(p.grad, whole[name], rtol=1e-12, atol=1e-15, err_msg=name)
-        npt.assert_allclose(_branch_rows(store, config, "char", groups).fp, fp, rtol=0, atol=1e-14)
+        npt.assert_allclose(branch_rows_of(store, config, "char", groups).fp, fp, rtol=0, atol=1e-14)
         report = grad_check(closure, store, step=1e-5, tolerance=1e-5, coords_per_param=6, rng_seed=3)
         assert report.passed, report.summary()
 
@@ -671,20 +685,19 @@ class TestDropout:
 
     def test_training_masks_are_seeded(self, corpus3):
         model = small_model(corpus3, dropout=0.5)
-        enc = model.encode_sentence(corpus3[0])
-        f1 = model._forward([(enc, np.array([1]), [0])], np.random.default_rng(9))
-        f2 = model._forward([(enc, np.array([1]), [0])], np.random.default_rng(9))
+        ids = [corpus3[0].ids(model.vocab)]
+        f1 = model._forward(ids, np.array([0]), np.array([1]), np.random.default_rng(9))
+        f2 = model._forward(ids, np.array([0]), np.array([1]), np.random.default_rng(9))
         npt.assert_array_equal(f1.f_nugget, f2.f_nugget)
         assert f1.masks is not None
-        f3 = model._forward([(enc, np.array([1]), [0])], np.random.default_rng(10))
+        f3 = model._forward(ids, np.array([0]), np.array([1]), np.random.default_rng(10))
         assert not np.array_equal(f1.masks[0], f3.masks[0])
 
     def test_masks_drawn_row_by_row(self, corpus3):
         # each row draws its nugget mask, then its type mask, as one instance at a time would
         model = small_model(corpus3, dropout=0.5)
-        enc_a, enc_b = (model.encode_sentence(s) for s in corpus3[:2])
-        groups = [(enc_a, np.array([1, 3]), [0, 2]), (enc_b, np.array([0]), [1])]  # rows a, b, a
-        fwd = model._forward(groups, np.random.default_rng(11))
+        ids = [s.ids(model.vocab) for s in corpus3[:2]]
+        fwd = model._forward(ids, np.array([0, 1, 0]), np.array([1, 0, 3]), np.random.default_rng(11))  # rows a, b, a
         rng = np.random.default_rng(11)
         d = model.config.extractor.fused_dim
         for row in range(3):
@@ -693,8 +706,7 @@ class TestDropout:
 
     def test_inference_applies_no_mask(self, corpus3):
         model = small_model(corpus3, dropout=0.5)
-        enc = model.encode_sentence(corpus3[0])
-        fwd = model._forward([(enc, np.array([1]), [0])])
+        fwd = model._forward([corpus3[0].ids(model.vocab)], np.array([0]), np.array([1]))
         assert fwd.masks is None
 
 

@@ -54,9 +54,9 @@ def kernel_calls(monkeypatch):
     calls = []
     extract, chunks = nmodel.extract_branch, nencoder._chunks
 
-    def counting(store, prefix, segments, config, for_backward):
+    def counting(store, prefix, *args):
         calls.append((prefix, []))
-        return extract(store, prefix, segments, config, for_backward)
+        return extract(store, prefix, *args)
 
     def chunking(lengths, n_filters):
         bounds = chunks(lengths, n_filters)
@@ -142,7 +142,7 @@ class TestCharSpanModel:
         rows = [model.char_distributions(enc, ci) for ci in range(len(corpus3[2].text))]
         assert enc.rows is not None
         for ci, (pn, pt) in enumerate(rows):
-            fwd = model._forward([(model.encode_sentence(corpus3[2]), np.array([ci]), [0])])
+            fwd = model._forward([corpus3[2].ids(model.vocab)], np.array([0]), np.array([ci]))
             npt.assert_allclose(pn, softmax(head_scores(model.store, "nugget", fwd.f_nugget))[0], atol=1e-15)
             npt.assert_allclose(pt, softmax(head_scores(model.store, "type", fwd.f_type))[0], atol=1e-15)
 
@@ -361,6 +361,18 @@ def test_bad_metadata_names_file(tmp_path, corpus3, kind, field, value):
     assert str(path) in str(info.value)
     if hasattr(value, "key"):  # checked as strictly as a run file's field: the message names it
         assert f"{field}." in str(info.value) and value.key in str(info.value)
+
+
+def test_repeated_subtype_is_bad_metadata(tmp_path, corpus3):
+    # the inventory would keep one "x" and the load fail later, on head.type_w's shape
+    model = small_model(corpus3)
+    path = tmp_path / "twice.ckpt"
+    meta = saved_meta(model, path)
+    assert len(meta["subtypes"]) == 2
+    save_checkpoint(path, model.store, {**meta, "subtypes": ["x", "x"]})
+    with pytest.raises(CheckpointError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: bad model metadata: subtypes lists 'x' twice"
 
 
 def test_tensor_mismatch_names_file(tmp_path, corpus3):

@@ -14,8 +14,8 @@ from nuggetnet.train import (
     TRAIN_LOG,
     TrainConfig,
     TrainerState,
-    _truncate_log,
     evaluate_model,
+    resumable_log,
     train,
 )
 
@@ -217,7 +217,7 @@ class TestDeterminism:
         log = tmp_path / TRAIN_LOG
         log.write_bytes(b'{"epoch": 0}\n' + bad + b'\n{"epoch": 1}\n{"epo')
         with pytest.raises(NuggetError, match=f"{TRAIN_LOG}: line 2: not a JSON object with an integer"):
-            _truncate_log(str(log), 0)
+            resumable_log(str(log), 0)
 
 
 class TestLoopBehavior:

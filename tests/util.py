@@ -8,8 +8,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from nuggetnet.corpus import AnnotatedSentence, SubtypeInventory, TriggerNugget, build_vocab
-from nuggetnet.encoder import ExtractorConfig, HybridMode
-from nuggetnet.model import MODEL_CLASSES, CharEncoderBase, ModelConfig
+from nuggetnet.encoder import ExtractorConfig, HybridMode, extract_branch
+from nuggetnet.model import MODEL_CLASSES, CharEncoderBase, ModelConfig, _branch_rows
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
@@ -84,3 +84,28 @@ def widen_params(store, scale: float = 0.4, rng_seed: int = 99) -> None:
     rng = np.random.default_rng(rng_seed)
     for _, p in store.items():
         p.value += rng.uniform(-scale, scale, size=p.value.shape)
+
+
+def flat_segments(segments) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """extract_branch's (tokens, lengths, cols, counts) for a list of (token ids, center indices) segments."""
+    ids = [np.asarray(t, dtype=np.int64) for t, _ in segments]
+    centers = [np.asarray(c, dtype=np.int64) for _, c in segments]
+    none = np.empty(0, dtype=np.int64)
+    lengths = np.array([t.shape[0] for t in ids], dtype=np.int64)
+    counts = np.array([c.shape[0] for c in centers], dtype=np.int64)
+    return np.concatenate([none, *ids]), lengths, np.concatenate([none, *centers]), counts
+
+
+def extract_segments(store, prefix, segments, config, for_backward=True):
+    """extract_branch over a list of (token ids, center indices) segments."""
+    return extract_branch(store, prefix, *flat_segments(segments), config, for_backward)
+
+
+def branch_rows_of(store, config, prefix, groups, for_backward=True):
+    """model._branch_rows over (token ids, centers, batch rows) groups, one per sequence; rows number 0 .. k-1."""
+    n_rows = sum(len(rows) for _, _, rows in groups)
+    seq, centers = np.empty(n_rows, dtype=np.int64), np.empty(n_rows, dtype=np.int64)
+    for g, (_, group_centers, rows) in enumerate(groups):
+        seq[rows] = g
+        centers[rows] = group_centers
+    return _branch_rows(store, config, prefix, [ids for ids, _, _ in groups], seq, centers, for_backward)
