@@ -26,7 +26,7 @@ from .errors import CheckpointError, ConfigError, NuggetError, changed_fields, c
 from .evaluate import ScoreMode, corpus_match_stats, recall_by_match_type, score
 from .model import MODEL_CLASSES, CharEncoderBase, CharSpanModel, load_model
 from .synthgen import GenSpec, allocate_quotas, check_fractions, default_subtype_names, generate_synthetic_corpus
-from .train import LAST_CHECKPOINT, TRAIN_LOG, TrainerState, resumable_log, train
+from .train import LAST_CHECKPOINT, TRAIN_LOG, TrainerState, check_extension, resumable_log, train
 
 logger = logging.getLogger(__name__)
 
@@ -104,8 +104,8 @@ def _resume_checkpoint(run: RunConfig) -> tuple[CharEncoderBase, TrainerState]:
     """The model, with its Adadelta state, and trainer state in the run's last.ckpt.
 
     The run must repeat its config but for training.epochs, and data,
-    embeddings and vocab_min_count as resolved_config.json records them,
-    and its log must hold every epoch the checkpoint passed (resumable_log).
+    embeddings and vocab_min_count as resolved_config.json records them;
+    check_extension and resumable_log must accept it and its log.
     """
     last = os.path.join(run.out_dir, LAST_CHECKPOINT)
     model, meta = load_model(last, optimizer_state=True)
@@ -136,6 +136,7 @@ def _resume_checkpoint(run: RunConfig) -> tuple[CharEncoderBase, TrainerState]:
         changed.append(f"vocab_min_count {first.vocab_min_count!r} -> {run.vocab_min_count!r}")
     if changed:
         raise ConfigError(f"{resolved}: the resumed run changes {', '.join(changed)}")
+    check_extension(state, run.training, last)
     resumable_log(os.path.join(run.out_dir, TRAIN_LOG), state.epoch)
     return model, state
 

@@ -357,21 +357,11 @@ def build_vocab(
     """Frequency-thresholded vocabulary; ids follow first appearance in corpus order."""
     if not corpus:
         raise CorpusValidationError("cannot build a vocabulary from an empty corpus")
-    char_counts: Counter = Counter()
-    word_counts: Counter = Counter()
-    char_order: list[str] = []
-    word_order: list[str] = []
-    for sentence in corpus:
-        for ch in sentence.text:
-            if ch not in char_counts:
-                char_order.append(ch)
-            char_counts[ch] += 1
-        for word in sentence.words:
-            if word not in word_counts:
-                word_order.append(word)
-            word_counts[word] += 1
-    char_to_id = {c: i for i, c in enumerate((c for c in char_order if char_counts[c] >= min_count), start=2)}
-    word_to_id = {w: i for i, w in enumerate((w for w in word_order if word_counts[w] >= min_count), start=2)}
+    # a Counter keeps its keys in order of first appearance
+    char_counts = Counter(ch for sentence in corpus for ch in sentence.text)
+    word_counts = Counter(word for sentence in corpus for word in sentence.words)
+    char_to_id = {c: i for i, c in enumerate((c for c, n in char_counts.items() if n >= min_count), start=2)}
+    word_to_id = {w: i for i, w in enumerate((w for w, n in word_counts.items() if n >= min_count), start=2)}
     return Vocabulary(char_to_id=char_to_id, word_to_id=word_to_id, max_rel_dist=max_rel_dist)
 
 

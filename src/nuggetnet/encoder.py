@@ -62,6 +62,11 @@ then one matmul for the filters' gradient and one for the embedding
 rows'.  No map of either term is built.  The lexical gradient reaches the
 token table through ndcore.scatter_rows.
 
+fuse builds each softmax head's input for its own row slice only (a
+training step's span or subtype rows; every row at inference): a
+task_specific gate runs on its head's rows, while the shared gate, the
+concatenation or a lone branch runs once and each head reads its slice.
+
 Backward passes are written out by hand; the gradient checker in ndcore is
 the authority on their correctness.
 """
@@ -129,14 +134,12 @@ class ExtractorConfig:
     @property
     def fused_dim(self) -> int:
         """Width of the vectors handed to the classifier heads."""
-        if not self.both_branches:
-            return self.proj_dim
-        if self.hybrid_mode is HybridMode.CONCAT:
-            return 2 * self.proj_dim
-        return self.proj_dim
+        return 2 * self.proj_dim if self.both_branches and self.hybrid_mode is HybridMode.CONCAT else self.proj_dim
 
 
 BRANCH_PREFIXES = ("char", "word")
+# the task_specific gate of head 0 and of head 1
+TASKS = ("nugget", "type")
 
 
 def register_encoder_params(store: ParamStore, config: ExtractorConfig, vocab: Vocabulary) -> None:
@@ -156,17 +159,12 @@ def register_encoder_params(store: ParamStore, config: ExtractorConfig, vocab: V
         store.add(f"{prefix}.conv_b", (config.n_filters,), init="zeros")
         store.add(f"{prefix}.proj_w", (config.proj_dim, config.feature_dim), init="glorot")
         store.add(f"{prefix}.proj_b", (config.proj_dim,), init="zeros")
-    if config.both_branches:
-        d = config.proj_dim
-        if config.hybrid_mode is HybridMode.GENERAL:
-            store.add("fuse.gate_w_char", (d, d), init="glorot")
-            store.add("fuse.gate_w_word", (d, d), init="glorot")
-            store.add("fuse.gate_b", (d,), init="zeros")
-        elif config.hybrid_mode is HybridMode.TASK_SPECIFIC:
-            for task in ("nugget", "type"):
-                store.add(f"fuse.{task}.gate_w_char", (d, d), init="glorot")
-                store.add(f"fuse.{task}.gate_w_word", (d, d), init="glorot")
-                store.add(f"fuse.{task}.gate_b", (d,), init="zeros")
+    scopes = {HybridMode.GENERAL: ["fuse"], HybridMode.TASK_SPECIFIC: [f"fuse.{task}" for task in TASKS]}
+    d = config.proj_dim
+    for scope in scopes.get(config.hybrid_mode, []) if config.both_branches else []:
+        store.add(f"{scope}.gate_w_char", (d, d), init="glorot")
+        store.add(f"{scope}.gate_w_word", (d, d), init="glorot")
+        store.add(f"{scope}.gate_b", (d,), init="zeros")
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +403,7 @@ def branch_backward(store: ParamStore, prefix: str, cache: BranchCache, dfp: np.
 
 
 # ---------------------------------------------------------------------------
-# Fusion: rows of (m, proj_dim) branch features; fuse also takes single vectors
+# Fusion: rows of (m, proj_dim) branch features, one row slice per head; fuse also takes single vectors
 # ---------------------------------------------------------------------------
 
 
@@ -413,9 +411,9 @@ def branch_backward(store: ParamStore, prefix: str, cache: BranchCache, dfp: np.
 class FusionCache:
     fp_char: np.ndarray | None
     fp_word: np.ndarray | None
-    gates: dict[str, np.ndarray]  # task -> sigmoid gate rows
-    f_nugget: np.ndarray
-    f_type: np.ndarray
+    parts: Sequence[slice]  # the rows each head reads
+    gates: dict[str, np.ndarray]  # "shared" or a task -> sigmoid gate rows of the rows it computed
+    features: list[np.ndarray]  # each head's inputs, one row per row of its part
 
 
 def _gate(store: ParamStore, scope: str, fp_char: np.ndarray, fp_word: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -445,46 +443,46 @@ def fuse(
     config: ExtractorConfig,
     fp_char: np.ndarray | None,
     fp_word: np.ndarray | None,
+    parts: Sequence[slice],
 ) -> FusionCache:
-    """Combine branch features, (m, proj_dim) rows or single vectors, into the head inputs."""
+    """Each head's inputs from the branch features: head h's for the rows parts[h]."""
+    gates = {}
+    if config.both_branches and config.hybrid_mode is HybridMode.TASK_SPECIFIC:
+        features = []
+        for task, part in zip(TASKS, parts):
+            gates[task], f = _gate(store, f"fuse.{task}", fp_char[part], fp_word[part])
+            features.append(f)
+        return FusionCache(fp_char, fp_word, parts, gates, features)
     if not config.both_branches:
-        single = fp_char if fp_char is not None else fp_word
-        if single is None:
-            raise ShapeError("fusion needs at least one branch feature")
-        return FusionCache(fp_char, fp_word, {}, single, single)
-    assert fp_char is not None and fp_word is not None
-    if config.hybrid_mode is HybridMode.CONCAT:
+        f = fp_char if fp_word is None else fp_word
+    elif config.hybrid_mode is HybridMode.CONCAT:
         f = np.concatenate([fp_char, fp_word], axis=-1)
-        return FusionCache(fp_char, fp_word, {}, f, f)
-    if config.hybrid_mode is HybridMode.GENERAL:
-        z, f = _gate(store, "fuse", fp_char, fp_word)
-        return FusionCache(fp_char, fp_word, {"shared": z}, f, f)
-    z_n, f_n = _gate(store, "fuse.nugget", fp_char, fp_word)
-    z_t, f_t = _gate(store, "fuse.type", fp_char, fp_word)
-    return FusionCache(fp_char, fp_word, {"nugget": z_n, "type": z_t}, f_n, f_t)
+    else:
+        gates["shared"], f = _gate(store, "fuse", fp_char, fp_word)
+    return FusionCache(fp_char, fp_word, parts, gates, [f[part] for part in parts])
 
 
 def fuse_backward(
-    store: ParamStore,
-    config: ExtractorConfig,
-    cache: FusionCache,
-    df_nugget: np.ndarray,
-    df_type: np.ndarray,
+    store: ParamStore, config: ExtractorConfig, cache: FusionCache, dfs: Sequence[np.ndarray]
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Route (m, fused_dim) head-input gradients back to the (m, proj_dim) branch features."""
-    if not config.both_branches:
-        d = df_nugget + df_type
-        return (d, None) if cache.fp_char is not None else (None, d)
+    """Route each head's input gradient, dfs[h] over the rows of its part, back to the branch features."""
     fp_char, fp_word = cache.fp_char, cache.fp_word
+    if config.both_branches and config.hybrid_mode is HybridMode.TASK_SPECIFIC:
+        dfp_char, dfp_word = np.zeros_like(fp_char), np.zeros_like(fp_word)
+        for task, part, df in zip(TASKS, cache.parts, dfs):
+            dc, dw = _gate_backward(store, f"fuse.{task}", cache.gates[task], fp_char[part], fp_word[part], df)
+            dfp_char[part] += dc
+            dfp_word[part] += dw
+        return dfp_char, dfp_word
+    single = fp_char if fp_word is None else fp_word
+    d = np.zeros(single.shape[:-1] + (config.fused_dim,))
+    for part, df in zip(cache.parts, dfs):
+        d[part] += df
+    if not config.both_branches:
+        return (d, None) if fp_char is not None else (None, d)
     if config.hybrid_mode is HybridMode.CONCAT:
-        d = df_nugget + df_type
-        k = config.proj_dim
-        return d[:, :k], d[:, k:]
-    if config.hybrid_mode is HybridMode.GENERAL:
-        return _gate_backward(store, "fuse", cache.gates["shared"], fp_char, fp_word, df_nugget + df_type)
-    dc_n, dw_n = _gate_backward(store, "fuse.nugget", cache.gates["nugget"], fp_char, fp_word, df_nugget)
-    dc_t, dw_t = _gate_backward(store, "fuse.type", cache.gates["type"], fp_char, fp_word, df_type)
-    return dc_n + dc_t, dw_n + dw_t
+        return d[..., : config.proj_dim], d[..., config.proj_dim :]
+    return _gate_backward(store, "fuse", cache.gates["shared"], fp_char, fp_word, d)
 
 
 # ---------------------------------------------------------------------------

@@ -180,9 +180,8 @@ def _backward_rows(store: ParamStore, config: ModelConfig, branch: _BranchRows, 
 class _Forward:
     branches: list[_BranchRows]
     fusion: FusionCache
-    f_nugget: np.ndarray  # (m, fused_dim) head inputs, after dropout when training
-    f_type: np.ndarray
-    masks: tuple[np.ndarray, np.ndarray] | None  # (nugget, type) dropout masks
+    features: list[np.ndarray]  # each head's (rows of its part, fused_dim) inputs, after dropout when training
+    masks: list[np.ndarray] | None  # each head's dropout mask
 
 
 # Batch rows per inference forward.  predict_corpus packs whole sentences, in order, until the next
@@ -203,9 +202,10 @@ class CharEncoderBase:
     """What every model kind shares: its state, the encoder, the output layer, batched plumbing and the checkpoint.
 
     A subclass names its softmax heads and their class counts
-    (`_head_classes`): head 0 reads f_nugget and head 1 f_type.  The store
-    holds the encoder tensors, then each head's `head.<name>_w`/`_b`.  A
-    subclass's `kind` names it in checkpoints and in the run config.
+    (`_head_classes`); head h reads its own rows' fused features, through
+    task encoder.TASKS[h]'s gate in task_specific mode.  The store holds the
+    encoder tensors, then each head's `head.<name>_w`/`_b`.  A subclass's
+    `kind` names it in checkpoints and in the run config.
     """
 
     kind: str
@@ -243,6 +243,7 @@ class CharEncoderBase:
         ids: Sequence[tuple[np.ndarray | None, np.ndarray | None, np.ndarray]],
         sent: np.ndarray,
         chars: np.ndarray,
+        parts: Sequence[slice] | None = None,
         drop_rng: np.random.Generator | None = None,
         for_backward: bool = True,
     ) -> _Forward:
@@ -250,7 +251,8 @@ class CharEncoderBase:
 
         ids holds each sentence's (char ids, word ids, char_to_word), as
         AnnotatedSentence.ids gives them.  All sentences share the kernel
-        calls.  Inference passes for_backward=False: no branch finds an argmax.
+        calls.  Head h reads the rows parts[h], every row when parts is None.
+        Inference passes for_backward=False: no branch finds an argmax.
         """
         cfg = self.config.extractor
         branches = []
@@ -262,23 +264,21 @@ class CharEncoderBase:
             words = np.concatenate(maps)[(n.cumsum() - n)[sent] + chars]
             branches.append(_branch_rows(self.store, self.config, "word", [i[1] for i in ids], sent, words, for_backward))
         fp = {b.prefix: b.fp for b in branches}
-        fusion = fuse(self.store, cfg, fp.get("char"), fp.get("word"))
-        f_nugget, f_type = fusion.f_nugget, fusion.f_type
-        masks = None
+        parts = parts or [slice(None)] * len(self.heads)
+        fusion = fuse(self.store, cfg, fp.get("char"), fp.get("word"), parts)
+        features, masks = fusion.features, None
         if drop_rng is not None and cfg.dropout > 0.0:
             keep = 1.0 - cfg.dropout
-            # row by row, the nugget mask's draws and then the type mask's
-            draws = drop_rng.random((f_nugget.shape[0], 2, cfg.fused_dim))
-            masks = ((draws[:, 0] < keep) / keep, (draws[:, 1] < keep) / keep)
-            f_nugget = f_nugget * masks[0]
-            f_type = f_type * masks[1]
-        return _Forward(branches, fusion, f_nugget, f_type, masks)
+            # row by row, head 0's mask's draws and then head 1's, whether or not there is a head 1
+            draws = drop_rng.random((chars.shape[0], 2, cfg.fused_dim))
+            masks = [(draws[part, h] < keep) / keep for h, part in enumerate(parts)]
+            features = [f * mask for f, mask in zip(features, masks)]
+        return _Forward(branches, fusion, features, masks)
 
-    def _backward(self, fwd: _Forward, df_nugget: np.ndarray, df_type: np.ndarray) -> None:
+    def _backward(self, fwd: _Forward, dfs: list[np.ndarray]) -> None:
         if fwd.masks is not None:
-            df_nugget = df_nugget * fwd.masks[0]
-            df_type = df_type * fwd.masks[1]
-        dfp_char, dfp_word = fuse_backward(self.store, self.config.extractor, fwd.fusion, df_nugget, df_type)
+            dfs = [df * mask for df, mask in zip(dfs, fwd.masks)]
+        dfp_char, dfp_word = fuse_backward(self.store, self.config.extractor, fwd.fusion, dfs)
         dfp = {"char": dfp_char, "word": dfp_word}
         for branch in fwd.branches:
             _backward_rows(self.store, self.config, branch, dfp[branch.prefix])
@@ -295,16 +295,15 @@ class CharEncoderBase:
         distinct = dict(zip(keys, sentences))
         slot = {key: k for k, key in enumerate(distinct)}
         ids = [s.ids(self.vocab) for s in distinct.values()]
-        fwd = self._forward(ids, np.array([slot[key] for key in keys]), np.array([r[1] for r in rows]), drop_rng)
-        features, cut = (fwd.f_nugget, fwd.f_type), len(rows_a)
-        grads = [np.zeros_like(f) for f in features]
-        loss = 0.0
-        parts = ((rows_a, slice(None, cut)), (rows_b, slice(cut, None)))
-        for head, f, df, (stream, part) in zip(self.heads, features, grads, parts):
-            _, head_loss, dscores = softmax_xent(head_scores(self.store, head, f[part]), [r[2] for r in stream])
-            df[part] = head_backward(self.store, head, f[part], dscores)
+        cut = len(rows_a)
+        parts = [slice(None, cut), slice(cut, None)][: len(self.heads)]
+        fwd = self._forward(ids, np.array([slot[key] for key in keys]), np.array([r[1] for r in rows]), parts, drop_rng)
+        grads, loss = [], 0.0
+        for head, f, stream in zip(self.heads, fwd.features, (rows_a, rows_b)):
+            _, head_loss, dscores = softmax_xent(head_scores(self.store, head, f), [r[2] for r in stream])
+            grads.append(head_backward(self.store, head, f, dscores))
             loss += head_loss
-        self._backward(fwd, *grads)
+        self._backward(fwd, grads)
         return loss
 
     def _sentence_forward(self, enc: SentenceEncoding) -> _Forward:
@@ -320,7 +319,7 @@ class CharEncoderBase:
 
     def _probabilities(self, fwd: _Forward) -> tuple[np.ndarray, ...]:
         """Each head's softmax over every row of a forward, in head order."""
-        return tuple(softmax(head_scores(self.store, h, f)) for h, f in zip(self.heads, (fwd.f_nugget, fwd.f_type)))
+        return tuple(softmax(head_scores(self.store, h, f)) for h, f in zip(self.heads, fwd.features))
 
     def _decode(
         self, sentence: AnnotatedSentence, rows: tuple[np.ndarray, ...], stats: decoder.DecodeStats | None

@@ -107,6 +107,26 @@ def resumable_log(log_path: str, last_epoch: int) -> list[bytes] | None:
     return kept if len(kept) < len(lines) else None
 
 
+def check_extension(state: TrainerState, config: TrainConfig, last_path: str) -> None:
+    """ConfigError naming last_path if resuming to config.epochs extends a run past an off-schedule last evaluation."""
+    # a run evaluates its last epoch even off the eval_every schedule, and a longer straight run would not:
+    # the extended run's log and since_improve would differ from the straight run's
+    epoch, every = state.epoch, state.train_config.eval_every
+    if epoch == state.train_config.epochs - 1 and (epoch + 1) % every and config.epochs > epoch + 1:
+        raise ConfigError(
+            f"{last_path}: epoch {epoch} ended the run off the eval_every {every} schedule and was evaluated "
+            f"only as the last; extending the run to {config.epochs} epochs would not match a straight run"
+        )
+
+
+def _append_line(path: str, rec: dict) -> None:
+    """Append rec to the log as one JSON line, synced to disk before the checkpoint that passes it is saved."""
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
 def train(
     model,
     train_corpus: Sequence[AnnotatedSentence],
@@ -123,8 +143,10 @@ def train(
     `epochs`.  Resuming a run that stopped early or reached its target
     writes nothing and returns how it stopped.
     """
-    if resume_state is not None and not model.store.has_optimizer_state():
-        raise ConfigError("cannot resume a model with no Adadelta state: load it with optimizer_state=True")
+    if resume_state is not None:
+        if not model.store.has_optimizer_state():
+            raise ConfigError("cannot resume a model with no Adadelta state: load it with optimizer_state=True")
+        check_extension(resume_state, config, os.path.join(out_dir or "", LAST_CHECKPOINT))
     state = resume_state or TrainerState(-1, -1.0, -1, 0, config)
     start_epoch = state.epoch + 1
     best_f1, best_epoch, since_improve = state.best_dev_f1, state.best_epoch, state.since_improve
@@ -141,8 +163,8 @@ def train(
     if not stream_a:
         raise ConfigError("training corpus produced no instances")
 
-    log_path = os.path.join(out_dir, TRAIN_LOG) if out_dir is not None else None
     if out_dir is not None:
+        log_path = os.path.join(out_dir, TRAIN_LOG)
         os.makedirs(out_dir, exist_ok=True)
         if resume_state is not None:
             kept = resumable_log(log_path, state.epoch)
@@ -153,12 +175,6 @@ def train(
 
     def trainer_state(epoch: int) -> dict:
         return asdict(TrainerState(epoch, best_f1, best_epoch, since_improve, config))
-
-    def log_line(rec: dict) -> None:
-        history.append(rec)
-        if log_path is not None:
-            with open(log_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
     if config.epochs == 0 and out_dir is not None:
         model.save(os.path.join(out_dir, BEST_CHECKPOINT), trainer_state(-1))
@@ -204,9 +220,11 @@ def train(
             rec["best_dev_f1"] = best_f1
             if config.stop_at_dev_f1 is not None and f1 >= config.stop_at_dev_f1:
                 reached_target = True
-        # the log line goes first: a crash before the save leaves a line that resume drops
-        log_line(rec)
+        # the log line goes first, synced: a crash before the save leaves a line that resume drops, and a
+        # durable last.ckpt implies the lines before it
+        history.append(rec)
         if out_dir is not None:
+            _append_line(log_path, rec)
             model.save(os.path.join(out_dir, LAST_CHECKPOINT), trainer_state(epoch))
         if reached_target:
             break

@@ -24,7 +24,7 @@ from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_syntheti
 from nuggetnet.train import TRAIN_LOG, BEST_CHECKPOINT, LAST_CHECKPOINT, TrainConfig, evaluate_model, train
 
 from decode_reference import decode_oracle
-from util import small_model, toy_corpus, widen_params
+from util import BOTH, small_model, toy_corpus, widen_params
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -347,22 +347,22 @@ def test_hybrid_mode_algebra(capsys):
         store["fuse.gate_w_char"].value[...] = 0.0
         store["fuse.gate_w_word"].value[...] = 0.0
         store["fuse.gate_b"].value[...] = 60.0
-        ok &= np.allclose(fuse(store, cfg, a, b).f_nugget, a, atol=1e-12)
+        ok &= np.allclose(fuse(store, cfg, a, b, BOTH).features[0], a, atol=1e-12)
         store["fuse.gate_b"].value[...] = -60.0
-        ok &= np.allclose(fuse(store, cfg, a, b).f_nugget, b, atol=1e-12)
+        ok &= np.allclose(fuse(store, cfg, a, b, BOTH).features[0], b, atol=1e-12)
 
         # zero pre-activation mixes the branches evenly
         store["fuse.gate_b"].value[...] = 0.0
-        ok &= np.allclose(fuse(store, cfg, a, b).f_nugget, (a + b) / 2, atol=1e-12)
+        ok &= np.allclose(fuse(store, cfg, a, b, BOTH).features[0], (a + b) / 2, atol=1e-12)
 
         # equal branch features pass through under any gate weights
         widen_params(store, scale=0.5, rng_seed=int(rng.integers(1 << 30)))
-        ok &= np.allclose(fuse(store, cfg, a, a.copy()).f_nugget, a, atol=1e-12)
+        ok &= np.allclose(fuse(store, cfg, a, a.copy(), BOTH).features[0], a, atol=1e-12)
 
         # gated output stays inside the envelope of the two branches
-        cache = fuse(store, cfg, a, b)
+        cache = fuse(store, cfg, a, b, BOTH)
         lo, hi = np.minimum(a, b) - 1e-12, np.maximum(a, b) + 1e-12
-        ok &= bool(np.all(cache.f_nugget >= lo) and np.all(cache.f_nugget <= hi))
+        ok &= bool(np.all(cache.features[0] >= lo) and np.all(cache.features[0] <= hi))
 
         # per-task gates each satisfy the same convexity on their own output
         cfg_ts = ExtractorConfig(
@@ -372,8 +372,8 @@ def test_hybrid_mode_algebra(capsys):
             proj_dim=d,
             hybrid_mode=HybridMode.TASK_SPECIFIC,
         )
-        cache = fuse(store, cfg_ts, a, b)
-        for f in (cache.f_nugget, cache.f_type):
+        cache = fuse(store, cfg_ts, a, b, BOTH)
+        for f in cache.features:
             ok &= bool(np.all(f >= lo) and np.all(f <= hi))
     detail = f"saturation, midpoint, pass-through and convexity at dims {sorted(set(dims))}"
     _report(capsys, "hybrid-mode-algebra", ok, detail, time.perf_counter() - t0, 10)

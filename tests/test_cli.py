@@ -443,6 +443,20 @@ class TestTrainPredictEval:
         _, _, out_dir, _ = pipeline
         assert (run_dir / RESOLVED).read_bytes() == (out_dir / RESOLVED).read_bytes()
 
+    def test_resume_refuses_to_extend_past_an_off_schedule_evaluation(self, tmp_path, capsys):
+        # epoch 0 ended a 1-epoch run at eval_every 2, so it was evaluated; a straight 2-epoch run would not evaluate it
+        data_dir = gen_data(tmp_path)
+        run_dir = tmp_path / "run"
+        cfg = write_config(tmp_path / "run.yaml", run_dir, data_dir, epochs=1, eval_every=2)
+        assert main(["train", "--config", str(cfg)]) == 0
+        resolved = (run_dir / RESOLVED).read_bytes()
+        cfg = write_config(tmp_path / "resume.yaml", run_dir, data_dir, epochs=2, eval_every=2)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / LAST_CHECKPOINT}: epoch 0 ") and "eval_every 2" in err
+        assert (run_dir / RESOLVED).read_bytes() == resolved
+
     def test_resume_may_extend_epochs(self, pipeline, tmp_path):
         rc, run_dir = self.resume_in_copy(pipeline, tmp_path, lambda cfg: cfg["training"].update(epochs=3))
         assert rc == 0

@@ -27,7 +27,7 @@ from nuggetnet.model import ModelConfig, _backward_rows, _view_starts
 from nuggetnet.ndcore import ParamStore, grad_check, sigmoid, split_argmax, split_max_pool
 
 from branch_reference import reference_branch, reference_view
-from util import branch_rows_of, extract_segments, small_extractor, small_model, toy_corpus, widen_params
+from util import BOTH, branch_rows_of, extract_segments, small_extractor, small_model, toy_corpus, widen_params
 
 
 def branch_store(config, n_tokens=12, seed=3, widen=True):
@@ -575,20 +575,20 @@ class TestFusion:
         cfg = small_extractor(hybrid_mode=HybridMode.CONCAT)
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=10), rng.normal(size=10)
-        cache = fuse(ParamStore(0), cfg, a, b)
-        npt.assert_array_equal(cache.f_nugget, np.concatenate([a, b]))
-        assert cache.f_nugget is cache.f_type
+        cache = fuse(ParamStore(0), cfg, a, b, BOTH)
+        npt.assert_array_equal(cache.features[0], np.concatenate([a, b]))
+        assert np.shares_memory(cache.features[0], cache.features[1])
 
     def test_general_is_convex_combination(self):
         cfg = small_extractor(hybrid_mode=HybridMode.GENERAL)
         store = self.gate_store(10)
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=10), rng.normal(size=10)
-        cache = fuse(store, cfg, a, b)
+        cache = fuse(store, cfg, a, b, BOTH)
         z = cache.gates["shared"]
-        npt.assert_allclose(cache.f_nugget, z * a + (1 - z) * b, atol=1e-15)
+        npt.assert_allclose(cache.features[0], z * a + (1 - z) * b, atol=1e-15)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        assert np.all(cache.f_nugget >= lo - 1e-12) and np.all(cache.f_nugget <= hi + 1e-12)
+        assert np.all(cache.features[0] >= lo - 1e-12) and np.all(cache.features[0] <= hi + 1e-12)
 
     def test_gate_saturation_selects_one_branch(self):
         cfg = small_extractor(hybrid_mode=HybridMode.GENERAL)
@@ -598,9 +598,9 @@ class TestFusion:
         store["fuse.gate_w_word"].value[...] = 0.0
         rng = np.random.default_rng(2)
         a, b = rng.normal(size=10), rng.normal(size=10)
-        npt.assert_allclose(fuse(store, cfg, a, b).f_nugget, a, atol=1e-12)
+        npt.assert_allclose(fuse(store, cfg, a, b, BOTH).features[0], a, atol=1e-12)
         store["fuse.gate_b"].value[...] = -60.0
-        npt.assert_allclose(fuse(store, cfg, a, b).f_nugget, b, atol=1e-12)
+        npt.assert_allclose(fuse(store, cfg, a, b, BOTH).features[0], b, atol=1e-12)
 
     def test_zero_gate_inputs_give_midpoint(self):
         cfg = small_extractor(hybrid_mode=HybridMode.GENERAL)
@@ -609,14 +609,14 @@ class TestFusion:
         store["fuse.gate_w_word"].value[...] = 0.0
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=10), rng.normal(size=10)
-        npt.assert_allclose(fuse(store, cfg, a, b).f_nugget, (a + b) / 2, atol=1e-15)
+        npt.assert_allclose(fuse(store, cfg, a, b, BOTH).features[0], (a + b) / 2, atol=1e-15)
 
     def test_equal_branches_pass_through(self):
         cfg = small_extractor(hybrid_mode=HybridMode.GENERAL)
         store = self.gate_store(10)
         widen_params(store)
         a = np.random.default_rng(4).normal(size=10)
-        npt.assert_allclose(fuse(store, cfg, a, a.copy()).f_nugget, a, atol=1e-12)
+        npt.assert_allclose(fuse(store, cfg, a, a.copy(), BOTH).features[0], a, atol=1e-12)
 
     def test_task_specific_gates_differ(self):
         cfg = small_extractor(hybrid_mode=HybridMode.TASK_SPECIFIC)
@@ -624,22 +624,21 @@ class TestFusion:
         widen_params(store)
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=10), rng.normal(size=10)
-        cache = fuse(store, cfg, a, b)
-        assert not np.allclose(cache.f_nugget, cache.f_type)
+        cache = fuse(store, cfg, a, b, BOTH)
+        assert not np.allclose(cache.features[0], cache.features[1])
         z_n = cache.gates["nugget"]
-        npt.assert_allclose(cache.f_nugget, z_n * a + (1 - z_n) * b, atol=1e-14)
+        npt.assert_allclose(cache.features[0], z_n * a + (1 - z_n) * b, atol=1e-14)
 
     def test_single_branch_passthrough(self):
         cfg = small_extractor(use_words=False, hybrid_mode=HybridMode.TASK_SPECIFIC)
-        a = np.random.default_rng(6).normal(size=10)
-        cache = fuse(ParamStore(0), cfg, a, None)
-        npt.assert_array_equal(cache.f_nugget, a)
-        da, db = fuse_backward(ParamStore(0), cfg, cache, np.ones((1, 10)), 2 * np.ones((1, 10)))
+        a = np.random.default_rng(6).normal(size=(1, 10))
+        cache = fuse(ParamStore(0), cfg, a, None, BOTH)
+        npt.assert_array_equal(cache.features[0], a)
+        da, db = fuse_backward(ParamStore(0), cfg, cache, [np.ones((1, 10)), 2 * np.ones((1, 10))])
         npt.assert_array_equal(da, 3 * np.ones((1, 10)))
         assert db is None
 
-    @pytest.mark.parametrize("mode", list(HybridMode))
-    def test_fusion_backward_matches_finite_differences(self, mode):
+    def fusion_grad_report(self, mode, parts):
         cfg = small_extractor(hybrid_mode=mode)
         store = self.gate_store(10)
         widen_params(store)
@@ -648,18 +647,29 @@ class TestFusion:
         pb = store.add("inputs.b", (3, 10))
         pa.value[...] = rng.normal(size=(3, 10))
         pb.value[...] = rng.normal(size=(3, 10))
-        t_n = rng.normal(size=(3, cfg.fused_dim))
-        t_t = rng.normal(size=(3, cfg.fused_dim))
+        t_n = rng.normal(size=(3, cfg.fused_dim))[parts[0]]
+        t_t = rng.normal(size=(3, cfg.fused_dim))[parts[1]]
 
         def closure():
-            cache = fuse(store, cfg, pa.value, pb.value)
-            loss = 0.5 * float(np.sum((cache.f_nugget - t_n) ** 2) + np.sum((cache.f_type - t_t) ** 2))
-            da, db = fuse_backward(store, cfg, cache, cache.f_nugget - t_n, cache.f_type - t_t)
+            cache = fuse(store, cfg, pa.value, pb.value, parts)
+            f_n, f_t = cache.features
+            loss = 0.5 * float(np.sum((f_n - t_n) ** 2) + np.sum((f_t - t_t) ** 2))
+            da, db = fuse_backward(store, cfg, cache, [f_n - t_n, f_t - t_t])
             pa.grad += da
             pb.grad += db
             return loss
 
-        report = grad_check(closure, store, step=1e-4, tolerance=1e-4, coords_per_param=8, rng_seed=8)
+        return grad_check(closure, store, step=1e-4, tolerance=1e-4, coords_per_param=8, rng_seed=8)
+
+    @pytest.mark.parametrize("mode", list(HybridMode))
+    def test_fusion_backward_matches_finite_differences(self, mode):
+        report = self.fusion_grad_report(mode, BOTH)
+        assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("mode", list(HybridMode))
+    def test_fusion_backward_over_each_heads_rows_matches_finite_differences(self, mode):
+        # as in training: head 0 reads rows 0-1, head 1 row 2
+        report = self.fusion_grad_report(mode, (slice(None, 2), slice(2, None)))
         assert report.passed, report.summary()
 
     def test_rows_equal_single_vectors(self):
@@ -668,11 +678,11 @@ class TestFusion:
         widen_params(store)
         rng = np.random.default_rng(9)
         a, b = rng.normal(size=(4, 10)), rng.normal(size=(4, 10))
-        rows = fuse(store, cfg, a, b)
+        rows = fuse(store, cfg, a, b, BOTH)
         for i in range(4):
-            single = fuse(store, cfg, a[i], b[i])
-            npt.assert_allclose(rows.f_nugget[i], single.f_nugget, rtol=0, atol=1e-15)
-            npt.assert_allclose(rows.f_type[i], single.f_type, rtol=0, atol=1e-15)
+            single = fuse(store, cfg, a[i], b[i], BOTH)
+            npt.assert_allclose(rows.features[0][i], single.features[0], rtol=0, atol=1e-15)
+            npt.assert_allclose(rows.features[1][i], single.features[1], rtol=0, atol=1e-15)
 
 
 class TestDropout:
@@ -686,23 +696,35 @@ class TestDropout:
     def test_training_masks_are_seeded(self, corpus3):
         model = small_model(corpus3, dropout=0.5)
         ids = [corpus3[0].ids(model.vocab)]
-        f1 = model._forward(ids, np.array([0]), np.array([1]), np.random.default_rng(9))
-        f2 = model._forward(ids, np.array([0]), np.array([1]), np.random.default_rng(9))
-        npt.assert_array_equal(f1.f_nugget, f2.f_nugget)
+        f1 = model._forward(ids, np.array([0]), np.array([1]), drop_rng=np.random.default_rng(9))
+        f2 = model._forward(ids, np.array([0]), np.array([1]), drop_rng=np.random.default_rng(9))
+        npt.assert_array_equal(f1.features[0], f2.features[0])
         assert f1.masks is not None
-        f3 = model._forward(ids, np.array([0]), np.array([1]), np.random.default_rng(10))
+        f3 = model._forward(ids, np.array([0]), np.array([1]), drop_rng=np.random.default_rng(10))
         assert not np.array_equal(f1.masks[0], f3.masks[0])
 
     def test_masks_drawn_row_by_row(self, corpus3):
         # each row draws its nugget mask, then its type mask, as one instance at a time would
         model = small_model(corpus3, dropout=0.5)
         ids = [s.ids(model.vocab) for s in corpus3[:2]]
-        fwd = model._forward(ids, np.array([0, 1, 0]), np.array([1, 0, 3]), np.random.default_rng(11))  # rows a, b, a
+        rows = (np.array([0, 1, 0]), np.array([1, 0, 3]))  # sentences a, b, a
+        fwd = model._forward(ids, *rows, drop_rng=np.random.default_rng(11))
         rng = np.random.default_rng(11)
         d = model.config.extractor.fused_dim
         for row in range(3):
             npt.assert_array_equal(fwd.masks[0][row], (rng.random(d) < 0.5) / 0.5)
             npt.assert_array_equal(fwd.masks[1][row], (rng.random(d) < 0.5) / 0.5)
+
+    def test_each_head_keeps_its_rows_draws(self, corpus3):
+        # a training forward draws every row's two masks as above; each head keeps its own rows' draws
+        model = small_model(corpus3, dropout=0.5)
+        ids = [s.ids(model.vocab) for s in corpus3[:2]]
+        parts = [slice(None, 2), slice(2, None)]
+        fwd = model._forward(ids, np.array([0, 1, 0]), np.array([1, 0, 3]), parts, np.random.default_rng(11))
+        draws = np.random.default_rng(11).random((3, 2, model.config.extractor.fused_dim))
+        npt.assert_array_equal(fwd.masks[0], (draws[:2, 0] < 0.5) / 0.5)
+        npt.assert_array_equal(fwd.masks[1], (draws[2:, 1] < 0.5) / 0.5)
+        assert [f.shape[0] for f in fwd.features] == [2, 1]
 
     def test_inference_applies_no_mask(self, corpus3):
         model = small_model(corpus3, dropout=0.5)

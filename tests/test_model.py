@@ -15,6 +15,7 @@ import nuggetnet.model as nmodel
 import nuggetnet.ndcore as ndcore
 from nuggetnet.corpus import UNK_ID, AnnotatedSentence, SubtypeInventory, build_vocab, save_corpus
 from nuggetnet.decoder import decode_corpus
+from nuggetnet.encoder import HybridMode
 from nuggetnet.errors import CheckpointError, ConfigError, from_json
 from nuggetnet.labels import num_nugget_classes
 from nuggetnet.model import CharSpanModel, ModelConfig, _view_starts, head_scores, load_model
@@ -143,8 +144,8 @@ class TestCharSpanModel:
         assert enc.rows is not None
         for ci, (pn, pt) in enumerate(rows):
             fwd = model._forward([corpus3[2].ids(model.vocab)], np.array([0]), np.array([ci]))
-            npt.assert_allclose(pn, softmax(head_scores(model.store, "nugget", fwd.f_nugget))[0], atol=1e-15)
-            npt.assert_allclose(pt, softmax(head_scores(model.store, "type", fwd.f_type))[0], atol=1e-15)
+            npt.assert_allclose(pn, softmax(head_scores(model.store, "nugget", fwd.features[0]))[0], atol=1e-15)
+            npt.assert_allclose(pt, softmax(head_scores(model.store, "type", fwd.features[1]))[0], atol=1e-15)
 
     def test_encoding_matches_lookups_one_at_a_time(self, corpus3):
         # the map and id arrays equal the per-character formula byte for byte, unknown tokens included
@@ -285,6 +286,55 @@ def test_argmax_only_when_training(corpus3, monkeypatch, kind):
     stream_a, stream_b = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
     model.loss_and_grads(stream_a, stream_b)
     assert calls.count("split_argmax") == calls.count("branch_backward") > 0
+
+
+def spy_fusion(monkeypatch):
+    """Calls of encoder._gate (scope, char rows, word rows), model.fuse (char rows, word rows), head_scores (head, rows)."""
+    calls = {"gate": [], "fuse": [], "head": []}
+    gate, fuse, head_scores = nencoder._gate, nmodel.fuse, nmodel.head_scores
+
+    def gate_spy(store, scope, fp_char, fp_word):
+        calls["gate"].append((scope, fp_char, fp_word))
+        return gate(store, scope, fp_char, fp_word)
+
+    def fuse_spy(store, config, fp_char, fp_word, *rest):
+        calls["fuse"].append((fp_char, fp_word))
+        return fuse(store, config, fp_char, fp_word, *rest)
+
+    def head_spy(store, head, features):
+        calls["head"].append((head, features.shape[0]))
+        return head_scores(store, head, features)
+
+    monkeypatch.setattr(nencoder, "_gate", gate_spy)
+    monkeypatch.setattr(nmodel, "fuse", fuse_spy)
+    monkeypatch.setattr(nmodel, "head_scores", head_spy)
+    return calls
+
+
+def test_each_task_gate_and_head_reads_only_its_streams_rows(corpus3, monkeypatch):
+    model = small_model(corpus3, mode=HybridMode.TASK_SPECIFIC)
+    gen, cls = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
+    gen, cls = gen[:7], cls[:3]  # span rows 0-6, subtype rows 7-9
+    calls = spy_fusion(monkeypatch)
+    model.loss_and_grads(gen, cls)
+    ((fp_char, fp_word),) = calls["fuse"]
+    assert fp_char.shape[0] == 10
+    assert [scope for scope, _, _ in calls["gate"]] == ["fuse.nugget", "fuse.type"]
+    for (_, gate_char, gate_word), rows in zip(calls["gate"], (slice(None, 7), slice(7, None))):
+        npt.assert_array_equal(gate_char, fp_char[rows])
+        npt.assert_array_equal(gate_word, fp_word[rows])
+    assert calls["head"] == [("nugget", 7), ("type", 3)]
+
+
+def test_iob_runs_no_type_gate(corpus3, monkeypatch):
+    model = small_model(corpus3, mode=HybridMode.TASK_SPECIFIC, kind="iob")
+    assert "fuse.type.gate_b" in model.store.names()  # registered, and never read
+    stream, _ = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
+    calls = spy_fusion(monkeypatch)
+    model.loss_and_grads(stream, (), np.random.default_rng(0))
+    model.predict_corpus(corpus3)
+    assert {scope for scope, _, _ in calls["gate"]} == {"fuse.nugget"}
+    assert not any(model.store[f"fuse.type.{name}"].grad.any() for name in ("gate_w_char", "gate_w_word", "gate_b"))
 
 
 def char_id(new_id):

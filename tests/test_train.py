@@ -1,10 +1,12 @@
 import json
+import os
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nuggetnet.ndcore as ndcore
 from nuggetnet.errors import CheckpointError, ConfigError, NuggetError, NumericError, from_json
 from nuggetnet.model import CharSpanModel, load_model
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
@@ -14,6 +16,7 @@ from nuggetnet.train import (
     TRAIN_LOG,
     TrainConfig,
     TrainerState,
+    check_extension,
     evaluate_model,
     resumable_log,
     train,
@@ -157,6 +160,53 @@ class TestDeterminism:
         )
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
         assert again.history == [] and replace(again, history=first.history) == first
+
+    def test_extending_a_run_past_an_off_schedule_evaluation_is_refused(self, tmp_path):
+        # a 3-epoch run at eval_every 2 evaluated epoch 2 only because it was its last; a straight 4-epoch run does not
+        corpus = tiny_corpus()
+        train(tiny_model(corpus, rng_seed=5), corpus, corpus, quick_config(epochs=3, eval_every=2), out_dir=tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        resumed, meta = load_model(tmp_path / LAST_CHECKPOINT, optimizer_state=True)
+        state = from_json(TrainerState, meta["trainer_state"], CheckpointError)
+        with pytest.raises(ConfigError) as info:
+            train(resumed, corpus, corpus, quick_config(epochs=4, eval_every=2), out_dir=tmp_path, resume_state=state)
+        message = str(info.value)
+        assert message.startswith(f"{tmp_path / LAST_CHECKPOINT}: epoch 2 ") and "eval_every 2" in message
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        # the same epochs extend nothing, and a run cut before its last epoch extends as before
+        check_extension(state, quick_config(epochs=3, eval_every=2), LAST_CHECKPOINT)
+        check_extension(replace(state, epoch=1), quick_config(epochs=4, eval_every=2), LAST_CHECKPOINT)
+
+    def test_resume_on_the_eval_every_schedule_matches_straight_run(self, tmp_path):
+        corpus, full, part = tiny_corpus(), tmp_path / "full", tmp_path / "part"
+        train(tiny_model(corpus, rng_seed=5), corpus, corpus, quick_config(epochs=4, eval_every=2), out_dir=full)
+        train(tiny_model(corpus, rng_seed=5), corpus, corpus, quick_config(epochs=2, eval_every=2), out_dir=part)
+        resumed, meta = load_model(part / LAST_CHECKPOINT, optimizer_state=True)
+        state = from_json(TrainerState, meta["trainer_state"], CheckpointError)
+        train(resumed, corpus, corpus, quick_config(epochs=4, eval_every=2), out_dir=part, resume_state=state)
+        for fname in (BEST_CHECKPOINT, LAST_CHECKPOINT, TRAIN_LOG):
+            assert (full / fname).read_bytes() == (part / fname).read_bytes(), fname
+
+    def test_each_log_line_is_synced_before_its_epochs_checkpoint(self, tmp_path, monkeypatch):
+        # a durable last.ckpt then implies the log lines resumable_log requires of it
+        log, events = tmp_path / TRAIN_LOG, []
+        fsync, write_atomically = os.fsync, ndcore.write_atomically
+
+        def fsync_spy(fd):
+            if log.exists() and os.path.samestat(os.fstat(fd), os.stat(log)):
+                events.append(("log synced", len(log.read_bytes().splitlines())))
+            return fsync(fd)
+
+        def write_spy(path, chunks):
+            events.append(("saved", os.path.basename(path)))
+            return write_atomically(path, chunks)
+
+        monkeypatch.setattr(os, "fsync", fsync_spy)
+        monkeypatch.setattr(ndcore, "write_atomically", write_spy)
+        corpus = tiny_corpus()
+        train(tiny_model(corpus, rng_seed=5), corpus, corpus, quick_config(epochs=3), out_dir=tmp_path)
+        expected = [e for n in (1, 2, 3) for e in (("log synced", n), ("saved", LAST_CHECKPOINT))]
+        assert [e for e in events if e[1] != BEST_CHECKPOINT] == expected
 
     def test_resume_without_optimizer_state_is_refused(self, tmp_path):
         # weights alone would restart Adadelta from zero: the run would silently differ from a straight one

@@ -15,6 +15,9 @@ SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
 KINDS = ("proposal", "iob", "wordwise")
 
+# encoder.fuse's parts when both heads read every row, as in inference
+BOTH = (slice(None), slice(None))
+
 # a small value of every JSON type, for mutating records
 ANY_JSON_VALUE = st.one_of(
     st.none(),
