@@ -81,7 +81,7 @@ import numpy as np
 
 from .corpus import PAD_ID, Vocabulary, relative_position_index
 from .errors import ConfigError, ShapeError, check_bounds, reading
-from .ndcore import Param, ParamStore, scatter_rows, sigmoid, split_argmax, split_max_pool, window_products, window_sum
+from .ndcore import Param, ParamStore, Spec, scatter_rows, sigmoid, split_argmax, split_max_pool, window_products, window_sum
 
 
 class HybridMode(str, Enum):
@@ -98,7 +98,7 @@ class ExtractorConfig:
     window: int = field(default=3, metadata={"minimum": 1})
     lex_window: int = field(default=1, metadata={"minimum": 0})
     proj_dim: int = field(default=200, metadata={"minimum": 1})
-    max_rel_dist: int = field(default=40, metadata={"minimum": 1})
+    max_rel_dist: int = field(default=40, metadata={"minimum": 1, "exclusiveMaximum": 1 << 16})
     use_chars: bool = True
     use_words: bool = True
     hybrid_mode: HybridMode = HybridMode.GENERAL
@@ -142,29 +142,33 @@ BRANCH_PREFIXES = ("char", "word")
 TASKS = ("nugget", "type")
 
 
-def register_encoder_params(store: ParamStore, config: ExtractorConfig, vocab: Vocabulary) -> None:
-    """Register all extractor and fusion parameters in a fixed order."""
+def encoder_params(config: ExtractorConfig, vocab: Vocabulary) -> list[Spec]:
+    """The extractor's and the fusion's (name, shape, init) tensor list, in store order."""
     if vocab.max_rel_dist != config.max_rel_dist:
         raise ConfigError(
             f"vocabulary max_rel_dist {vocab.max_rel_dist} != extractor max_rel_dist {config.max_rel_dist}"
         )
     sizes = {"char": vocab.n_chars, "word": vocab.n_words}
     enabled = {"char": config.use_chars, "word": config.use_words}
-    for prefix in BRANCH_PREFIXES:
-        if not enabled[prefix]:
-            continue
-        store.add(f"{prefix}.tok_emb", (sizes[prefix], config.token_emb_dim), init="embedding")
-        store.add(f"{prefix}.pos_emb", (config.n_positions, config.pos_emb_dim), init="embedding")
-        store.add(f"{prefix}.conv_w", (config.n_filters, config.window * config.input_dim), init="glorot")
-        store.add(f"{prefix}.conv_b", (config.n_filters,), init="zeros")
-        store.add(f"{prefix}.proj_w", (config.proj_dim, config.feature_dim), init="glorot")
-        store.add(f"{prefix}.proj_b", (config.proj_dim,), init="zeros")
+    specs = []
+    for prefix in (prefix for prefix in BRANCH_PREFIXES if enabled[prefix]):
+        specs += [
+            (f"{prefix}.tok_emb", (sizes[prefix], config.token_emb_dim), "embedding"),
+            (f"{prefix}.pos_emb", (config.n_positions, config.pos_emb_dim), "embedding"),
+            (f"{prefix}.conv_w", (config.n_filters, config.window * config.input_dim), "glorot"),
+            (f"{prefix}.conv_b", (config.n_filters,), "zeros"),
+            (f"{prefix}.proj_w", (config.proj_dim, config.feature_dim), "glorot"),
+            (f"{prefix}.proj_b", (config.proj_dim,), "zeros"),
+        ]
     scopes = {HybridMode.GENERAL: ["fuse"], HybridMode.TASK_SPECIFIC: [f"fuse.{task}" for task in TASKS]}
     d = config.proj_dim
     for scope in scopes.get(config.hybrid_mode, []) if config.both_branches else []:
-        store.add(f"{scope}.gate_w_char", (d, d), init="glorot")
-        store.add(f"{scope}.gate_w_word", (d, d), init="glorot")
-        store.add(f"{scope}.gate_b", (d,), init="zeros")
+        specs += [
+            (f"{scope}.gate_w_char", (d, d), "glorot"),
+            (f"{scope}.gate_w_word", (d, d), "glorot"),
+            (f"{scope}.gate_b", (d,), "zeros"),
+        ]
+    return specs
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ first character.  A batch's plumbing costs a fixed number of numpy calls:
 each sentence keeps its ids (AnnotatedSentence.ids), a row is one
 (sentence, character) pair, and _branch_rows indexes a branch's centers
 and views with one np.unique and gathers their tokens in one step.
-`load_model` opens any kind through MODEL_CLASSES, with its weights alone
-unless asked for the Adadelta state to resume.
+The model's ParamStore is built in one call from its whole tensor list:
+the encoder's (encoder.encoder_params), then each head's weights and
+bias.  `load_model` opens any kind through MODEL_CLASSES, with its
+weights alone unless asked for the Adadelta state to resume.
 
 Inference has one path for every kind, `predict_corpus`.  It packs whole
 sentences, in order, into one forward until the next would pass a fixed
@@ -41,10 +43,10 @@ from .encoder import (
     ExtractorConfig,
     FusionCache,
     branch_backward,
+    encoder_params,
     extract_branch,
     fuse,
     fuse_backward,
-    register_encoder_params,
 )
 from .errors import CheckpointError, ConfigError, ShapeError, check_bound, check_bounds, check_value, from_json, is_a
 from .labels import label_to_class, num_nugget_classes
@@ -220,13 +222,12 @@ class CharEncoderBase:
         self.vocab = vocab
         self.subtypes = subtypes
         self.rng_seed = rng_seed
-        self.store = ParamStore(rng_seed, tensors)
-        register_encoder_params(self.store, config.extractor, vocab)
         self.heads = self._head_classes()
+        specs = encoder_params(config.extractor, vocab)
         for head, n_classes in self.heads.items():
-            self.store.add(f"head.{head}_w", (n_classes, config.extractor.fused_dim), init="glorot")
-            self.store.add(f"head.{head}_b", (n_classes,), init="zeros")
-        self.store.pack()
+            specs.append((f"head.{head}_w", (n_classes, config.extractor.fused_dim), "glorot"))
+            specs.append((f"head.{head}_b", (n_classes,), "zeros"))
+        self.store = ParamStore(specs, rng_seed, tensors)
 
     def _head_classes(self) -> dict[str, int]:
         """Class count of each softmax head, by name, in head order."""

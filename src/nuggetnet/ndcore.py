@@ -3,9 +3,10 @@
 Everything is 64-bit floats: the models are small, and determinism plus
 finite-difference fidelity matter more than speed.  There is no autodiff
 graph; each layer has an explicit forward here and hand-derived backward
-passes in the modules that compose them.  A model's tensors are views of
-one flat arena per kind (ParamStore.pack); gradients and Adadelta state
-exist from first use, so a model loaded for inference holds its values alone.
+passes in the modules that compose them.  A ParamStore is built whole
+from its (name, shape, init) list, and its tensors are views of one flat
+arena per kind; gradients and Adadelta state exist from first use, so a
+model loaded for inference holds its values alone.
 """
 
 from __future__ import annotations
@@ -26,13 +27,25 @@ from .errors import CheckpointError, NumericError, ShapeError, reading
 
 
 _STATE = ("grad", "eg2", "edx2")
+_INITS = ("zeros", "glorot", "embedding")
+_KINDS = ("value", "eg2", "edx2")  # the kinds a checkpoint stores, in its kind-byte order
+
+# one tensor of a ParamStore: (name, shape, init), init one of _INITS
+Spec = tuple[str, tuple[int, ...], str]
 
 
-def _state_arena(arena: dict[str, np.ndarray], name: str) -> np.ndarray:
-    """One kind's array of a packed store's arenas; a state's is allocated as zeros on first use."""
-    if name not in arena:
-        arena[name] = np.zeros(arena["value"].shape)
-    return arena[name]
+class _Arenas(dict):
+    """Kind -> one flat array of that kind for every tensor of a store, in list order.
+
+    "value" is there from the start; grad, eg2 and edx2 are allocated, as
+    zeros, on their first lookup.
+    """
+
+    def __missing__(self, name: str) -> np.ndarray:
+        if name not in _STATE:
+            raise KeyError(f"no arena named {name!r}")
+        self[name] = arena = np.zeros(self["value"].shape)
+        return arena
 
 
 def _tiled(arrays: list[np.ndarray | None], size: int) -> np.ndarray | None:
@@ -50,106 +63,113 @@ def _tiled(arrays: list[np.ndarray | None], size: int) -> np.ndarray | None:
     return base
 
 
-def _zeros_on_first_use(name: str) -> property:
+def _checkpoint_arenas(tensors: dict[str, dict[str, np.ndarray]], specs: Sequence[Spec], spans: list[slice]) -> _Arenas:
+    """A store's arenas from a checkpoint's tensors; CheckpointError unless they are exactly the specs' tensors.
+
+    A kind whose arrays already tile one flat array in list order, as a
+    checkpoint's do, keeps that array as its arena; otherwise they are
+    copied into a new one, and a tensor with no array of a state has zeros.
+    """
+    for name, shape, _ in specs:
+        if name not in tensors:
+            raise CheckpointError(f"checkpoint is missing parameter {name!r}")
+        if tensors[name]["value"].shape != tuple(shape):
+            raise CheckpointError(
+                f"parameter {name!r}: checkpoint shape {tensors[name]['value'].shape} != model shape {tuple(shape)}"
+            )
+    extra = set(tensors) - {name for name, _, _ in specs}
+    if extra:
+        raise CheckpointError(f"checkpoint contains unknown parameters: {sorted(extra)}")
+    size = spans[-1].stop if spans else 0
+    arenas = _Arenas()
+    for kind in _KINDS:
+        held = [tensors[name].get(kind) for name, _, _ in specs]
+        if kind != "value" and all(h is None for h in held):
+            continue
+        flat = _tiled(held, size)
+        if flat is None:
+            flat = np.zeros(size)
+            for h, span in zip(held, spans):
+                if h is not None:
+                    flat[span] = h.reshape(-1)
+        arenas[kind] = flat
+    return arenas
+
+
+def _state_view(name: str) -> property:
     slot = f"_{name}"
 
     def get(p):
-        arr = getattr(p, slot)
-        if arr is None:
-            if p._arena is None:
-                arr = np.zeros(p.value.shape)
-                setattr(p, slot, arr)
-            else:
-                _state_arena(p._arena, name)
-                arr = p.held(name)
-        return arr
+        view = getattr(p, slot)
+        if view is None:
+            view = p._arenas[name][p._span].reshape(p.value.shape)
+            setattr(p, slot, view)
+        return view
 
     def put(p, arr):  # p.grad += x assigns the same array back; anything else is copied in
-        held = get(p)
-        if arr is not held:
-            held[...] = arr
+        view = get(p)
+        if arr is not view:
+            view[...] = arr
 
     return property(get, put)
 
 
 class Param:
-    """One named tensor with its gradient accumulator and Adadelta state, each allocated on first use.
+    """One named tensor of a ParamStore: its value, and its gradient and Adadelta state once used, as arena views."""
 
-    In a packed store (ParamStore.pack) the value and every state are views
-    of the store's arenas, and the first use of a state allocates it for
-    every tensor at once.
-    """
+    __slots__ = ("value", "_grad", "_eg2", "_edx2", "_arenas", "_span")
+    grad = _state_view("grad")
+    eg2 = _state_view("eg2")  # running E[g^2]
+    edx2 = _state_view("edx2")  # running E[dx^2]
 
-    __slots__ = ("value", "_grad", "_eg2", "_edx2", "_arena", "_span")
-    grad = _zeros_on_first_use("grad")
-    eg2 = _zeros_on_first_use("eg2")  # running E[g^2]
-    edx2 = _zeros_on_first_use("edx2")  # running E[dx^2]
-
-    def __init__(self, value: np.ndarray):
-        self.value = value
+    def __init__(self, arenas: _Arenas, span: slice, shape: tuple[int, ...]):
+        self.value = arenas["value"][span].reshape(shape)
         self._grad = self._eg2 = self._edx2 = None
-        self._arena: dict[str, np.ndarray] | None = None  # kind -> flat array, shared by a packed store's tensors
-        self._span = slice(0, 0)  # this tensor's elements in each arena
-
-    def held(self, name: str) -> np.ndarray | None:
-        """grad, eg2 or edx2 if allocated, else None."""
-        arr = getattr(self, f"_{name}")
-        if arr is None and self._arena is not None and name in self._arena:
-            arr = self._arena[name][self._span].reshape(self.value.shape)
-            setattr(self, f"_{name}", arr)
-        return arr
+        self._arenas, self._span = arenas, span  # this tensor's elements in each arena
 
 
 class ParamStore:
-    """Named dense parameters with deterministic registration order.
+    """A model's named dense tensors, built whole from their (name, shape, init) list.
 
-    All randomness (initialization) flows from the store seed; registering
-    the same tensors in the same order therefore reproduces values bit for
-    bit.  A store given a checkpoint's tensors (load_checkpoint) draws
-    nothing: each registered tensor takes its arrays from them, which must
-    have its shape, and the store keeps them.  A store has one
+    The values are one flat arena in list order, and each Param's value is
+    a view of its slice.  A fresh store draws every tensor in list order,
+    then copies each draw into its slice; all randomness flows from the
+    seed, so the same list reproduces the values bit for bit.  A store given a checkpoint's tensors
+    (load_checkpoint) draws nothing: they must hold exactly the listed
+    names at the listed shapes, and the store keeps their arrays as its
+    arenas where they already tile one (_checkpoint_arenas).  The gradients
+    and the Adadelta state get one arena each, for every tensor, on first
+    use, so adadelta_step updates every tensor at once.  A store has one
     logical writer during training; forward-only reads of a frozen store
     are freely shareable.
-
-    `pack`, once every tensor is registered (a model does it when built),
-    moves the values into one flat arena in registration order, and each
-    Param's value becomes a view of it.  The gradients and the Adadelta
-    state get one arena each on first use, so adadelta_step updates every
-    tensor at once.
     """
 
-    def __init__(self, rng_seed: int = 0, tensors: dict[str, dict[str, np.ndarray]] | None = None):
+    def __init__(
+        self, specs: Sequence[Spec], rng_seed: int = 0, tensors: dict[str, dict[str, np.ndarray]] | None = None
+    ):
+        names = [name for name, _, _ in specs]
+        twice = next((name for k, name in enumerate(names) if name in names[:k]), None)
+        if twice is not None:
+            raise ValueError(f"parameter {twice!r} listed twice")
+        unknown = next((init for _, _, init in specs if init not in _INITS), None)
+        if unknown is not None:
+            raise ValueError(f"unknown init scheme {unknown!r}")
         self.rng_seed = rng_seed
         self._rng: np.random.Generator | None = None  # made on the first draw, so a loaded store needs no numpy.random
-        self._tensors = tensors
-        self._params: dict[str, Param] = {}
-        self._arena: dict[str, np.ndarray] | None = None
-
-    def add(self, name: str, shape: tuple[int, ...], init: str = "zeros") -> Param:
-        if name in self._params:
-            raise ValueError(f"parameter {name!r} already registered")
-        if self._arena is not None:
-            raise ValueError(f"cannot register {name!r}: the store is packed")
-        if init not in ("zeros", "glorot", "embedding"):
-            raise ValueError(f"unknown init scheme {init!r}")
-        if self._tensors is not None:
-            if name not in self._tensors:
-                raise CheckpointError(f"checkpoint is missing parameter {name!r}")
-            rec = self._tensors[name]
-            if rec["value"].shape != tuple(shape):
-                raise CheckpointError(
-                    f"parameter {name!r}: checkpoint shape {rec['value'].shape} != model shape {tuple(shape)}"
-                )
-            param = Param(rec["value"])
-            param._eg2, param._edx2 = rec.get("eg2"), rec.get("edx2")
+        bounds = [0, *itertools.accumulate(math.prod(shape) for _, shape, _ in specs)]
+        spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        if tensors is not None:
+            self._arenas = _checkpoint_arenas(tensors, specs, spans)
         else:
-            param = Param(np.ascontiguousarray(self._draw(shape, init), dtype=np.float64))
-        self._params[name] = param
-        return param
+            # every tensor is drawn before any draw is freed: freeing each one as it was copied raised glibc's
+            # mmap threshold part way, and the later draws then stayed on the heap (~0.9 MB at the default size)
+            drawn = [(span, self._draw(shape, init)) for (_, shape, init), span in zip(specs, spans) if init != "zeros"]
+            self._arenas = _Arenas(value=np.zeros(bounds[-1]))
+            for span, values in drawn:
+                self._arenas["value"][span] = values.reshape(-1)
+        self._params = {name: Param(self._arenas, span, shape) for (name, shape, _), span in zip(specs, spans)}
 
     def _draw(self, shape: tuple[int, ...], init: str) -> np.ndarray:
-        if init == "zeros":
-            return np.zeros(shape, dtype=np.float64)
         if self._rng is None:
             self._rng = np.random.default_rng([self.rng_seed, 0x70])
         if init == "embedding":
@@ -159,57 +179,19 @@ class ParamStore:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return self._rng.uniform(-limit, limit, size=shape)
 
-    def pack(self) -> None:
-        """Move every value, and each state any tensor holds, into one arena per kind; a packed store stays packed.
-
-        A kind whose arrays already tile one flat array in registration
-        order, as a checkpoint's do, keeps that array as its arena.  A store
-        built from a checkpoint's tensors checks here that it used them all.
-        """
-        if self._arena is not None:
-            return
-        if self._tensors is not None:
-            extra = set(self._tensors) - set(self._params)
-            if extra:
-                raise CheckpointError(f"checkpoint contains unknown parameters: {sorted(extra)}")
-            self._tensors = None
-        params = list(self._params.values())
-        size = self.n_parameters()
-        arena = {}
-        for name in ("value", *_STATE):
-            held = [p.value if name == "value" else p.held(name) for p in params]
-            if name != "value" and all(h is None for h in held):
-                continue
-            arena[name] = _tiled(held, size)
-            if arena[name] is None:
-                arena[name] = flat = np.zeros(size)
-                lo = 0
-                for p, h in zip(params, held):
-                    if h is not None:
-                        flat[lo : lo + p.value.size] = h.reshape(-1)
-                    lo += p.value.size
-        lo = 0
-        for p in params:
-            span = slice(lo, lo + p.value.size)
-            lo = span.stop
-            p.value = arena["value"][span].reshape(p.value.shape)
-            p._grad = p._eg2 = p._edx2 = None
-            p._arena, p._span = arena, span
-        self._arena = arena
-
     def arena(self, name: str) -> np.ndarray:
-        """Every tensor's value, grad, eg2 or edx2 as one flat array; packs the store, allocates state on first use."""
-        self.pack()
-        return _state_arena(self._arena, name)
+        """Every tensor's value, grad, eg2 or edx2 as one flat array in list order; a state's is made on first use."""
+        return self._arenas[name]
+
+    def held(self, name: str) -> np.ndarray | None:
+        """arena(name) if it exists, without allocating it: None for a state no use has allocated yet."""
+        return self._arenas.get(name)
 
     def __getitem__(self, name: str) -> Param:
         try:
             return self._params[name]
         except KeyError:
             raise KeyError(f"no parameter named {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -218,16 +200,15 @@ class ParamStore:
         return self._params.items()
 
     def zero_grads(self) -> None:
-        for p in self._params.values():
-            grad = p.held("grad")
-            if grad is not None:
-                grad[...] = 0.0
+        grad = self.held("grad")
+        if grad is not None:
+            grad[...] = 0.0
 
     def has_optimizer_state(self) -> bool:
-        return all(p.held("eg2") is not None and p.held("edx2") is not None for p in self._params.values())
+        return self.held("eg2") is not None and self.held("edx2") is not None
 
     def n_parameters(self) -> int:
-        return sum(p.value.size for p in self._params.values())
+        return self._arenas["value"].size
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +423,7 @@ def adadelta_step(store: ParamStore, rho: float = ADADELTA_RHO, eps: float = ADA
                   E[dx^2]<- rho E[dx^2] + (1-rho) step^2
                   x      <- x - step
     Gradients are zeroed afterwards.  The update runs over the store's
-    arenas (ParamStore.arena, which packs a store not packed yet), every
-    tensor at once, one flat block at a time, through two block-sized
+    arenas (ParamStore.arena), every tensor at once, one flat block at a time, through two block-sized
     buffers; every product is taken in the order written above, so the
     result does not depend on the block size or on where one tensor ends
     and the next begins.  The step is the negated update dx = -step:
@@ -579,7 +559,6 @@ def grad_check(
 
 CHECKPOINT_MAGIC = b"NGCKPT01"
 CHECKPOINT_VERSION = 2
-_KINDS = ("value", "eg2", "edx2")
 _CRC_KEY = "crc32"
 # Bytes per read of the CRC pass.  Freeing this buffer raises glibc's
 # dynamic mmap threshold to its size, which keeps decode's per-sentence
@@ -596,11 +575,13 @@ def _record_chunks(store: ParamStore) -> Iterable[bytes]:
     yield struct.pack("<I", len(_KINDS) * len(store.names()))
     for name, p in store.items():
         name_b = name.encode("utf-8")
-        for kind_idx, arr in enumerate((p.value, p.held("eg2"), p.held("edx2"))):
+        for kind_idx, kind in enumerate(_KINDS):
             yield struct.pack("<H", len(name_b)) + name_b
             yield struct.pack(f"<BB{p.value.ndim}I", kind_idx, p.value.ndim, *p.value.shape)
-            # state never allocated is zeros
-            yield bytes(p.value.nbytes) if arr is None else np.ascontiguousarray(arr, dtype="<f8").tobytes()
+            if store.held(kind) is None:  # state never allocated is zeros
+                yield bytes(p.value.nbytes)
+            else:
+                yield np.ascontiguousarray(getattr(p, kind), dtype="<f8").tobytes()
 
 
 def write_atomically(path, chunks: Iterable[bytes]) -> None:
@@ -608,6 +589,8 @@ def write_atomically(path, chunks: Iterable[bytes]) -> None:
 
     The chunks go to a temporary file beside it, which is flushed, synced
     to disk and then renamed over path; on an exception it is removed.
+    The directory is synced after the rename, so the new name is on disk
+    before the caller writes anything that relies on it.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
@@ -617,6 +600,11 @@ def write_atomically(path, chunks: Iterable[bytes]) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+        directory = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -649,7 +637,7 @@ def load_checkpoint(path, optimizer_state: bool = False) -> tuple[dict, dict[str
     Every record is checked, but only optimizer_state=True (to resume)
     reads the eg2 and edx2 records.  Each kind's arrays are views of one
     flat array in record order, which a store built from them keeps as its
-    arena (ParamStore.pack).
+    arena (ParamStore).
     """
     with reading(path, CheckpointError, binary=True) as fh:
         size = os.fstat(fh.fileno()).st_size

@@ -24,7 +24,7 @@ from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_syntheti
 from nuggetnet.train import TRAIN_LOG, BEST_CHECKPOINT, LAST_CHECKPOINT, TrainConfig, evaluate_model, train
 
 from decode_reference import decode_oracle
-from util import BOTH, small_model, toy_corpus, widen_params
+from util import BOTH, determinism_run, gate_specs, small_model, toy_corpus, widen_params
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -250,18 +250,9 @@ def test_structural_mismatch_reproduction(capsys):
 
 def test_determinism_byte_identical(capsys, tmp_path):
     t0 = time.perf_counter()
-    spec = GenSpec(
-        n_sentences=8,
-        subtypes=default_subtype_names(2),
-        max_context_words=2,
-        n_distractor_words=6,
-    )
-    corpus = generate_synthetic_corpus(spec, rng_seed=1)
-    config = TrainConfig(epochs=2, batch_size=8, neg_ratio=2.0, rng_seed=3)
     reports = []
     for name in ("a", "b"):
-        model = small_model(corpus, rng_seed=5, max_rel_dist=20)
-        train(model, corpus, corpus, config, out_dir=tmp_path / name)
+        model, corpus = determinism_run(tmp_path / name)
         scores = evaluate_model(model, corpus)
         preds = model.predict_corpus(corpus)
         reports.append(
@@ -336,11 +327,7 @@ def test_hybrid_mode_algebra(capsys):
         cfg = ExtractorConfig(
             token_emb_dim=4, pos_emb_dim=2, n_filters=3, proj_dim=d, hybrid_mode=HybridMode.GENERAL
         )
-        store = ParamStore(int(rng.integers(1 << 30)))
-        for scope in ("fuse", "fuse.nugget", "fuse.type"):
-            store.add(f"{scope}.gate_w_char", (d, d), init="glorot")
-            store.add(f"{scope}.gate_w_word", (d, d), init="glorot")
-            store.add(f"{scope}.gate_b", (d,), init="zeros")
+        store = ParamStore(gate_specs(d), int(rng.integers(1 << 30)))
         a, b = rng.normal(size=d), rng.normal(size=d)
 
         # saturated gate picks one branch outright

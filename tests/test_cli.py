@@ -289,7 +289,7 @@ class TestTrainPredictEval:
         meta, _ = load_checkpoint(out_dir / BEST_CHECKPOINT)
         del meta["config"]
         path = tmp_path / "no-config.ckpt"
-        save_checkpoint(path, ParamStore(0), meta)
+        save_checkpoint(path, ParamStore([]), meta)
         capsys.readouterr()
         assert main(["inspect", "--model", str(path)]) == 1
         err = capsys.readouterr().err
@@ -301,7 +301,7 @@ class TestTrainPredictEval:
         meta, _ = load_checkpoint(out_dir / BEST_CHECKPOINT)
         meta["config"]["extractor"]["n_filters"] = 8.5
         path = tmp_path / "float-filters.ckpt"
-        save_checkpoint(path, ParamStore(0), meta)
+        save_checkpoint(path, ParamStore([]), meta)
         capsys.readouterr()
         assert main(["inspect", "--model", str(path)]) == 1
         err = capsys.readouterr().err

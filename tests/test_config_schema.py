@@ -14,7 +14,7 @@ import config_schema
 from nuggetnet.config import RunConfig, parse_run_config
 from nuggetnet.encoder import HybridMode
 from nuggetnet.errors import ConfigError
-from nuggetnet.model import MODEL_CLASSES
+from nuggetnet.model import MODEL_CLASSES, CharEncoderBase
 
 VALIDATOR = jsonschema.Draft202012Validator(json.loads(config_schema.SCHEMA_PATH.read_text(encoding="utf-8")))
 
@@ -197,3 +197,12 @@ def test_out_of_bounds_values_fail_naming_the_field(path, value, message):
     with pytest.raises(ConfigError) as info:
         parse_run_config(_run_file(path, value))
     assert str(info.value) == message
+
+
+def test_an_unbounded_max_rel_dist_is_refused(monkeypatch):
+    # it sizes each branch's (2 max_rel_dist + 1)-row position table: the run file is refused before any model is built
+    monkeypatch.setattr(CharEncoderBase, "__init__", lambda *args, **kwargs: pytest.fail("a model was built"))
+    with pytest.raises(ConfigError) as info:
+        parse_run_config(_run_file(("model", "extractor", "max_rel_dist"), 100_000_000))
+    assert str(info.value) == "max_rel_dist must be in [1, 65536), got 100000000"
+    assert _leaf_schema(("model", "extractor", "max_rel_dist"))["exclusiveMaximum"] == 1 << 16

@@ -17,27 +17,38 @@ from nuggetnet.encoder import (
     HybridMode,
     _pooled_at,
     branch_backward,
+    encoder_params,
     fuse,
     fuse_backward,
     load_embeddings_file,
-    register_encoder_params,
 )
 from nuggetnet.errors import ConfigError, ShapeError, from_json
 from nuggetnet.model import ModelConfig, _backward_rows, _view_starts
 from nuggetnet.ndcore import ParamStore, grad_check, sigmoid, split_argmax, split_max_pool
 
 from branch_reference import reference_branch, reference_view
-from util import BOTH, branch_rows_of, extract_segments, small_extractor, small_model, toy_corpus, widen_params
+from util import (
+    BOTH,
+    branch_rows_of,
+    extract_segments,
+    gate_specs,
+    small_extractor,
+    small_model,
+    toy_corpus,
+    widen_params,
+)
 
 
 def branch_store(config, n_tokens=12, seed=3, widen=True):
-    store = ParamStore(seed)
-    store.add("char.tok_emb", (n_tokens, config.token_emb_dim), init="embedding")
-    store.add("char.pos_emb", (config.n_positions, config.pos_emb_dim), init="embedding")
-    store.add("char.conv_w", (config.n_filters, config.window * config.input_dim), init="glorot")
-    store.add("char.conv_b", (config.n_filters,), init="zeros")
-    store.add("char.proj_w", (config.proj_dim, config.feature_dim), init="glorot")
-    store.add("char.proj_b", (config.proj_dim,), init="zeros")
+    specs = [
+        ("char.tok_emb", (n_tokens, config.token_emb_dim), "embedding"),
+        ("char.pos_emb", (config.n_positions, config.pos_emb_dim), "embedding"),
+        ("char.conv_w", (config.n_filters, config.window * config.input_dim), "glorot"),
+        ("char.conv_b", (config.n_filters,), "zeros"),
+        ("char.proj_w", (config.proj_dim, config.feature_dim), "glorot"),
+        ("char.proj_b", (config.proj_dim,), "zeros"),
+    ]
+    store = ParamStore(specs, seed)
     if widen:
         widen_params(store)
     return store
@@ -78,23 +89,20 @@ class TestRegistration:
     def test_both_branches_and_gates(self):
         corpus = toy_corpus()
         vocab = build_vocab(corpus, max_rel_dist=10)
-        store = ParamStore(0)
-        register_encoder_params(store, small_extractor(hybrid_mode=HybridMode.TASK_SPECIFIC), vocab)
-        names = store.names()
+        names = [name for name, _, _ in encoder_params(small_extractor(hybrid_mode=HybridMode.TASK_SPECIFIC), vocab)]
         for prefix in BRANCH_PREFIXES:
             assert f"{prefix}.tok_emb" in names and f"{prefix}.proj_w" in names
         assert "fuse.nugget.gate_w_char" in names and "fuse.type.gate_w_word" in names
 
     def test_concat_needs_no_gates(self):
         vocab = build_vocab(toy_corpus(), max_rel_dist=10)
-        store = ParamStore(0)
-        register_encoder_params(store, small_extractor(hybrid_mode=HybridMode.CONCAT), vocab)
-        assert not any(n.startswith("fuse.") for n in store.names())
+        specs = encoder_params(small_extractor(hybrid_mode=HybridMode.CONCAT), vocab)
+        assert not any(name.startswith("fuse.") for name, _, _ in specs)
 
     def test_rel_dist_mismatch_rejected(self):
         vocab = build_vocab(toy_corpus(), max_rel_dist=5)
         with pytest.raises(ConfigError, match="max_rel_dist"):
-            register_encoder_params(ParamStore(0), small_extractor(max_rel_dist=10), vocab)
+            encoder_params(small_extractor(max_rel_dist=10), vocab)
 
 
 def one_sequence(store, ids, centers, cfg):
@@ -563,19 +571,14 @@ class TestChunks:
 
 
 class TestFusion:
-    def gate_store(self, d, seed=4):
-        store = ParamStore(seed)
-        for scope in ("fuse", "fuse.nugget", "fuse.type"):
-            store.add(f"{scope}.gate_w_char", (d, d), init="glorot")
-            store.add(f"{scope}.gate_w_word", (d, d), init="glorot")
-            store.add(f"{scope}.gate_b", (d,), init="zeros")
-        return store
+    def gate_store(self, d, seed=4, extra=()):
+        return ParamStore([*gate_specs(d), *extra], seed)
 
     def test_concat_stacks_branches(self):
         cfg = small_extractor(hybrid_mode=HybridMode.CONCAT)
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=10), rng.normal(size=10)
-        cache = fuse(ParamStore(0), cfg, a, b, BOTH)
+        cache = fuse(ParamStore([]), cfg, a, b, BOTH)
         npt.assert_array_equal(cache.features[0], np.concatenate([a, b]))
         assert np.shares_memory(cache.features[0], cache.features[1])
 
@@ -632,19 +635,18 @@ class TestFusion:
     def test_single_branch_passthrough(self):
         cfg = small_extractor(use_words=False, hybrid_mode=HybridMode.TASK_SPECIFIC)
         a = np.random.default_rng(6).normal(size=(1, 10))
-        cache = fuse(ParamStore(0), cfg, a, None, BOTH)
+        cache = fuse(ParamStore([]), cfg, a, None, BOTH)
         npt.assert_array_equal(cache.features[0], a)
-        da, db = fuse_backward(ParamStore(0), cfg, cache, [np.ones((1, 10)), 2 * np.ones((1, 10))])
+        da, db = fuse_backward(ParamStore([]), cfg, cache, [np.ones((1, 10)), 2 * np.ones((1, 10))])
         npt.assert_array_equal(da, 3 * np.ones((1, 10)))
         assert db is None
 
     def fusion_grad_report(self, mode, parts):
         cfg = small_extractor(hybrid_mode=mode)
-        store = self.gate_store(10)
+        store = self.gate_store(10, extra=[("inputs.a", (3, 10), "zeros"), ("inputs.b", (3, 10), "zeros")])
         widen_params(store)
         rng = np.random.default_rng(7)
-        pa = store.add("inputs.a", (3, 10))
-        pb = store.add("inputs.b", (3, 10))
+        pa, pb = store["inputs.a"], store["inputs.b"]
         pa.value[...] = rng.normal(size=(3, 10))
         pb.value[...] = rng.normal(size=(3, 10))
         t_n = rng.normal(size=(3, cfg.fused_dim))[parts[0]]

@@ -263,7 +263,7 @@ class TestCharSpanModel:
         assert isinstance(loaded, CharSpanModel)
 
         bogus = tmp_path / "bogus.ckpt"
-        save_checkpoint(bogus, ParamStore(0), {"kind": "mystery"})
+        save_checkpoint(bogus, ParamStore([]), {"kind": "mystery"})
         with pytest.raises(CheckpointError, match="mystery"):
             load_model(bogus)
 
@@ -328,7 +328,7 @@ def test_each_task_gate_and_head_reads_only_its_streams_rows(corpus3, monkeypatc
 
 def test_iob_runs_no_type_gate(corpus3, monkeypatch):
     model = small_model(corpus3, mode=HybridMode.TASK_SPECIFIC, kind="iob")
-    assert "fuse.type.gate_b" in model.store.names()  # registered, and never read
+    assert "fuse.type.gate_b" in model.store.names()  # listed, and never read
     stream, _ = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
     calls = spy_fusion(monkeypatch)
     model.loss_and_grads(stream, (), np.random.default_rng(0))
@@ -425,9 +425,22 @@ def test_repeated_subtype_is_bad_metadata(tmp_path, corpus3):
     assert str(info.value) == f"{path}: bad model metadata: subtypes lists 'x' twice"
 
 
+def test_a_checkpoint_with_an_unbounded_max_rel_dist_is_refused_before_a_model_is_built(tmp_path, monkeypatch):
+    # the position tables would take 2 * 10^8 + 1 rows a branch: the bound refuses the metadata first
+    monkeypatch.setattr(nmodel.CharEncoderBase, "__init__", lambda *args, **kwargs: pytest.fail("a model was built"))
+    config = asdict(ModelConfig())
+    config["extractor"]["max_rel_dist"] = 100_000_000
+    vocab = build_vocab(toy_corpus(), max_rel_dist=100_000_000).to_json()
+    path = tmp_path / "wide.ckpt"
+    save_checkpoint(path, ParamStore([]), {"kind": "proposal", "config": config, "vocab": vocab, "subtypes": ["x"]})
+    with pytest.raises(CheckpointError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: bad model metadata: max_rel_dist must be in [1, 65536), got 100000000"
+
+
 def test_tensor_mismatch_names_file(tmp_path, corpus3):
     path = tmp_path / "headless.ckpt"
-    save_checkpoint(path, ParamStore(0), saved_meta(small_model(corpus3), path))
+    save_checkpoint(path, ParamStore([]), saved_meta(small_model(corpus3), path))
     with pytest.raises(CheckpointError, match="missing parameter") as info:
         load_model(path)
     assert str(path) in str(info.value)
@@ -463,12 +476,12 @@ class TestInferenceFootprint:
     def test_inference_load_holds_only_weights(self, trained):
         model, path = trained
         loaded, _ = load_model(path)
+        assert [k for k in self.STATE if loaded.store.held(k) is not None] == []
         for name, p in loaded.store.items():
-            assert [k for k in self.STATE if p.held(k) is not None] == [], name
             npt.assert_array_equal(p.value, model.store[name].value)
         assert not loaded.store.has_optimizer_state()
         loaded.predict_corpus(toy_corpus())  # inference allocates none either
-        assert all(p.held(k) is None for _, p in loaded.store.items() for k in self.STATE)
+        assert all(loaded.store.held(k) is None for k in self.STATE)
 
     def test_inference_load_peak(self, trained, tmp_path, monkeypatch):
         # one copy of the values, the read buffer and what reading the metadata costs: never the whole file
@@ -476,7 +489,7 @@ class TestInferenceFootprint:
         monkeypatch.setattr(ndcore, "_READ_BUFFER", 1 << 14)  # smaller than the file, as at the default size
         values = sum(p.value.nbytes for _, p in model.store.items())
         meta_only = tmp_path / "meta.ckpt"
-        save_checkpoint(meta_only, ParamStore(0), load_checkpoint(path)[0])
+        save_checkpoint(meta_only, ParamStore([]), load_checkpoint(path)[0])
         load_model(path)  # first-call caches do not count
         bound = values + ndcore._READ_BUFFER + self.traced_peak(lambda: load_checkpoint(meta_only))
         assert ndcore._READ_BUFFER < path.stat().st_size
@@ -540,4 +553,4 @@ class TestInferenceFootprint:
         for name, p in model.store.items():
             for kind in ("value", "eg2", "edx2"):
                 assert getattr(loaded.store[name], kind).tobytes() == getattr(p, kind).tobytes(), (name, kind)
-            assert loaded.store[name].held("grad") is None
+        assert loaded.store.held("grad") is None

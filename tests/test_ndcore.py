@@ -300,51 +300,75 @@ class TestSoftmaxXent:
 
 class TestParamStore:
     def test_registration_is_deterministic(self):
-        a, b = ParamStore(7), ParamStore(7)
-        for s in (a, b):
-            s.add("w", (3, 4), init="glorot")
-            s.add("e", (5, 2), init="embedding")
+        a, b = (ParamStore([("w", (3, 4), "glorot"), ("e", (5, 2), "embedding")], 7) for _ in range(2))
         npt.assert_array_equal(a["w"].value, b["w"].value)
         npt.assert_array_equal(a["e"].value, b["e"].value)
 
     def test_different_seeds_differ(self):
-        a, b = ParamStore(1), ParamStore(2)
-        a.add("w", (3, 4), init="glorot")
-        b.add("w", (3, 4), init="glorot")
+        a, b = (ParamStore([("w", (3, 4), "glorot")], seed) for seed in (1, 2))
         assert not np.array_equal(a["w"].value, b["w"].value)
 
     def test_embedding_init_range(self):
-        s = ParamStore(0)
-        e = s.add("e", (100, 10), init="embedding").value
+        e = ParamStore([("e", (100, 10), "embedding")])["e"].value
         assert np.all(np.abs(e) <= 0.01)
 
-    def test_duplicate_name_rejected(self):
-        s = ParamStore(0)
-        s.add("w", (2,))
-        with pytest.raises(ValueError):
-            s.add("w", (2,))
+    def test_duplicate_name_rejected(self, monkeypatch):
+        # refused before anything is drawn
+        monkeypatch.setattr(ParamStore, "_draw", lambda *args: pytest.fail("a tensor was drawn"))
+        with pytest.raises(ValueError, match="'w' listed twice"):
+            ParamStore([("w", (2,), "glorot"), ("b", (2,), "zeros"), ("w", (3,), "zeros")])
+
+    def test_unknown_init_rejected(self, monkeypatch):
+        monkeypatch.setattr(ParamStore, "_draw", lambda *args: pytest.fail("a tensor was drawn"))
+        with pytest.raises(ValueError, match="unknown init scheme 'ones'"):
+            ParamStore([("w", (2,), "glorot"), ("b", (2,), "ones")])
+
+    def test_each_tensor_is_drawn_in_list_order(self):
+        # the draws in list order from the seed's generator, zeros taking none
+        specs = [("e", (4, 3), "embedding"), ("b", (3,), "zeros"), ("w", (2, 3, 2), "glorot"), ("v", (5,), "glorot")]
+        s = ParamStore(specs, 9)
+        rng = np.random.default_rng([9, 0x70])
+        npt.assert_array_equal(s["e"].value, rng.uniform(-0.01, 0.01, size=(4, 3)))
+        npt.assert_array_equal(s["b"].value, np.zeros(3))
+        npt.assert_array_equal(s["w"].value, rng.uniform(-math.sqrt(6 / 8), math.sqrt(6 / 8), size=(2, 3, 2)))
+        npt.assert_array_equal(s["v"].value, rng.uniform(-math.sqrt(6 / 6), math.sqrt(6 / 6), size=(5,)))
+
+    def test_a_fresh_stores_values_are_one_arena_in_list_order(self):
+        s = ParamStore([("a", (3, 4), "glorot"), ("b", (5,), "zeros"), ("c", (2, 1, 3), "embedding")])
+        flat = s.arena("value")
+        assert flat.shape == (s.n_parameters(),) == (23,) and flat.dtype == np.float64
+        lo = 0
+        for name, p in s.items():
+            assert p.value.base is flat and p.value.flags.c_contiguous, name
+            assert (p.value.ctypes.data - flat.ctypes.data) // flat.itemsize == lo, name  # list order, no gap
+            lo += p.value.size
+        assert s.names() == ["a", "b", "c"]
+
+    def test_a_fresh_store_holds_no_gradient_or_adadelta_state(self):
+        s = ParamStore([("w", (2, 3), "glorot"), ("b", (3,), "zeros")])
+        assert [kind for kind in ("grad", "eg2", "edx2") if s.held(kind) is not None] == []
+        assert not s.has_optimizer_state()
+        s.zero_grads()  # allocates nothing
+        assert s.held("grad") is None
 
     def test_zero_grads(self):
-        s = ParamStore(0)
-        p = s.add("w", (2, 2))
+        s = ParamStore([("w", (2, 2), "zeros")])
+        p = s["w"]
         p.grad += 1.0
         s.zero_grads()
         npt.assert_array_equal(p.grad, np.zeros((2, 2)))
 
     def test_gradient_and_state_exist_from_first_use(self):
-        s = ParamStore(0)
-        p = s.add("w", (2, 3), init="glorot")
-        q = s.add("b", (3,))
-        s.zero_grads()
-        assert all(p.held(name) is None for name in ("grad", "eg2", "edx2"))
-        assert not s.has_optimizer_state()
+        s = ParamStore([("w", (2, 3), "glorot"), ("b", (3,), "zeros")])
+        p, q = s["w"], s["b"]
         grad = p.grad
-        assert p.held("grad") is grad
-        npt.assert_array_equal(grad, np.zeros((2, 3)))
+        assert s.held("grad") is grad.base  # the first use allocates the arena, for every tensor
+        assert q.grad.base is grad.base and s.held("eg2") is None
+        npt.assert_array_equal(s.arena("grad"), np.zeros(9))
         assert grad.dtype == np.float64 and type(grad) is np.ndarray
         p.grad += 2.0  # assigned back: the same array
         assert p.grad is grad and np.all(grad == 2.0)
-        assert p.held("eg2") is None and q.held("grad") is None
+        assert not s.has_optimizer_state()
         adadelta_step(s)
         assert s.has_optimizer_state()
         npt.assert_array_equal(p.grad, np.zeros((2, 3)))
@@ -371,10 +395,7 @@ class TestAdadelta:
     def test_matches_textbook_elementwise(self, shape, seed):
         # tensors larger than, equal to and smaller than one block, with rows that get no gradient
         rng = np.random.default_rng(seed)
-        stores = [ParamStore(0), ParamStore(0)]
-        for s in stores:
-            s.add("big", shape)
-            s.add("small", (3,))
+        stores = [ParamStore([("big", shape, "zeros"), ("small", (3,), "zeros")]) for _ in range(2)]
         for _ in range(4):
             grads = {name: rng.normal(size=p.value.shape) for name, p in stores[0].items()}
             grads["big"][rng.random(shape[0]) < 0.5] = 0.0
@@ -389,8 +410,8 @@ class TestAdadelta:
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (name, field)
 
     def test_first_step_magnitude(self):
-        s = ParamStore(0)
-        p = s.add("w", (3,))
+        s = ParamStore([("w", (3,), "zeros")])
+        p = s["w"]
         p.grad[...] = 1.0
         adadelta_step(s)
         npt.assert_allclose(p.value, np.full(3, ADADELTA_FIRST_STEP), rtol=1e-12)
@@ -399,8 +420,8 @@ class TestAdadelta:
     def test_matches_reference_recurrence(self):
         rng = np.random.default_rng(3)
         grads = rng.normal(size=(6, 4))
-        s = ParamStore(0)
-        p = s.add("w", (4,))
+        s = ParamStore([("w", (4,), "zeros")])
+        p = s["w"]
         # independent reference, written directly from the update equations
         x = np.zeros(4)
         eg2 = np.zeros(4)
@@ -417,8 +438,8 @@ class TestAdadelta:
 
     def test_gradient_descent_on_quadratic(self):
         # minimizing 0.5*(x - 3)^2 must move x toward 3
-        s = ParamStore(0)
-        p = s.add("x", (1,))
+        s = ParamStore([("x", (1,), "zeros")])
+        p = s["x"]
         for _ in range(4000):
             p.grad[...] = p.value - 3.0
             adadelta_step(s)
@@ -463,11 +484,8 @@ class TestArena:
     def test_adadelta_over_the_arena_matches_the_per_tensor_update(self, shapes, seed):
         # tensors that straddle the arena's blocks, and rows that get no gradient
         rng = np.random.default_rng(seed)
-        packed, per_tensor = ParamStore(3), ParamStore(3)
-        for s in (packed, per_tensor):
-            for i, shape in enumerate(shapes):
-                s.add(f"t{i}", shape, init="glorot")
-        packed.pack()
+        specs = [(f"t{i}", shape, "glorot") for i, shape in enumerate(shapes)]
+        packed, per_tensor = ParamStore(specs, 3), ParamStore(specs, 3)
         for _ in range(3):
             for name, p in per_tensor.items():
                 g = rng.normal(size=p.value.shape)
@@ -480,12 +498,9 @@ class TestArena:
                 assert getattr(packed[name], kind).tobytes() == getattr(p, kind).tobytes(), (name, kind)
 
     def test_every_tensor_is_a_view_of_its_arenas(self):
-        s = ParamStore(0)
-        for name, shape in (("a", (3, 4)), ("b", (5,)), ("c", (2, 1, 3))):
-            s.add(name, shape, init="glorot")
-        s.pack()
+        s = ParamStore([("a", (3, 4), "glorot"), ("b", (5,), "glorot"), ("c", (2, 1, 3), "glorot")])
         s["b"].grad  # the first use of a state allocates it for every tensor
-        assert all(p.held("grad") is not None and p.held("eg2") is None for _, p in s.items())
+        assert s.held("grad") is not None and s.held("eg2") is None
         for kind in self.KINDS:
             flat = s.arena(kind)
             assert flat.shape == (s.n_parameters(),) and flat.dtype == np.float64
@@ -493,32 +508,15 @@ class TestArena:
             for _, p in s.items():
                 view = getattr(p, kind)
                 assert view.base is flat and view.flags.c_contiguous
-                assert (view.ctypes.data - flat.ctypes.data) // flat.itemsize == lo  # registration order, no gap
+                assert (view.ctypes.data - flat.ctypes.data) // flat.itemsize == lo  # list order, no gap
                 lo += view.size
             assert lo == flat.shape[0]
         s["c"].grad += 2.0  # written through the view, read in the arena
         npt.assert_array_equal(s.arena("grad")[-6:], np.full(6, 2.0))
 
-    def test_packing_keeps_values_and_held_state(self):
-        s = ParamStore(4)
-        w = s.add("w", (3, 2), init="glorot")
-        s.add("b", (2,))
-        before = w.value.copy()
-        w.eg2[...] = 0.5
-        s.pack()
-        npt.assert_array_equal(w.value, before)
-        npt.assert_array_equal(w.eg2, np.full((3, 2), 0.5))
-        npt.assert_array_equal(s["b"].eg2, np.zeros(2))  # held for one tensor, so held for all
-        assert w.held("grad") is None and w.held("edx2") is None
-        with pytest.raises(ValueError, match="packed"):
-            s.add("late", (1,))
-        s.pack()  # a packed store stays as it is
-        assert w.value.base is s.arena("value")
-
     def test_assigning_a_state_copies_into_the_arena(self):
-        s = ParamStore(0)
-        p = s.add("w", (2,))
-        s.pack()
+        s = ParamStore([("w", (2,), "zeros")])
+        p = s["w"]
         p.grad = np.array([1.0, 2.0])
         assert p.grad.base is s.arena("grad")
         npt.assert_array_equal(s.arena("grad"), [1.0, 2.0])
@@ -526,8 +524,8 @@ class TestArena:
 
 class TestGradCheck:
     def test_detects_correct_gradient(self):
-        s = ParamStore(0)
-        p = s.add("x", (5,), init="glorot")
+        s = ParamStore([("x", (5,), "glorot")])
+        p = s["x"]
 
         def closure():
             p.grad += 2.0 * p.value  # d/dx sum(x^2)
@@ -537,8 +535,8 @@ class TestGradCheck:
         assert report.passed
 
     def test_detects_wrong_gradient(self):
-        s = ParamStore(0)
-        p = s.add("x", (5,), init="glorot")
+        s = ParamStore([("x", (5,), "glorot")])
+        p = s["x"]
 
         def closure():
             p.grad += 3.0 * p.value  # wrong factor
@@ -549,8 +547,8 @@ class TestGradCheck:
         assert "FAIL" in report.summary()
 
     def test_leaves_values_and_grads_clean(self):
-        s = ParamStore(0)
-        p = s.add("x", (4,), init="glorot")
+        s = ParamStore([("x", (4,), "glorot")])
+        p = s["x"]
         before = p.value.copy()
 
         def closure():
@@ -574,12 +572,11 @@ def v1_checkpoint(meta: dict, records: list[bytes]) -> bytes:
 
 
 class TestCheckpoint:
+    SPECS = [("emb", (6, 3), "embedding"), ("w", (4, 5), "glorot"), ("b", (4,), "zeros")]
+
     def build_store(self, tensors=None):
         """Three tensors, w with Adadelta state; given a checkpoint's tensors, the store takes them instead."""
-        s = ParamStore(11, tensors)
-        s.add("emb", (6, 3), init="embedding")
-        s.add("w", (4, 5), init="glorot")
-        s.add("b", (4,), init="zeros")
+        s = ParamStore(self.SPECS, 11, tensors)
         if tensors is None:
             s["w"].eg2[...] = 0.25
             s["w"].edx2[...] = 0.5
@@ -599,14 +596,12 @@ class TestCheckpoint:
             npt.assert_array_equal(fresh[name].edx2, p.edx2)
 
     def test_state_never_used_saves_zero_records(self, tmp_path):
-        lazy = self.build_store()
-        eager = self.build_store()
-        for _, p in eager.items():
-            p.eg2[...] += 0.0  # reading allocates: zeros, but for w's
-            p.edx2[...] += 0.0
+        lazy, eager = ParamStore(self.SPECS, 11), ParamStore(self.SPECS, 11)
+        eager["emb"].eg2[...] += 0.0  # reading allocates the arena: zeros
+        eager["b"].edx2[...] += 0.0
         save_checkpoint(tmp_path / "lazy.ckpt", lazy, {"k": 1})
         save_checkpoint(tmp_path / "eager.ckpt", eager, {"k": 1})
-        assert lazy["emb"].held("eg2") is None and lazy["b"].held("edx2") is None
+        assert lazy.held("eg2") is None and lazy.held("edx2") is None
         assert (tmp_path / "lazy.ckpt").read_bytes() == (tmp_path / "eager.ckpt").read_bytes()
 
     def test_optimizer_state_is_copied_only_when_asked(self, tmp_path):
@@ -618,8 +613,7 @@ class TestCheckpoint:
         assert all(rec.keys() == {"value"} for rec in values.values())
         assert all(rec.keys() == {"value", "eg2", "edx2"} for rec in everything.values())
         weights = self.build_store(values)
-        weights.pack()
-        assert not any(p.held(kind) is not None for _, p in weights.items() for kind in ("grad", "eg2", "edx2"))
+        assert all(weights.held(kind) is None for kind in ("grad", "eg2", "edx2"))
         resumed = self.build_store(everything)
         for name, p in s.items():
             npt.assert_array_equal(weights[name].value, p.value)
@@ -634,10 +628,8 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, s, {})
         _, tensors = load_checkpoint(path, optimizer_state=True)
-        loaded = ParamStore(0, {name: tensors[name] for name in order})
-        for name in order:
-            loaded.add(name, s[name].value.shape)
-        loaded.pack()
+        specs = [(name, s[name].value.shape, "zeros") for name in order]
+        loaded = ParamStore(specs, 0, {name: tensors[name] for name in order})
         for kind in ("value", "eg2", "edx2"):
             adopted = all(getattr(loaded[name], kind).base is tensors[name][kind].base for name in order)
             assert adopted == (order == ("emb", "w", "b")), kind
@@ -654,10 +646,8 @@ class TestCheckpoint:
     def test_unused_checkpoint_tensor_fails_when_the_store_packs(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self.build_store(), {})
-        other = ParamStore(0, load_checkpoint(path)[1])
-        other.add("emb", (6, 3))
         with pytest.raises(CheckpointError, match=r"unknown parameters: \['b', 'w'\]"):
-            other.pack()
+            ParamStore([("emb", (6, 3), "zeros")], 0, load_checkpoint(path)[1])
 
     @pytest.mark.parametrize("read_buffer", [7, 1 << 22])
     def test_checksum_pass_reads_through_one_buffer(self, tmp_path, monkeypatch, read_buffer):
@@ -823,18 +813,28 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self.build_store(), {})
         _, tensors = load_checkpoint(path)
-        other = ParamStore(0, tensors)
-        other.add("emb", (6, 3))
-        with pytest.raises(CheckpointError, match="shape"):
-            other.add("w", (4, 9))
+        with pytest.raises(CheckpointError, match=r"'w': checkpoint shape \(4, 5\) != model shape \(4, 9\)"):
+            ParamStore([("emb", (6, 3), "zeros"), ("w", (4, 9), "zeros"), ("b", (4,), "zeros")], 0, tensors)
 
     def test_missing_parameter_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self.build_store(), {})
         _, tensors = load_checkpoint(path)
-        other = ParamStore(0, tensors)
-        other.add("emb", (6, 3))
-        other.add("w", (4, 5))
-        other.add("b", (4,))
-        with pytest.raises(CheckpointError, match="extra"):
-            other.add("extra", (2,))
+        with pytest.raises(CheckpointError, match="missing parameter 'extra'"):
+            ParamStore([*self.SPECS, ("extra", (2,), "zeros")], 0, tensors)
+
+    @pytest.mark.parametrize(
+        "specs, message",
+        [
+            ([("emb", (6, 3)), ("extra", (2,)), ("w", (4, 9))], "missing parameter 'extra'"),
+            ([("emb", (6, 3)), ("w", (4, 9)), ("extra", (2,))], r"'w': checkpoint shape"),
+            ([("emb", (6, 3)), ("w", (4, 5))], r"unknown parameters: \['b'\]"),
+        ],
+        ids=["missing-before-shape", "shape-before-missing", "unknown-last"],
+    )
+    def test_checkpoint_errors_keep_their_precedence(self, tmp_path, specs, message):
+        # the listed tensors in list order, each missing or misshapen; then the checkpoint's unlisted ones
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self.build_store(), {})
+        with pytest.raises(CheckpointError, match=message):
+            ParamStore([(name, shape, "zeros") for name, shape in specs], 0, load_checkpoint(path)[1])

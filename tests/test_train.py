@@ -1,6 +1,7 @@
 import json
 import os
 from dataclasses import asdict, replace
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ from nuggetnet.train import (
 )
 
 from util import KINDS, small_model
+
+ntrain = import_module("nuggetnet.train")  # the package's `train` attribute is the function
 
 
 def tiny_corpus(n=8, seed=1):
@@ -207,6 +210,38 @@ class TestDeterminism:
         train(tiny_model(corpus, rng_seed=5), corpus, corpus, quick_config(epochs=3), out_dir=tmp_path)
         expected = [e for n in (1, 2, 3) for e in (("log synced", n), ("saved", LAST_CHECKPOINT))]
         assert [e for e in events if e[1] != BEST_CHECKPOINT] == expected
+
+    def test_each_rename_is_synced_in_its_directory_before_the_next_write(self, tmp_path, monkeypatch):
+        # a rename lives in the directory's entry: until the directory is synced, power loss may undo it
+        events = []
+        fsync, replace, write_atomically, append = os.fsync, os.replace, ndcore.write_atomically, ntrain._append_line
+
+        def fsync_spy(fd):
+            events.append(("sync", "dir" if os.path.samestat(os.fstat(fd), os.stat(tmp_path)) else "file"))
+            return fsync(fd)
+
+        def replace_spy(src, dst):
+            replace(src, dst)
+            events.append(("rename", os.path.basename(dst)))
+
+        def write_spy(path, chunks):
+            events.append(("write", os.path.basename(path)))
+            return write_atomically(path, chunks)
+
+        def append_spy(path, rec):
+            events.append(("append", os.path.basename(path)))
+            return append(path, rec)
+
+        monkeypatch.setattr(os, "fsync", fsync_spy)
+        monkeypatch.setattr(os, "replace", replace_spy)
+        monkeypatch.setattr(ndcore, "write_atomically", write_spy)
+        monkeypatch.setattr(ntrain, "_append_line", append_spy)
+        corpus = tiny_corpus()
+        train(tiny_model(corpus, rng_seed=5), corpus, corpus, quick_config(epochs=1), out_dir=tmp_path)
+        saved = [("write", BEST_CHECKPOINT), ("sync", "file"), ("rename", BEST_CHECKPOINT), ("sync", "dir")]
+        logged = [("append", TRAIN_LOG), ("sync", "file")]
+        last = [("write", LAST_CHECKPOINT), ("sync", "file"), ("rename", LAST_CHECKPOINT), ("sync", "dir")]
+        assert events == saved + logged + last
 
     def test_resume_without_optimizer_state_is_refused(self, tmp_path):
         # weights alone would restart Adadelta from zero: the run would silently differ from a straight one

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from nuggetnet.corpus import AnnotatedSentence, SubtypeInventory, TriggerNugget, build_vocab
 from nuggetnet.encoder import ExtractorConfig, HybridMode, extract_branch
 from nuggetnet.model import MODEL_CLASSES, CharEncoderBase, ModelConfig, _branch_rows
+from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
+from nuggetnet.train import TrainConfig, train
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
@@ -74,6 +76,30 @@ def small_model(
         max_tokens=40,
     )
     return MODEL_CLASSES[kind](config, vocab, inventory, rng_seed=rng_seed)
+
+
+def determinism_run(out_dir) -> tuple[CharEncoderBase, list[AnnotatedSentence]]:
+    """The determinism acceptance run: one small model trained 2 epochs on a tiny synthetic corpus into out_dir.
+
+    Returns the trained model and its corpus.
+    """
+    spec = GenSpec(n_sentences=8, subtypes=default_subtype_names(2), max_context_words=2, n_distractor_words=6)
+    corpus = generate_synthetic_corpus(spec, rng_seed=1)
+    model = small_model(corpus, rng_seed=5, max_rel_dist=20)
+    train(model, corpus, corpus, TrainConfig(epochs=2, batch_size=8, neg_ratio=2.0, rng_seed=3), out_dir=out_dir)
+    return model, corpus
+
+
+def gate_specs(d: int) -> list:
+    """The (name, shape, init) list of every hybrid mode's gates at width d: the shared gate's, then each task's."""
+    specs = []
+    for scope in ("fuse", "fuse.nugget", "fuse.type"):
+        specs += [
+            (f"{scope}.gate_w_char", (d, d), "glorot"),
+            (f"{scope}.gate_w_word", (d, d), "glorot"),
+            (f"{scope}.gate_b", (d,), "zeros"),
+        ]
+    return specs
 
 
 def widen_params(store, scale: float = 0.4, rng_seed: int = 99) -> None:
