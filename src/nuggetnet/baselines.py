@@ -115,7 +115,7 @@ def _labelled_stream(rows: Iterable[LabelledChar], neg_ratio: float, rng_seed: i
 
 
 class IOBModel(CharEncoderBase):
-    """Character tagger over IOB labels, on the nugget-side fused features."""
+    """Character tagger over IOB labels, on fused features through its own gate in task_specific mode."""
 
     kind = "iob"
 

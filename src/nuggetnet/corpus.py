@@ -48,12 +48,6 @@ class TriggerNugget:
         return self.start + self.length - 1
 
 
-@dataclass(frozen=True)
-class EventSubtype:
-    name: str
-    id: int
-
-
 class SubtypeInventory:
     """Dense, stable mapping between subtype names and integer ids.
 
@@ -62,15 +56,9 @@ class SubtypeInventory:
     """
 
     def __init__(self, names: Iterable[str]):
-        self.subtypes: list[EventSubtype] = []
-        self._by_name: dict[str, EventSubtype] = {}
-        for name in names:
-            if name in self._by_name:
-                continue
-            st = EventSubtype(name, len(self.subtypes))
-            self.subtypes.append(st)
-            self._by_name[name] = st
-        if not self.subtypes:
+        self.names: list[str] = list(dict.fromkeys(names))  # a name listed again keeps its first id
+        self._ids = {name: i for i, name in enumerate(self.names)}
+        if not self.names:
             raise CorpusValidationError("subtype inventory is empty")
 
     @classmethod
@@ -79,26 +67,15 @@ class SubtypeInventory:
         return cls(names)
 
     def __len__(self) -> int:
-        return len(self.subtypes)
-
-    def __iter__(self):
-        return iter(self.subtypes)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return len(self.names)
 
     def id_of(self, name: str) -> int:
-        st = self._by_name.get(name)
-        if st is None:
+        if name not in self._ids:
             raise CorpusValidationError(f"unknown event subtype {name!r}")
-        return st.id
+        return self._ids[name]
 
     def name_of(self, subtype_id: int) -> str:
-        return self.subtypes[subtype_id].name
-
-    @property
-    def names(self) -> list[str]:
-        return [st.name for st in self.subtypes]
+        return self.names[subtype_id]
 
 
 @dataclass

@@ -62,10 +62,14 @@ then one matmul for the filters' gradient and one for the embedding
 rows'.  No map of either term is built.  The lexical gradient reaches the
 token table through ndcore.scatter_rows.
 
-fuse builds each softmax head's input for its own row slice only (a
-training step's span or subtype rows; every row at inference): a
-task_specific gate runs on its head's rows, while the shared gate, the
-concatenation or a lone branch runs once and each head reads its slice.
+gate_scopes alone decides the gate each softmax head reads: none for a
+lone branch or concat, `fuse` for general, `fuse.<head>` for
+task_specific.  encoder_params registers each gate once, and fuse builds
+each head's input for its own row slice only (a training step's span or
+subtype rows; every row at inference).  Where each head reads a gate of
+its own, each gate runs on its head's rows only; a gate that every head
+reads, the concatenation or a lone branch runs once over every row, and
+each head reads its slice.
 
 Backward passes are written out by hand; the gradient checker in ndcore is
 the authority on their correctness.
@@ -75,7 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -138,12 +142,17 @@ class ExtractorConfig:
 
 
 BRANCH_PREFIXES = ("char", "word")
-# the task_specific gate of head 0 and of head 1
-TASKS = ("nugget", "type")
 
 
-def encoder_params(config: ExtractorConfig, vocab: Vocabulary) -> list[Spec]:
-    """The extractor's and the fusion's (name, shape, init) tensor list, in store order."""
+def gate_scopes(config: ExtractorConfig, heads: Iterable[str]) -> dict[str, str | None]:
+    """The gate each head reads, by head: none for a lone branch or concat, `fuse` for general, `fuse.<head>` for task_specific."""
+    if not config.both_branches or config.hybrid_mode is HybridMode.CONCAT:
+        return dict.fromkeys(heads)
+    return {head: "fuse" if config.hybrid_mode is HybridMode.GENERAL else f"fuse.{head}" for head in heads}
+
+
+def encoder_params(config: ExtractorConfig, vocab: Vocabulary, heads: Iterable[str]) -> list[Spec]:
+    """The extractor's and the fusion's (name, shape, init) tensor list, in store order: each gate the heads read once."""
     if vocab.max_rel_dist != config.max_rel_dist:
         raise ConfigError(
             f"vocabulary max_rel_dist {vocab.max_rel_dist} != extractor max_rel_dist {config.max_rel_dist}"
@@ -160,9 +169,8 @@ def encoder_params(config: ExtractorConfig, vocab: Vocabulary) -> list[Spec]:
             (f"{prefix}.proj_w", (config.proj_dim, config.feature_dim), "glorot"),
             (f"{prefix}.proj_b", (config.proj_dim,), "zeros"),
         ]
-    scopes = {HybridMode.GENERAL: ["fuse"], HybridMode.TASK_SPECIFIC: [f"fuse.{task}" for task in TASKS]}
     d = config.proj_dim
-    for scope in scopes.get(config.hybrid_mode, []) if config.both_branches else []:
+    for scope in filter(None, dict.fromkeys(gate_scopes(config, heads).values())):
         specs += [
             (f"{scope}.gate_w_char", (d, d), "glorot"),
             (f"{scope}.gate_w_word", (d, d), "glorot"),
@@ -415,9 +423,9 @@ def branch_backward(store: ParamStore, prefix: str, cache: BranchCache, dfp: np.
 class FusionCache:
     fp_char: np.ndarray | None
     fp_word: np.ndarray | None
-    parts: Sequence[slice]  # the rows each head reads
-    gates: dict[str, np.ndarray]  # "shared" or a task -> sigmoid gate rows of the rows it computed
-    features: list[np.ndarray]  # each head's inputs, one row per row of its part
+    parts: dict[str, slice]  # the rows each head reads, by head
+    gates: dict[str, np.ndarray]  # gate scope -> sigmoid gate rows of the rows it computed
+    features: dict[str, np.ndarray]  # each head's inputs, one row per row of its part
 
 
 def _gate(store: ParamStore, scope: str, fp_char: np.ndarray, fp_word: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -447,46 +455,52 @@ def fuse(
     config: ExtractorConfig,
     fp_char: np.ndarray | None,
     fp_word: np.ndarray | None,
-    parts: Sequence[slice],
+    parts: dict[str, slice],
 ) -> FusionCache:
-    """Each head's inputs from the branch features: head h's for the rows parts[h]."""
+    """Each head's inputs from the branch features, through its gate (gate_scopes): head h's for the rows parts[h]."""
+    scopes = gate_scopes(config, parts)
+    distinct = set(scopes.values())
     gates = {}
-    if config.both_branches and config.hybrid_mode is HybridMode.TASK_SPECIFIC:
-        features = []
-        for task, part in zip(TASKS, parts):
-            gates[task], f = _gate(store, f"fuse.{task}", fp_char[part], fp_word[part])
-            features.append(f)
+    if len(distinct) > 1:  # each head reads a gate of its own, on its own rows only
+        features = {}
+        for head, part in parts.items():
+            gates[scopes[head]], features[head] = _gate(store, scopes[head], fp_char[part], fp_word[part])
         return FusionCache(fp_char, fp_word, parts, gates, features)
-    if not config.both_branches:
+    (scope,) = distinct  # one gate that every head reads, or none: one pass over every row
+    if scope is not None:
+        gates[scope], f = _gate(store, scope, fp_char, fp_word)
+    elif not config.both_branches:
         f = fp_char if fp_word is None else fp_word
-    elif config.hybrid_mode is HybridMode.CONCAT:
-        f = np.concatenate([fp_char, fp_word], axis=-1)
     else:
-        gates["shared"], f = _gate(store, "fuse", fp_char, fp_word)
-    return FusionCache(fp_char, fp_word, parts, gates, [f[part] for part in parts])
+        f = np.concatenate([fp_char, fp_word], axis=-1)
+    return FusionCache(fp_char, fp_word, parts, gates, {head: f[part] for head, part in parts.items()})
 
 
 def fuse_backward(
-    store: ParamStore, config: ExtractorConfig, cache: FusionCache, dfs: Sequence[np.ndarray]
+    store: ParamStore, config: ExtractorConfig, cache: FusionCache, dfs: dict[str, np.ndarray]
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Route each head's input gradient, dfs[h] over the rows of its part, back to the branch features."""
     fp_char, fp_word = cache.fp_char, cache.fp_word
-    if config.both_branches and config.hybrid_mode is HybridMode.TASK_SPECIFIC:
+    scopes = gate_scopes(config, cache.parts)
+    distinct = set(scopes.values())
+    if len(distinct) > 1:
         dfp_char, dfp_word = np.zeros_like(fp_char), np.zeros_like(fp_word)
-        for task, part, df in zip(TASKS, cache.parts, dfs):
-            dc, dw = _gate_backward(store, f"fuse.{task}", cache.gates[task], fp_char[part], fp_word[part], df)
+        for head, part in cache.parts.items():
+            z = cache.gates[scopes[head]]
+            dc, dw = _gate_backward(store, scopes[head], z, fp_char[part], fp_word[part], dfs[head])
             dfp_char[part] += dc
             dfp_word[part] += dw
         return dfp_char, dfp_word
+    (scope,) = distinct
     single = fp_char if fp_word is None else fp_word
     d = np.zeros(single.shape[:-1] + (config.fused_dim,))
-    for part, df in zip(cache.parts, dfs):
-        d[part] += df
+    for head, part in cache.parts.items():
+        d[part] += dfs[head]
+    if scope is not None:
+        return _gate_backward(store, scope, cache.gates[scope], fp_char, fp_word, d)
     if not config.both_branches:
         return (d, None) if fp_char is not None else (None, d)
-    if config.hybrid_mode is HybridMode.CONCAT:
-        return d[..., : config.proj_dim], d[..., config.proj_dim :]
-    return _gate_backward(store, "fuse", cache.gates["shared"], fp_char, fp_word, d)
+    return d[..., : config.proj_dim], d[..., config.proj_dim :]
 
 
 # ---------------------------------------------------------------------------

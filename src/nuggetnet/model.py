@@ -16,9 +16,10 @@ each sentence keeps its ids (AnnotatedSentence.ids), a row is one
 (sentence, character) pair, and _branch_rows indexes a branch's centers
 and views with one np.unique and gathers their tokens in one step.
 The model's ParamStore is built in one call from its whole tensor list:
-the encoder's (encoder.encoder_params), then each head's weights and
-bias.  `load_model` opens any kind through MODEL_CLASSES, with its
-weights alone unless asked for the Adadelta state to resume.
+the encoder's (encoder.encoder_params: each gate a head reads, and no
+other), then each head's weights and bias.  `load_model` opens any kind
+through MODEL_CLASSES, with its weights alone unless asked for the
+Adadelta state to resume.
 
 Inference has one path for every kind, `predict_corpus`.  It packs whole
 sentences, in order, into one forward until the next would pass a fixed
@@ -182,8 +183,8 @@ def _backward_rows(store: ParamStore, config: ModelConfig, branch: _BranchRows, 
 class _Forward:
     branches: list[_BranchRows]
     fusion: FusionCache
-    features: list[np.ndarray]  # each head's (rows of its part, fused_dim) inputs, after dropout when training
-    masks: list[np.ndarray] | None  # each head's dropout mask
+    features: dict[str, np.ndarray]  # each head's (rows of its part, fused_dim) inputs, after dropout when training
+    masks: dict[str, np.ndarray] | None  # each head's dropout mask
 
 
 # Batch rows per inference forward.  predict_corpus packs whole sentences, in order, until the next
@@ -204,8 +205,8 @@ class CharEncoderBase:
     """What every model kind shares: its state, the encoder, the output layer, batched plumbing and the checkpoint.
 
     A subclass names its softmax heads and their class counts
-    (`_head_classes`); head h reads its own rows' fused features, through
-    task encoder.TASKS[h]'s gate in task_specific mode.  The store holds the
+    (`_head_classes`); each head reads its own rows' fused features, through
+    the gate encoder.gate_scopes names for it.  The store holds the
     encoder tensors, then each head's `head.<name>_w`/`_b`.  A subclass's
     `kind` names it in checkpoints and in the run config.
     """
@@ -223,7 +224,7 @@ class CharEncoderBase:
         self.subtypes = subtypes
         self.rng_seed = rng_seed
         self.heads = self._head_classes()
-        specs = encoder_params(config.extractor, vocab)
+        specs = encoder_params(config.extractor, vocab, self.heads)
         for head, n_classes in self.heads.items():
             specs.append((f"head.{head}_w", (n_classes, config.extractor.fused_dim), "glorot"))
             specs.append((f"head.{head}_b", (n_classes,), "zeros"))
@@ -244,7 +245,7 @@ class CharEncoderBase:
         ids: Sequence[tuple[np.ndarray | None, np.ndarray | None, np.ndarray]],
         sent: np.ndarray,
         chars: np.ndarray,
-        parts: Sequence[slice] | None = None,
+        parts: dict[str, slice] | None = None,
         drop_rng: np.random.Generator | None = None,
         for_backward: bool = True,
     ) -> _Forward:
@@ -265,20 +266,20 @@ class CharEncoderBase:
             words = np.concatenate(maps)[(n.cumsum() - n)[sent] + chars]
             branches.append(_branch_rows(self.store, self.config, "word", [i[1] for i in ids], sent, words, for_backward))
         fp = {b.prefix: b.fp for b in branches}
-        parts = parts or [slice(None)] * len(self.heads)
+        parts = parts or dict.fromkeys(self.heads, slice(None))
         fusion = fuse(self.store, cfg, fp.get("char"), fp.get("word"), parts)
         features, masks = fusion.features, None
         if drop_rng is not None and cfg.dropout > 0.0:
             keep = 1.0 - cfg.dropout
             # row by row, head 0's mask's draws and then head 1's, whether or not there is a head 1
             draws = drop_rng.random((chars.shape[0], 2, cfg.fused_dim))
-            masks = [(draws[part, h] < keep) / keep for h, part in enumerate(parts)]
-            features = [f * mask for f, mask in zip(features, masks)]
+            masks = {head: (draws[part, h] < keep) / keep for h, (head, part) in enumerate(parts.items())}
+            features = {head: f * masks[head] for head, f in features.items()}
         return _Forward(branches, fusion, features, masks)
 
-    def _backward(self, fwd: _Forward, dfs: list[np.ndarray]) -> None:
+    def _backward(self, fwd: _Forward, dfs: dict[str, np.ndarray]) -> None:
         if fwd.masks is not None:
-            dfs = [df * mask for df, mask in zip(dfs, fwd.masks)]
+            dfs = {head: df * fwd.masks[head] for head, df in dfs.items()}
         dfp_char, dfp_word = fuse_backward(self.store, self.config.extractor, fwd.fusion, dfs)
         dfp = {"char": dfp_char, "word": dfp_word}
         for branch in fwd.branches:
@@ -297,12 +298,12 @@ class CharEncoderBase:
         slot = {key: k for k, key in enumerate(distinct)}
         ids = [s.ids(self.vocab) for s in distinct.values()]
         cut = len(rows_a)
-        parts = [slice(None, cut), slice(cut, None)][: len(self.heads)]
+        parts = dict(zip(self.heads, (slice(None, cut), slice(cut, None))))
         fwd = self._forward(ids, np.array([slot[key] for key in keys]), np.array([r[1] for r in rows]), parts, drop_rng)
-        grads, loss = [], 0.0
-        for head, f, stream in zip(self.heads, fwd.features, (rows_a, rows_b)):
+        grads, loss = {}, 0.0
+        for (head, f), stream in zip(fwd.features.items(), (rows_a, rows_b)):
             _, head_loss, dscores = softmax_xent(head_scores(self.store, head, f), [r[2] for r in stream])
-            grads.append(head_backward(self.store, head, f, dscores))
+            grads[head] = head_backward(self.store, head, f, dscores)
             loss += head_loss
         self._backward(fwd, grads)
         return loss
@@ -320,7 +321,7 @@ class CharEncoderBase:
 
     def _probabilities(self, fwd: _Forward) -> tuple[np.ndarray, ...]:
         """Each head's softmax over every row of a forward, in head order."""
-        return tuple(softmax(head_scores(self.store, h, f)) for h, f in zip(self.heads, fwd.features))
+        return tuple(softmax(head_scores(self.store, h, f)) for h, f in fwd.features.items())
 
     def _decode(
         self, sentence: AnnotatedSentence, rows: tuple[np.ndarray, ...], stats: decoder.DecodeStats | None

@@ -20,6 +20,7 @@ from nuggetnet.encoder import (
     encoder_params,
     fuse,
     fuse_backward,
+    gate_scopes,
     load_embeddings_file,
 )
 from nuggetnet.errors import ConfigError, ShapeError, from_json
@@ -29,6 +30,7 @@ from nuggetnet.ndcore import ParamStore, grad_check, sigmoid, split_argmax, spli
 from branch_reference import reference_branch, reference_view
 from util import (
     BOTH,
+    HEADS,
     branch_rows_of,
     extract_segments,
     gate_specs,
@@ -89,20 +91,40 @@ class TestRegistration:
     def test_both_branches_and_gates(self):
         corpus = toy_corpus()
         vocab = build_vocab(corpus, max_rel_dist=10)
-        names = [name for name, _, _ in encoder_params(small_extractor(hybrid_mode=HybridMode.TASK_SPECIFIC), vocab)]
+        names = [name for name, _, _ in encoder_params(small_extractor(hybrid_mode=HybridMode.TASK_SPECIFIC), vocab, HEADS)]
         for prefix in BRANCH_PREFIXES:
             assert f"{prefix}.tok_emb" in names and f"{prefix}.proj_w" in names
         assert "fuse.nugget.gate_w_char" in names and "fuse.type.gate_w_word" in names
 
     def test_concat_needs_no_gates(self):
         vocab = build_vocab(toy_corpus(), max_rel_dist=10)
-        specs = encoder_params(small_extractor(hybrid_mode=HybridMode.CONCAT), vocab)
+        specs = encoder_params(small_extractor(hybrid_mode=HybridMode.CONCAT), vocab, HEADS)
         assert not any(name.startswith("fuse.") for name, _, _ in specs)
+
+    @pytest.mark.parametrize(
+        "overrides, heads, scopes",
+        [
+            ({"hybrid_mode": "task_specific"}, HEADS, {"nugget": "fuse.nugget", "type": "fuse.type"}),
+            ({"hybrid_mode": "task_specific"}, ("tag",), {"tag": "fuse.tag"}),
+            ({"hybrid_mode": "general"}, HEADS, {"nugget": "fuse", "type": "fuse"}),
+            ({"hybrid_mode": "general"}, ("tag",), {"tag": "fuse"}),
+            ({"hybrid_mode": "concat"}, HEADS, {"nugget": None, "type": None}),
+            ({"hybrid_mode": "task_specific", "use_chars": False}, ("wordtype",), {"wordtype": None}),
+            ({"hybrid_mode": "general", "use_words": False}, HEADS, {"nugget": None, "type": None}),
+        ],
+    )
+    def test_each_gate_a_head_reads_is_registered_once(self, overrides, heads, scopes):
+        config = small_extractor(**overrides)
+        assert gate_scopes(config, heads) == scopes
+        names = [name for name, _, _ in encoder_params(config, build_vocab(toy_corpus(), max_rel_dist=10), heads)]
+        gates = [name for name in names if name.startswith("fuse")]
+        expected = dict.fromkeys(scope for scope in scopes.values() if scope is not None)
+        assert gates == [f"{scope}.{name}" for scope in expected for name in ("gate_w_char", "gate_w_word", "gate_b")]
 
     def test_rel_dist_mismatch_rejected(self):
         vocab = build_vocab(toy_corpus(), max_rel_dist=5)
         with pytest.raises(ConfigError, match="max_rel_dist"):
-            encoder_params(small_extractor(max_rel_dist=10), vocab)
+            encoder_params(small_extractor(max_rel_dist=10), vocab, HEADS)
 
 
 def one_sequence(store, ids, centers, cfg):
@@ -571,16 +593,16 @@ class TestChunks:
 
 
 class TestFusion:
-    def gate_store(self, d, seed=4, extra=()):
-        return ParamStore([*gate_specs(d), *extra], seed)
+    def gate_store(self, d, seed=4, extra=(), heads=HEADS):
+        return ParamStore([*gate_specs(d, heads), *extra], seed)
 
     def test_concat_stacks_branches(self):
         cfg = small_extractor(hybrid_mode=HybridMode.CONCAT)
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=10), rng.normal(size=10)
         cache = fuse(ParamStore([]), cfg, a, b, BOTH)
-        npt.assert_array_equal(cache.features[0], np.concatenate([a, b]))
-        assert np.shares_memory(cache.features[0], cache.features[1])
+        npt.assert_array_equal(cache.features["nugget"], np.concatenate([a, b]))
+        assert np.shares_memory(cache.features["nugget"], cache.features["type"])
 
     def test_general_is_convex_combination(self):
         cfg = small_extractor(hybrid_mode=HybridMode.GENERAL)
@@ -588,10 +610,11 @@ class TestFusion:
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=10), rng.normal(size=10)
         cache = fuse(store, cfg, a, b, BOTH)
-        z = cache.gates["shared"]
-        npt.assert_allclose(cache.features[0], z * a + (1 - z) * b, atol=1e-15)
+        assert list(cache.gates) == ["fuse"]
+        z = cache.gates["fuse"]
+        npt.assert_allclose(cache.features["nugget"], z * a + (1 - z) * b, atol=1e-15)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        assert np.all(cache.features[0] >= lo - 1e-12) and np.all(cache.features[0] <= hi + 1e-12)
+        assert np.all(cache.features["nugget"] >= lo - 1e-12) and np.all(cache.features["nugget"] <= hi + 1e-12)
 
     def test_gate_saturation_selects_one_branch(self):
         cfg = small_extractor(hybrid_mode=HybridMode.GENERAL)
@@ -601,9 +624,9 @@ class TestFusion:
         store["fuse.gate_w_word"].value[...] = 0.0
         rng = np.random.default_rng(2)
         a, b = rng.normal(size=10), rng.normal(size=10)
-        npt.assert_allclose(fuse(store, cfg, a, b, BOTH).features[0], a, atol=1e-12)
+        npt.assert_allclose(fuse(store, cfg, a, b, BOTH).features["nugget"], a, atol=1e-12)
         store["fuse.gate_b"].value[...] = -60.0
-        npt.assert_allclose(fuse(store, cfg, a, b, BOTH).features[0], b, atol=1e-12)
+        npt.assert_allclose(fuse(store, cfg, a, b, BOTH).features["nugget"], b, atol=1e-12)
 
     def test_zero_gate_inputs_give_midpoint(self):
         cfg = small_extractor(hybrid_mode=HybridMode.GENERAL)
@@ -612,14 +635,14 @@ class TestFusion:
         store["fuse.gate_w_word"].value[...] = 0.0
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=10), rng.normal(size=10)
-        npt.assert_allclose(fuse(store, cfg, a, b, BOTH).features[0], (a + b) / 2, atol=1e-15)
+        npt.assert_allclose(fuse(store, cfg, a, b, BOTH).features["nugget"], (a + b) / 2, atol=1e-15)
 
     def test_equal_branches_pass_through(self):
         cfg = small_extractor(hybrid_mode=HybridMode.GENERAL)
         store = self.gate_store(10)
         widen_params(store)
         a = np.random.default_rng(4).normal(size=10)
-        npt.assert_allclose(fuse(store, cfg, a, a.copy(), BOTH).features[0], a, atol=1e-12)
+        npt.assert_allclose(fuse(store, cfg, a, a.copy(), BOTH).features["nugget"], a, atol=1e-12)
 
     def test_task_specific_gates_differ(self):
         cfg = small_extractor(hybrid_mode=HybridMode.TASK_SPECIFIC)
@@ -628,16 +651,31 @@ class TestFusion:
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=10), rng.normal(size=10)
         cache = fuse(store, cfg, a, b, BOTH)
-        assert not np.allclose(cache.features[0], cache.features[1])
-        z_n = cache.gates["nugget"]
-        npt.assert_allclose(cache.features[0], z_n * a + (1 - z_n) * b, atol=1e-14)
+        assert not np.allclose(cache.features["nugget"], cache.features["type"])
+        assert list(cache.gates) == ["fuse.nugget", "fuse.type"]
+        z_n = cache.gates["fuse.nugget"]
+        npt.assert_allclose(cache.features["nugget"], z_n * a + (1 - z_n) * b, atol=1e-14)
+
+    def test_a_one_head_task_specific_gate_is_the_general_gate_under_the_heads_name(self):
+        # one head, one gate: task_specific runs it over every row as general runs its shared gate
+        rng = np.random.default_rng(10)
+        a, b = rng.normal(size=(4, 10)), rng.normal(size=(4, 10))
+        store = self.gate_store(10, heads=("tag",))
+        widen_params(store)
+        for name in ("gate_w_char", "gate_w_word", "gate_b"):
+            store[f"fuse.{name}"].value[...] = store[f"fuse.tag.{name}"].value
+        parts = {"tag": slice(None)}
+        own = fuse(store, small_extractor(hybrid_mode=HybridMode.TASK_SPECIFIC), a, b, parts)
+        shared = fuse(store, small_extractor(hybrid_mode=HybridMode.GENERAL), a, b, parts)
+        assert list(own.gates) == ["fuse.tag"] and list(shared.gates) == ["fuse"]
+        npt.assert_array_equal(own.features["tag"], shared.features["tag"])
 
     def test_single_branch_passthrough(self):
         cfg = small_extractor(use_words=False, hybrid_mode=HybridMode.TASK_SPECIFIC)
         a = np.random.default_rng(6).normal(size=(1, 10))
         cache = fuse(ParamStore([]), cfg, a, None, BOTH)
-        npt.assert_array_equal(cache.features[0], a)
-        da, db = fuse_backward(ParamStore([]), cfg, cache, [np.ones((1, 10)), 2 * np.ones((1, 10))])
+        npt.assert_array_equal(cache.features["nugget"], a)
+        da, db = fuse_backward(ParamStore([]), cfg, cache, {"nugget": np.ones((1, 10)), "type": 2 * np.ones((1, 10))})
         npt.assert_array_equal(da, 3 * np.ones((1, 10)))
         assert db is None
 
@@ -649,14 +687,13 @@ class TestFusion:
         pa, pb = store["inputs.a"], store["inputs.b"]
         pa.value[...] = rng.normal(size=(3, 10))
         pb.value[...] = rng.normal(size=(3, 10))
-        t_n = rng.normal(size=(3, cfg.fused_dim))[parts[0]]
-        t_t = rng.normal(size=(3, cfg.fused_dim))[parts[1]]
+        targets = {head: rng.normal(size=(3, cfg.fused_dim))[part] for head, part in parts.items()}
 
         def closure():
             cache = fuse(store, cfg, pa.value, pb.value, parts)
-            f_n, f_t = cache.features
-            loss = 0.5 * float(np.sum((f_n - t_n) ** 2) + np.sum((f_t - t_t) ** 2))
-            da, db = fuse_backward(store, cfg, cache, [f_n - t_n, f_t - t_t])
+            dfs = {head: f - targets[head] for head, f in cache.features.items()}
+            loss = 0.5 * float(sum(np.sum(df**2) for df in dfs.values()))
+            da, db = fuse_backward(store, cfg, cache, dfs)
             pa.grad += da
             pb.grad += db
             return loss
@@ -671,7 +708,7 @@ class TestFusion:
     @pytest.mark.parametrize("mode", list(HybridMode))
     def test_fusion_backward_over_each_heads_rows_matches_finite_differences(self, mode):
         # as in training: head 0 reads rows 0-1, head 1 row 2
-        report = self.fusion_grad_report(mode, (slice(None, 2), slice(2, None)))
+        report = self.fusion_grad_report(mode, dict(zip(HEADS, (slice(None, 2), slice(2, None)))))
         assert report.passed, report.summary()
 
     def test_rows_equal_single_vectors(self):
@@ -683,8 +720,8 @@ class TestFusion:
         rows = fuse(store, cfg, a, b, BOTH)
         for i in range(4):
             single = fuse(store, cfg, a[i], b[i], BOTH)
-            npt.assert_allclose(rows.features[0][i], single.features[0], rtol=0, atol=1e-15)
-            npt.assert_allclose(rows.features[1][i], single.features[1], rtol=0, atol=1e-15)
+            for head in HEADS:
+                npt.assert_allclose(rows.features[head][i], single.features[head], rtol=0, atol=1e-15)
 
 
 class TestDropout:
@@ -700,10 +737,10 @@ class TestDropout:
         ids = [corpus3[0].ids(model.vocab)]
         f1 = model._forward(ids, np.array([0]), np.array([1]), drop_rng=np.random.default_rng(9))
         f2 = model._forward(ids, np.array([0]), np.array([1]), drop_rng=np.random.default_rng(9))
-        npt.assert_array_equal(f1.features[0], f2.features[0])
+        npt.assert_array_equal(f1.features["nugget"], f2.features["nugget"])
         assert f1.masks is not None
         f3 = model._forward(ids, np.array([0]), np.array([1]), drop_rng=np.random.default_rng(10))
-        assert not np.array_equal(f1.masks[0], f3.masks[0])
+        assert not np.array_equal(f1.masks["nugget"], f3.masks["nugget"])
 
     def test_masks_drawn_row_by_row(self, corpus3):
         # each row draws its nugget mask, then its type mask, as one instance at a time would
@@ -714,19 +751,19 @@ class TestDropout:
         rng = np.random.default_rng(11)
         d = model.config.extractor.fused_dim
         for row in range(3):
-            npt.assert_array_equal(fwd.masks[0][row], (rng.random(d) < 0.5) / 0.5)
-            npt.assert_array_equal(fwd.masks[1][row], (rng.random(d) < 0.5) / 0.5)
+            npt.assert_array_equal(fwd.masks["nugget"][row], (rng.random(d) < 0.5) / 0.5)
+            npt.assert_array_equal(fwd.masks["type"][row], (rng.random(d) < 0.5) / 0.5)
 
     def test_each_head_keeps_its_rows_draws(self, corpus3):
         # a training forward draws every row's two masks as above; each head keeps its own rows' draws
         model = small_model(corpus3, dropout=0.5)
         ids = [s.ids(model.vocab) for s in corpus3[:2]]
-        parts = [slice(None, 2), slice(2, None)]
+        parts = {"nugget": slice(None, 2), "type": slice(2, None)}
         fwd = model._forward(ids, np.array([0, 1, 0]), np.array([1, 0, 3]), parts, np.random.default_rng(11))
         draws = np.random.default_rng(11).random((3, 2, model.config.extractor.fused_dim))
-        npt.assert_array_equal(fwd.masks[0], (draws[:2, 0] < 0.5) / 0.5)
-        npt.assert_array_equal(fwd.masks[1], (draws[2:, 1] < 0.5) / 0.5)
-        assert [f.shape[0] for f in fwd.features] == [2, 1]
+        npt.assert_array_equal(fwd.masks["nugget"], (draws[:2, 0] < 0.5) / 0.5)
+        npt.assert_array_equal(fwd.masks["type"], (draws[2:, 1] < 0.5) / 0.5)
+        assert {head: f.shape[0] for head, f in fwd.features.items()} == {"nugget": 2, "type": 1}
 
     def test_inference_applies_no_mask(self, corpus3):
         model = small_model(corpus3, dropout=0.5)

@@ -13,6 +13,7 @@ import pytest
 import nuggetnet.encoder as nencoder
 import nuggetnet.model as nmodel
 import nuggetnet.ndcore as ndcore
+from nuggetnet.cli import main
 from nuggetnet.corpus import UNK_ID, AnnotatedSentence, SubtypeInventory, build_vocab, save_corpus
 from nuggetnet.decoder import decode_corpus
 from nuggetnet.encoder import HybridMode
@@ -22,7 +23,7 @@ from nuggetnet.model import CharSpanModel, ModelConfig, _view_starts, head_score
 from nuggetnet.ndcore import ParamStore, adadelta_step, grad_check, load_checkpoint, save_checkpoint, softmax
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
 
-from util import KINDS, small_extractor, small_model, toy_corpus, widen_params
+from util import KINDS, gate_specs, small_extractor, small_model, toy_corpus, widen_params
 
 
 class TestModelConfig:
@@ -144,8 +145,8 @@ class TestCharSpanModel:
         assert enc.rows is not None
         for ci, (pn, pt) in enumerate(rows):
             fwd = model._forward([corpus3[2].ids(model.vocab)], np.array([0]), np.array([ci]))
-            npt.assert_allclose(pn, softmax(head_scores(model.store, "nugget", fwd.features[0]))[0], atol=1e-15)
-            npt.assert_allclose(pt, softmax(head_scores(model.store, "type", fwd.features[1]))[0], atol=1e-15)
+            npt.assert_allclose(pn, softmax(head_scores(model.store, "nugget", fwd.features["nugget"]))[0], atol=1e-15)
+            npt.assert_allclose(pt, softmax(head_scores(model.store, "type", fwd.features["type"]))[0], atol=1e-15)
 
     def test_encoding_matches_lookups_one_at_a_time(self, corpus3):
         # the map and id arrays equal the per-character formula byte for byte, unknown tokens included
@@ -327,14 +328,66 @@ def test_each_task_gate_and_head_reads_only_its_streams_rows(corpus3, monkeypatc
 
 
 def test_iob_runs_no_type_gate(corpus3, monkeypatch):
+    # one head, one gate: the store holds fuse.tag and no gate of the proposal model's heads
     model = small_model(corpus3, mode=HybridMode.TASK_SPECIFIC, kind="iob")
-    assert "fuse.type.gate_b" in model.store.names()  # listed, and never read
+    gates = [name for name in model.store.names() if name.startswith("fuse")]
+    assert gates == ["fuse.tag.gate_w_char", "fuse.tag.gate_w_word", "fuse.tag.gate_b"]
     stream, _ = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
     calls = spy_fusion(monkeypatch)
     model.loss_and_grads(stream, (), np.random.default_rng(0))
     model.predict_corpus(corpus3)
-    assert {scope for scope, _, _ in calls["gate"]} == {"fuse.nugget"}
-    assert not any(model.store[f"fuse.type.{name}"].grad.any() for name in ("gate_w_char", "gate_w_word", "gate_b"))
+    assert {scope for scope, _, _ in calls["gate"]} == {"fuse.tag"}
+    assert {head for head, _ in calls["head"]} == {"tag"}
+
+
+# every kind in every hybrid mode, and a proposal model with one branch
+STORE_CASES = [pytest.param(kind, mode, {}, id=f"{kind}-{mode.value}") for kind in KINDS for mode in HybridMode] + [
+    pytest.param("proposal", HybridMode.TASK_SPECIFIC, {"use_words": False}, id="proposal-chars-only")
+]
+
+
+@pytest.mark.parametrize("kind, mode, overrides", STORE_CASES)
+def test_every_stored_tensor_gets_a_gradient(corpus3, kind, mode, overrides):
+    # a tensor that is stored but never read would get none: each step updates it, each checkpoint keeps it
+    model = small_model(corpus3, mode=mode, kind=kind, **overrides)
+    widen_params(model.store)
+    model.loss_and_grads(*model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0))
+    assert [name for name, p in model.store.items() if not p.grad.any()] == []
+
+
+def parent_layout_iob_checkpoint(tmp_path, corpus) -> Path:
+    """A task_specific iob checkpoint as written before a one-head kind held one gate: fuse.nugget and fuse.type, no fuse.tag."""
+    model = small_model(corpus, mode=HybridMode.TASK_SPECIFIC, kind="iob")
+    path = tmp_path / "two-gates.ckpt"
+    meta = saved_meta(model, path)
+    d = model.config.extractor.proj_dim
+    specs = []
+    for name, p in model.store.items():
+        if name == "fuse.tag.gate_w_char":
+            specs += gate_specs(d)[3:]  # fuse.nugget's three tensors, then fuse.type's
+        if not name.startswith("fuse.tag."):
+            specs.append((name, p.value.shape, "glorot"))
+    save_checkpoint(path, ParamStore(specs, 1), meta)
+    return path
+
+
+def test_a_checkpoint_with_the_two_task_gates_of_a_one_head_kind_is_refused(tmp_path, corpus3):
+    path = parent_layout_iob_checkpoint(tmp_path, corpus3)
+    assert {"fuse.nugget.gate_b", "fuse.type.gate_b"} <= set(load_checkpoint(path)[1])
+    with pytest.raises(CheckpointError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: checkpoint is missing parameter 'fuse.tag.gate_w_char'"
+
+
+def test_predict_refuses_the_two_task_gates_of_a_one_head_kind_in_one_line(tmp_path, corpus3, capsys):
+    path = parent_layout_iob_checkpoint(tmp_path, corpus3)
+    save_corpus(tmp_path / "in.jsonl", corpus3)
+    capsys.readouterr()
+    rc = main(["predict", "--model", str(path), "--input", str(tmp_path / "in.jsonl"), "--out", str(tmp_path / "p.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {path}: checkpoint is missing parameter 'fuse.tag.gate_w_char'\n"
+    assert not (tmp_path / "p.jsonl").exists()
 
 
 def char_id(new_id):

@@ -17,8 +17,9 @@ SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
 KINDS = ("proposal", "iob", "wordwise")
 
-# encoder.fuse's parts when both heads read every row, as in inference
-BOTH = (slice(None), slice(None))
+# the proposal model's heads, and encoder.fuse's parts when both read every row, as in inference
+HEADS = ("nugget", "type")
+BOTH = dict.fromkeys(HEADS, slice(None))
 
 # a small value of every JSON type, for mutating records
 ANY_JSON_VALUE = st.one_of(
@@ -90,10 +91,10 @@ def determinism_run(out_dir) -> tuple[CharEncoderBase, list[AnnotatedSentence]]:
     return model, corpus
 
 
-def gate_specs(d: int) -> list:
-    """The (name, shape, init) list of every hybrid mode's gates at width d: the shared gate's, then each task's."""
+def gate_specs(d: int, heads=HEADS) -> list:
+    """The (name, shape, init) list of every hybrid mode's gates at width d: the shared gate's, then each head's own."""
     specs = []
-    for scope in ("fuse", "fuse.nugget", "fuse.type"):
+    for scope in ("fuse", *(f"fuse.{head}" for head in heads)):
         specs += [
             (f"{scope}.gate_w_char", (d, d), "glorot"),
             (f"{scope}.gate_w_word", (d, d), "glorot"),
