@@ -150,8 +150,7 @@ class IOBModel(CharEncoderBase):
 
     def tag_sentence(self, sentence: AnnotatedSentence) -> tuple[list[int], list[float]]:
         """Tags and their log probabilities, one forward for this sentence alone."""
-        (probs,) = self._probabilities(self._sentence_forward(self.encode_sentence(sentence)))
-        return self._tags(probs)
+        return self._tags(self.encode_sentence(sentence)[0])
 
 
 class WordwiseModel(CharEncoderBase):

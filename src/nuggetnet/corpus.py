@@ -298,10 +298,6 @@ class Vocabulary:
     def n_words(self) -> int:
         return len(self.word_to_id) + 2
 
-    @property
-    def n_positions(self) -> int:
-        return 2 * self.max_rel_dist + 1
-
     def to_json(self) -> dict:
         return {
             "max_rel_dist": self.max_rel_dist,

@@ -122,15 +122,17 @@ def from_json(cls, data, error: type[NuggetError], where: str = ""):
     checked there, a list becoming a tuple; a dataclass field is read the
     same way, null meaning all defaults unless the field may be None; an enum
     is left to cls's own checks; any other type is a TypeError (add it to
-    VALUE_CHECKS).  cls's ConfigError becomes `error`; errors name `where.field`.
+    VALUE_CHECKS).  Each field's own bounds (check_bounds) are checked here,
+    so that their errors too name `where.field`; cls's ConfigError, which is
+    left with the rules across fields, becomes `error`.
     """
     known = {f.name: f for f in fields(cls) if f.init}
     required = [name for name, f in known.items() if f.default is MISSING and f.default_factory is MISSING]
     check_keys(data, known, where, error, required)
     hints = typing.get_type_hints(cls)
-    values = {}
+    values, paths = {}, {}
     for name, value in data.items():
-        at = f"{where}.{name}" if where else name
+        at = paths[name] = f"{where}.{name}" if where else name
         type_name = known[name].type
         if type_name in VALUE_CHECKS:
             check_value(value, type_name, at, error)
@@ -145,6 +147,8 @@ def from_json(cls, data, error: type[NuggetError], where: str = ""):
         else:
             raise TypeError(f"{cls.__name__}.{name}: no value check for type {type_name!r}")
     try:
+        for name, value in values.items():
+            _check_field(known[name], value, paths[name])
         return cls(**values)
     except ConfigError as exc:
         raise error(str(exc)) from exc
@@ -178,15 +182,15 @@ def _check_field(f, value, where: str) -> None:
         _check_number(bounds["items"], x, f"{where}[{i}]")
 
 
-def check_bounds(obj, prefix: str = "") -> None:
-    """Raise ConfigError naming the first field of dataclass obj (prefix + its name) whose value breaks its bounds.
+def check_bounds(obj) -> None:
+    """Raise ConfigError naming the first field of dataclass obj whose value breaks its bounds.
 
     The bounds are the field's metadata, in JSON Schema's words for the config schema to copy: minimum,
     exclusiveMinimum, exclusiveMaximum (with a minimum) and finite (no NaN or infinity, which JSON cannot
     write) for a number; minItems (1, or equal to maxItems), uniqueItems and items (each entry's) for a tuple.
     """
     for f in fields(obj):
-        _check_field(f, getattr(obj, f.name), prefix + f.name)
+        _check_field(f, getattr(obj, f.name), f.name)
 
 
 def check_bound(cls, name: str, value, where: str):

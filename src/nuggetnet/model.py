@@ -21,12 +21,13 @@ other), then each head's weights and bias.  `load_model` opens any kind
 through MODEL_CLASSES, with its weights alone unless asked for the
 Adadelta state to resume.
 
-Inference has one path for every kind, `predict_corpus`.  It packs whole
-sentences, in order, into one forward until the next would pass a fixed
-row budget (_PREDICT_ROWS), applies the kind's head softmax once per
-forward, and hands each sentence its own row slices: this model decodes
-them with decoder.decode_sentence, the IOB tagger with iob_decode, and the
-word classifier reads one row per word.
+Inference has one forward for every kind, `_sentence_rows`.  It packs
+whole sentences, in order, into one forward until the next would pass a
+fixed row budget (_PREDICT_ROWS), applies the kind's head softmax once per
+forward, and hands each sentence its own row slices.  `predict_corpus`
+decodes them: this model with decoder.decode_sentence, the IOB tagger with
+iob_decode, and the word classifier reads one row per word.
+`encode_sentence` is the rows of one sentence forwarded alone.
 """
 
 from __future__ import annotations
@@ -77,26 +78,6 @@ def head_backward(store: ParamStore, head: str, features: np.ndarray, dscores: n
     store[f"head.{head}_w"].grad += dscores.T @ features
     store[f"head.{head}_b"].grad += dscores.sum(axis=0)
     return dscores @ store[f"head.{head}_w"].value
-
-
-@dataclass
-class SentenceEncoding:
-    """Id arrays for one sentence, and its per-character distributions once queried.
-
-    The id arrays are read-only views of the ids the sentence keeps
-    (AnnotatedSentence.ids), shared by every encoding of it; the id array
-    of a branch the model does not use is None.
-
-    Training and `predict_corpus` make none.  `rows` serves only
-    char_distributions, the per-character accessor kept for perfbench's
-    decode gate and the test oracle; it is a snapshot of the weights at the
-    first call.  Encode the sentence again after changing them.
-    """
-
-    char_ids: np.ndarray | None
-    word_ids: np.ndarray | None
-    char_to_word: np.ndarray
-    rows: tuple[np.ndarray, ...] | None = None
 
 
 def _view_starts(n, centers: np.ndarray, max_tokens: int) -> np.ndarray:
@@ -234,12 +215,6 @@ class CharEncoderBase:
         """Class count of each softmax head, by name, in head order."""
         raise NotImplementedError
 
-    def encode_sentence(self, sentence: AnnotatedSentence) -> SentenceEncoding:
-        """A fresh encoding, with no rows, over the ids the sentence keeps for this model's vocabulary."""
-        cfg = self.config.extractor
-        char_ids, word_ids, char_to_word = sentence.ids(self.vocab)
-        return SentenceEncoding(char_ids if cfg.use_chars else None, word_ids if cfg.use_words else None, char_to_word)
-
     def _forward(
         self,
         ids: Sequence[tuple[np.ndarray | None, np.ndarray | None, np.ndarray]],
@@ -271,8 +246,8 @@ class CharEncoderBase:
         features, masks = fusion.features, None
         if drop_rng is not None and cfg.dropout > 0.0:
             keep = 1.0 - cfg.dropout
-            # row by row, head 0's mask's draws and then head 1's, whether or not there is a head 1
-            draws = drop_rng.random((chars.shape[0], 2, cfg.fused_dim))
+            # row by row, each head's mask's draws in head order
+            draws = drop_rng.random((chars.shape[0], len(self.heads), cfg.fused_dim))
             masks = {head: (draws[part, h] < keep) / keep for h, (head, part) in enumerate(parts.items())}
             features = {head: f * masks[head] for head, f in features.items()}
         return _Forward(branches, fusion, features, masks)
@@ -308,11 +283,6 @@ class CharEncoderBase:
         self._backward(fwd, grads)
         return loss
 
-    def _sentence_forward(self, enc: SentenceEncoding) -> _Forward:
-        every_char = np.arange(enc.char_to_word.shape[0])
-        ids = [(enc.char_ids, enc.word_ids, enc.char_to_word)]
-        return self._forward(ids, np.zeros_like(every_char), every_char, for_backward=False)
-
     # -- inference ---------------------------------------------------------
 
     def _row_chars(self, sentence: AnnotatedSentence) -> np.ndarray:
@@ -343,17 +313,11 @@ class CharEncoderBase:
         if pack:
             yield pack
 
-    def predict_corpus(
-        self, sentences: Sequence[AnnotatedSentence], stats: decoder.DecodeStats | None = None
-    ) -> dict[tuple[str, str], list[decoder.Prediction]]:
-        """Predictions of every sentence, by sentence key, from one forward per pack (_packs).
+    def _sentence_rows(self, sentences: Sequence[AnnotatedSentence]):
+        """(sentence, its slices of `_probabilities`) for every sentence, in order, from one forward per pack (_packs).
 
-        `stats`, a decoder.DecodeStats, adds the proposal decoder's counts;
-        the baselines propose nothing and leave it as it is.  A one-sentence
-        call is a forward of that sentence alone: the proposal model's rows
-        then have the same bits as `distributions`.
+        This is the package's one inference forward.
         """
-        out = {}
         for pack in self._packs(sentences):
             counts = [chars.shape[0] for _, chars in pack]
             ids = [sentence.ids(self.vocab) for sentence, _ in pack]
@@ -362,8 +326,23 @@ class CharEncoderBase:
             probs = self._probabilities(self._forward(ids, sent, chars, for_backward=False))
             bounds = [0, *accumulate(counts)]
             for (sentence, _), lo, hi in zip(pack, bounds, bounds[1:]):
-                out[sentence.key] = self._decode(sentence, tuple(p[lo:hi] for p in probs), stats)
-        return out
+                yield sentence, tuple(p[lo:hi] for p in probs)
+
+    def encode_sentence(self, sentence: AnnotatedSentence) -> tuple[np.ndarray, ...]:
+        """Each head's probability rows for the sentence forwarded alone: a one-sentence `_sentence_rows`."""
+        ((_, rows),) = self._sentence_rows([sentence])
+        return rows
+
+    def predict_corpus(
+        self, sentences: Sequence[AnnotatedSentence], stats: decoder.DecodeStats | None = None
+    ) -> dict[tuple[str, str], list[decoder.Prediction]]:
+        """Predictions of every sentence, by sentence key, from `_sentence_rows`.
+
+        `stats`, a decoder.DecodeStats, adds the proposal decoder's counts;
+        the baselines propose nothing and leave it as it is.  A one-sentence
+        call decodes the rows `encode_sentence` gives.
+        """
+        return {sentence.key: self._decode(sentence, rows, stats) for sentence, rows in self._sentence_rows(sentences)}
 
     def predict_sentence(self, sentence: AnnotatedSentence) -> list[decoder.Prediction]:
         """One sentence's predict_corpus; the package never calls it, only perfbench does."""
@@ -429,20 +408,9 @@ class CharSpanModel(CharEncoderBase):
     def _decode(self, sentence, rows, stats):
         return decoder.decode_sentence(self, sentence, rows, stats)
 
-    def distributions(self, enc: SentenceEncoding) -> tuple[np.ndarray, np.ndarray]:
-        """(n, span classes) and (n, subtypes) probability rows of every character, from one forward pass."""
-        return self._probabilities(self._sentence_forward(enc))
-
-    def char_distributions(self, enc: SentenceEncoding, ci: int) -> tuple[np.ndarray, np.ndarray]:
-        """(span-class probabilities, subtype probabilities) for one character.
-
-        The first call on an encoding keeps `distributions` on it; later
-        calls index into them.
-        """
-        if enc.rows is None:
-            enc.rows = self.distributions(enc)
-        pn, pt = enc.rows
-        return pn[ci], pt[ci]
+    def char_distributions(self, rows: tuple[np.ndarray, np.ndarray], ci: int) -> tuple[np.ndarray, np.ndarray]:
+        """(span-class probabilities, subtype probabilities) of character ci, from `encode_sentence`'s rows."""
+        return rows[0][ci], rows[1][ci]
 
     # -- training ----------------------------------------------------------
 

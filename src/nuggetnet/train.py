@@ -55,7 +55,7 @@ class TrainerState:
     train_config: TrainConfig
 
     def __post_init__(self):
-        check_bounds(self, "trainer_state.")
+        check_bounds(self)
 
 
 @dataclass

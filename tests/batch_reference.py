@@ -1,8 +1,8 @@
 """Reference batch index: rows grouped and indexed one sentence at a time.
 
-This is the per-sentence algorithm that model._groups_of and
-model._branch_rows compute with a fixed number of numpy calls.  The rows
-are grouped by sentence object, in order of first appearance.  Each
+This is the per-sentence algorithm that model._branch_rows computes with
+a fixed number of numpy calls.  The rows are grouped by sentence object, in
+order of first appearance, as CharEncoderBase._loss numbers them.  Each
 group's distinct centers are sorted, and each distinct view start gives
 one segment, in order of start.  model.py must produce the same segments,
 in the same order, and the same cache row for every batch row.
@@ -20,12 +20,12 @@ def reference_view_starts(n: int, centers: np.ndarray, max_tokens: int) -> np.nd
 
 
 def reference_groups(model, sentences, chars) -> list[tuple]:
-    """(encoding, chars[rows], rows) per distinct sentence object, in order of first appearance."""
+    """(the sentence's ids, chars[rows], rows) per distinct sentence object, in order of first appearance."""
     rows_of = {}
     for row, sentence in enumerate(sentences):
         rows_of.setdefault(id(sentence), (sentence, []))[1].append(row)
     chars = np.asarray(chars, dtype=np.int64)
-    return [(model.encode_sentence(s), chars[rows], np.array(rows)) for s, rows in rows_of.values()]
+    return [(s.ids(model.vocab), chars[rows], np.array(rows)) for s, rows in rows_of.values()]
 
 
 def reference_index(groups, max_tokens: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:

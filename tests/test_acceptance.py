@@ -130,25 +130,21 @@ def test_decoder_matches_oracle(capsys):
         subtypes = SubtypeInventory(("Injure",))
         config = SimpleNamespace(max_nugget_len=3)
 
-        def encode_sentence(self, sentence):
-            return sentence
-
         rows = (
             ([0.1, 0.0, 0.0, 0.0, 0.9, 0.0, 0.0], [1.0]),
             ([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [1.0]),
             ([0.2, 0.8, 0.0, 0.0, 0.0, 0.0, 0.0], [1.0]),
         )
 
-        def distributions(self, enc):
+        def encode_sentence(self, sentence):
             pn, pt = zip(*self.rows)
             return np.array(pn), np.array(pt)
 
-        def char_distributions(self, enc, ci):
-            pn, pt = self.rows[ci]
-            return np.array(pn), np.array(pt)
+        def char_distributions(self, rows, ci):
+            return rows[0][ci], rows[1][ci]
 
     sentence = AnnotatedSentence("d", "s0", "受了伤", ((0, 0), (1, 1), (2, 2)), ())
-    got = decode_sentence(Scripted(), sentence, Scripted().distributions(sentence))
+    got = decode_sentence(Scripted(), sentence, Scripted().encode_sentence(sentence))
     expect = [
         Prediction(0, 3, "Injure", math.log(0.9)),
         Prediction(2, 1, "Injure", math.log(0.8)),

@@ -165,6 +165,15 @@ class TestIOBModel:
         report = grad_check(closure, model.store, step=1e-4, tolerance=1e-4, rng_seed=3)
         assert report.passed, report.summary()
 
+    def test_dropout_draws_one_mask_a_row(self, corpus3):
+        # one head, one mask: a training forward draws rows x 1 x fused_dim uniforms, none for a head it lacks
+        model = iob_model(corpus3, dropout=0.5)
+        batch, _ = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
+        drop_rng, expected = np.random.default_rng(11), np.random.default_rng(11)
+        model.loss_and_grads(batch, (), drop_rng)
+        expected.random((len(batch), 1, model.config.extractor.fused_dim))
+        assert drop_rng.bit_generator.state == expected.bit_generator.state
+
     def test_predictions_cover_decoded_tags(self, corpus3):
         model = iob_model(corpus3)
         widen_params(model.store, scale=0.6)

@@ -83,8 +83,8 @@ def test_batch_index_matches_the_per_sentence_one(case):
     fwd, calls = loss_forward(model, batch, chars)
     expected = reference_groups(model, batch, chars)
     branch_groups = {
-        "char": [(enc.char_ids, c, rows) for enc, c, rows in expected],
-        "word": [(enc.word_ids, enc.char_to_word[c], rows) for enc, c, rows in expected],
+        "char": [(char_ids, c, rows) for (char_ids, _, _), c, rows in expected],
+        "word": [(word_ids, char_to_word[c], rows) for (_, word_ids, char_to_word), c, rows in expected],
     }
     assert [call.args[1] for call in calls] == ["char", "word"]
     for branch, call in zip(fwd.branches, calls):
@@ -139,23 +139,18 @@ def test_out_of_range_center_is_refused():
 def test_encodings_are_fresh_and_share_read_only_ids(corpus3):
     model = small_model(corpus3)
     sentence = corpus3[0]
-    a, b = model.encode_sentence(sentence), model.encode_sentence(sentence)
-    assert a is not b
-    for name in ("char_ids", "word_ids", "char_to_word"):
-        x, y = getattr(a, name), getattr(b, name)
+    a, b = sentence.ids(model.vocab), sentence.ids(model.vocab)
+    for x, y in zip(a, b):
         assert np.shares_memory(x, y) and x.tobytes() == y.tobytes()
         assert not x.flags.writeable
         with pytest.raises(ValueError):
             x[0] = 5
-    model.char_distributions(a, 0)  # fills a's rows, the snapshot of the weights now
-    assert a.rows is not None and b.rows is None
-    assert model.encode_sentence(sentence).rows is None
 
 
 def test_another_vocabulary_does_not_reuse_the_ids(corpus3):
     model = small_model(corpus3)
     sentence = corpus3[0]
-    own = model.encode_sentence(sentence).char_ids
+    own = sentence.ids(model.vocab)[0]
     chars = sorted(set(sentence.text))
     other = Vocabulary(char_to_id={c: i + 2 for i, c in enumerate(reversed(chars))}, max_rel_dist=10)
     char_ids, word_ids, _ = sentence.ids(other)
@@ -164,7 +159,7 @@ def test_another_vocabulary_does_not_reuse_the_ids(corpus3):
     # an equal vocabulary object computes the same ids afresh, and the model gets its own ids back
     twin = Vocabulary.from_json(model.vocab.to_json())
     assert not np.shares_memory(sentence.ids(twin)[0], own) and sentence.ids(twin)[0].tolist() == own.tolist()
-    assert model.encode_sentence(sentence).char_ids.tolist() == own.tolist()
+    assert sentence.ids(model.vocab)[0].tolist() == own.tolist()
 
 
 def calls_made(fn, *args) -> int:

@@ -648,7 +648,8 @@ class TestRunConfig:
         path.write_text(text, encoding="utf-8")
         assert main(["train", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: {message}")
+        # the message names the field by its path in the run file
+        assert err.startswith(f"error: {path}: training.{message}")
         assert "Traceback" not in err
         # the schema rejects every such value that JSON can write
         section = yaml.load(text, Loader=yaml.SafeLoader)["training"]

@@ -193,10 +193,10 @@ def test_code_and_schema_agree_at_the_boundaries(path, value):
     ],
 )
 def test_out_of_bounds_values_fail_naming_the_field(path, value, message):
-    # NaN and infinity: JSON cannot write them, so only the code is asked
+    # NaN and infinity: JSON cannot write them, so only the code is asked; the message names the field by its path
     with pytest.raises(ConfigError) as info:
         parse_run_config(_run_file(path, value))
-    assert str(info.value) == message
+    assert str(info.value) == ".".join(path[:-1]) + "." + message
 
 
 def test_an_unbounded_max_rel_dist_is_refused(monkeypatch):
@@ -204,5 +204,5 @@ def test_an_unbounded_max_rel_dist_is_refused(monkeypatch):
     monkeypatch.setattr(CharEncoderBase, "__init__", lambda *args, **kwargs: pytest.fail("a model was built"))
     with pytest.raises(ConfigError) as info:
         parse_run_config(_run_file(("model", "extractor", "max_rel_dist"), 100_000_000))
-    assert str(info.value) == "max_rel_dist must be in [1, 65536), got 100000000"
+    assert str(info.value) == "model.extractor.max_rel_dist must be in [1, 65536), got 100000000"
     assert _leaf_schema(("model", "extractor", "max_rel_dist"))["exclusiveMaximum"] == 1 << 16

@@ -263,7 +263,7 @@ class TestVocabulary:
         vocab = build_vocab(toy_corpus())
         n_unique_chars = len({c for s in toy_corpus() for c in s.text})
         assert vocab.n_chars == n_unique_chars + 2
-        assert vocab.n_positions == 2 * vocab.max_rel_dist + 1
+        assert vocab.n_words == len({w for s in toy_corpus() for w in s.words}) + 2
 
     def test_min_count_filters(self):
         corpus = toy_corpus() * 2  # every token now appears twice

@@ -34,20 +34,16 @@ class ScriptedModel:
         self.config = SimpleNamespace(max_nugget_len=max_nugget_len)
 
     def encode_sentence(self, sentence):
-        return sentence
-
-    def distributions(self, enc):
         pn, pt = zip(*self.rows)
         return np.array(pn, dtype=np.float64), np.array(pt, dtype=np.float64)
 
-    def char_distributions(self, enc, ci):
-        pn, pt = self.rows[ci]
-        return np.asarray(pn, dtype=np.float64), np.asarray(pt, dtype=np.float64)
+    def char_distributions(self, rows, ci):
+        return rows[0][ci], rows[1][ci]
 
 
 def decode(model, sentence, stats=None):
     """decode_sentence on the rows of the sentence's own forward."""
-    return decode_sentence(model, sentence, model.distributions(model.encode_sentence(sentence)), stats)
+    return decode_sentence(model, sentence, model.encode_sentence(sentence), stats)
 
 
 def sent(text, spans, triggers=()):

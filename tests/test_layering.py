@@ -65,6 +65,25 @@ def test_inference_goes_through_predict_corpus():
     assert not callers, "predict_sentence called inside the package:\n" + "\n".join(callers)
 
 
+def test_one_inference_forward():
+    # inference forwards sentences in one place: the only _forward(..., for_backward=False) call,
+    # by keyword or by position, is inside _sentence_rows
+    def is_false(node) -> bool:
+        return isinstance(node, ast.Constant) and node.value is False
+
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_forward":
+                    for_backward = [*node.args[5:6], *(k.value for k in node.keywords if k.arg == "for_backward")]
+                    if any(map(is_false, for_backward)):
+                        sites.append((func.name, f"{path.name}:{node.lineno}"))
+    assert [name for name, _ in sites] == ["_sentence_rows"], f"inference forwards: {sites}"
+
+
 def test_benchmark_hooks_resolve():
     # the benchmark patches named call sites; one that a refactor moves (into a base class, say) stops
     # resolving and its span silently reads unmeasured.  wordwise_predict names an inherited method.

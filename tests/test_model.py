@@ -137,12 +137,23 @@ class TestCharSpanModel:
             for p in predictions[s.key]:
                 assert 0 <= p.start and p.start + p.length <= len(s.text)
 
-    def test_distributions_computed_once_per_encoding(self, corpus3):
+    def test_distributions_computed_once_per_encoding(self, corpus3, monkeypatch):
+        # encode_sentence makes the sentence's one forward; char_distributions only indexes its rows
         model = small_model(corpus3)
         widen_params(model.store)
+        forwards = []
+        original = CharSpanModel._forward
+
+        def counting(*args, **kwargs):
+            forwards.append(kwargs.get("for_backward"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(CharSpanModel, "_forward", counting)
         enc = model.encode_sentence(corpus3[2])
+        assert forwards == [False]
         rows = [model.char_distributions(enc, ci) for ci in range(len(corpus3[2].text))]
-        assert enc.rows is not None
+        assert forwards == [False]
+        monkeypatch.undo()
         for ci, (pn, pt) in enumerate(rows):
             fwd = model._forward([corpus3[2].ids(model.vocab)], np.array([0]), np.array([ci]))
             npt.assert_allclose(pn, softmax(head_scores(model.store, "nugget", fwd.features["nugget"]))[0], atol=1e-15)
@@ -153,16 +164,16 @@ class TestCharSpanModel:
         model = small_model(corpus3)
         unknown = AnnotatedSentence("d", "u", "甲乙龘鱻丙", ((0, 1), (2, 3), (4, 4)), ())
         for sentence in [*corpus3, unknown]:
-            enc = model.encode_sentence(sentence)
+            ids = sentence.ids(model.vocab)
             n = len(sentence.text)
             expected = (
                 [model.vocab.char_ids([c])[0] for c in sentence.text],
                 [model.vocab.word_ids([w])[0] for w in sentence.words],
                 [sentence.word_index_of(i) for i in range(n)],
             )
-            for got, want in zip((enc.char_ids, enc.word_ids, enc.char_to_word), expected):
+            for got, want in zip(ids, expected):
                 assert got.dtype == np.int64 and got.tobytes() == np.array(want, dtype=np.int64).tobytes()
-        assert enc.char_ids.tolist().count(UNK_ID) == 2 and enc.word_ids[1] == UNK_ID
+        assert ids[0].tolist().count(UNK_ID) == 2 and ids[1][1] == UNK_ID
         with pytest.raises(IndexError):
             unknown.word_index_of(5)
 
@@ -488,7 +499,7 @@ def test_a_checkpoint_with_an_unbounded_max_rel_dist_is_refused_before_a_model_i
     save_checkpoint(path, ParamStore([]), {"kind": "proposal", "config": config, "vocab": vocab, "subtypes": ["x"]})
     with pytest.raises(CheckpointError) as info:
         load_model(path)
-    assert str(info.value) == f"{path}: bad model metadata: max_rel_dist must be in [1, 65536), got 100000000"
+    assert str(info.value) == f"{path}: bad model metadata: config.extractor.max_rel_dist must be in [1, 65536), got 100000000"
 
 
 def test_tensor_mismatch_names_file(tmp_path, corpus3):
