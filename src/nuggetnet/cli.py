@@ -41,8 +41,14 @@ def _parse_fractions(text: str, flag: str) -> tuple[float, ...]:
     return check_fractions(parts, flag)
 
 
-# the gen-data flags that a run config's generator section replaces, with their values when there is none
-GENERATOR_FLAG_DEFAULTS = {"n_sentences": 2000, "n_subtypes": 8, "proportions": "0.755,0.195,0.05", "seed": 0}
+# the gen-data flags that a run config's generator section replaces, with their values when there is none: the
+# corpus size is the command's own, the rest are read from where GenSpec and RunConfig declare them
+GENERATOR_FLAG_DEFAULTS = {
+    "n_sentences": 2000,
+    "n_subtypes": len(default_subtype_names()),
+    "proportions": ",".join(map(str, GenSpec.proportions)),
+    "seed": RunConfig.generator_seed,
+}
 
 
 def cmd_gen_data(args) -> int:

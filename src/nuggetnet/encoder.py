@@ -21,12 +21,15 @@ to the 2 x filters pooled values only, which is exact because tanh is
 monotone.  Only one (n x filters) map exists at a time, so the working
 memory is O(n * filters): no (centers x n x filters) tensor is built.  One
 matmul projects all centers.  Each center's map is built and reduced once
-per forward pass.  Without a backward pass the pooling takes the values
-only (ndcore.split_max_pool), so inference never pays for an argmax.
-With one (extract_branch's for_backward) it finds each pooled value's
-argmax row instead (ndcore.split_argmax) and reads the value back at that
-row, T[arg] + P[arg - c], which is exact because max returns one of the
-elements it compares.  The cache keeps those rows, and T and P die with
+per forward pass.  Both pooling kernels return what extract_branch stores:
+the pooled values as one (centers x 2 filters) array, left pools then
+right.  Without a backward pass the pooling takes the values only
+(ndcore.split_max_pool), so inference never pays for an argmax.  With one
+(extract_branch's for_backward) ndcore.split_argmax finds each pooled
+value's argmax row instead, reads the value back at that row, T[arg] +
+P[arg - c] (ndcore.offset_rows), and returns the values and the rows;
+the values equal split_max_pool's bit for bit, because max returns one of
+the elements it compares.  The cache keeps the rows, and T and P die with
 the forward pass.
 
 Both convolutions multiply each distinct input row once.  A row of T is
@@ -85,7 +88,9 @@ import numpy as np
 
 from .corpus import PAD_ID, Vocabulary, relative_position_index
 from .errors import ConfigError, ShapeError, check_bounds, reading
-from .ndcore import Param, ParamStore, Spec, scatter_rows, sigmoid, split_argmax, split_max_pool, window_products, window_sum
+from .ndcore import (
+    Param, ParamStore, Spec, offset_rows, scatter_rows, sigmoid, split_argmax, split_max_pool, window_products, window_sum
+)
 
 
 class HybridMode(str, Enum):
@@ -230,42 +235,9 @@ def _chunks(lengths: Sequence[int], n_filters: int) -> list[int]:
     return bounds
 
 
-def _chunk_ranges(lo: np.ndarray, chunk_slots: np.ndarray):
-    """(first padded slot, end slot, first center row, end center row) of each chunk.
-
-    A chunk's centers are consecutive rows, because segments keep their
-    order and lo does not decrease from one center to the next.
-    """
-    center_bounds = np.searchsorted(lo, chunk_slots).tolist()
-    slots = chunk_slots.tolist()
-    return zip(slots[:-1], slots[1:], center_bounds[:-1], center_bounds[1:])
-
-
 def _filters(conv_w: np.ndarray, config: ExtractorConfig) -> np.ndarray:
     """The flat filters as (n_filters, window, input_dim): token columns first, then position columns."""
     return conv_w.reshape(config.n_filters, config.window, config.input_dim)
-
-
-def _offset_rows(arg_rows: np.ndarray, centers: np.ndarray, n_offsets: int) -> np.ndarray:
-    """Offset-term row of each pooled value at token-term row arg_rows[i, f]: N-1 + that row - center i's row."""
-    return arg_rows - centers[:, None] + (n_offsets - 1) // 2
-
-
-def _pooled_at(
-    token_term: np.ndarray, offset_term: np.ndarray, centers: np.ndarray, lo: np.ndarray, arg_rows: np.ndarray
-) -> np.ndarray:
-    """split_max_pool's values (left, right side by side) gathered at split_argmax's rows.
-
-    They equal split_max_pool's bit for bit: max returns one of the map
-    elements it compares, token_term[arg] + offset_term[offset row].  An
-    empty left pool is 0.
-    """
-    m = token_term.shape[1]
-    filters = np.tile(np.arange(m), 2)
-    offsets = _offset_rows(arg_rows, centers, offset_term.shape[0])
-    pooled = token_term[arg_rows, filters] + offset_term[offsets, filters]
-    pooled[centers == lo, :m] = 0.0
-    return pooled
 
 
 def extract_branch(
@@ -286,9 +258,10 @@ def extract_branch(
     once for all segments (ndcore.window_products); the token term's window
     sums and the pooling run chunk by chunk (_CALL_ELEMENTS), and the
     offset term, the lexical window, tanh and the projection once over all
-    centers.  With for_backward the pooling finds each pooled value's row
-    once (split_argmax) and the cache keeps those rows for branch_backward;
-    without it the pooling takes the values only (split_max_pool).
+    centers.  With for_backward the pooling returns each pooled value and
+    its row (split_argmax), and the cache keeps the rows for
+    branch_backward; without it the pooling returns the values only
+    (split_max_pool).
     """
     tokens, lengths, cols, counts = (np.asarray(a, dtype=np.int64) for a in (tokens, lengths, cols, counts))
     if tokens.ndim != 1 or cols.ndim != 1 or lengths.ndim != 1 or counts.shape != lengths.shape:
@@ -325,24 +298,27 @@ def extract_branch(
     lo = np.repeat(pad_starts[:-1], counts)
     hi = lo + np.repeat(lengths, counts)
     centers = lo + cols
-    chunk_slots = pad_starts[_chunks(lengths.tolist(), m)]
+    # chunk i holds segments bounds[i] .. bounds[i+1]-1: padded slots slots[i] .. and centers firsts[i] ..
+    bounds = _chunks(lengths.tolist(), m)
+    slots = pad_starts[bounds].tolist()
+    firsts = np.concatenate([[0], np.cumsum(counts)])[bounds].tolist()
     # the chunks write their pooled values straight into the features, and nothing is concatenated
     feature = np.empty((centers.shape[0], config.feature_dim))
     pooled = feature[:, : 2 * m]
     arg_rows = np.empty(pooled.shape, dtype=np.int64) if for_backward else None
-    for start, end, r0, r1 in _chunk_ranges(lo, chunk_slots):
+    for start, end, r0, r1 in zip(slots, slots[1:], firsts, firsts[1:]):
         # the chunk's token term is rows start .. end-h of the whole one; it dies with the chunk
         token_term = window_sum(tok_products, tok_slot, start, end - start - h + 1, conv_b)
         rows = (centers[r0:r1] - start, lo[r0:r1] - start, hi[r0:r1] - start)
         if for_backward:
-            arg = np.concatenate(split_argmax(token_term, offset_term, *rows), axis=1)
-            pooled[r0:r1] = _pooled_at(token_term, offset_term, rows[0], rows[1], arg)
+            pooled[r0:r1], arg = split_argmax(token_term, offset_term, *rows)
             arg_rows[r0:r1] = arg + start
         else:
-            pooled[r0:r1, :m], pooled[r0:r1, m:] = split_max_pool(token_term, offset_term, *rows)
+            pooled[r0:r1] = split_max_pool(token_term, offset_term, *rows)
     lex_slots = centers[:, None] + np.arange(-config.lex_window, config.lex_window + 1)
     inside = (lex_slots >= lo[:, None]) & (lex_slots < hi[:, None])
-    lex_ids = np.where(inside, padded_ids[np.clip(lex_slots, lo[:, None], hi[:, None] - 1) + lead], PAD_ID)
+    nearest = np.minimum(np.maximum(lex_slots, lo[:, None]), hi[:, None] - 1)  # np.clip's wrapper costs more here
+    lex_ids = np.where(inside, padded_ids[nearest + lead], PAD_ID)
     np.tanh(pooled, out=pooled)
     # the ids are in range by construction; "clip" lets take write into the strided columns unbuffered
     np.take(tok_emb, lex_ids, axis=0, out=feature[:, 2 * m :].reshape(lex_ids.shape + (e,)), mode="clip")
@@ -407,10 +383,9 @@ def branch_backward(store: ParamStore, prefix: str, cache: BranchCache, dfp: np.
     conv_w = store[f"{prefix}.conv_w"]
     w = _filters(conv_w.value, config)
     grad = _filters(conv_w.grad, config)
-    n_offsets = cache.pos_slot.shape[0] - config.window + 1
-    offset_rows = _offset_rows(cache.arg_rows, cache.centers, n_offsets)
+    offsets = offset_rows(cache.arg_rows, cache.centers, cache.pos_slot.shape[0] - config.window + 1)
     pos_emb, tok_emb = store[f"{prefix}.pos_emb"], store[f"{prefix}.tok_emb"]
-    _window_backward(pos_emb, w[:, :, e:], grad[:, :, e:], cache.pos_distinct, cache.pos_slot, offset_rows, dpre)
+    _window_backward(pos_emb, w[:, :, e:], grad[:, :, e:], cache.pos_distinct, cache.pos_slot, offsets, dpre)
     _window_backward(tok_emb, w[:, :, :e], grad[:, :, :e], cache.tok_distinct, cache.tok_slot, cache.arg_rows, dpre)
 
 

@@ -290,7 +290,12 @@ def _center_maps(token_term: np.ndarray, offset_term: np.ndarray, cols, lo, hi):
         yield i, a, c, np.add(token_term[a:b], offset_term[a - c + n_max - 1 : b - c + n_max - 1], out=buf[: b - a])
 
 
-def split_max_pool(token_term: np.ndarray, offset_term: np.ndarray, cols, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+def offset_rows(rows: np.ndarray, cols: np.ndarray, n_offsets: int) -> np.ndarray:
+    """Offset-term row beside token-term row rows[i, f] in center i's map, of n_offsets = 2N-1: rows[i, f] - cols[i] + N-1."""
+    return rows - cols[:, None] + (n_offsets - 1) // 2
+
+
+def split_max_pool(token_term: np.ndarray, offset_term: np.ndarray, cols, lo, hi) -> np.ndarray:
     """Max pooling split at each center, over maps with a relative-position term.
 
     token_term (rows, filters) holds one or more segments back to back;
@@ -301,36 +306,42 @@ def split_max_pool(token_term: np.ndarray, offset_term: np.ndarray, cols, lo, hi
     left pool covers lo <= j < cols[i] and the right pool cols[i] <= j < hi.
     An empty left pool (cols[i] == lo) pools to 0, the neutral value of
     tanh.  Only one center's map exists at a time.  Returns the pooled
-    values (left, right), each (k, filters); split_argmax, with the same
-    arguments, finds the rows they came from.
+    values as one (k, 2 * filters) array, the left pools then the right;
+    split_argmax, with the same arguments, returns the same values and the
+    rows they came from.
     """
-    left = np.zeros((len(cols), token_term.shape[1]))
-    right = np.empty_like(left)
+    m = token_term.shape[1]
+    pooled = np.zeros((len(cols), 2 * m))
     for i, a, c, pre in _center_maps(token_term, offset_term, cols, lo, hi):
         if c > a:
-            pre[: c - a].max(axis=0, out=left[i])
-        pre[c - a :].max(axis=0, out=right[i])
-    return left, right
+            pre[: c - a].max(axis=0, out=pooled[i, :m])
+        pre[c - a :].max(axis=0, out=pooled[i, m:])
+    return pooled
 
 
 def split_argmax(token_term: np.ndarray, offset_term: np.ndarray, cols, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """The token_term rows (left_arg, right_arg) of split_max_pool's pooled values, each (k, filters).
+    """split_max_pool's pooled values and the token_term row each came from, both (k, 2 * filters).
 
     Each pool keeps the first maximum; an empty left pool points at lo.
-    The pooled values are token_term[arg] + offset_term[arg - cols[i] + N - 1]
-    exactly, as max returns one of the elements it compares.  The loop
-    writes each pool's offset into its row, and lo and cols are added once
-    after it.
+    The loop writes each pool's offset into its row, and lo and cols are
+    added once after it.  The values are then read back at those rows,
+    token_term[row] + offset_term[offset_rows(...)], which equals
+    split_max_pool's bit for bit, as max returns one of the elements it
+    compares; an empty left pool is 0.
     """
-    left_arg = np.zeros((len(cols), token_term.shape[1]), dtype=np.int64)
-    right_arg = np.empty_like(left_arg)
+    m = token_term.shape[1]
+    rows = np.zeros((len(cols), 2 * m), dtype=np.int64)
     for i, a, c, pre in _center_maps(token_term, offset_term, cols, lo, hi):
         if c > a:
-            pre[: c - a].argmax(axis=0, out=left_arg[i])
-        pre[c - a :].argmax(axis=0, out=right_arg[i])
-    left_arg += np.asarray(lo, dtype=np.int64)[:, None]
-    right_arg += np.asarray(cols, dtype=np.int64)[:, None]
-    return left_arg, right_arg
+            pre[: c - a].argmax(axis=0, out=rows[i, :m])
+        pre[c - a :].argmax(axis=0, out=rows[i, m:])
+    cols, lo = np.asarray(cols, dtype=np.int64), np.asarray(lo, dtype=np.int64)
+    rows[:, :m] += lo[:, None]
+    rows[:, m:] += cols[:, None]
+    filters = np.tile(np.arange(m), 2)
+    pooled = token_term[rows, filters] + offset_term[offset_rows(rows, cols, offset_term.shape[0]), filters]
+    pooled[cols == lo, :m] = 0.0
+    return pooled, rows
 
 
 def scatter_rows(table: np.ndarray, ids, rows: np.ndarray) -> None:

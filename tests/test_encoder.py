@@ -15,7 +15,6 @@ from nuggetnet.encoder import (
     BRANCH_PREFIXES,
     ExtractorConfig,
     HybridMode,
-    _pooled_at,
     branch_backward,
     encoder_params,
     fuse,
@@ -25,7 +24,7 @@ from nuggetnet.encoder import (
 )
 from nuggetnet.errors import ConfigError, ShapeError, from_json
 from nuggetnet.model import ModelConfig, _backward_rows, _view_starts
-from nuggetnet.ndcore import ParamStore, grad_check, sigmoid, split_argmax, split_max_pool
+from nuggetnet.ndcore import ParamStore, grad_check, sigmoid, split_argmax
 
 from branch_reference import reference_branch, reference_view
 from util import (
@@ -345,20 +344,9 @@ class TestKernelMatchesReference:
         cfg, segments, seed = case
         store = branch_store(cfg, n_tokens=140, seed=seed)
         cache, (token_term, offset_term, *rows) = extract_with_terms(store, segments, cfg)
-        left, right = split_max_pool(token_term, offset_term, *rows)
-        left_arg, right_arg = split_argmax(token_term, offset_term, *rows)
-        cols = np.concatenate([left_arg, right_arg], axis=1)
+        _, cols = split_argmax(token_term, offset_term, *rows)
         npt.assert_array_equal(cache.arg_rows, cols)
         m = cfg.n_filters
-
-        # the pooled values are the maps' elements at the argmax rows, bit for bit; an empty left pool is 0 at lo
-        filters = np.tile(np.arange(m), 2)
-        offsets = cols - cache.centers[:, None] + (offset_term.shape[0] - 1) // 2
-        gathered = token_term[cols, filters] + offset_term[offsets, filters]
-        empty_left = cache.centers == cache.lo
-        gathered[empty_left, :m] = 0.0
-        npt.assert_array_equal(np.concatenate([left, right], axis=1).view(np.int64), gathered.view(np.int64))
-        assert np.all(left_arg[empty_left] == cache.lo[empty_left, None])
         starts = np.cumsum([0] + [ids.shape[0] + cfg.window - 1 for ids, _ in segments])
         row = 0
         for (ids, centers), start in zip(segments, starts):
@@ -375,14 +363,11 @@ class TestKernelMatchesReference:
     @given(segment_cases())
     @settings(max_examples=60, deadline=None)
     def test_training_gathers_the_pooled_values(self, case):
-        # training takes the values at split_argmax's rows instead of calling split_max_pool: the same bits
+        # training takes the values split_argmax reads back at its rows, decoding split_max_pool's: the same bits
+        # (tests/test_ndcore.py holds the two kernels' values to each other)
         cfg, segments, seed = case
         store = branch_store(cfg, n_tokens=140, seed=seed)
-        cache, (token_term, offset_term, centers, lo, hi) = extract_with_terms(store, segments, cfg)
-        pooled = _pooled_at(token_term, offset_term, centers, lo, cache.arg_rows)
-        expected = np.concatenate(split_max_pool(token_term, offset_term, centers, lo, hi), axis=1)
-        npt.assert_array_equal(pooled.view(np.int64), expected.view(np.int64))
-        assert np.all(pooled[centers == lo, : cfg.n_filters] == 0.0)
+        cache = extract_segments(store, "char", segments, cfg)
         decoded = extract_segments(store, "char", segments, cfg, for_backward=False)
         npt.assert_array_equal(cache.feature.view(np.int64), decoded.feature.view(np.int64))
         npt.assert_array_equal(cache.fp.view(np.int64), decoded.fp.view(np.int64))

@@ -15,6 +15,7 @@ from nuggetnet.ndcore import (
     adadelta_step,
     grad_check,
     load_checkpoint,
+    offset_rows,
     save_checkpoint,
     scatter_rows,
     sigmoid,
@@ -104,8 +105,11 @@ class TestConv:
 
 
 def split_pool(*args):
-    """(left, right, left_arg, right_arg): split_max_pool's values and split_argmax's rows for one call."""
-    return (*split_max_pool(*args), *split_argmax(*args))
+    """(left, right, left_arg, right_arg): split_max_pool's values and split_argmax's rows for one call, cut in two."""
+    pooled, rows = split_argmax(*args)
+    assert pooled.tobytes() == split_max_pool(*args).tobytes()
+    m = pooled.shape[1] // 2
+    return pooled[:, :m], pooled[:, m:], rows[:, :m], rows[:, m:]
 
 
 def pool_map(amap, c):
@@ -114,6 +118,31 @@ def pool_map(amap, c):
     n = amap.shape[1]
     left, right, left_arg, right_arg = split_pool(amap.T, np.zeros((2 * n - 1, amap.shape[0])), [c], [0], [n])
     return left[0], right[0], left_arg[0], right_arg[0]
+
+
+@st.composite
+def pooling_cases(draw):
+    """(token_term, offset_term, cols, lo, hi), the terms either integer-valued, so that maps tie often, or any floats.
+
+    Segments of 1-7 rows lie back to back, with 0-2 rows between them that
+    belong to none, and each pools 1-3 of its rows as centers.
+    """
+    m = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+    cols, lo, hi = [], [], []
+    row = 0
+    for n in lengths:
+        row += draw(st.integers(0, 2))
+        for c in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+            cols.append(row + c)
+            lo.append(row)
+            hi.append(row + n)
+        row += n
+    values = draw(st.sampled_from([st.integers(-3, 3).map(float), st.floats(-1e3, 1e3)]))
+    token_term = np.array(draw(st.lists(values, min_size=row * m, max_size=row * m))).reshape(row, m)
+    n_offsets = 2 * max(lengths) - 1
+    offset_term = np.array(draw(st.lists(values, min_size=n_offsets * m, max_size=n_offsets * m))).reshape(-1, m)
+    return token_term, offset_term, np.array(cols), np.array(lo), np.array(hi)
 
 
 class TestDynamicMultiPool:
@@ -167,6 +196,34 @@ class TestDynamicMultiPool:
                 pool(token, offset, [4], [3], [7])  # a 4-row segment needs offsets -3 .. 3
             with pytest.raises(ShapeError):
                 pool(token, offset, [3], [4], [7])  # center left of its segment
+
+    @given(pooling_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_argmax_returns_the_pooled_values_and_the_rows_they_came_from(self, case):
+        token_term, offset_term, cols, lo, hi = case
+        m = token_term.shape[1]
+        pooled, rows = split_argmax(*case)
+        # the same values as split_max_pool, bit for bit
+        assert pooled.tobytes() == split_max_pool(*case).tobytes()
+        # each row holds its value: token term plus the offset term at offset_rows
+        filters = np.tile(np.arange(m), 2)
+        at_rows = token_term[rows, filters] + offset_term[offset_rows(rows, cols, offset_term.shape[0]), filters]
+        empty_left = cols == lo
+        npt.assert_array_equal(pooled[~empty_left], at_rows[~empty_left])
+        npt.assert_array_equal(pooled[empty_left, m:], at_rows[empty_left, m:])
+        # an empty left pool is 0 at lo
+        assert np.all(pooled[empty_left, :m] == 0.0)
+        assert np.all(rows[empty_left, :m] == lo[empty_left, None])
+        # ties go to the first maximum of each side, within the center's own segment
+        n_max = (offset_term.shape[0] + 1) // 2
+        for i, (c, a, b) in enumerate(zip(cols.tolist(), lo.tolist(), hi.tolist())):
+            for f in range(m):
+                pre = {j: token_term[j, f] + offset_term[j - c + n_max - 1, f] for j in range(a, b)}
+                for side, span in ((f, range(a, c)), (m + f, range(c, b))):
+                    if span:
+                        best = max(pre[j] for j in span)
+                        assert rows[i, side] == next(j for j in span if pre[j] == best)
+                        assert pooled[i, side] == best
 
 
 class TestScatterRows:
