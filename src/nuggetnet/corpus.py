@@ -244,8 +244,13 @@ def sentence_from_record(record) -> AnnotatedSentence:
 
 
 def load_corpus(path) -> list[AnnotatedSentence]:
-    """Read a JSONL corpus file; parse/validation failures carry the line number."""
+    """Read a JSONL corpus file; parse/validation failures carry the line number.
+
+    Each (doc_id, sent_id) key names one sentence: a key on two lines
+    raises CorpusValidationError naming both.
+    """
     corpus = []
+    first_line = {}  # sentence key -> the line that holds it
     with reading(path, CorpusFormatError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -256,9 +261,15 @@ def load_corpus(path) -> list[AnnotatedSentence]:
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
             try:
-                corpus.append(sentence_from_record(record))
+                sentence = sentence_from_record(record)
             except (CorpusFormatError, CorpusValidationError) as exc:
                 raise type(exc)(f"{path}: line {lineno}: {exc}") from exc
+            if sentence.key in first_line:
+                raise CorpusValidationError(
+                    f"{path}: line {lineno}: sentence key {sentence.key} repeats line {first_line[sentence.key]}"
+                )
+            first_line[sentence.key] = lineno
+            corpus.append(sentence)
     return corpus
 
 

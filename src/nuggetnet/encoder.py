@@ -65,14 +65,14 @@ then one matmul for the filters' gradient and one for the embedding
 rows'.  No map of either term is built.  The lexical gradient reaches the
 token table through ndcore.scatter_rows.
 
-gate_scopes alone decides the gate each softmax head reads: none for a
-lone branch or concat, `fuse` for general, `fuse.<head>` for
-task_specific.  encoder_params registers each gate once, and fuse builds
-each head's input for its own row slice only (a training step's span or
-subtype rows; every row at inference).  Where each head reads a gate of
-its own, each gate runs on its head's rows only; a gate that every head
-reads, the concatenation or a lone branch runs once over every row, and
-each head reads its slice.
+gate_readers alone decides the gate each softmax head reads: it maps each
+gate scope to the heads that read it, `None` standing for concatenation
+or a lone branch, `fuse` for general and `fuse.<head>` for task_specific.
+encoder_params registers each scope once, and fuse and fuse_backward
+loop over the same scopes.  Each scope runs once: on its one reader's
+rows (a training step's span or subtype rows; every row at inference), or
+on every row when several heads read it, each of them then reading its
+own slice.
 
 Backward passes are written out by hand; the gradient checker in ndcore is
 the authority on their correctness.
@@ -149,11 +149,14 @@ class ExtractorConfig:
 BRANCH_PREFIXES = ("char", "word")
 
 
-def gate_scopes(config: ExtractorConfig, heads: Iterable[str]) -> dict[str, str | None]:
-    """The gate each head reads, by head: none for a lone branch or concat, `fuse` for general, `fuse.<head>` for task_specific."""
+def gate_readers(config: ExtractorConfig, heads: Iterable[str]) -> dict[str | None, tuple[str, ...]]:
+    """The heads that read each gate scope, by scope: None (concat or a lone branch), `fuse` (general) or `fuse.<head>`."""
+    heads = tuple(heads)
     if not config.both_branches or config.hybrid_mode is HybridMode.CONCAT:
-        return dict.fromkeys(heads)
-    return {head: "fuse" if config.hybrid_mode is HybridMode.GENERAL else f"fuse.{head}" for head in heads}
+        return {None: heads}
+    if config.hybrid_mode is HybridMode.GENERAL:
+        return {"fuse": heads}
+    return {f"fuse.{head}": (head,) for head in heads}
 
 
 def encoder_params(config: ExtractorConfig, vocab: Vocabulary, heads: Iterable[str]) -> list[Spec]:
@@ -175,7 +178,7 @@ def encoder_params(config: ExtractorConfig, vocab: Vocabulary, heads: Iterable[s
             (f"{prefix}.proj_b", (config.proj_dim,), "zeros"),
         ]
     d = config.proj_dim
-    for scope in filter(None, dict.fromkeys(gate_scopes(config, heads).values())):
+    for scope in filter(None, gate_readers(config, heads)):
         specs += [
             (f"{scope}.gate_w_char", (d, d), "glorot"),
             (f"{scope}.gate_w_word", (d, d), "glorot"),
@@ -394,15 +397,6 @@ def branch_backward(store: ParamStore, prefix: str, cache: BranchCache, dfp: np.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FusionCache:
-    fp_char: np.ndarray | None
-    fp_word: np.ndarray | None
-    parts: dict[str, slice]  # the rows each head reads, by head
-    gates: dict[str, np.ndarray]  # gate scope -> sigmoid gate rows of the rows it computed
-    features: dict[str, np.ndarray]  # each head's inputs, one row per row of its part
-
-
 def _gate(store: ParamStore, scope: str, fp_char: np.ndarray, fp_word: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = sigmoid(
         fp_char @ store[f"{scope}.gate_w_char"].value.T
@@ -425,57 +419,54 @@ def _gate_backward(
     return dfp_char, dfp_word
 
 
+def _scope_rows(readers: tuple[str, ...], parts: dict[str, slice]) -> tuple[slice, dict[str, slice]]:
+    """The rows a scope runs on, and each reader's rows among them: its one reader's rows, or every row."""
+    if len(readers) == 1:
+        return parts[readers[0]], {readers[0]: slice(None)}
+    return slice(None), {head: parts[head] for head in readers}
+
+
 def fuse(
-    store: ParamStore,
-    config: ExtractorConfig,
-    fp_char: np.ndarray | None,
-    fp_word: np.ndarray | None,
-    parts: dict[str, slice],
-) -> FusionCache:
-    """Each head's inputs from the branch features, through its gate (gate_scopes): head h's for the rows parts[h]."""
-    scopes = gate_scopes(config, parts)
-    distinct = set(scopes.values())
-    gates = {}
-    if len(distinct) > 1:  # each head reads a gate of its own, on its own rows only
-        features = {}
-        for head, part in parts.items():
-            gates[scopes[head]], features[head] = _gate(store, scopes[head], fp_char[part], fp_word[part])
-        return FusionCache(fp_char, fp_word, parts, gates, features)
-    (scope,) = distinct  # one gate that every head reads, or none: one pass over every row
-    if scope is not None:
-        gates[scope], f = _gate(store, scope, fp_char, fp_word)
-    elif not config.both_branches:
-        f = fp_char if fp_word is None else fp_word
-    else:
-        f = np.concatenate([fp_char, fp_word], axis=-1)
-    return FusionCache(fp_char, fp_word, parts, gates, {head: f[part] for head, part in parts.items()})
+    store: ParamStore, config: ExtractorConfig, fp: dict[str, np.ndarray], parts: dict[str, slice]
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """(sigmoid gate rows by scope, each head's inputs by head) from the branch features fp, by prefix.
+
+    Head h reads the rows parts[h], through the scope gate_readers names
+    for it; each scope runs once over its rows (_scope_rows).
+    """
+    gates, features = {}, {}
+    for scope, readers in gate_readers(config, parts).items():
+        rows, within = _scope_rows(readers, parts)
+        if scope is None:
+            f = np.concatenate([x[rows] for x in fp.values()], axis=-1)
+        else:
+            gates[scope], f = _gate(store, scope, fp["char"][rows], fp["word"][rows])
+        features.update((head, f[own]) for head, own in within.items())
+    return gates, features
 
 
 def fuse_backward(
-    store: ParamStore, config: ExtractorConfig, cache: FusionCache, dfs: dict[str, np.ndarray]
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Route each head's input gradient, dfs[h] over the rows of its part, back to the branch features."""
-    fp_char, fp_word = cache.fp_char, cache.fp_word
-    scopes = gate_scopes(config, cache.parts)
-    distinct = set(scopes.values())
-    if len(distinct) > 1:
-        dfp_char, dfp_word = np.zeros_like(fp_char), np.zeros_like(fp_word)
-        for head, part in cache.parts.items():
-            z = cache.gates[scopes[head]]
-            dc, dw = _gate_backward(store, scopes[head], z, fp_char[part], fp_word[part], dfs[head])
-            dfp_char[part] += dc
-            dfp_word[part] += dw
-        return dfp_char, dfp_word
-    (scope,) = distinct
-    single = fp_char if fp_word is None else fp_word
-    d = np.zeros(single.shape[:-1] + (config.fused_dim,))
-    for head, part in cache.parts.items():
-        d[part] += dfs[head]
-    if scope is not None:
-        return _gate_backward(store, scope, cache.gates[scope], fp_char, fp_word, d)
-    if not config.both_branches:
-        return (d, None) if fp_char is not None else (None, d)
-    return d[..., : config.proj_dim], d[..., config.proj_dim :]
+    store: ParamStore,
+    config: ExtractorConfig,
+    fp: dict[str, np.ndarray],
+    parts: dict[str, slice],
+    gates: dict[str, np.ndarray],
+    dfs: dict[str, np.ndarray],
+) -> dict[str, np.ndarray]:
+    """Route each head's input gradient, dfs[h] over the rows of its part, back to the branch features, by prefix."""
+    dfp = {prefix: np.zeros_like(x) for prefix, x in fp.items()}
+    for scope, readers in gate_readers(config, parts).items():
+        rows, within = _scope_rows(readers, parts)
+        d = np.zeros(next(iter(fp.values()))[rows].shape[:-1] + (config.fused_dim,))
+        for head, own in within.items():
+            d[own] += dfs[head]
+        if scope is None:
+            grads = np.split(d, len(fp), axis=-1)
+        else:
+            grads = _gate_backward(store, scope, gates[scope], fp["char"][rows], fp["word"][rows], d)
+        for x, g in zip(dfp.values(), grads):
+            x[rows] += g
+    return dfp
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ depend on scores; how many match cannot, since matching is by equality.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -98,6 +99,9 @@ def _pair_keys(
     corpus: Sequence[AnnotatedSentence], predictions: Mapping
 ) -> dict:
     by_key = {s.key: s for s in corpus}
+    if len(by_key) < len(corpus):
+        repeated = next(key for key, n in Counter(s.key for s in corpus).items() if n > 1)
+        raise EvalInputError(f"gold corpus holds sentence key {repeated} twice")
     unknown = set(predictions) - set(by_key)
     if unknown:
         raise EvalInputError(f"predictions reference unknown sentences: {sorted(unknown)[:5]}")

@@ -40,16 +40,7 @@ import numpy as np
 
 from . import decoder  # read as decoder.decode_sentence at each call, so a patched module attribute applies
 from .corpus import AnnotatedSentence, SubtypeInventory, TrainingInstance, Vocabulary
-from .encoder import (
-    BranchCache,
-    ExtractorConfig,
-    FusionCache,
-    branch_backward,
-    encoder_params,
-    extract_branch,
-    fuse,
-    fuse_backward,
-)
+from .encoder import BranchCache, ExtractorConfig, branch_backward, encoder_params, extract_branch, fuse, fuse_backward
 from .errors import CheckpointError, ConfigError, ShapeError, check_bound, check_bounds, check_value, from_json, is_a
 from .labels import label_to_class, num_nugget_classes
 from .ndcore import ParamStore, load_checkpoint, save_checkpoint, scatter_rows, softmax, softmax_xent
@@ -96,19 +87,6 @@ def _lengths_holding(seqs: Sequence[np.ndarray], seq: np.ndarray, at: np.ndarray
     return lengths
 
 
-@dataclass
-class _BranchRows:
-    """One branch's features for a batch of rows, from one extract_branch call."""
-
-    prefix: str
-    cache: BranchCache
-    cache_row: np.ndarray  # batch row -> its center's row in the cache
-
-    @property
-    def fp(self) -> np.ndarray:
-        return self.cache.fp[self.cache_row]
-
-
 def _branch_rows(
     store: ParamStore,
     config: ModelConfig,
@@ -117,8 +95,8 @@ def _branch_rows(
     seq: np.ndarray,
     centers: np.ndarray,
     for_backward: bool = True,
-) -> _BranchRows:
-    """Features of one branch for batch rows, row r centered on token centers[r] of seqs[seq[r]], in one extract_branch call.
+) -> tuple[BranchCache, np.ndarray]:
+    """(cache, each batch row's row in it): one extract_branch call for batch rows, row r at token centers[r] of seqs[seq[r]].
 
     Each distinct (sequence, center) is computed once.  Each
     max_tokens-long view a sequence needs is one segment; extract_branch
@@ -150,20 +128,32 @@ def _branch_rows(
     first_token = (lengths.cumsum() - lengths)[view_seq] + view_start
     tokens = np.concatenate(seqs)[(first_token - ends + view_len).repeat(view_len) + np.arange(ends[-1])]
     cache = extract_branch(store, prefix, tokens, view_len, centers - starts, counts, config.extractor, for_backward)
-    return _BranchRows(prefix, cache, cache_row)
+    return cache, cache_row
 
 
-def _backward_rows(store: ParamStore, config: ModelConfig, branch: _BranchRows, dfp: np.ndarray) -> None:
-    """Backpropagate dL/d(features) of every batch row; rows sharing a center add up."""
-    per_center = np.zeros((branch.cache.fp.shape[0], dfp.shape[1]))
-    scatter_rows(per_center, branch.cache_row, dfp)
-    branch_backward(store, branch.prefix, branch.cache, per_center, config.extractor)
+def _backward_rows(
+    store: ParamStore, config: ModelConfig, prefix: str, cache: BranchCache, cache_row: np.ndarray, dfp: np.ndarray
+) -> None:
+    """Backpropagate dL/d(features) of batch rows, row r at cache row cache_row[r]; rows sharing a center add up."""
+    per_center = np.zeros((cache.fp.shape[0], dfp.shape[1]))
+    scatter_rows(per_center, cache_row, dfp)
+    branch_backward(store, prefix, cache, per_center, config.extractor)
 
 
 @dataclass
 class _Forward:
-    branches: list[_BranchRows]
-    fusion: FusionCache
+    """One forward over batch rows: what the heads read, and what _backward needs.
+
+    branches holds each branch's cache and each batch row's row in it, by
+    prefix; fp the branch features gathered to one row per batch row;
+    parts the rows each head reads; gates each gate scope's sigmoid rows
+    (encoder.fuse).
+    """
+
+    branches: dict[str, tuple[BranchCache, np.ndarray]]
+    fp: dict[str, np.ndarray]
+    parts: dict[str, slice]
+    gates: dict[str, np.ndarray]
     features: dict[str, np.ndarray]  # each head's (rows of its part, fused_dim) inputs, after dropout when training
     masks: dict[str, np.ndarray] | None  # each head's dropout mask
 
@@ -187,7 +177,7 @@ class CharEncoderBase:
 
     A subclass names its softmax heads and their class counts
     (`_head_classes`); each head reads its own rows' fused features, through
-    the gate encoder.gate_scopes names for it.  The store holds the
+    the gate encoder.gate_readers names for it.  The store holds the
     encoder tensors, then each head's `head.<name>_w`/`_b`.  A subclass's
     `kind` names it in checkpoints and in the run config.
     """
@@ -232,33 +222,32 @@ class CharEncoderBase:
         Inference passes for_backward=False: no branch finds an argmax.
         """
         cfg = self.config.extractor
-        branches = []
+        branches = {}
         if cfg.use_chars:
-            branches.append(_branch_rows(self.store, self.config, "char", [i[0] for i in ids], sent, chars, for_backward))
+            branches["char"] = _branch_rows(self.store, self.config, "char", [i[0] for i in ids], sent, chars, for_backward)
         if cfg.use_words:
             maps = [i[2] for i in ids]
             n = _lengths_holding(maps, sent, chars)
             words = np.concatenate(maps)[(n.cumsum() - n)[sent] + chars]
-            branches.append(_branch_rows(self.store, self.config, "word", [i[1] for i in ids], sent, words, for_backward))
-        fp = {b.prefix: b.fp for b in branches}
+            branches["word"] = _branch_rows(self.store, self.config, "word", [i[1] for i in ids], sent, words, for_backward)
+        fp = {prefix: cache.fp[cache_row] for prefix, (cache, cache_row) in branches.items()}
         parts = parts or dict.fromkeys(self.heads, slice(None))
-        fusion = fuse(self.store, cfg, fp.get("char"), fp.get("word"), parts)
-        features, masks = fusion.features, None
+        gates, features = fuse(self.store, cfg, fp, parts)
+        masks = None
         if drop_rng is not None and cfg.dropout > 0.0:
             keep = 1.0 - cfg.dropout
             # row by row, each head's mask's draws in head order
             draws = drop_rng.random((chars.shape[0], len(self.heads), cfg.fused_dim))
             masks = {head: (draws[part, h] < keep) / keep for h, (head, part) in enumerate(parts.items())}
             features = {head: f * masks[head] for head, f in features.items()}
-        return _Forward(branches, fusion, features, masks)
+        return _Forward(branches, fp, parts, gates, features, masks)
 
     def _backward(self, fwd: _Forward, dfs: dict[str, np.ndarray]) -> None:
         if fwd.masks is not None:
             dfs = {head: df * fwd.masks[head] for head, df in dfs.items()}
-        dfp_char, dfp_word = fuse_backward(self.store, self.config.extractor, fwd.fusion, dfs)
-        dfp = {"char": dfp_char, "word": dfp_word}
-        for branch in fwd.branches:
-            _backward_rows(self.store, self.config, branch, dfp[branch.prefix])
+        dfp = fuse_backward(self.store, self.config.extractor, fwd.fp, fwd.parts, fwd.gates, dfs)
+        for prefix, (cache, cache_row) in fwd.branches.items():
+            _backward_rows(self.store, self.config, prefix, cache, cache_row, dfp[prefix])
 
     def _loss(self, rows_a: Sequence[tuple], rows_b: Sequence[tuple], drop_rng: np.random.Generator | None) -> float:
         """Summed cross-entropy of (sentence, char index, gold class) rows, a through head 0 and b through head 1.

@@ -223,7 +223,7 @@ def window_products(table: np.ndarray, ids, weights: np.ndarray) -> tuple[np.nda
     ids:     (n,) the sequence's rows of table
     weights: (m, h, d) filters, window h
     returns: (distinct, slot, products): the sorted distinct ids, the index
-             slot[i] of ids[i] among them, and the (len(distinct), h, m)
+             slot[i] of ids[i] among them, and the (distinct ids, h, m) products
              products[u, k, i] = weights[i, k] . table[distinct[u]]
 
     One matmul over the distinct rows serves every window slot, so a

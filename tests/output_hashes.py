@@ -11,9 +11,9 @@ tree hashes its own code.  The runs:
   test_acceptance.py::test_determinism_byte_identical runs twice):
   best.ckpt, last.ckpt and train_log.jsonl;
 - a CLI sweep: gen-data (60 sentences), then for each model kind and
-  hybrid mode below at max_tokens 120 and 16, with dropout 0.25: train
-  2 epochs, resume to 3, and predict the test split with best.ckpt and the
-  dev split with last.ckpt.
+  extractor setting in SWEEP at max_tokens 120 and 16, with dropout 0.25:
+  train 2 epochs, resume to 3, and predict the test split with best.ckpt
+  and the dev split with last.ckpt.
 
 Every path is relative to one work directory, so the files, which record
 their paths, do not depend on where it is.  It prints one `sha256  path`
@@ -39,14 +39,20 @@ from nuggetnet.cli import main  # noqa: E402
 
 from util import determinism_run  # noqa: E402
 
-# (kind, hybrid mode) of each CLI run
-SWEEP = [
-    ("proposal", "task_specific"),
-    ("proposal", "general"),
-    ("proposal", "concat"),
-    ("iob", "task_specific"),
-    ("wordwise", "task_specific"),
-]
+# run name -> (kind, extractor settings) of each CLI run.  Between them they hold every fusion case: a
+# gate two heads share (proposal-general), a gate per head (proposal-task_specific), one head's gate
+# (iob-general, iob-task_specific), concat for two heads and for one, and a lone branch for two heads
+# (proposal-chars) and for one (wordwise).
+SWEEP = {
+    "proposal-task_specific": ("proposal", {"hybrid_mode": "task_specific"}),
+    "proposal-general": ("proposal", {"hybrid_mode": "general"}),
+    "proposal-concat": ("proposal", {"hybrid_mode": "concat"}),
+    "proposal-chars": ("proposal", {"hybrid_mode": "task_specific", "use_words": False}),
+    "iob-task_specific": ("iob", {"hybrid_mode": "task_specific"}),
+    "iob-general": ("iob", {"hybrid_mode": "general"}),
+    "iob-concat": ("iob", {"hybrid_mode": "concat"}),
+    "wordwise-task_specific": ("wordwise", {"hybrid_mode": "task_specific", "use_chars": False}),
+}
 MAX_TOKENS = (120, 16)
 EXTRACTOR = {"token_emb_dim": 12, "pos_emb_dim": 3, "n_filters": 8, "window": 3, "lex_window": 1, "proj_dim": 12}
 
@@ -60,12 +66,10 @@ def cli(*args: str) -> None:
 
 def cli_sweep() -> None:
     cli("gen-data", "--out", "data", "--n-sentences", "60")
-    for kind, mode in SWEEP:
+    for name, (kind, settings) in SWEEP.items():
         for max_tokens in MAX_TOKENS:
-            run = f"{kind}-{mode}-{max_tokens}"
-            extractor = {**EXTRACTOR, "hybrid_mode": mode, "dropout": 0.25}
-            if kind == "wordwise":
-                extractor["use_chars"] = False
+            run = f"{name}-{max_tokens}"
+            extractor = {**EXTRACTOR, **settings, "dropout": 0.25}
             config = {
                 "model": {"kind": kind, "max_tokens": max_tokens, "extractor": extractor},
                 "training": {"epochs": 2, "batch_size": 16, "rng_seed": 3},

@@ -330,22 +330,22 @@ def test_hybrid_mode_algebra(capsys):
         store["fuse.gate_w_char"].value[...] = 0.0
         store["fuse.gate_w_word"].value[...] = 0.0
         store["fuse.gate_b"].value[...] = 60.0
-        ok &= np.allclose(fuse(store, cfg, a, b, BOTH).features["nugget"], a, atol=1e-12)
+        ok &= np.allclose(fuse(store, cfg, {"char": a, "word": b}, BOTH)[1]["nugget"], a, atol=1e-12)
         store["fuse.gate_b"].value[...] = -60.0
-        ok &= np.allclose(fuse(store, cfg, a, b, BOTH).features["nugget"], b, atol=1e-12)
+        ok &= np.allclose(fuse(store, cfg, {"char": a, "word": b}, BOTH)[1]["nugget"], b, atol=1e-12)
 
         # zero pre-activation mixes the branches evenly
         store["fuse.gate_b"].value[...] = 0.0
-        ok &= np.allclose(fuse(store, cfg, a, b, BOTH).features["nugget"], (a + b) / 2, atol=1e-12)
+        ok &= np.allclose(fuse(store, cfg, {"char": a, "word": b}, BOTH)[1]["nugget"], (a + b) / 2, atol=1e-12)
 
         # equal branch features pass through under any gate weights
         widen_params(store, scale=0.5, rng_seed=int(rng.integers(1 << 30)))
-        ok &= np.allclose(fuse(store, cfg, a, a.copy(), BOTH).features["nugget"], a, atol=1e-12)
+        ok &= np.allclose(fuse(store, cfg, {"char": a, "word": a.copy()}, BOTH)[1]["nugget"], a, atol=1e-12)
 
         # gated output stays inside the envelope of the two branches
-        cache = fuse(store, cfg, a, b, BOTH)
+        _, features = fuse(store, cfg, {"char": a, "word": b}, BOTH)
         lo, hi = np.minimum(a, b) - 1e-12, np.maximum(a, b) + 1e-12
-        ok &= bool(np.all(cache.features["nugget"] >= lo) and np.all(cache.features["nugget"] <= hi))
+        ok &= bool(np.all(features["nugget"] >= lo) and np.all(features["nugget"] <= hi))
 
         # per-task gates each satisfy the same convexity on their own output
         cfg_ts = ExtractorConfig(
@@ -355,8 +355,8 @@ def test_hybrid_mode_algebra(capsys):
             proj_dim=d,
             hybrid_mode=HybridMode.TASK_SPECIFIC,
         )
-        cache = fuse(store, cfg_ts, a, b, BOTH)
-        for f in cache.features.values():
+        _, features = fuse(store, cfg_ts, {"char": a, "word": b}, BOTH)
+        for f in features.values():
             ok &= bool(np.all(f >= lo) and np.all(f <= hi))
     detail = f"saturation, midpoint, pass-through and convexity at dims {sorted(set(dims))}"
     _report(capsys, "hybrid-mode-algebra", ok, detail, time.perf_counter() - t0, 10)

@@ -87,13 +87,13 @@ def test_batch_index_matches_the_per_sentence_one(case):
         "word": [(word_ids, char_to_word[c], rows) for (_, word_ids, char_to_word), c, rows in expected],
     }
     assert [call.args[1] for call in calls] == ["char", "word"]
-    for branch, call in zip(fwd.branches, calls):
-        segments, cache_row = reference_index(branch_groups[branch.prefix], model.config.max_tokens)
+    for (prefix, (cache, cache_row)), call in zip(fwd.branches.items(), calls):
+        segments, ref_row = reference_index(branch_groups[prefix], model.config.max_tokens)
         for got, want in zip(call.args[2:6], flat_segments(segments)):
             same_array(got, want)
-        same_array(branch.cache_row, cache_row)
-        ref = extract_segments(model.store, branch.prefix, segments, model.config.extractor)
-        for name, value in vars(branch.cache).items():
+        same_array(cache_row, ref_row)
+        ref = extract_segments(model.store, prefix, segments, model.config.extractor)
+        for name, value in vars(cache).items():
             same_array(value, getattr(ref, name))
 
 
@@ -120,14 +120,14 @@ def test_branch_rows_index_any_groups(lengths, picks, max_tokens, seed):
         batch.append((ids, np.array(centers), perm[k : k + len(centers)]))
         k += len(centers)
     with mock.patch.object(nmodel, "extract_branch", wraps=extract_branch) as spy:
-        branch = branch_rows_of(model.store, config, "char", batch)
-    segments, cache_row = reference_index(batch, max_tokens)
+        cache, cache_row = branch_rows_of(model.store, config, "char", batch)
+    segments, ref_row = reference_index(batch, max_tokens)
     (call,) = spy.call_args_list
     for got, want in zip(call.args[2:6], flat_segments(segments)):
         same_array(got, want)
-    same_array(branch.cache_row, cache_row)
+    same_array(cache_row, ref_row)
     ref = extract_segments(model.store, "char", segments, model.config.extractor)
-    same_array(branch.fp, ref.fp[cache_row])
+    same_array(cache.fp[cache_row], ref.fp[ref_row])
 
 
 def test_out_of_range_center_is_refused():

@@ -136,6 +136,15 @@ class TestSerialization:
         with pytest.raises(CorpusValidationError, match="line 1"):
             load_corpus(path)
 
+    def test_repeated_sentence_key_names_both_lines(self, tmp_path):
+        # two sentences under one (doc_id, sent_id) would share one prediction record and one gold match
+        first, second, third = (sentence_to_record(s) for s in toy_corpus())
+        third["sent_id"] = first["sent_id"]
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in (first, second, third)), encoding="utf-8")
+        with pytest.raises(CorpusValidationError, match=r"c\.jsonl: line 3: sentence key \('d', 's1'\) repeats line 1"):
+            load_corpus(path)
+
     def test_corpus_lines_validate_against_schema(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         import pathlib

@@ -19,7 +19,7 @@ from nuggetnet.encoder import (
     encoder_params,
     fuse,
     fuse_backward,
-    gate_scopes,
+    gate_readers,
     load_embeddings_file,
 )
 from nuggetnet.errors import ConfigError, ShapeError, from_json
@@ -101,23 +101,23 @@ class TestRegistration:
         assert not any(name.startswith("fuse.") for name, _, _ in specs)
 
     @pytest.mark.parametrize(
-        "overrides, heads, scopes",
+        "overrides, heads, readers",
         [
-            ({"hybrid_mode": "task_specific"}, HEADS, {"nugget": "fuse.nugget", "type": "fuse.type"}),
-            ({"hybrid_mode": "task_specific"}, ("tag",), {"tag": "fuse.tag"}),
-            ({"hybrid_mode": "general"}, HEADS, {"nugget": "fuse", "type": "fuse"}),
-            ({"hybrid_mode": "general"}, ("tag",), {"tag": "fuse"}),
-            ({"hybrid_mode": "concat"}, HEADS, {"nugget": None, "type": None}),
-            ({"hybrid_mode": "task_specific", "use_chars": False}, ("wordtype",), {"wordtype": None}),
-            ({"hybrid_mode": "general", "use_words": False}, HEADS, {"nugget": None, "type": None}),
+            ({"hybrid_mode": "task_specific"}, HEADS, {"fuse.nugget": ("nugget",), "fuse.type": ("type",)}),
+            ({"hybrid_mode": "task_specific"}, ("tag",), {"fuse.tag": ("tag",)}),
+            ({"hybrid_mode": "general"}, HEADS, {"fuse": HEADS}),
+            ({"hybrid_mode": "general"}, ("tag",), {"fuse": ("tag",)}),
+            ({"hybrid_mode": "concat"}, HEADS, {None: HEADS}),
+            ({"hybrid_mode": "task_specific", "use_chars": False}, ("wordtype",), {None: ("wordtype",)}),
+            ({"hybrid_mode": "general", "use_words": False}, HEADS, {None: HEADS}),
         ],
     )
-    def test_each_gate_a_head_reads_is_registered_once(self, overrides, heads, scopes):
+    def test_each_gate_a_head_reads_is_registered_once(self, overrides, heads, readers):
         config = small_extractor(**overrides)
-        assert gate_scopes(config, heads) == scopes
+        assert gate_readers(config, heads) == readers
         names = [name for name, _, _ in encoder_params(config, build_vocab(toy_corpus(), max_rel_dist=10), heads)]
         gates = [name for name in names if name.startswith("fuse")]
-        expected = dict.fromkeys(scope for scope in scopes.values() if scope is not None)
+        expected = [scope for scope in readers if scope is not None]
         assert gates == [f"{scope}.{name}" for scope in expected for name in ("gate_w_char", "gate_w_word", "gate_b")]
 
     def test_rel_dist_mismatch_rejected(self):
@@ -142,9 +142,9 @@ def extract_with_terms(store, segments, cfg):
     return cache, args
 
 
-def n_segments(branch):
+def n_segments(cache):
     """Segments of a branch's kernel call: each has at least one center, each center one segment start."""
-    return len(set(branch.cache.lo.tolist()))
+    return len(set(cache.lo.tolist()))
 
 
 def per_center_only(cache):
@@ -203,10 +203,11 @@ class TestExtractBranch:
         config = ModelConfig(extractor=cfg, max_tokens=16)
         n = 80
         groups = [(np.arange(2, 2 + n), np.arange(n), np.arange(n))]
-        branch = branch_rows_of(store, config, "char", groups, for_backward=False)
-        assert n_segments(branch) == len(set(_view_starts(n, np.arange(n), 16).tolist())) > n // 2
-        assert per_center_only(branch.cache) and branch.cache.arg_rows is None
-        npt.assert_array_equal(branch.fp, branch_rows_of(store, config, "char", groups).fp)
+        cache, cache_row = branch_rows_of(store, config, "char", groups, for_backward=False)
+        assert n_segments(cache) == len(set(_view_starts(n, np.arange(n), 16).tolist())) > n // 2
+        assert per_center_only(cache) and cache.arg_rows is None
+        trained, trained_row = branch_rows_of(store, config, "char", groups)
+        npt.assert_array_equal(cache.fp[cache_row], trained.fp[trained_row])
 
     def test_training_keeps_no_filter_map(self):
         # a training cache keeps each pooled value's argmax row, but neither term past the forward pass
@@ -214,10 +215,10 @@ class TestExtractBranch:
         store = branch_store(cfg, n_tokens=140)
         config = ModelConfig(extractor=cfg, max_tokens=16)
         groups = [(np.arange(2, 82), np.arange(80), np.arange(80)), (np.arange(2, 12), np.arange(10), np.arange(80, 90))]
-        branch = branch_rows_of(store, config, "char", groups)
-        assert n_segments(branch) > 10
-        assert per_center_only(branch.cache)
-        assert branch.cache.arg_rows.shape == (branch.cache.fp.shape[0], 2 * cfg.n_filters)
+        cache, _ = branch_rows_of(store, config, "char", groups)
+        assert n_segments(cache) > 10
+        assert per_center_only(cache)
+        assert cache.arg_rows.shape == (cache.fp.shape[0], 2 * cfg.n_filters)
 
     def test_center_out_of_range(self):
         cfg = small_extractor()
@@ -379,10 +380,10 @@ class TestKernelMatchesReference:
         store = branch_store(cfg, n_tokens=140, seed=seed)
         config = ModelConfig(extractor=cfg, max_tokens=max_tokens)
         rows = np.arange(len(centers))
-        branch = branch_rows_of(store, config, "char", [(ids, np.array(centers), rows)])
+        cache, cache_row = branch_rows_of(store, config, "char", [(ids, np.array(centers), rows)])
         for row, c in enumerate(centers):
             ref = reference_view(store, "char", ids, c, cfg, max_tokens)
-            npt.assert_allclose(branch.fp[row], ref.fp, rtol=0, atol=1e-12)
+            npt.assert_allclose(cache.fp[cache_row[row]], ref.fp, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("budget", [_CALL_ELEMENTS, 1])
     @pytest.mark.parametrize("vocab", ["repeated", "distinct"])
@@ -432,14 +433,15 @@ class TestKernelMatchesReference:
         target = np.linspace(-0.5, 0.5, 7 * cfg.proj_dim).reshape(7, -1)
 
         def closure():
-            branch = branch_rows_of(store, config, "char", groups)
-            loss = 0.5 * float(np.sum((branch.fp - target) ** 2))
-            _backward_rows(store, config, branch, branch.fp - target)
+            cache, cache_row = branch_rows_of(store, config, "char", groups)
+            fp = cache.fp[cache_row]
+            loss = 0.5 * float(np.sum((fp - target) ** 2))
+            _backward_rows(store, config, "char", cache, cache_row, fp - target)
             return loss
 
-        branch = branch_rows_of(store, config, "char", groups)
-        assert n_segments(branch) == 5  # four views of the long sentence, one short sentence
-        npt.assert_array_equal(branch.cache.tok_distinct, [PAD_ID, 2, 3])
+        cache, _ = branch_rows_of(store, config, "char", groups)
+        assert n_segments(cache) == 5  # four views of the long sentence, one short sentence
+        npt.assert_array_equal(cache.tok_distinct, [PAD_ID, 2, 3])
         report = grad_check(closure, store, step=1e-5, tolerance=1e-5, coords_per_param=8, rng_seed=4)
         assert report.passed, report.summary()
 
@@ -455,16 +457,17 @@ class TestKernelMatchesReference:
         target = np.linspace(-0.5, 0.5, 7 * cfg.proj_dim).reshape(7, -1)
 
         def closure():
-            branch = branch_rows_of(store, config, "char", groups)
-            loss = 0.5 * float(np.sum((branch.fp - target) ** 2))
-            _backward_rows(store, config, branch, branch.fp - target)
+            cache, cache_row = branch_rows_of(store, config, "char", groups)
+            fp = cache.fp[cache_row]
+            loss = 0.5 * float(np.sum((fp - target) ** 2))
+            _backward_rows(store, config, "char", cache, cache_row, fp - target)
             return loss
 
-        branch = branch_rows_of(store, config, "char", groups)
+        cache, _ = branch_rows_of(store, config, "char", groups)
         npt.assert_array_equal(_view_starts(11, np.array([0, 5, 7, 10]), 6), [0, 2, 4, 5])
         # one segment per view of the long sentence, one for the short one, all in the branch's one call
-        assert n_segments(branch) == 5
-        assert branch.cache.fp.shape[0] == 6  # the repeated center is computed once
+        assert n_segments(cache) == 5
+        assert cache.fp.shape[0] == 6  # the repeated center is computed once
         report = grad_check(closure, store, step=1e-5, tolerance=1e-5, coords_per_param=6, rng_seed=3)
         assert report.passed, report.summary()
 
@@ -545,11 +548,11 @@ class TestChunks:
         proj_w = store["char.proj_w"]
         proj_w.value = proj_w.value.view(Counting)
         with mock.patch.object(nencoder, "split_argmax", wraps=split_argmax) as pools:
-            branch = branch_rows_of(store, config, "char", groups)
-        assert pools.call_count == n_segments(branch) == 5  # one pooling pass per chunk
+            cache, cache_row = branch_rows_of(store, config, "char", groups)
+        assert pools.call_count == n_segments(cache) == 5  # one pooling pass per chunk
         assert matmuls == ["matmul"]
         matmuls.clear()
-        _backward_rows(store, config, branch, np.ones_like(branch.fp))
+        _backward_rows(store, config, "char", cache, cache_row, np.ones_like(cache.fp[cache_row]))
         assert matmuls == ["matmul", "matmul"]
 
     def test_grad_check_over_chunks(self, monkeypatch):
@@ -557,14 +560,16 @@ class TestChunks:
         target = np.linspace(-0.5, 0.5, 7 * config.extractor.proj_dim).reshape(7, -1)
 
         def closure():
-            branch = branch_rows_of(store, config, "char", groups)
-            loss = 0.5 * float(np.sum((branch.fp - target) ** 2))
-            _backward_rows(store, config, branch, branch.fp - target)
+            cache, cache_row = branch_rows_of(store, config, "char", groups)
+            fp = cache.fp[cache_row]
+            loss = 0.5 * float(np.sum((fp - target) ** 2))
+            _backward_rows(store, config, "char", cache, cache_row, fp - target)
             return loss
 
         closure()
         whole = {name: p.grad.copy() for name, p in store.items()}
-        fp = branch_rows_of(store, config, "char", groups).fp
+        cache, cache_row = branch_rows_of(store, config, "char", groups)
+        fp = cache.fp[cache_row]
         store.zero_grads()
         monkeypatch.setattr(nencoder, "_CALL_ELEMENTS", 1)  # five chunks, one per segment
         with mock.patch.object(nencoder, "split_argmax", wraps=split_argmax) as pools:
@@ -572,7 +577,8 @@ class TestChunks:
         assert pools.call_count == 5
         for name, p in store.items():
             npt.assert_allclose(p.grad, whole[name], rtol=1e-12, atol=1e-15, err_msg=name)
-        npt.assert_allclose(branch_rows_of(store, config, "char", groups).fp, fp, rtol=0, atol=1e-14)
+        cache, cache_row = branch_rows_of(store, config, "char", groups)
+        npt.assert_allclose(cache.fp[cache_row], fp, rtol=0, atol=1e-14)
         report = grad_check(closure, store, step=1e-5, tolerance=1e-5, coords_per_param=6, rng_seed=3)
         assert report.passed, report.summary()
 
@@ -585,21 +591,21 @@ class TestFusion:
         cfg = small_extractor(hybrid_mode=HybridMode.CONCAT)
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=10), rng.normal(size=10)
-        cache = fuse(ParamStore([]), cfg, a, b, BOTH)
-        npt.assert_array_equal(cache.features["nugget"], np.concatenate([a, b]))
-        assert np.shares_memory(cache.features["nugget"], cache.features["type"])
+        _, features = fuse(ParamStore([]), cfg, {"char": a, "word": b}, BOTH)
+        npt.assert_array_equal(features["nugget"], np.concatenate([a, b]))
+        assert np.shares_memory(features["nugget"], features["type"])
 
     def test_general_is_convex_combination(self):
         cfg = small_extractor(hybrid_mode=HybridMode.GENERAL)
         store = self.gate_store(10)
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=10), rng.normal(size=10)
-        cache = fuse(store, cfg, a, b, BOTH)
-        assert list(cache.gates) == ["fuse"]
-        z = cache.gates["fuse"]
-        npt.assert_allclose(cache.features["nugget"], z * a + (1 - z) * b, atol=1e-15)
+        gates, features = fuse(store, cfg, {"char": a, "word": b}, BOTH)
+        assert list(gates) == ["fuse"]
+        z = gates["fuse"]
+        npt.assert_allclose(features["nugget"], z * a + (1 - z) * b, atol=1e-15)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        assert np.all(cache.features["nugget"] >= lo - 1e-12) and np.all(cache.features["nugget"] <= hi + 1e-12)
+        assert np.all(features["nugget"] >= lo - 1e-12) and np.all(features["nugget"] <= hi + 1e-12)
 
     def test_gate_saturation_selects_one_branch(self):
         cfg = small_extractor(hybrid_mode=HybridMode.GENERAL)
@@ -609,9 +615,9 @@ class TestFusion:
         store["fuse.gate_w_word"].value[...] = 0.0
         rng = np.random.default_rng(2)
         a, b = rng.normal(size=10), rng.normal(size=10)
-        npt.assert_allclose(fuse(store, cfg, a, b, BOTH).features["nugget"], a, atol=1e-12)
+        npt.assert_allclose(fuse(store, cfg, {"char": a, "word": b}, BOTH)[1]["nugget"], a, atol=1e-12)
         store["fuse.gate_b"].value[...] = -60.0
-        npt.assert_allclose(fuse(store, cfg, a, b, BOTH).features["nugget"], b, atol=1e-12)
+        npt.assert_allclose(fuse(store, cfg, {"char": a, "word": b}, BOTH)[1]["nugget"], b, atol=1e-12)
 
     def test_zero_gate_inputs_give_midpoint(self):
         cfg = small_extractor(hybrid_mode=HybridMode.GENERAL)
@@ -620,14 +626,14 @@ class TestFusion:
         store["fuse.gate_w_word"].value[...] = 0.0
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=10), rng.normal(size=10)
-        npt.assert_allclose(fuse(store, cfg, a, b, BOTH).features["nugget"], (a + b) / 2, atol=1e-15)
+        npt.assert_allclose(fuse(store, cfg, {"char": a, "word": b}, BOTH)[1]["nugget"], (a + b) / 2, atol=1e-15)
 
     def test_equal_branches_pass_through(self):
         cfg = small_extractor(hybrid_mode=HybridMode.GENERAL)
         store = self.gate_store(10)
         widen_params(store)
         a = np.random.default_rng(4).normal(size=10)
-        npt.assert_allclose(fuse(store, cfg, a, a.copy(), BOTH).features["nugget"], a, atol=1e-12)
+        npt.assert_allclose(fuse(store, cfg, {"char": a, "word": a.copy()}, BOTH)[1]["nugget"], a, atol=1e-12)
 
     def test_task_specific_gates_differ(self):
         cfg = small_extractor(hybrid_mode=HybridMode.TASK_SPECIFIC)
@@ -635,11 +641,11 @@ class TestFusion:
         widen_params(store)
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=10), rng.normal(size=10)
-        cache = fuse(store, cfg, a, b, BOTH)
-        assert not np.allclose(cache.features["nugget"], cache.features["type"])
-        assert list(cache.gates) == ["fuse.nugget", "fuse.type"]
-        z_n = cache.gates["fuse.nugget"]
-        npt.assert_allclose(cache.features["nugget"], z_n * a + (1 - z_n) * b, atol=1e-14)
+        gates, features = fuse(store, cfg, {"char": a, "word": b}, BOTH)
+        assert not np.allclose(features["nugget"], features["type"])
+        assert list(gates) == ["fuse.nugget", "fuse.type"]
+        z_n = gates["fuse.nugget"]
+        npt.assert_allclose(features["nugget"], z_n * a + (1 - z_n) * b, atol=1e-14)
 
     def test_a_one_head_task_specific_gate_is_the_general_gate_under_the_heads_name(self):
         # one head, one gate: task_specific runs it over every row as general runs its shared gate
@@ -650,19 +656,20 @@ class TestFusion:
         for name in ("gate_w_char", "gate_w_word", "gate_b"):
             store[f"fuse.{name}"].value[...] = store[f"fuse.tag.{name}"].value
         parts = {"tag": slice(None)}
-        own = fuse(store, small_extractor(hybrid_mode=HybridMode.TASK_SPECIFIC), a, b, parts)
-        shared = fuse(store, small_extractor(hybrid_mode=HybridMode.GENERAL), a, b, parts)
-        assert list(own.gates) == ["fuse.tag"] and list(shared.gates) == ["fuse"]
-        npt.assert_array_equal(own.features["tag"], shared.features["tag"])
+        own = fuse(store, small_extractor(hybrid_mode=HybridMode.TASK_SPECIFIC), {"char": a, "word": b}, parts)
+        shared = fuse(store, small_extractor(hybrid_mode=HybridMode.GENERAL), {"char": a, "word": b}, parts)
+        assert list(own[0]) == ["fuse.tag"] and list(shared[0]) == ["fuse"]
+        npt.assert_array_equal(own[1]["tag"], shared[1]["tag"])
 
     def test_single_branch_passthrough(self):
         cfg = small_extractor(use_words=False, hybrid_mode=HybridMode.TASK_SPECIFIC)
         a = np.random.default_rng(6).normal(size=(1, 10))
-        cache = fuse(ParamStore([]), cfg, a, None, BOTH)
-        npt.assert_array_equal(cache.features["nugget"], a)
-        da, db = fuse_backward(ParamStore([]), cfg, cache, {"nugget": np.ones((1, 10)), "type": 2 * np.ones((1, 10))})
-        npt.assert_array_equal(da, 3 * np.ones((1, 10)))
-        assert db is None
+        gates, features = fuse(ParamStore([]), cfg, {"char": a}, BOTH)
+        npt.assert_array_equal(features["nugget"], a)
+        dfs = {"nugget": np.ones((1, 10)), "type": 2 * np.ones((1, 10))}
+        dfp = fuse_backward(ParamStore([]), cfg, {"char": a}, BOTH, gates, dfs)
+        assert list(dfp) == ["char"]
+        npt.assert_array_equal(dfp["char"], 3 * np.ones((1, 10)))
 
     def fusion_grad_report(self, mode, parts):
         cfg = small_extractor(hybrid_mode=mode)
@@ -675,12 +682,13 @@ class TestFusion:
         targets = {head: rng.normal(size=(3, cfg.fused_dim))[part] for head, part in parts.items()}
 
         def closure():
-            cache = fuse(store, cfg, pa.value, pb.value, parts)
-            dfs = {head: f - targets[head] for head, f in cache.features.items()}
+            fp = {"char": pa.value, "word": pb.value}
+            gates, features = fuse(store, cfg, fp, parts)
+            dfs = {head: f - targets[head] for head, f in features.items()}
             loss = 0.5 * float(sum(np.sum(df**2) for df in dfs.values()))
-            da, db = fuse_backward(store, cfg, cache, dfs)
-            pa.grad += da
-            pb.grad += db
+            dfp = fuse_backward(store, cfg, fp, parts, gates, dfs)
+            pa.grad += dfp["char"]
+            pb.grad += dfp["word"]
             return loss
 
         return grad_check(closure, store, step=1e-4, tolerance=1e-4, coords_per_param=8, rng_seed=8)
@@ -702,11 +710,11 @@ class TestFusion:
         widen_params(store)
         rng = np.random.default_rng(9)
         a, b = rng.normal(size=(4, 10)), rng.normal(size=(4, 10))
-        rows = fuse(store, cfg, a, b, BOTH)
+        _, rows = fuse(store, cfg, {"char": a, "word": b}, BOTH)
         for i in range(4):
-            single = fuse(store, cfg, a[i], b[i], BOTH)
+            _, single = fuse(store, cfg, {"char": a[i], "word": b[i]}, BOTH)
             for head in HEADS:
-                npt.assert_allclose(rows.features[head][i], single.features[head], rtol=0, atol=1e-15)
+                npt.assert_allclose(rows[head][i], single[head], rtol=0, atol=1e-15)
 
 
 class TestDropout:

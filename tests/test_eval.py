@@ -119,6 +119,14 @@ class TestScore:
         with pytest.raises(EvalInputError, match="unknown"):
             score(self.corpus(), {("d", "nope"): []})
 
+    @pytest.mark.parametrize("scorer", [score, recall_by_match_type])
+    def test_repeated_gold_sentence_key_rejected(self, scorer):
+        # predictions hitting both sentences' triggers would match only the last sentence's
+        corpus = [sent("s", "甲乙", ((0, 1),), (TriggerNugget(0, 1, "a"),)), sent("s", "丙丁", ((0, 1),), (TriggerNugget(1, 1, "a"),))]
+        preds = {("d", "s"): [pred(0, 1, "a"), pred(1, 1, "a")]}
+        with pytest.raises(EvalInputError, match=r"sentence key \('d', 's'\) twice"):
+            scorer(corpus, preds)
+
     def test_out_of_bounds_prediction_rejected(self):
         corpus = self.corpus()
         with pytest.raises(EvalInputError, match="outside"):

@@ -301,7 +301,7 @@ def test_argmax_only_when_training(corpus3, monkeypatch, kind):
 
 
 def spy_fusion(monkeypatch):
-    """Calls of encoder._gate (scope, char rows, word rows), model.fuse (char rows, word rows), head_scores (head, rows)."""
+    """Calls of encoder._gate (scope, char rows, word rows), model.fuse (branch features, parts), head_scores (head, rows)."""
     calls = {"gate": [], "fuse": [], "head": []}
     gate, fuse, head_scores = nencoder._gate, nmodel.fuse, nmodel.head_scores
 
@@ -309,9 +309,9 @@ def spy_fusion(monkeypatch):
         calls["gate"].append((scope, fp_char, fp_word))
         return gate(store, scope, fp_char, fp_word)
 
-    def fuse_spy(store, config, fp_char, fp_word, *rest):
-        calls["fuse"].append((fp_char, fp_word))
-        return fuse(store, config, fp_char, fp_word, *rest)
+    def fuse_spy(store, config, fp, parts):
+        calls["fuse"].append((fp, parts))
+        return fuse(store, config, fp, parts)
 
     def head_spy(store, head, features):
         calls["head"].append((head, features.shape[0]))
@@ -329,13 +329,37 @@ def test_each_task_gate_and_head_reads_only_its_streams_rows(corpus3, monkeypatc
     gen, cls = gen[:7], cls[:3]  # span rows 0-6, subtype rows 7-9
     calls = spy_fusion(monkeypatch)
     model.loss_and_grads(gen, cls)
-    ((fp_char, fp_word),) = calls["fuse"]
-    assert fp_char.shape[0] == 10
+    ((fp, _),) = calls["fuse"]
+    assert fp["char"].shape[0] == 10
     assert [scope for scope, _, _ in calls["gate"]] == ["fuse.nugget", "fuse.type"]
     for (_, gate_char, gate_word), rows in zip(calls["gate"], (slice(None, 7), slice(7, None))):
-        npt.assert_array_equal(gate_char, fp_char[rows])
-        npt.assert_array_equal(gate_word, fp_word[rows])
+        npt.assert_array_equal(gate_char, fp["char"][rows])
+        npt.assert_array_equal(gate_word, fp["word"][rows])
     assert calls["head"] == [("nugget", 7), ("type", 3)]
+
+
+@pytest.mark.parametrize("mode", list(HybridMode))
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_gate_scope_runs_once_per_training_forward(corpus3, monkeypatch, kind, mode):
+    # a gate that one head reads runs on that head's rows, one that every head reads on every row; concat
+    # and the word classifier's lone branch run none
+    model = small_model(corpus3, mode=mode, kind=kind)
+    stream_a, stream_b = model.training_streams(corpus3, neg_ratio=1.0, rng_seed=0)
+    stream_a, stream_b = stream_a[:7], stream_b[:3]  # the first stream's rows 0-6, the second's 7-9
+    calls = spy_fusion(monkeypatch)
+    model.loss_and_grads(stream_a, stream_b)
+    ((fp, _),) = calls["fuse"]
+    every = slice(None)
+    expected = {
+        ("proposal", HybridMode.GENERAL): [("fuse", every)],
+        ("proposal", HybridMode.TASK_SPECIFIC): [("fuse.nugget", slice(None, 7)), ("fuse.type", slice(7, None))],
+        ("iob", HybridMode.GENERAL): [("fuse", every)],
+        ("iob", HybridMode.TASK_SPECIFIC): [("fuse.tag", every)],
+    }.get((kind, mode), [])
+    assert [scope for scope, _, _ in calls["gate"]] == [scope for scope, _ in expected]
+    for (_, gate_char, gate_word), (_, rows) in zip(calls["gate"], expected):
+        npt.assert_array_equal(gate_char, fp["char"][rows])
+        npt.assert_array_equal(gate_word, fp["word"][rows])
 
 
 def test_iob_runs_no_type_gate(corpus3, monkeypatch):

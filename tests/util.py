@@ -132,7 +132,10 @@ def extract_segments(store, prefix, segments, config, for_backward=True):
 
 
 def branch_rows_of(store, config, prefix, groups, for_backward=True):
-    """model._branch_rows over (token ids, centers, batch rows) groups, one per sequence; rows number 0 .. k-1."""
+    """model._branch_rows over (token ids, centers, batch rows) groups, one per sequence; rows number 0 .. k-1.
+
+    Returns (cache, each batch row's row in it).
+    """
     n_rows = sum(len(rows) for _, _, rows in groups)
     seq, centers = np.empty(n_rows, dtype=np.int64), np.empty(n_rows, dtype=np.int64)
     for g, (_, group_centers, rows) in enumerate(groups):
