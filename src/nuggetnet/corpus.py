@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import CheckpointError, CorpusFormatError, CorpusValidationError, check_keys, check_value, is_a, reading
 from .labels import NuggetLabel, label_for
+from .ndcore import write_atomically
 
 logger = logging.getLogger(__name__)
 
@@ -274,10 +275,8 @@ def load_corpus(path) -> list[AnnotatedSentence]:
 
 
 def save_corpus(path, corpus: Sequence[AnnotatedSentence]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sentence in corpus:
-            fh.write(json.dumps(sentence_to_record(sentence), ensure_ascii=False))
-            fh.write("\n")
+    """One JSON line per sentence; a save that fails part way leaves the previous file (write_atomically)."""
+    write_atomically(path, (f"{json.dumps(sentence_to_record(s), ensure_ascii=False)}\n".encode("utf-8") for s in corpus))
 
 
 # ---------------------------------------------------------------------------

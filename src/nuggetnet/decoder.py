@@ -28,6 +28,7 @@ import numpy as np
 from .corpus import AnnotatedSentence
 from .errors import CorpusFormatError, check_keys, is_a, reading
 from .labels import class_table
+from .ndcore import write_atomically
 
 
 @dataclass(frozen=True, order=True)
@@ -111,14 +112,12 @@ def decode_corpus(
 
 
 def save_predictions(path, predictions: dict[tuple[str, str], list[Prediction]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for (doc_id, sent_id), preds in predictions.items():
-            rec = {
-                "doc_id": doc_id,
-                "sent_id": sent_id,
-                "predictions": [p.to_record() for p in preds],
-            }
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+    """One JSON line per sentence; a save that fails part way leaves the previous file (write_atomically)."""
+    records = (
+        {"doc_id": doc_id, "sent_id": sent_id, "predictions": [p.to_record() for p in preds]}
+        for (doc_id, sent_id), preds in predictions.items()
+    )
+    write_atomically(path, (f"{json.dumps(rec, ensure_ascii=False, sort_keys=True)}\n".encode("utf-8") for rec in records))
 
 
 def load_predictions(path) -> dict[tuple[str, str], list[Prediction]]:

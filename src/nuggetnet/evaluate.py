@@ -95,13 +95,17 @@ def _match_sentence(
     return pairs
 
 
-def _pair_keys(
-    corpus: Sequence[AnnotatedSentence], predictions: Mapping
-) -> dict:
+def sentences_by_key(corpus: Sequence[AnnotatedSentence]) -> dict:
+    """(doc_id, sent_id) -> sentence; EvalInputError if a gold corpus holds one key twice."""
     by_key = {s.key: s for s in corpus}
     if len(by_key) < len(corpus):
         repeated = next(key for key, n in Counter(s.key for s in corpus).items() if n > 1)
         raise EvalInputError(f"gold corpus holds sentence key {repeated} twice")
+    return by_key
+
+
+def _pair_keys(corpus: Sequence[AnnotatedSentence], predictions: Mapping) -> dict:
+    by_key = sentences_by_key(corpus)
     unknown = set(predictions) - set(by_key)
     if unknown:
         raise EvalInputError(f"predictions reference unknown sentences: {sorted(unknown)[:5]}")

@@ -43,7 +43,7 @@ from .corpus import AnnotatedSentence, SubtypeInventory, TrainingInstance, Vocab
 from .encoder import BranchCache, ExtractorConfig, branch_backward, encoder_params, extract_branch, fuse, fuse_backward
 from .errors import CheckpointError, ConfigError, ShapeError, check_bound, check_bounds, check_value, from_json, is_a
 from .labels import label_to_class, num_nugget_classes
-from .ndcore import ParamStore, load_checkpoint, save_checkpoint, scatter_rows, softmax, softmax_xent
+from .ndcore import ParamStore, Tensors, load_checkpoint, save_checkpoint, scatter_rows, softmax, softmax_xent
 from .train import TrainConfig
 
 
@@ -352,7 +352,7 @@ class CharEncoderBase:
         save_checkpoint(path, self.store, meta)
 
     @classmethod
-    def from_meta(cls, meta: dict, tensors: dict | None = None) -> "CharEncoderBase":
+    def from_meta(cls, meta: dict, tensors: Tensors | None = None) -> "CharEncoderBase":
         """A model of this kind with the checkpoint's config, vocab and subtypes, and its tensors if given.
 
         The config is read as strictly as a run file's model section.

@@ -32,6 +32,9 @@ _KINDS = ("value", "eg2", "edx2")  # the kinds a checkpoint stores, in its kind-
 
 # one tensor of a ParamStore: (name, shape, init), init one of _INITS
 Spec = tuple[str, tuple[int, ...], str]
+# a checkpoint's tensors (load_checkpoint): their (name, shape) list in record order, and kind -> one flat
+# array of that kind for every tensor, in that order
+Tensors = tuple[list[tuple[str, tuple[int, ...]]], dict[str, np.ndarray]]
 
 
 class _Arenas(dict):
@@ -46,54 +49,6 @@ class _Arenas(dict):
             raise KeyError(f"no arena named {name!r}")
         self[name] = arena = np.zeros(self["value"].shape)
         return arena
-
-
-def _tiled(arrays: list[np.ndarray | None], size: int) -> np.ndarray | None:
-    """The flat float64 array of size elements that the arrays are consecutive views of, in order, or None."""
-    base = arrays[0].base if arrays and arrays[0] is not None else None
-    if not isinstance(base, np.ndarray) or base.dtype != np.float64 or base.shape != (size,):
-        return None
-    at = base.__array_interface__["data"][0]
-    for arr in arrays:
-        if arr is None or arr.base is not base or not arr.flags.c_contiguous:
-            return None
-        if arr.__array_interface__["data"][0] != at:
-            return None
-        at += arr.nbytes
-    return base
-
-
-def _checkpoint_arenas(tensors: dict[str, dict[str, np.ndarray]], specs: Sequence[Spec], spans: list[slice]) -> _Arenas:
-    """A store's arenas from a checkpoint's tensors; CheckpointError unless they are exactly the specs' tensors.
-
-    A kind whose arrays already tile one flat array in list order, as a
-    checkpoint's do, keeps that array as its arena; otherwise they are
-    copied into a new one, and a tensor with no array of a state has zeros.
-    """
-    for name, shape, _ in specs:
-        if name not in tensors:
-            raise CheckpointError(f"checkpoint is missing parameter {name!r}")
-        if tensors[name]["value"].shape != tuple(shape):
-            raise CheckpointError(
-                f"parameter {name!r}: checkpoint shape {tensors[name]['value'].shape} != model shape {tuple(shape)}"
-            )
-    extra = set(tensors) - {name for name, _, _ in specs}
-    if extra:
-        raise CheckpointError(f"checkpoint contains unknown parameters: {sorted(extra)}")
-    size = spans[-1].stop if spans else 0
-    arenas = _Arenas()
-    for kind in _KINDS:
-        held = [tensors[name].get(kind) for name, _, _ in specs]
-        if kind != "value" and all(h is None for h in held):
-            continue
-        flat = _tiled(held, size)
-        if flat is None:
-            flat = np.zeros(size)
-            for h, span in zip(held, spans):
-                if h is not None:
-                    flat[span] = h.reshape(-1)
-        arenas[kind] = flat
-    return arenas
 
 
 def _state_view(name: str) -> property:
@@ -134,19 +89,16 @@ class ParamStore:
     The values are one flat arena in list order, and each Param's value is
     a view of its slice.  A fresh store draws every tensor in list order,
     then copies each draw into its slice; all randomness flows from the
-    seed, so the same list reproduces the values bit for bit.  A store given a checkpoint's tensors
-    (load_checkpoint) draws nothing: they must hold exactly the listed
-    names at the listed shapes, and the store keeps their arrays as its
-    arenas where they already tile one (_checkpoint_arenas).  The gradients
-    and the Adadelta state get one arena each, for every tensor, on first
-    use, so adadelta_step updates every tensor at once.  A store has one
-    logical writer during training; forward-only reads of a frozen store
-    are freely shareable.
+    seed, so the same list reproduces the values bit for bit.  A store given
+    a checkpoint's tensors (load_checkpoint) draws nothing: their (name,
+    shape) list must be its own, entry for entry, and their flat arrays
+    become its arenas.  The gradients and the Adadelta state get one arena
+    each, for every tensor, on first use, so adadelta_step updates every
+    tensor at once.  A store has one logical writer during training;
+    forward-only reads of a frozen store are freely shareable.
     """
 
-    def __init__(
-        self, specs: Sequence[Spec], rng_seed: int = 0, tensors: dict[str, dict[str, np.ndarray]] | None = None
-    ):
+    def __init__(self, specs: Sequence[Spec], rng_seed: int = 0, tensors: Tensors | None = None):
         names = [name for name, _, _ in specs]
         twice = next((name for k, name in enumerate(names) if name in names[:k]), None)
         if twice is not None:
@@ -154,12 +106,17 @@ class ParamStore:
         unknown = next((init for _, _, init in specs if init not in _INITS), None)
         if unknown is not None:
             raise ValueError(f"unknown init scheme {unknown!r}")
+        listed = [(name, tuple(shape)) for name, shape, _ in specs]
+        if tensors is not None and tensors[0] != listed:  # before any array of the specs' size is allocated
+            k, pair = next((k, pair) for k, pair in enumerate(itertools.zip_longest(tensors[0], listed)) if pair[0] != pair[1])
+            stored, model = ("end of list" if entry is None else f"{entry[0]!r} {entry[1]}" for entry in pair)
+            raise CheckpointError(f"tensor list differs at entry {k}: checkpoint {stored}, model {model}")
         self.rng_seed = rng_seed
         self._rng: np.random.Generator | None = None  # made on the first draw, so a loaded store needs no numpy.random
         bounds = [0, *itertools.accumulate(math.prod(shape) for _, shape, _ in specs)]
         spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         if tensors is not None:
-            self._arenas = _checkpoint_arenas(tensors, specs, spans)
+            self._arenas = _Arenas(tensors[1])
         else:
             # every tensor is drawn before any draw is freed: freeing each one as it was copied raised glibc's
             # mmap threshold part way, and the later draws then stayed on the heap (~0.9 MB at the default size)
@@ -557,10 +514,10 @@ def grad_check(
 # Record:
 #   u16 name_len | name utf-8 | u8 kind (0 value, 1 E[g^2], 2 E[dx^2])
 #   | u8 ndim | u32 dims... | float64 LE payload
-# Version 2 adds a "crc32" entry to the metadata: the CRC-32 of the
-# metadata JSON without that entry followed by everything after the
-# metadata.  Version 1 files, which have none, still load.  Round-trips
-# are bit-exact.
+# The records are three per tensor, in store order: record 3i+k has kind
+# k, and the same name and shape as record 3i.  The metadata holds a
+# "crc32" entry: the CRC-32 of the metadata JSON without that entry
+# followed by everything after the metadata.  Round-trips are bit-exact.
 #
 # load_checkpoint streams the file in two passes and never holds it whole.
 # The first reads everything after the metadata through one buffer to check
@@ -642,13 +599,11 @@ def _crc_to_end(fh, crc: int, rest: int) -> int:
     return crc
 
 
-def load_checkpoint(path, optimizer_state: bool = False) -> tuple[dict, dict[str, dict[str, np.ndarray]]]:
-    """Returns (meta, {param_name: {kind: array}}); any malformed file raises CheckpointError.
+def load_checkpoint(path, optimizer_state: bool = False) -> tuple[dict, Tensors]:
+    """Returns (meta, tensors), tensors as ParamStore takes them; any malformed file raises CheckpointError.
 
     Every record is checked, but only optimizer_state=True (to resume)
-    reads the eg2 and edx2 records.  Each kind's arrays are views of one
-    flat array in record order, which a store built from them keeps as its
-    arena (ParamStore).
+    reads the eg2 and edx2 records.
     """
     with reading(path, CheckpointError, binary=True) as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -672,7 +627,7 @@ def load_checkpoint(path, optimizer_state: bool = False) -> tuple[dict, dict[str
             return struct.unpack(fmt, take_bytes(struct.calcsize(fmt)))
 
         version, meta_len = take("<II")
-        if version not in (1, CHECKPOINT_VERSION):
+        if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         try:
             meta = json.loads(str(take_bytes(meta_len), "utf-8"))
@@ -681,52 +636,47 @@ def load_checkpoint(path, optimizer_state: bool = False) -> tuple[dict, dict[str
         if not isinstance(meta, dict):
             raise CheckpointError(f"{path}: metadata is not a JSON object")
         crc = meta.pop(_CRC_KEY, None)
-        if version >= 2:
-            if crc != _crc_to_end(fh, zlib.crc32(_meta_json(meta)), size - off):
-                raise CheckpointError(f"{path}: checksum mismatch, the file is corrupt")
-            fh.seek(off)
+        if crc != _crc_to_end(fh, zlib.crc32(_meta_json(meta)), size - off):
+            raise CheckpointError(f"{path}: checksum mismatch, the file is corrupt")
+        fh.seek(off)
         (n_records,) = take("<I")
-        shapes: dict[str, dict[str, tuple[int, ...]]] = {}
-        payloads = {kind: [] for kind in (_KINDS if optimizer_state else ("value",))}  # kind -> (name, shape, offset)
-        for _ in range(n_records):
+        listing: list[tuple[str, tuple[int, ...]]] = []
+        payloads = {kind: [] for kind in (_KINDS if optimizer_state else ("value",))}  # kind -> offsets
+        for i in range(n_records):
             (name_len,) = take("<H")
             try:
                 name = str(take_bytes(name_len), "utf-8")
             except UnicodeDecodeError as exc:
                 raise CheckpointError(f"{path}: undecodable tensor name: {exc}") from exc
             kind_idx, ndim = take("<BB")
-            if kind_idx >= len(_KINDS):
-                raise CheckpointError(f"{path}: tensor {name!r} has unknown kind byte {kind_idx}")
-            kind = _KINDS[kind_idx]
+            k = i % len(_KINDS)  # the kind byte record i must have
+            if kind_idx != k:
+                want = f"the {_KINDS[k]} record of {listing[-1][0]!r}" if k else "a value record"
+                raise CheckpointError(f"{path}: record {i} ({name!r}) has kind byte {kind_idx} where {want} belongs")
             shape = take(f"<{ndim}I")
             at = skip(8 * math.prod(shape))
             fh.seek(off)
-            if kind in shapes.setdefault(name, {}):
-                raise CheckpointError(f"{path}: tensor {name!r} has two {kind} records")
-            shapes[name][kind] = shape
-            if kind in payloads:
-                payloads[kind].append((name, shape, at))
+            if k == 0:
+                listing.append((name, shape))
+            elif (name, shape) != listing[-1]:
+                value = f"{listing[-1][0]!r} {listing[-1][1]}"
+                raise CheckpointError(f"{path}: record {i} holds {_KINDS[k]} of {name!r} {shape}, after the value of {value}")
+            if _KINDS[k] in payloads:
+                payloads[_KINDS[k]].append(at)
+        if n_records % len(_KINDS):
+            raise CheckpointError(f"{path}: tensor {listing[-1][0]!r} lacks its {_KINDS[n_records % len(_KINDS)]} record")
         if off != size:
             raise CheckpointError(f"{path}: {size - off} trailing bytes after the last record")
-        for name, kinds in shapes.items():
-            if "value" not in kinds:
-                raise CheckpointError(f"{path}: tensor {name!r} has no value record")
-            for kind, shape in kinds.items():
-                if shape != kinds["value"]:
-                    raise CheckpointError(
-                        f"{path}: tensor {name!r} has {kind} shape {shape} but value shape {kinds['value']}"
-                    )
-        tensors: dict[str, dict[str, np.ndarray]] = {name: {} for name in shapes}
-        for kind, records in payloads.items():
-            flat = np.empty(sum(math.prod(shape) for _, shape, _ in records))
+        arrays = {}
+        for kind, offsets in payloads.items():
+            arrays[kind] = flat = np.empty(sum(math.prod(shape) for _, shape in listing))
             lo = 0
-            for name, shape, at in records:
+            for (_, shape), at in zip(listing, offsets):
                 part = flat[lo : lo + math.prod(shape)]
                 lo += part.size
                 fh.seek(at)
                 if fh.readinto(part) != part.nbytes:
                     raise CheckpointError(f"{path}: truncated checkpoint")
-                tensors[name][kind] = part.reshape(shape)
             if sys.byteorder == "big":  # the payloads are little-endian
                 flat.byteswap(inplace=True)
-    return meta, tensors
+    return meta, (listing, arrays)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import AnnotatedSentence
 from .errors import ConfigError, NuggetError, NumericError, check_bounds, is_a
-from .evaluate import ScoreMode, score
+from .evaluate import ScoreMode, score, sentences_by_key
 from .ndcore import adadelta_step, write_atomically
 
 BEST_CHECKPOINT = "best.ckpt"
@@ -157,6 +157,7 @@ def train(
     if stopped_early or reached_target:
         return TrainResult(start_epoch, best_epoch, best_f1, stopped_early, reached_target, history)
 
+    sentences_by_key(dev_corpus)  # a repeated dev key would otherwise fail at the first evaluation, after an epoch
     stream_a, stream_b = model.training_streams(
         train_corpus, neg_ratio=config.neg_ratio, rng_seed=config.rng_seed
     )

@@ -3,6 +3,13 @@
 Run it on two trees to see whether a change kept their outputs byte for byte:
 
     python tests/output_hashes.py
+    python tests/output_hashes.py --against REV
+
+The second form extracts the committed files of git revision REV into a
+temporary directory (git archive), runs that tree's own copy of this
+script there and this tree's here, and prints both digests and the diff of
+the two listings.  It exits 1 if they differ (2 if either run fails), and
+always removes the temporary tree.
 
 It imports the package from the `src` directory beside this file, so each
 tree hashes its own code.  The runs:
@@ -23,10 +30,13 @@ pytest does not collect this file.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -85,7 +95,8 @@ def cli_sweep() -> None:
             cli("predict", "--model", f"{run}/last.ckpt", "--input", "data/dev.jsonl", "--out", f"{run}/dev.pred.jsonl")
 
 
-def main_hashes() -> None:
+def listing() -> str:
+    """One `sha256  path` line per output file, sorted by path."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
@@ -99,10 +110,45 @@ def main_hashes() -> None:
             ]
         finally:
             os.chdir(home)
-    listing = "".join(f"{line}\n" for line in lines)
-    print(listing, end="")
-    print(f"digest  {hashlib.sha256(listing.encode()).hexdigest()}")
+    return "".join(f"{line}\n" for line in lines)
+
+
+def digest(files: str) -> str:
+    return hashlib.sha256(files.encode()).hexdigest()
+
+
+def against(rev: str) -> int:
+    """Compare this tree's outputs with REV's; 0 if they are the same, 1 if not."""
+    root = Path(__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as tree:
+        archive = subprocess.run(["git", "-C", str(root), "archive", rev], check=True, stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+        script = Path(tree) / "tests" / "output_hashes.py"
+        theirs = subprocess.run([sys.executable, str(script)], check=True, stdout=subprocess.PIPE, text=True).stdout
+    theirs = "".join(line for line in theirs.splitlines(keepends=True) if not line.startswith("digest  "))
+    ours = listing()
+    print(f"{rev}  digest  {digest(theirs)}")
+    print(f"this tree  digest  {digest(ours)}")
+    diff = difflib.unified_diff(theirs.splitlines(True), ours.splitlines(True), rev, "this tree")
+    print("".join(diff), end="")
+    return int(theirs != ours)
+
+
+def main_hashes() -> int:
+    parser = argparse.ArgumentParser(description="Hash the outputs of the determinism run and the CLI sweep.")
+    parser.add_argument("--against", metavar="REV", help="compare with the outputs of git revision REV")
+    args = parser.parse_args()
+    if args.against:
+        try:
+            return against(args.against)
+        except subprocess.CalledProcessError as exc:  # git or the other tree's run failed; its stderr is above
+            print(f"error: {' '.join(map(str, exc.cmd))} exited with {exc.returncode}", file=sys.stderr)
+            return 2
+    files = listing()
+    print(files, end="")
+    print(f"digest  {digest(files)}")
+    return 0
 
 
 if __name__ == "__main__":
-    main_hashes()
+    sys.exit(main_hashes())

@@ -110,6 +110,26 @@ class TestSerialization:
         save_corpus(path, corpus)
         assert load_corpus(path) == corpus
 
+    @pytest.mark.parametrize("before", [None, "previous"])
+    def test_a_failed_save_leaves_the_previous_file_or_none(self, tmp_path, before):
+        # the last sentence's text holds a lone surrogate, which UTF-8 cannot encode: the save fails part way
+        path = tmp_path / "c.jsonl"
+        if before is not None:
+            save_corpus(path, toy_corpus()[:1])
+        old = path.read_bytes() if before else None
+        corpus = [*toy_corpus(), AnnotatedSentence("d", "bad", "a\ud800", ((0, 1),), ())]
+        with pytest.raises(UnicodeEncodeError):
+            save_corpus(path, corpus)
+        assert (path.read_bytes() if path.exists() else None) == old
+        assert [p.name for p in tmp_path.iterdir()] == ([path.name] if before else [])
+
+    def test_saved_bytes_are_one_utf8_json_line_per_sentence(self, tmp_path):
+        corpus = toy_corpus()
+        path = tmp_path / "c.jsonl"
+        save_corpus(path, corpus)
+        lines = [json.dumps(sentence_to_record(s), ensure_ascii=False) + "\n" for s in corpus]
+        assert path.read_bytes() == "".join(lines).encode("utf-8")
+
     def test_record_round_trip(self):
         s = toy_corpus()[0]
         assert sentence_from_record(sentence_to_record(s)) == s

@@ -223,6 +223,24 @@ class TestPredictionFiles:
         save_predictions(path, self.preds())
         assert load_predictions(path) == self.preds()
 
+    @pytest.mark.parametrize("before", [None, "previous"])
+    def test_a_failed_save_leaves_the_previous_file_or_none(self, tmp_path, before):
+        # the last sentence's key holds a lone surrogate, which UTF-8 cannot encode: the save fails part way
+        path = tmp_path / "preds.jsonl"
+        if before is not None:
+            save_predictions(path, {("doc-a", "s0"): []})
+        old = path.read_bytes() if before else None
+        with pytest.raises(UnicodeEncodeError):
+            save_predictions(path, {**self.preds(), ("doc-\ud800", "s0"): []})
+        assert (path.read_bytes() if path.exists() else None) == old
+        assert [p.name for p in tmp_path.iterdir()] == ([path.name] if before else [])
+
+    def test_saved_bytes_are_one_utf8_json_line_per_sentence(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        save_predictions(path, {("文档", "s0"): [Prediction(0, 2, "伤害", -0.5)]})
+        rec = {"doc_id": "文档", "sent_id": "s0", "predictions": [{"start": 0, "length": 2, "subtype": "伤害", "score": -0.5}]}
+        assert path.read_bytes() == (json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+
     def test_matches_schema(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         save_predictions(path, self.preds())

@@ -408,10 +408,13 @@ def parent_layout_iob_checkpoint(tmp_path, corpus) -> Path:
 
 def test_a_checkpoint_with_the_two_task_gates_of_a_one_head_kind_is_refused(tmp_path, corpus3):
     path = parent_layout_iob_checkpoint(tmp_path, corpus3)
-    assert {"fuse.nugget.gate_b", "fuse.type.gate_b"} <= set(load_checkpoint(path)[1])
+    assert {"fuse.nugget.gate_b", "fuse.type.gate_b"} <= {name for name, _ in load_checkpoint(path)[1][0]}
     with pytest.raises(CheckpointError) as info:
         load_model(path)
-    assert str(info.value) == f"{path}: checkpoint is missing parameter 'fuse.tag.gate_w_char'"
+    assert str(info.value) == (
+        f"{path}: tensor list differs at entry 12: "
+        "checkpoint 'fuse.nugget.gate_w_char' (10, 10), model 'fuse.tag.gate_w_char' (10, 10)"
+    )
 
 
 def test_predict_refuses_the_two_task_gates_of_a_one_head_kind_in_one_line(tmp_path, corpus3, capsys):
@@ -421,7 +424,10 @@ def test_predict_refuses_the_two_task_gates_of_a_one_head_kind_in_one_line(tmp_p
     rc = main(["predict", "--model", str(path), "--input", str(tmp_path / "in.jsonl"), "--out", str(tmp_path / "p.jsonl")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err == f"error: {path}: checkpoint is missing parameter 'fuse.tag.gate_w_char'\n"
+    assert err == (
+        f"error: {path}: tensor list differs at entry 12: "
+        "checkpoint 'fuse.nugget.gate_w_char' (10, 10), model 'fuse.tag.gate_w_char' (10, 10)\n"
+    )
     assert not (tmp_path / "p.jsonl").exists()
 
 
@@ -527,11 +533,74 @@ def test_a_checkpoint_with_an_unbounded_max_rel_dist_is_refused_before_a_model_i
 
 
 def test_tensor_mismatch_names_file(tmp_path, corpus3):
+    model = small_model(corpus3)
     path = tmp_path / "headless.ckpt"
-    save_checkpoint(path, ParamStore([]), saved_meta(small_model(corpus3), path))
-    with pytest.raises(CheckpointError, match="missing parameter") as info:
+    save_checkpoint(path, ParamStore([]), saved_meta(model, path))
+    first = model.store.names()[0]
+    with pytest.raises(CheckpointError) as info:
         load_model(path)
-    assert str(path) in str(info.value)
+    shape = model.store[first].value.shape
+    assert str(info.value) == f"{path}: tensor list differs at entry 0: checkpoint end of list, model {first!r} {shape}"
+
+
+def swap_first_two(specs):
+    return [specs[1], specs[0], *specs[2:]]
+
+
+def drop_third(specs):
+    return specs[:2] + specs[3:]
+
+
+def add_extra(specs):
+    return [*specs, ("extra", (2,), "zeros")]
+
+
+def widen_third(specs):
+    name, shape, init = specs[2]
+    return [*specs[:2], (name, (*shape[:-1], shape[-1] + 1), init), *specs[3:]]
+
+
+@pytest.mark.parametrize(
+    "edit, entry",
+    [(swap_first_two, 0), (drop_third, 2), (add_extra, None), (widen_third, 2)],
+    ids=["reordered", "missing", "unknown", "misshapen"],
+)
+def test_a_checkpoint_unlike_the_models_tensor_list_is_refused(tmp_path, corpus3, edit, entry):
+    # one line naming the file and the first entry where the file's (name, shape) list and the model's differ
+    model = small_model(corpus3)
+    path = tmp_path / "other.ckpt"
+    meta = saved_meta(model, path)
+    listed = [(name, p.value.shape, "zeros") for name, p in model.store.items()]
+    stored = edit(listed)
+    save_checkpoint(path, ParamStore(stored), meta)
+    entry = len(listed) if entry is None else entry
+
+    def side(specs):
+        return f"{specs[entry][0]!r} {specs[entry][1]}" if entry < len(specs) else "end of list"
+
+    for optimizer_state in (False, True):
+        with pytest.raises(CheckpointError) as info:
+            load_model(path, optimizer_state=optimizer_state)
+        assert str(info.value) == f"{path}: tensor list differs at entry {entry}: checkpoint {side(stored)}, model {side(listed)}"
+
+
+def test_a_checkpoint_claiming_a_far_larger_model_fails_before_allocating_it(tmp_path, corpus3):
+    # the metadata describes a model of over 6 * 10^6 parameters (49 MB of values); the file holds the small model's
+    model = small_model(corpus3)
+    path = tmp_path / "claims.ckpt"
+    meta = saved_meta(model, path)
+    meta["config"]["extractor"]["proj_dim"] = 1000
+    meta["config"]["extractor"]["n_filters"] = 1000
+    save_checkpoint(path, model.store, meta)
+    file_bytes = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=r"^.*claims\.ckpt: tensor list differs at entry \d+: "):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < file_bytes + ndcore._READ_BUFFER + (1 << 20)
 
 
 class TestInferenceFootprint:
@@ -597,7 +666,7 @@ class TestInferenceFootprint:
         monkeypatch.setattr(nmodel, "load_checkpoint", recording)
         loaded, _ = load_model(path)
         arena = loaded.store.arena("value")
-        assert all(rec["value"].base is arena for rec in read[0][1].values())
+        assert read[0][1][1]["value"] is arena
         assert all(p.value.base is arena for _, p in loaded.store.items())
         assert arena.tobytes() == model.store.arena("value").tobytes()
 

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import struct
+import zlib
 
 import numpy as np
 import numpy.testing as npt
@@ -622,10 +624,20 @@ def record(name: bytes, kind: int, values) -> bytes:
     return struct.pack("<H", len(name)) + name + struct.pack("<BBI", kind, 1, values.size) + values.tobytes()
 
 
-def v1_checkpoint(meta: dict, records: list[bytes]) -> bytes:
-    """A version-1 file (no checksum), written by hand."""
-    meta_b = json.dumps(meta).encode("utf-8")
-    return b"NGCKPT01" + struct.pack("<II", 1, len(meta_b)) + meta_b + struct.pack("<I", len(records)) + b"".join(records)
+def triple(name: bytes, values) -> list[bytes]:
+    """A tensor's three records as save_checkpoint writes them: value, E[g^2], E[dx^2], all holding values."""
+    return [record(name, kind, values) for kind in range(3)]
+
+
+def checkpoint_file(meta: dict, records: list[bytes], trailing: bytes = b"") -> bytes:
+    """A version-2 file written by hand, its checksum taken over everything it holds."""
+
+    def meta_json(m):
+        return json.dumps(m, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+    body = struct.pack("<I", len(records)) + b"".join(records) + trailing
+    meta_b = meta_json({**meta, "crc32": zlib.crc32(body, zlib.crc32(meta_json(meta)))})
+    return b"NGCKPT01" + struct.pack("<II", 2, len(meta_b)) + meta_b + body
 
 
 class TestCheckpoint:
@@ -667,8 +679,8 @@ class TestCheckpoint:
         save_checkpoint(path, s, {})
         _, values = load_checkpoint(path)
         _, everything = load_checkpoint(path, optimizer_state=True)
-        assert all(rec.keys() == {"value"} for rec in values.values())
-        assert all(rec.keys() == {"value", "eg2", "edx2"} for rec in everything.values())
+        assert values[1].keys() == {"value"}
+        assert everything[1].keys() == {"value", "eg2", "edx2"}
         weights = self.build_store(values)
         assert all(weights.held(kind) is None for kind in ("grad", "eg2", "edx2"))
         resumed = self.build_store(everything)
@@ -678,20 +690,19 @@ class TestCheckpoint:
             npt.assert_array_equal(resumed[name].eg2, p.eg2)
             npt.assert_array_equal(resumed[name].edx2, p.edx2)
 
-    @pytest.mark.parametrize("order", [("emb", "w", "b"), ("b", "emb", "w")], ids=["file-order", "other-order"])
-    def test_a_store_built_from_a_checkpoint_packs_its_arrays(self, tmp_path, order):
-        # in the file's order the loaded arrays become the arenas; in another they are copied into new ones
+    def test_a_store_built_from_a_checkpoint_adopts_its_arrays(self, tmp_path):
+        # each kind's flat array becomes the arena, and every tensor a view of it
         s = self.build_store()
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, s, {})
         _, tensors = load_checkpoint(path, optimizer_state=True)
-        specs = [(name, s[name].value.shape, "zeros") for name in order]
-        loaded = ParamStore(specs, 0, {name: tensors[name] for name in order})
+        assert tensors[0] == [("emb", (6, 3)), ("w", (4, 5)), ("b", (4,))]
+        loaded = self.build_store(tensors)
         for kind in ("value", "eg2", "edx2"):
-            adopted = all(getattr(loaded[name], kind).base is tensors[name][kind].base for name in order)
-            assert adopted == (order == ("emb", "w", "b")), kind
-            for name in order:
-                assert getattr(loaded[name], kind).tobytes() == getattr(s[name], kind).tobytes(), (name, kind)
+            assert loaded.arena(kind) is tensors[1][kind], kind
+            for name, p in s.items():
+                assert getattr(loaded[name], kind).base is tensors[1][kind], (name, kind)
+                assert getattr(loaded[name], kind).tobytes() == getattr(p, kind).tobytes(), (name, kind)
 
     def test_a_store_built_from_a_checkpoint_draws_nothing(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -703,7 +714,7 @@ class TestCheckpoint:
     def test_unused_checkpoint_tensor_fails_when_the_store_packs(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self.build_store(), {})
-        with pytest.raises(CheckpointError, match=r"unknown parameters: \['b', 'w'\]"):
+        with pytest.raises(CheckpointError, match=r"at entry 1: checkpoint 'w' \(4, 5\), model end of list$"):
             ParamStore([("emb", (6, 3), "zeros")], 0, load_checkpoint(path)[1])
 
     @pytest.mark.parametrize("read_buffer", [7, 1 << 22])
@@ -713,9 +724,9 @@ class TestCheckpoint:
         s = self.build_store()
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, s, {"k": 1})
-        _, tensors = load_checkpoint(path, optimizer_state=True)
-        for name, p in s.items():
-            assert tensors[name]["value"].tobytes() == p.value.tobytes()
+        _, (_, arrays) = load_checkpoint(path, optimizer_state=True)
+        for kind in ("value", "eg2", "edx2"):
+            assert arrays[kind].tobytes() == s.arena(kind).tobytes()
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0x01
         path.write_bytes(bytes(blob))
@@ -724,9 +735,9 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("optimizer_state", [False, True])
     def test_state_record_shaped_unlike_its_value(self, tmp_path, optimizer_state):
-        path = tmp_path / "v1.ckpt"
-        path.write_bytes(v1_checkpoint({}, [record(b"w", 0, [1.0, 2.0]), record(b"w", 1, [0.5])]))
-        with pytest.raises(CheckpointError, match=r"'w' has eg2 shape \(1,\) but value shape \(2,\)"):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(checkpoint_file({}, [record(b"w", 0, [1.0, 2.0]), record(b"w", 1, [0.5]), record(b"w", 2, [0.5, 0.5])]))
+        with pytest.raises(CheckpointError, match=r"record 1 holds eg2 of 'w' \(1,\), after the value of 'w' \(2,\)$"):
             load_checkpoint(path, optimizer_state=optimizer_state)
 
     def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
@@ -801,27 +812,61 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="crc32"):
             save_checkpoint(tmp_path / "m.ckpt", self.build_store(), {"crc32": 1})
 
-    def test_version_1_files_load(self, tmp_path):
-        path = tmp_path / "v1.ckpt"
-        path.write_bytes(v1_checkpoint({"k": 1}, [record(b"w", 0, [1.5, -2.0])]))
-        meta, tensors = load_checkpoint(path)
+    def test_hand_built_file_loads(self, tmp_path):
+        # the records the malformed-record tests break, well formed, load: those tests reach the record checks
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(checkpoint_file({"k": 1}, [*triple(b"w", [1.5, -2.0]), *triple(b"b", [0.5])]))
+        meta, (listing, arrays) = load_checkpoint(path, optimizer_state=True)
         assert meta == {"k": 1}
-        npt.assert_array_equal(tensors["w"]["value"], [1.5, -2.0])
+        assert listing == [("w", (2,)), ("b", (1,))]
+        for kind in ("value", "eg2", "edx2"):
+            npt.assert_array_equal(arrays[kind], [1.5, -2.0, 0.5])
+
+    def test_version_1_files_are_refused(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        blob = bytearray(checkpoint_file({"k": 1}, triple(b"w", [1.5, -2.0])))
+        blob[8:12] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=r"m.ckpt: unsupported checkpoint version 1$"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "records, message",
         [
-            ([record(b"\xffw", 0, [1.0])], "undecodable tensor name"),
-            ([record(b"w", 7, [1.0])], "unknown kind byte 7"),
-            ([record(b"w", 0, [1.0]), record(b"w", 0, [2.0])], "two value records"),
-            ([record(b"w", 1, [1.0])], "no value record"),
+            (triple(b"\xffw", [1.0]), "undecodable tensor name"),
+            ([record(b"w", 7, [1.0]), *triple(b"w", [1.0])[1:]], "has kind byte 7 where a value record belongs"),
+            (
+                [record(b"w", 0, [1.0]), record(b"w", 0, [2.0]), record(b"w", 2, [1.0])],
+                "has kind byte 0 where the eg2 record of 'w' belongs",
+            ),
+            (triple(b"w", [1.0])[1:] + [record(b"w", 2, [1.0])], "has kind byte 1 where a value record belongs"),
+            (
+                [record(b"w", 0, [1.0]), record(b"w", 2, [1.0]), record(b"w", 1, [1.0])],
+                "has kind byte 2 where the eg2 record of 'w' belongs",
+            ),
+            ([*triple(b"w", [1.0])[:2], record(b"v", 2, [1.0])], "holds edx2 of 'v' (1,), after the value of 'w' (1,)"),
         ],
     )
     def test_malformed_records(self, tmp_path, records, message):
-        path = tmp_path / "v1.ckpt"
-        path.write_bytes(v1_checkpoint({}, records))
-        with pytest.raises(CheckpointError, match=message):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(checkpoint_file({}, records))
+        with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("dropped", [1, 4, 5], ids=["eg2-of-the-first", "eg2-of-the-last", "edx2-of-the-last"])
+    def test_a_file_lacking_a_state_record_is_refused(self, tmp_path, dropped):
+        records = [*triple(b"w", [1.0, 2.0]), *triple(b"b", [0.5])]
+        del records[dropped]
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(checkpoint_file({}, records))
+        message = {
+            1: r"m.ckpt: record 1 \('w'\) has kind byte 2 where the eg2 record of 'w' belongs$",
+            4: r"m.ckpt: record 4 \('b'\) has kind byte 2 where the eg2 record of 'b' belongs$",
+            5: r"m.ckpt: tensor 'b' lacks its edx2 record$",
+        }[dropped]
+        for optimizer_state in (False, True):
+            with pytest.raises(CheckpointError, match=message):
+                load_checkpoint(path, optimizer_state=optimizer_state)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -829,7 +874,7 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
-        path.write_bytes(v1_checkpoint({}, [record(b"w", 0, [1.0])]) + b"\x00\x00")
+        path.write_bytes(checkpoint_file({}, triple(b"w", [1.0]), trailing=b"\x00\x00"))
         with pytest.raises(CheckpointError, match="2 trailing bytes"):
             load_checkpoint(path)
 
@@ -856,41 +901,40 @@ class TestCheckpoint:
         assert (loads[0] is None) == (loads[1] is None)
         if loads[0] is None:
             return
-        (meta, tensors), (values_meta, values) = loads
+        (meta, (listing, arrays)), (values_meta, (values_listing, values)) = loads
         assert meta == values_meta == expected[0]
-        assert tensors.keys() == values.keys() == expected[1].keys()
-        for name, rec in tensors.items():
-            assert rec.keys() == expected[1][name].keys()
-            for kind, arr in rec.items():
-                assert arr.tobytes() == expected[1][name][kind].tobytes()
-            assert values[name].keys() == {"value"}
-            assert values[name]["value"].tobytes() == rec["value"].tobytes()
+        assert listing == values_listing == expected[1][0]
+        assert arrays.keys() == expected[1][1].keys()
+        for kind, arr in arrays.items():
+            assert arr.tobytes() == expected[1][1][kind].tobytes()
+        assert values.keys() == {"value"}
+        assert values["value"].tobytes() == arrays["value"].tobytes()
 
     def test_shape_mismatch_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self.build_store(), {})
         _, tensors = load_checkpoint(path)
-        with pytest.raises(CheckpointError, match=r"'w': checkpoint shape \(4, 5\) != model shape \(4, 9\)"):
+        with pytest.raises(CheckpointError, match=r"^tensor list differs at entry 1: checkpoint 'w' \(4, 5\), model 'w' \(4, 9\)$"):
             ParamStore([("emb", (6, 3), "zeros"), ("w", (4, 9), "zeros"), ("b", (4,), "zeros")], 0, tensors)
 
     def test_missing_parameter_detected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self.build_store(), {})
         _, tensors = load_checkpoint(path)
-        with pytest.raises(CheckpointError, match="missing parameter 'extra'"):
+        with pytest.raises(CheckpointError, match=r"^tensor list differs at entry 3: checkpoint end of list, model 'extra' \(2,\)$"):
             ParamStore([*self.SPECS, ("extra", (2,), "zeros")], 0, tensors)
 
     @pytest.mark.parametrize(
         "specs, message",
         [
-            ([("emb", (6, 3)), ("extra", (2,)), ("w", (4, 9))], "missing parameter 'extra'"),
-            ([("emb", (6, 3)), ("w", (4, 9)), ("extra", (2,))], r"'w': checkpoint shape"),
-            ([("emb", (6, 3)), ("w", (4, 5))], r"unknown parameters: \['b'\]"),
+            ([("emb", (6, 3)), ("extra", (2,)), ("w", (4, 9))], r"entry 1: checkpoint 'w' \(4, 5\), model 'extra' \(2,\)$"),
+            ([("emb", (6, 3)), ("w", (4, 9)), ("extra", (2,))], r"entry 1: checkpoint 'w' \(4, 5\), model 'w' \(4, 9\)$"),
+            ([("emb", (6, 3)), ("w", (4, 5))], r"entry 2: checkpoint 'b' \(4,\), model end of list$"),
         ],
         ids=["missing-before-shape", "shape-before-missing", "unknown-last"],
     )
     def test_checkpoint_errors_keep_their_precedence(self, tmp_path, specs, message):
-        # the listed tensors in list order, each missing or misshapen; then the checkpoint's unlisted ones
+        # one error, at the first entry where the checkpoint's list and the model's differ
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self.build_store(), {})
         with pytest.raises(CheckpointError, match=message):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import nuggetnet.ndcore as ndcore
-from nuggetnet.errors import CheckpointError, ConfigError, NuggetError, NumericError, from_json
+from nuggetnet.errors import CheckpointError, ConfigError, EvalInputError, NuggetError, NumericError, from_json
 from nuggetnet.model import CharSpanModel, load_model
 from nuggetnet.synthgen import GenSpec, default_subtype_names, generate_synthetic_corpus
 from nuggetnet.train import (
@@ -355,6 +355,15 @@ class TestLoopBehavior:
         model = tiny_model(corpus, rng_seed=5)
         with pytest.raises(ConfigError, match="no instances"):
             train(model, [], corpus, quick_config())
+
+    def test_repeated_dev_key_is_refused_before_the_first_step(self, tmp_path, monkeypatch):
+        corpus = tiny_corpus()
+        dev = [replace(s, doc_id="d", sent_id="s1") for s in corpus[:2]]
+        monkeypatch.setattr(ntrain, "adadelta_step", lambda *args, **kwargs: pytest.fail("a training step ran"))
+        out_dir = tmp_path / "run"
+        with pytest.raises(EvalInputError, match=r"^gold corpus holds sentence key \('d', 's1'\) twice$"):
+            train(tiny_model(corpus, rng_seed=5), corpus, dev, quick_config(), out_dir=out_dir)
+        assert not out_dir.exists()
 
     def test_non_finite_loss_aborts(self, tmp_path):
         corpus = tiny_corpus()
